@@ -134,12 +134,8 @@ def measure_coverage(tree: C.ConstraintTree, log, *,
                      unknown_skipped: int = 0) -> CoverageReport:
     """A branch is covered iff the tree holds an explored child for it."""
     program = tree.program
-    procs: list[str] = []
-    for pname, _ in program.origins:
-        if pname not in procs:
-            procs.append(pname)
     branches: dict[tuple[str, int, str], bool] = {}
-    for pname, i in ir.source_conditionals(program.source, procs):
+    for pname, i in ir.source_conditionals(program.source, program.procs):
         branches[(pname, i, "then")] = False
         branches[(pname, i, "else")] = False
     for node in tree.nodes:
@@ -303,7 +299,6 @@ def run_pipeline(spec_path: Path, program_path: Path, entry: str, *,
                  timeout: float | None = None, solver_depth: int = 6,
                  int_domain: tuple[int, int] = (-64, 63),
                  max_nodes: int = 10_000, seed_defaults: bool = False,
-                 inline_depth: int = 8,
                  out_dir: Path | None = None) -> PipelineResult:
     """The whole pipeline as a library call; the CLI is a thin wrapper."""
     F.reset_names()
@@ -315,7 +310,7 @@ def run_pipeline(spec_path: Path, program_path: Path, entry: str, *,
         raise ir.ProgramError(f"entry procedure {entry!r} not in program")
     if entry not in spec.preconditions:
         raise ir.ProgramError(f"no precondition for entry {entry!r} in spec")
-    elab = ir.elaborate(program, entry, inline_depth=inline_depth)
+    elab = ir.elaborate(program, entry)
     pre = spec.preconditions[entry]
     wall["parse"] = time.monotonic() - t0
 

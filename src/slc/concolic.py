@@ -59,7 +59,6 @@ from .ir import (
     Expr,
     SAssert,
     SAssign,
-    SCall,
     SCond,
     SFree,
     SGoto,
@@ -79,16 +78,16 @@ from .unfold import unfold_at
 class RunOutcome:
     kind: str  # 'ok' | 'assertion' | 'error' | 'budget'
     error: str | None = None  # null-deref | dangling | goto-out-of-range | free-of-null
-    pc: int = -1
+    pc: ir.PC = ()
 
     def __str__(self) -> str:
         if self.kind == "ok":
             return "OK"
         if self.kind == "assertion":
-            return f"assertion violation at {self.pc}"
+            return f"assertion violation at {ir.pc_label(self.pc)}"
         if self.kind == "budget":
             return "step budget exceeded"
-        return f"runtime error ({self.error}) at {self.pc}"
+        return f"runtime error ({self.error}) at {ir.pc_label(self.pc)}"
 
 
 class ExecError(Exception):
@@ -136,17 +135,19 @@ class PathCondition:
 
     def rename(self, old: str, new: str) -> "PathCondition":
         binding = {old: Var(new)}
-        renames = {old: new}
+
+        def renamed(v: str) -> str:
+            return new if v == old else v
+
         heaps = tuple(F.substitute(d, binding) if old in F.free_vars(d) else d
                       for d in self.heaps)
         atoms = []
         for atom in self.atoms:
             if isinstance(atom, PCExpr):
-                atoms.append(PCExpr(ir.rename_expr(atom.expr, renames)))
+                atoms.append(PCExpr(ir.rename_expr(atom.expr, renamed)))
             else:
-                atoms.append(PCAssign(renames.get(atom.var, atom.var),
-                                      atom.fieldname,
-                                      ir.rename_expr(atom.expr, renames)))
+                atoms.append(PCAssign(renamed(atom.var), atom.fieldname,
+                                      ir.rename_expr(atom.expr, renamed)))
         return PathCondition(heaps, tuple(atoms))
 
     def conjoin(self, expr: Expr) -> "PathCondition":
@@ -160,7 +161,8 @@ class PathCondition:
         if var in self.vars():
             old = F.fresh_var(var)
             pc = self.rename(var, old)
-            new_expr = ir.rename_expr(expr, {var: old})
+            new_expr = ir.rename_expr(expr,
+                                      lambda v: old if v == var else v)
         return pc.conjoin(EBin("=", EVar(var), new_expr))
 
     def allocate(self, var: str, type_name: str, args: Sequence[str]) -> "PathCondition":
@@ -509,7 +511,7 @@ class ConcolicNode:
     parent: int | None
     edge: str  # rule label on the incoming edge ('then'/'else' for branches)
     depth: int
-    pc: int
+    pc: ir.PC
     delta: PathCondition
     flag: bool = False
     status: str = "open"  # 'open' | 'pruned' | 'unresolved'
@@ -525,7 +527,7 @@ class ConstraintTree:
     def __init__(self, program: ElabProgram, pre: F.Formula):
         self.program = program
         self.nodes: list[ConcolicNode] = []
-        root = ConcolicNode(0, None, "", 0, 0, initial_path_condition(pre),
+        root = ConcolicNode(0, None, "", 0, program.start, initial_path_condition(pre),
                             flag=True)
         self.nodes.append(root)
 
@@ -533,14 +535,14 @@ class ConstraintTree:
     def root(self) -> ConcolicNode:
         return self.nodes[0]
 
-    def child(self, parent: ConcolicNode, edge: str, pc: int,
+    def child(self, parent: ConcolicNode, edge: str, pc: ir.PC,
               delta_thunk: Callable[[], PathCondition],
               branch: tuple[str, int, str] | None = None) -> ConcolicNode:
         if edge in parent.children:
             node = self.nodes[parent.children[edge]]
             if node.pc != pc:
                 raise RuntimeError(f"tree got inconsistent: node {node.nid} "
-                                   f"pc {node.pc} vs {pc}")
+                                   f"pc {ir.pc_label(node.pc)} vs {ir.pc_label(pc)}")
             return node
         node = ConcolicNode(len(self.nodes), parent.nid, edge, parent.depth + 1,
                             pc, delta_thunk(), branch=branch,
@@ -560,15 +562,13 @@ class ConstraintTree:
         return out
 
     def statement(self, node: ConcolicNode) -> ir.Statement | None:
-        if node.pc >= self.program.end:
-            return None
-        return self.program.stmts[node.pc]
+        return self.program.statement(node.pc)
 
     def to_dot(self) -> str:
         lines = ["digraph constraint_tree {", "  node [shape=box, fontsize=9];"]
         for node in self.nodes:
             st = self.statement(node)
-            label = f"{node.nid}: pc={node.pc}"
+            label = f"{node.nid}: pc={ir.pc_label(node.pc)}"
             if st is not None:
                 label += "\\n" + ir.print_statement(st).replace('"', "'")
             marks = []
@@ -612,29 +612,27 @@ def run_test(test: TestInput, tree: ConstraintTree, defs: SpecFile,
     """Execute one input, walking existing tree nodes where the path is
     already known and creating new ones where it is not."""
     program = tree.program
-    end = program.end
     s = _init_stack(test)
     addr_counter = itertools.count(10_000)
     node = tree.root
     node.flag = True
     steps = 0
     while True:
-        if node.pc == end:
+        pc = node.pc
+        st = program.statement(pc)
+        if st is None:
             outcome = RunOutcome("ok")
             node.outcome = outcome
             return outcome
         if steps >= step_budget:
-            outcome = RunOutcome("budget", pc=node.pc)
+            outcome = RunOutcome("budget", pc=pc)
             node.outcome = outcome
             return outcome
         steps += 1
-        st = program.stmts[node.pc]
-        origin = program.origins[node.pc]
-        pc = node.pc
         try:
             if isinstance(st, SAssign):
                 value = eval_expr(s, st.expr)
-                node = tree.child(node, "assign", pc + 1,
+                node = tree.child(node, "assign", program.next(pc),
                                   lambda: node.delta.assign(st.var, st.expr))
                 s[st.var] = value
             elif isinstance(st, SNew):
@@ -644,7 +642,7 @@ def run_test(test: TestInput, tree: ConstraintTree, defs: SpecFile,
                         raise ExecError("dangling")
                     values.append(s[name])
                 addr = Addr(next(addr_counter), st.type_name)
-                node = tree.child(node, "new", pc + 1,
+                node = tree.child(node, "new", program.next(pc),
                                   lambda: node.delta.allocate(st.var, st.type_name,
                                                               st.args))
                 data = program.source.datas[st.type_name]
@@ -660,7 +658,7 @@ def run_test(test: TestInput, tree: ConstraintTree, defs: SpecFile,
                 if not isinstance(base, Addr) or (base, st.fieldname) not in s:
                     raise ExecError("dangling")
                 value = eval_expr(s, st.expr)
-                node = tree.child(node, "store", pc + 1,
+                node = tree.child(node, "store", program.next(pc),
                                   lambda: node.delta.store(st.var, st.fieldname,
                                                            st.expr))
                 s[(base, st.fieldname)] = value
@@ -675,7 +673,7 @@ def run_test(test: TestInput, tree: ConstraintTree, defs: SpecFile,
                 data = program.source.datas[base.type_name]
                 if data.fields and (base, data.fields[0][0]) not in s:
                     raise ExecError("dangling")
-                node = tree.child(node, "free", pc + 1, lambda: node.delta)
+                node = tree.child(node, "free", program.next(pc), lambda: node.delta)
                 for fname, _ in data.fields:
                     s.pop((base, fname), None)
             elif isinstance(st, SAssert):
@@ -684,32 +682,27 @@ def run_test(test: TestInput, tree: ConstraintTree, defs: SpecFile,
                     outcome = RunOutcome("assertion", pc=pc)
                     node.outcome = outcome
                     return outcome
-                node = tree.child(node, "assert", pc + 1,
+                node = tree.child(node, "assert", program.next(pc),
                                   lambda: node.delta.conjoin(st.expr))
             elif isinstance(st, SGoto):
                 target = eval_expr(s, st.target)
-                if not isinstance(target, int) or isinstance(target, bool) \
-                        or not (0 <= target <= end):
+                dest = program.jump(pc, target)
+                if dest is None:
                     raise ExecError("goto-out-of-range")
-                node = tree.child(node, f"goto:{target}", target,
-                                  lambda: node.delta)
+                node = tree.child(node, f"goto:{target}", dest, lambda: node.delta)
             elif isinstance(st, SCond):
                 value = eval_expr(s, st.cond)
-                k1 = eval_expr(s, st.then_target)
-                k2 = eval_expr(s, st.else_target)
-                for k in (k1, k2):
-                    if not isinstance(k, int) or isinstance(k, bool) \
-                            or not (0 <= k <= end):
-                        raise ExecError("goto-out-of-range")
-                then_child = tree.child(node, "then", k1,
+                dests = [program.jump(pc, eval_expr(s, k))
+                         for k in (st.then_target, st.else_target)]
+                if None in dests:
+                    raise ExecError("goto-out-of-range")
+                then_child = tree.child(node, "then", dests[0],
                                         lambda: node.delta.conjoin(st.cond),
-                                        branch=(origin[0], origin[1], "then"))
-                else_child = tree.child(node, "else", k2,
+                                        branch=(*pc[-1], "then"))
+                else_child = tree.child(node, "else", dests[1],
                                         lambda: node.delta.conjoin(EUn("!", st.cond)),
-                                        branch=(origin[0], origin[1], "else"))
+                                        branch=(*pc[-1], "else"))
                 node = then_child if value else else_child
-            elif isinstance(st, SCall):
-                raise RuntimeError("call statement survived elaboration")
             else:
                 raise RuntimeError(f"unhandled statement {st!r}")
         except ExecError as err:

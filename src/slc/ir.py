@@ -7,25 +7,26 @@ deallocation. Expressions are side-effect free: constants, variables,
 field loads, binary and unary operators over 32-bit wrapping integers
 and booleans.
 
-The surface syntax adds ``call v := p(args)``, which is eliminated before
-execution by inlining with freshly renamed locals. Recursive calls inline
-up to a configurable depth; beyond it the call site becomes
-``assert false``, marking those paths out of bound. A procedure returns a
-value by assigning the distinguished variable ``ret``.
+The surface syntax adds ``call v := p(args)``, which runs in a frame of
+its own. ``elaborate`` renames each procedure reachable from the entry
+once per call depth (locals of a callee at depth k become ``x@k``);
+past a configurable depth a call becomes ``assert false``, marking those
+paths out of bound. A procedure returns a value by assigning the
+distinguished variable ``ret``. A program counter names the active call
+sites; goto targets are local to their procedure, so a computed goto may
+sit in a procedure that calls.
 
 Programs need not be in single-assignment form: the executor's
-substitution rule for assignment handles reassignment soundly, so
-``check_ssa`` only warns (a warning fires when one assignment to a
-variable can reach another along some control path, which is what loops
-compile to).
+substitution rule for assignment handles reassignment soundly, within a
+frame and across calls alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
-from .formulas import DataDef, fresh_var, register_name
+from .formulas import DataDef, register_name
 from .lexer import TokenStream
 
 INT32_MIN = -(2**31)
@@ -94,15 +95,15 @@ def expr_vars(e: Expr) -> set[str]:
     return set()
 
 
-def rename_expr(e: Expr, renames: Mapping[str, str]) -> Expr:
+def rename_expr(e: Expr, rename: Callable[[str], str]) -> Expr:
     if isinstance(e, EVar):
-        return EVar(renames.get(e.name, e.name))
+        return EVar(rename(e.name))
     if isinstance(e, EField):
-        return EField(renames.get(e.var, e.var), e.fieldname)
+        return EField(rename(e.var), e.fieldname)
     if isinstance(e, EBin):
-        return EBin(e.op, rename_expr(e.left, renames), rename_expr(e.right, renames))
+        return EBin(e.op, rename_expr(e.left, rename), rename_expr(e.right, rename))
     if isinstance(e, EUn):
-        return EUn(e.op, rename_expr(e.operand, renames))
+        return EUn(e.op, rename_expr(e.operand, rename))
     return e
 
 
@@ -200,21 +201,87 @@ class Program:
     procs: dict[str, Procedure] = field(default_factory=dict)
 
 
+PC = tuple[tuple[str, int], ...]
+
+
+def local_name(name: str, level: int) -> str:
+    return f"{name}@{level}" if level else name
+
+
+def pc_label(pc: PC) -> str:
+    return "/".join(f"{name}:{i}" for name, i in pc)
+
+
 @dataclass
 class ElabProgram:
-    """A single flat statement table for one entry procedure, with every
-    call inlined. ``origins[i]`` names the source procedure and statement
-    the i-th statement came from, for coverage accounting."""
+    """An entry procedure with the procedures it reaches, ready to run.
+
+    ``procs[name][level]`` is the body of ``name`` as a callee at call
+    depth ``level``, locals renamed by ``local_name``; the entry runs at
+    level 0. Dict order is the order of first call, for coverage tables.
+
+    A pc is a tuple of ``(procedure, statement index)`` frames, outermost
+    first; every frame but the innermost sits at a call. A call steps
+    through one parameter copy per argument (indices -n..-1 of the
+    callee's frame), the callee body, and, when it has a result, the
+    result copy (the callee's end index).
+    """
 
     entry: str
     params: tuple[tuple[str, str], ...]
-    stmts: tuple[Statement, ...]
-    origins: tuple[tuple[str, int], ...]
+    procs: dict[str, dict[int, tuple[Statement, ...]]]
     source: Program
 
     @property
-    def end(self) -> int:
-        return len(self.stmts)
+    def stmts(self) -> tuple[Statement, ...]:
+        return self.procs[self.entry][0]
+
+    @property
+    def start(self) -> PC:
+        return self._enter(((self.entry, 0),))
+
+    def _body(self, pc: PC) -> tuple[Statement, ...]:
+        return self.procs[pc[-1][0]][len(pc) - 1]
+
+    def statement(self, pc: PC) -> Statement | None:
+        """The statement at ``pc``; None once the entry has finished."""
+        name, i = pc[-1]
+        body = self._body(pc)
+        if 0 <= i < len(body):
+            return body[i]
+        if len(pc) == 1:
+            return None
+        call = self.statement(pc[:-1])
+        level = len(pc) - 1
+        if i < 0:  # parameter and argument lists align from the end too
+            param = self.source.procs[name].params[i][0]
+            return SAssign(local_name(param, level), call.args[i])
+        return SAssign(call.result, EVar(local_name("ret", level)))
+
+    def next(self, pc: PC) -> PC:
+        """The pc after the statement at ``pc`` completes without a jump."""
+        name, i = pc[-1]
+        if i == len(self._body(pc)):  # the result copy returns to the caller
+            return self.next(pc[:-1])
+        return self._enter(pc[:-1] + ((name, i + 1),))
+
+    def jump(self, pc: PC, target: object) -> PC | None:
+        """The pc after ``goto target`` at ``pc``; None when the target is
+        not a statement index of the innermost procedure or its end."""
+        if type(target) is not int or not 0 <= target <= len(self._body(pc)):
+            return None
+        return self._enter(pc[:-1] + ((pc[-1][0], target),))
+
+    def _enter(self, pc: PC) -> PC:
+        """Enter the call at ``pc``, or leave a callee that has ended with
+        no result to copy; neither is a step of its own."""
+        name, i = pc[-1]
+        body = self._body(pc)
+        if 0 <= i < len(body) and isinstance(body[i], SCall):
+            return self._enter(pc + ((body[i].proc, -len(body[i].args)),))
+        if i == len(body) and len(pc) > 1 and self.statement(pc[:-1]).result is None:
+            return self.next(pc[:-1])
+        return pc
 
 
 def print_statement(st: Statement) -> str:
@@ -519,8 +586,6 @@ def validate_program(program: Program) -> None:
         for fname, ftype in data.fields:
             if ftype not in ("int", "bool") and ftype not in program.datas:
                 raise ProgramError(f"data {data.name}: unknown field type {ftype!r}")
-    has_calls = any(isinstance(st, SCall)
-                    for proc in program.procs.values() for st in proc.stmts)
     assigns_ret = {
         proc.name for proc in program.procs.values()
         if any((isinstance(st, (SAssign, SNew)) and st.var == "ret")
@@ -531,7 +596,7 @@ def validate_program(program: Program) -> None:
     for _ in range(len(program.procs) + 2):
         changed = False
         for proc in program.procs.values():
-            env = _type_proc(proc, program, ret_types, has_calls, assigns_ret)
+            env = _type_proc(proc, program, ret_types, assigns_ret)
             new_ret = env.get("ret")
             if new_ret is not None and ret_types[proc.name] != new_ret:
                 ret_types[proc.name] = _join(ret_types[proc.name], new_ret,
@@ -541,11 +606,11 @@ def validate_program(program: Program) -> None:
             break
     # Final strict pass: unresolved expression types are rejected.
     for proc in program.procs.values():
-        _type_proc(proc, program, ret_types, has_calls, assigns_ret, strict=True)
+        _type_proc(proc, program, ret_types, assigns_ret, strict=True)
 
 
 def _type_proc(proc: Procedure, program: Program,
-               ret_types: dict[str, str | None], has_calls: bool,
+               ret_types: dict[str, str | None],
                assigns_ret: set[str] | None = None,
                strict: bool = False) -> dict[str, str | None]:
     env: dict[str, str | None] = {}
@@ -626,9 +691,6 @@ def _type_proc(proc: Procedure, program: Program,
             if t not in (None, "int"):
                 raise ProgramError(f"{where}: goto target must be int, got {t}")
             _check_const_target(st.target, end, where)
-            if has_calls and not isinstance(st.target, EConst):
-                raise ProgramError(f"{where}: computed goto cannot be combined "
-                                   f"with procedure calls")
         elif isinstance(st, SAssert):
             t = _expr_type(st.expr, env, program, where)
             if t not in (None, "bool"):
@@ -642,217 +704,68 @@ def _type_proc(proc: Procedure, program: Program,
                 if tt not in (None, "int"):
                     raise ProgramError(f"{where}: goto target must be int, got {tt}")
                 _check_const_target(target, end, where)
-                if has_calls and not isinstance(target, EConst):
-                    raise ProgramError(f"{where}: computed goto cannot be combined "
-                                       f"with procedure calls")
     return env
 
 
 # =====================================================================
-# SSA advisory check
+# Call frames
 # =====================================================================
-
-
-def _successors(proc: Procedure, i: int) -> list[int]:
-    st = proc.stmts[i]
-    end = len(proc.stmts)
-    if isinstance(st, SGoto):
-        if isinstance(st.target, EConst):
-            return [st.target.value] if st.target.value < end else []
-        return list(range(end))  # computed goto: assume anything
-    if isinstance(st, SCond):
-        out = []
-        for t in (st.then_target, st.else_target):
-            if isinstance(t, EConst):
-                if t.value < end:
-                    out.append(t.value)
-            else:
-                return list(range(end))
-        return out
-    return [i + 1] if i + 1 < end else []
-
-
-def check_ssa(program: Program) -> list[str]:
-    """Warn when a variable assignment can reach another assignment of the
-    same variable (itself included, via a loop). Advisory only."""
-    warnings: list[str] = []
-    for proc in program.procs.values():
-        assigns: dict[str, list[int]] = {}
-        for i, st in enumerate(proc.stmts):
-            target = None
-            if isinstance(st, (SAssign, SNew)):
-                target = st.var
-            elif isinstance(st, SCall) and st.result is not None:
-                target = st.result
-            if target is not None:
-                assigns.setdefault(target, []).append(i)
-        reach_cache: dict[int, set[int]] = {}
-
-        def reachable_from(i: int) -> set[int]:
-            if i in reach_cache:
-                return reach_cache[i]
-            seen: set[int] = set()
-            work = list(_successors(proc, i))
-            while work:
-                j = work.pop()
-                if j in seen:
-                    continue
-                seen.add(j)
-                work.extend(_successors(proc, j))
-            reach_cache[i] = seen
-            return seen
-
-        for var, sites in assigns.items():
-            flagged = False
-            for a in sites:
-                reach = reachable_from(a)
-                for b in sites:
-                    if b in reach:
-                        warnings.append(
-                            f"proc {proc.name}: {var} assigned at {a} may be "
-                            f"reassigned at {b}")
-                        flagged = True
-                        break
-                if flagged:
-                    break
-    return warnings
-
-
-# =====================================================================
-# Call inlining
-# =====================================================================
-
-
-class _Label:
-    __slots__ = ("idx",)
-
-    def __init__(self):
-        self.idx: int | None = None
-
-
-def _proc_var_names(proc: Procedure) -> list[str]:
-    names: list[str] = [p for p, _ in proc.params]
-
-    def add(n: str) -> None:
-        if n not in names:
-            names.append(n)
-
-    for st in proc.stmts:
-        if isinstance(st, SAssign):
-            add(st.var)
-            for v in sorted(expr_vars(st.expr)):
-                add(v)
-        elif isinstance(st, SStore):
-            add(st.var)
-            for v in sorted(expr_vars(st.expr)):
-                add(v)
-        elif isinstance(st, SNew):
-            add(st.var)
-            for v in st.args:
-                add(v)
-        elif isinstance(st, SFree):
-            add(st.var)
-        elif isinstance(st, SCall):
-            if st.result:
-                add(st.result)
-            for a in st.args:
-                for v in sorted(expr_vars(a)):
-                    add(v)
-        elif isinstance(st, (SGoto, SAssert)):
-            e = st.target if isinstance(st, SGoto) else st.expr
-            for v in sorted(expr_vars(e)):
-                add(v)
-        elif isinstance(st, SCond):
-            for e in (st.cond, st.then_target, st.else_target):
-                for v in sorted(expr_vars(e)):
-                    add(v)
-    return names
 
 
 def elaborate(program: Program, entry: str, inline_depth: int = 8) -> ElabProgram:
-    """Flatten ``entry`` into one statement table, inlining every call.
+    """Rename ``entry`` and each procedure it reaches once per call depth.
 
-    Each inlined body gets fresh local names; a call with no inline budget
-    left becomes ``assert false``. The entry procedure keeps its own
-    variable names so path conditions read naturally.
+    The entry keeps its own variable names so path conditions read
+    naturally; a callee at depth k gets ``x@k`` for each local ``x``. All
+    these names are registered, so a fresh name never captures one. A call
+    with no depth left becomes ``assert false``: the path is out of bound.
     """
     if entry not in program.procs:
         raise ProgramError(f"unknown entry procedure {entry!r}")
-    items: list[tuple[Statement, tuple[str, int]]] = []
+    procs: dict[str, dict[int, tuple[Statement, ...]]] = {}
 
-    def emit(proc: Procedure, renames: dict[str, str], depth: int,
-             exit_label: _Label) -> None:
-        labels: dict[int, _Label] = {i: _Label() for i in range(len(proc.stmts))}
-        labels[len(proc.stmts)] = exit_label
+    def visit(name: str, level: int) -> None:
+        if level in procs.setdefault(name, {}):
+            return
+        proc = program.procs[name]
 
-        def target_of(e: Expr) -> Expr:
-            if isinstance(e, EConst):
-                return labels[e.value]  # placeholder, resolved below
-            return rename_expr(e, renames)
+        def local(v: str) -> str:
+            v = local_name(v, level)
+            register_name(v)
+            return v
 
-        for i, st in enumerate(proc.stmts):
-            origin = (proc.name, i)
-            labels[i].idx = len(items)
+        def expr(e: Expr) -> Expr:
+            return rename_expr(e, local)
+
+        for v in [p for p, _ in proc.params] + ["ret"]:
+            local(v)
+        body: list[Statement] = []
+        for st in proc.stmts:
             if isinstance(st, SAssign):
-                items.append((SAssign(renames.get(st.var, st.var),
-                                      rename_expr(st.expr, renames)), origin))
+                st = SAssign(local(st.var), expr(st.expr))
             elif isinstance(st, SStore):
-                items.append((SStore(renames.get(st.var, st.var), st.fieldname,
-                                     rename_expr(st.expr, renames)), origin))
+                st = SStore(local(st.var), st.fieldname, expr(st.expr))
             elif isinstance(st, SNew):
-                items.append((SNew(renames.get(st.var, st.var), st.type_name,
-                                   tuple(renames.get(a, a) for a in st.args)), origin))
+                st = SNew(local(st.var), st.type_name, tuple(map(local, st.args)))
             elif isinstance(st, SFree):
-                items.append((SFree(renames.get(st.var, st.var)), origin))
+                st = SFree(local(st.var))
             elif isinstance(st, SGoto):
-                items.append((SGoto(target_of(st.target)), origin))
+                st = SGoto(expr(st.target))
             elif isinstance(st, SAssert):
-                items.append((SAssert(rename_expr(st.expr, renames)), origin))
+                st = SAssert(expr(st.expr))
             elif isinstance(st, SCond):
-                items.append((SCond(rename_expr(st.cond, renames),
-                                    target_of(st.then_target),
-                                    target_of(st.else_target)), origin))
-            elif isinstance(st, SCall):
-                if depth <= 0:
-                    # Recursion budget exhausted: path is out of bound.
-                    items.append((SAssert(EConst(False)), origin))
-                    continue
-                callee = program.procs[st.proc]
-                inner: dict[str, str] = {}
-                for (pname, _), arg in zip(callee.params, st.args):
-                    fresh = fresh_var(pname)
-                    inner[pname] = fresh
-                    items.append((SAssign(fresh, rename_expr(arg, renames)), origin))
-                for name in _proc_var_names(callee):
-                    if name not in inner:
-                        inner[name] = fresh_var(name)
-                cont = _Label()
-                emit(callee, inner, depth - 1, cont)
-                cont.idx = len(items)
-                if st.result is not None:
-                    items.append((SAssign(renames.get(st.result, st.result),
-                                          EVar(inner.get("ret", "ret"))), origin))
+                st = SCond(expr(st.cond), expr(st.then_target), expr(st.else_target))
+            elif level >= inline_depth:
+                st = SAssert(EConst(False))
             else:
-                raise ProgramError(f"unhandled statement {st!r}")
+                st = SCall(st.result and local(st.result), st.proc,
+                           tuple(map(expr, st.args)))
+                visit(st.proc, level + 1)
+            body.append(st)
+        procs[name][level] = tuple(body)
 
-    root = program.procs[entry]
-    exit_label = _Label()
-    emit(root, {}, inline_depth, exit_label)
-    exit_label.idx = len(items)
-
-    resolved: list[Statement] = []
-    for st, _ in items:
-        if isinstance(st, SGoto) and isinstance(st.target, _Label):
-            st = SGoto(EConst(st.target.idx))
-        elif isinstance(st, SCond):
-            then_t = EConst(st.then_target.idx) if isinstance(st.then_target, _Label) \
-                else st.then_target
-            else_t = EConst(st.else_target.idx) if isinstance(st.else_target, _Label) \
-                else st.else_target
-            st = SCond(st.cond, then_t, else_t)
-        resolved.append(st)
-    return ElabProgram(entry, root.params, tuple(resolved),
-                       tuple(origin for _, origin in items), program)
+    visit(entry, 0)
+    return ElabProgram(entry, program.procs[entry].params, procs, program)
 
 
 def source_conditionals(program: Program, procs: Sequence[str]) -> Iterator[tuple[str, int]]:

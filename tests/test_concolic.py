@@ -129,7 +129,7 @@ def test_assert_violation_outcome():
     elab = trivial_program("proc f() { 0: assert false }")
     tree = ConstraintTree(elab, TRUE_PRE)
     outcome = run_test(T.TestInput({}, {}, "t"), tree, F.SpecFile())
-    assert outcome.kind == "assertion" and outcome.pc == 0
+    assert outcome.kind == "assertion" and outcome.pc == (("f", 0),)
 
 
 def test_free_then_use_is_dangling():
@@ -281,7 +281,7 @@ def test_explore_covers_bst_branch_from_negated_comparison(bst_spec, bst_pre):
     empty, one = bst_seeds()
     result = explore(elab, bst_pre, [empty, one], bst_spec,
                      budget=S.Budget(max_depth=12), max_nodes=60)
-    # inlined copies share the source branch; coverage needs one explored
+    # every call depth shares the source branch; coverage needs one explored
     target = [n for n in result.tree.nodes if n.branch == ("remove", 4, "then")]
     assert target and any(n.flag for n in target)
     first = result.tests[0]

@@ -1,17 +1,18 @@
-"""Intermediate language: parsing, validation, inlining, SSA advisory."""
+"""Intermediate language: parsing, validation, call frames."""
 
 import pytest
 
+from slc import concolic as C
 from slc import formulas as F
 from slc import ir
+from slc import testgen as T
 from slc.cli import corpus_path
 from slc.ir import (
     EConst,
+    EVar,
     ProgramError,
     SAssert,
     SAssign,
-    SCond,
-    check_ssa,
     elaborate,
     parse_program,
     print_program,
@@ -22,6 +23,15 @@ from slc.lexer import ParseError
 def bst_program():
     spec = F.parse_spec(corpus_path("bst.sl").read_text())
     return parse_program(corpus_path("bst.ir").read_text(), datas=spec.datas)
+
+
+def run(text, bindings=None, inline_depth=8):
+    """Run the first procedure of ``text`` once on ``bindings``."""
+    program = parse_program(text)
+    elab = elaborate(program, next(iter(program.procs)), inline_depth)
+    tree = C.ConstraintTree(elab, F.Formula((F.parse_heap("emp & true"),)))
+    outcome = C.run_test(T.TestInput({}, bindings or {}, "t"), tree, F.SpecFile())
+    return outcome, tree
 
 
 # ---------------------------------------------------------------- parsing
@@ -96,113 +106,80 @@ def test_program_print_parse_round_trip():
     assert reparsed.procs == program.procs
 
 
-# --------------------------------------------------------------- check_ssa
-
-
-def test_ssa_warns_on_straight_line_reassignment():
-    program = parse_program("proc f() { 0: v := 1  1: v := 2 }")
-    warnings = check_ssa(program)
-    assert len(warnings) == 1
-    assert "v" in warnings[0]
-
-
-def test_ssa_clean_program_has_no_warnings():
-    program = parse_program("proc f() { 0: v := 1  1: w := v + 1 }")
-    assert check_ssa(program) == []
-
-
-def test_ssa_branch_exclusive_assignments_allowed():
-    text = """
-    proc f(c: bool) {
-      0: if c then goto 1 else goto 3
-      1: v := 1
-      2: goto 4
-      3: v := 2
-    }
-    """
-    assert check_ssa(parse_program(text)) == []
-
-
-def test_ssa_loop_reassignment_warns():
-    text = """
-    data N { N next; }
-    proc f(t: N) {
-      0: if t = null then goto 3 else goto 1
-      1: t := t.next
-      2: goto 0
-    }
-    """
-    warnings = check_ssa(parse_program(text))
-    assert warnings and "t" in warnings[0]
-
-
-def test_ported_remove_is_reassignment_free():
-    assert check_ssa(bst_program()) == []
-
-
-# -------------------------------------------------------------- elaborate
+# ------------------------------------------------------------ call frames
 
 
 def test_elaborate_without_calls_is_identity():
     program = parse_program("proc f(a: int) { 0: b := a + 1  1: goto 2 }")
     elab = elaborate(program, "f")
     assert elab.stmts == program.procs["f"].stmts
-    assert elab.origins == (("f", 0), ("f", 1))
+    assert elab.procs == {"f": {0: program.procs["f"].stmts}}
 
 
-def test_elaborate_inlines_call_with_fresh_locals():
+def test_callee_locals_do_not_clobber_caller():
     text = """
-    proc inc(a: int) { 0: ret := a + 1 }
-    proc f(x: int) { 0: call y := inc(x)  1: z := y }
+    proc f(x: int) {
+      0: b := x
+      1: ret := 7
+      2: call y := inc(b)
+      3: assert b = x & ret = 7 & y = x + 1
+    }
+    proc inc(b: int) { 0: b := b + 1  1: ret := b }
     """
-    elab = elaborate(parse_program(text), "f")
-    kinds = [type(st).__name__ for st in elab.stmts]
-    assert kinds == ["SAssign", "SAssign", "SAssign", "SAssign"]
-    # parameter copy, inlined body, result copy, continuation
-    assert elab.origins[0] == ("f", 0)
-    assert elab.origins[1] == ("inc", 0)
-    assert elab.origins[2] == ("f", 0)
-    assert isinstance(elab.stmts[1], SAssign)
-    assert elab.stmts[1].var != "ret"  # freshly renamed
+    outcome, tree = run(text, {"x": 3})
+    assert outcome.kind == "ok"
+    assigned = [n.delta.atoms[-1].expr.left.name for n in tree.nodes
+                if n.edge == "assign"]
+    # parameter copy, callee body, result copy
+    assert assigned == ["b", "ret", "b@1", "b@1", "ret@1", "y"]
 
 
 def test_elaborate_recursion_cut_becomes_assert_false():
-    text = """
-    proc f(a: int) { 0: call r := f(a)  1: ret := r }
-    """
+    text = "proc f(a: int) { 0: call r := f(a)  1: ret := r }"
     elab = elaborate(parse_program(text), "f", inline_depth=2)
-    cut = [st for st in elab.stmts
-           if isinstance(st, SAssert) and st.expr == EConst(False)]
-    assert len(cut) == 1
+    assert elab.procs["f"][2] == (SAssert(EConst(False)), SAssign("ret@2", EVar("r@2")))
+    outcome, _ = run(text, {"a": 0}, inline_depth=2)
+    assert outcome.kind == "assertion"
+    assert outcome.pc == (("f", 0), ("f", 0), ("f", 0))
+    assert str(outcome) == "assertion violation at f:0/f:0/f:0"
 
 
-def test_elaborate_goto_targets_shift():
+def test_goto_to_callee_end_continues_in_caller():
     text = """
-    proc g() { 0: ret := 1 }
-    proc f(c: bool) {
-      0: if c then goto 1 else goto 3
-      1: call a := g()
-      2: goto 4
-      3: a := 0
+    proc f() {
+      0: call r := g()
+      1: call g()
+      2: assert r = 1
     }
+    proc g() { 0: ret := 1  1: goto 3  2: ret := 2 }
     """
-    elab = elaborate(parse_program(text), "f")
-    cond = elab.stmts[0]
-    assert isinstance(cond, SCond)
-    # else target 3 shifted past the inlined call (2 extra statements)
-    assert cond.else_target == EConst(4)
-    assert cond.then_target == EConst(1)
-    final = elab.stmts[cond.else_target.value]
-    assert isinstance(final, SAssign) and final.var == "a"
+    outcome, tree = run(text)
+    assert outcome.kind == "ok"
+    assert [(n.edge, n.pc) for n in tree.nodes] == [
+        ("", (("f", 0), ("g", 0))),
+        ("assign", (("f", 0), ("g", 1))),
+        ("goto:3", (("f", 0), ("g", 3))),  # the result copy
+        ("assign", (("f", 1), ("g", 0))),
+        ("assign", (("f", 1), ("g", 1))),
+        ("goto:3", (("f", 2),)),  # no result: straight on in the caller
+        ("assert", (("f", 3),)),
+    ]
 
 
-def test_computed_goto_with_calls_rejected():
+def test_computed_goto_with_calls_runs():
     text = """
-    proc g() { 0: ret := 1 }
-    proc f(k: int) { 0: goto k  1: call a := g() }
+    proc f(k: int) {
+      0: goto k
+      1: call a := g(k + 2)
+      2: assert a = k
+    }
+    proc g(j: int) { 0: goto j  1: ret := 0  2: goto 5  3: ret := 1  4: goto 5 }
     """
-    with pytest.raises(ProgramError, match="computed goto"):
-        parse_program(text)
+    outcome, tree = run(text, {"k": 1})
+    assert outcome.kind == "ok"
+    assert {n.edge for n in tree.nodes} >= {"goto:1", "goto:3", "goto:5"}
+    outcome, _ = run(text, {"k": 4})
+    assert outcome.kind == "error" and outcome.error == "goto-out-of-range"
 
 
 def test_computed_goto_allowed_without_calls():
@@ -213,7 +190,38 @@ def test_computed_goto_allowed_without_calls():
 
 def test_elaborate_depth_controls_statement_count():
     program = bst_program()
-    small = elaborate(program, "remove", inline_depth=1)
-    big = elaborate(program, "remove", inline_depth=3)
-    assert len(small.stmts) < len(big.stmts)
-    assert {origin[0] for origin in big.origins} == {"remove", "findMin"}
+    sizes = []
+    for depth in (1, 3, 8):
+        elab = elaborate(program, "remove", inline_depth=depth)
+        bodies = [body for levels in elab.procs.values() for body in levels.values()]
+        assert len(bodies) <= len(program.procs) * (depth + 1)
+        sizes.append(sum(map(len, bodies)))
+    assert sizes[0] < sizes[1] < sizes[2] <= 2 * 9 * 27
+    assert list(elab.procs) == ["remove", "findMin"]
+
+
+def test_renamed_copies_never_capture_frame_locals(bst_spec, monkeypatch):
+    elab = elaborate(bst_program(), "remove")
+    fresh = F.fresh_var
+    issued = []
+
+    def recording(hint="v"):
+        issued.append((hint, fresh(hint)))
+        return issued[-1][1]
+
+    monkeypatch.setattr(F, "fresh_var", recording)
+    r, n, l, m = (T.Addr(i, "BinaryNode") for i in range(1, 5))
+    objects = {a: T.HeapObject(a, "BinaryNode", {"element": e, "left": left,
+                                                 "right": right})
+               for a, e, left, right in ((r, 5, None, n), (n, 7, l, m),
+                                         (l, 6, None, None), (m, 8, None, None))}
+    # remove@1 deletes n: findMin@2 binds t@2, then remove@2 reassigns it
+    # while remove@1's t@1 is still live.
+    test = T.TestInput(objects, {"this_root": r, "x": 7}, "t")
+    tree = C.ConstraintTree(elab, bst_spec.preconditions["remove"])
+    assert C.run_test(test, tree, bst_spec).kind == "ok"
+    assert "t@2" in {hint for hint, _ in issued}
+    frame_names = {ir.local_name(v, level) for v in
+                   ("t", "this_root", "x", "ret", "nl", "nr", "m", "me", "nr2")
+                   for level in range(9)}
+    assert not {name for _, name in issued} & frame_names

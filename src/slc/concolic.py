@@ -617,8 +617,13 @@ def run_test(test: TestInput, tree: ConstraintTree, defs: SpecFile,
     node = tree.root
     node.flag = True
     steps = 0
+    prev = node.pc
     while True:
         pc = node.pc
+        for level in range(program.entered(prev, pc), len(pc)):
+            for name in program.frame_locals[level]:
+                s.pop(name, None)
+        prev = pc
         st = program.statement(pc)
         if st is None:
             outcome = RunOutcome("ok")

@@ -224,13 +224,15 @@ class ElabProgram:
     first; every frame but the innermost sits at a call. A call steps
     through one parameter copy per argument (indices -n..-1 of the
     callee's frame), the callee body, and, when it has a result, the
-    result copy (the callee's end index).
+    result copy (the callee's end index). ``frame_locals[level]`` names
+    every local of every body at ``level``; a new frame starts without them.
     """
 
     entry: str
     params: tuple[tuple[str, str], ...]
     procs: dict[str, dict[int, tuple[Statement, ...]]]
     source: Program
+    frame_locals: dict[int, set[str]]
 
     @property
     def stmts(self) -> tuple[Statement, ...]:
@@ -271,6 +273,14 @@ class ElabProgram:
         if type(target) is not int or not 0 <= target <= len(self._body(pc)):
             return None
         return self._enter(pc[:-1] + ((pc[-1][0], target),))
+
+    def entered(self, old: PC, new: PC) -> int:
+        """The depth of the outermost frame of ``new`` that a call began
+        after ``old``; ``len(new)`` when all of them were active at ``old``."""
+        k = 1
+        while k < min(len(old), len(new)) and old[k - 1] == new[k - 1]:
+            k += 1
+        return k
 
     def _enter(self, pc: PC) -> PC:
         """Enter the call at ``pc``, or leave a callee that has ended with
@@ -723,6 +733,7 @@ def elaborate(program: Program, entry: str, inline_depth: int = 8) -> ElabProgra
     if entry not in program.procs:
         raise ProgramError(f"unknown entry procedure {entry!r}")
     procs: dict[str, dict[int, tuple[Statement, ...]]] = {}
+    frame_locals: dict[int, set[str]] = {}
 
     def visit(name: str, level: int) -> None:
         if level in procs.setdefault(name, {}):
@@ -732,6 +743,7 @@ def elaborate(program: Program, entry: str, inline_depth: int = 8) -> ElabProgra
         def local(v: str) -> str:
             v = local_name(v, level)
             register_name(v)
+            frame_locals.setdefault(level, set()).add(v)
             return v
 
         def expr(e: Expr) -> Expr:
@@ -765,7 +777,7 @@ def elaborate(program: Program, entry: str, inline_depth: int = 8) -> ElabProgra
         procs[name][level] = tuple(body)
 
     visit(entry, 0)
-    return ElabProgram(entry, program.procs[entry].params, procs, program)
+    return ElabProgram(entry, program.procs[entry].params, procs, program, frame_locals)
 
 
 def source_conditionals(program: Program, procs: Sequence[str]) -> Iterator[tuple[str, int]]:

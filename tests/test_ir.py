@@ -134,6 +134,24 @@ def test_callee_locals_do_not_clobber_caller():
     assert assigned == ["b", "ret", "b@1", "b@1", "ret@1", "y"]
 
 
+@pytest.mark.parametrize("text", [
+    # an unassigned ret must not read the previous call's result
+    """
+    proc f() { 0: call a := g(true)  1: call b := g(false) }
+    proc g(c: bool) { 0: if c then goto 1 else goto 2  1: ret := 1 }
+    """,
+    # nor a local read before its assignment, even one of another procedure
+    """
+    proc f() { 0: call a := h()  1: call b := g(false) }
+    proc h() { 0: t := 1  1: ret := t }
+    proc g(c: bool) { 0: if c then goto 1 else goto 2  1: t := 2  2: ret := t }
+    """,
+], ids=["ret", "local"])
+def test_each_call_starts_with_fresh_locals(text):
+    outcome, _ = run(text)
+    assert (outcome.kind, outcome.error) == ("error", "dangling")
+
+
 def test_elaborate_recursion_cut_becomes_assert_false():
     text = "proc f(a: int) { 0: call r := f(a)  1: ret := r }"
     elab = elaborate(parse_program(text), "f", inline_depth=2)

@@ -297,12 +297,9 @@ class Unresolvable(Exception):
     fragment; the node is parked rather than pruned."""
 
 
-class _NullBranch(Exception):
-    pass
-
-
-class _Stuck(Exception):
-    pass
+class _Discard(Exception):
+    """The branch is dropped: a field's base pointer is entailed null, or
+    nothing in the heap describes it."""
 
 
 class _NeedUnfold(Exception):
@@ -312,58 +309,52 @@ class _NeedUnfold(Exception):
 
 class _AliasInfo:
     def __init__(self, d: SymbolicHeap, atoms: Sequence[PCAtom]):
-        self.uf = S._UnionFind()
-        self.uf.add(S._NULL_KEY)
-
-        def record(left, right) -> None:
-            self.uf.union(left, right)
-
-        for c in F.conjuncts(d.pure):
-            if isinstance(c, Atom) and c.op == "=":
-                if isinstance(c.left, (Var, Null)) and isinstance(c.right, (Var, Null)):
-                    record(S._loc_key(c.left), S._loc_key(c.right))
+        self.uf = S.alias_classes(S.pure_equalities(d.pure))
         for atom in atoms:
-            if isinstance(atom, PCExpr) and isinstance(atom.expr, EBin) \
-                    and atom.expr.op == "=":
-                left, right = atom.expr.left, atom.expr.right
-                if isinstance(left, (EVar, ENull)) and isinstance(right, (EVar, ENull)):
-                    record(self._key(left), self._key(right))
-
-    @staticmethod
-    def _key(e: Expr) -> str:
-        return S._NULL_KEY if isinstance(e, ENull) else e.name
+            if isinstance(atom, PCExpr):
+                self.absorb(atom.expr)
 
     def absorb(self, e: Expr) -> None:
         """Record an equality learned while resolving a conjunct (a field
         read rewritten to its slot name turns into a variable equality)."""
-        if isinstance(e, EBin) and e.op == "=" \
-                and isinstance(e.left, (EVar, ENull)) \
-                and isinstance(e.right, (EVar, ENull)):
-            self.uf.union(self._key(e.left), self._key(e.right))
+        if isinstance(e, EBin) and e.op == "=":
+            S.merge_alias(self.uf, _alias_term(e.left), _alias_term(e.right))
 
     def entails_null(self, v: str) -> bool:
-        return self.uf.find(v) == self.uf.find(S._NULL_KEY)
+        return self.aliased(v, S.NULL_KEY)
 
     def aliased(self, a: str, b: str) -> bool:
         return self.uf.find(a) == self.uf.find(b)
 
 
+def _alias_term(e: Expr) -> ArithTerm | None:
+    if isinstance(e, EVar):
+        return Var(e.name)
+    return Null() if isinstance(e, ENull) else None
+
+
+def _slot(var: str, fieldname: str, slot_map: dict[tuple[str, str], ArithTerm],
+          aliases: _AliasInfo, d: SymbolicHeap) -> tuple[str, str]:
+    """The points-to slot that ``var.fieldname`` denotes; raise when there
+    is none (null base, unfolding needed, or no information)."""
+    if aliases.entails_null(var):
+        raise _Discard()
+    for head, fname in slot_map:
+        if fname == fieldname and aliases.aliased(head, var):
+            return head, fname
+    for idx, atom in enumerate(d.atoms()):
+        if isinstance(atom, PredInst):
+            for arg in atom.args:
+                if isinstance(arg, Var) and aliases.aliased(arg.name, var):
+                    raise _NeedUnfold(idx)
+    raise _Discard()
+
+
 def _resolve_expr(e: Expr, slot_map: dict[tuple[str, str], ArithTerm],
                   aliases: _AliasInfo, d: SymbolicHeap) -> Expr:
-    """Rewrite every field access via the slot map; raise when one cannot
-    be resolved (null base, unfolding needed, or no information)."""
+    """Rewrite every field access via the slot map."""
     if isinstance(e, EField):
-        if aliases.entails_null(e.var):
-            raise _NullBranch()
-        for (head, fname), term in slot_map.items():
-            if fname == e.fieldname and aliases.aliased(head, e.var):
-                return _term_to_expr(term)
-        for idx, atom in enumerate(d.atoms()):
-            if isinstance(atom, PredInst):
-                for arg in atom.args:
-                    if isinstance(arg, Var) and aliases.aliased(arg.name, e.var):
-                        raise _NeedUnfold(idx)
-        raise _Stuck()
+        return _term_to_expr(slot_map[_slot(e.var, e.fieldname, slot_map, aliases, d)])
     if isinstance(e, EBin):
         return EBin(e.op, _resolve_expr(e.left, slot_map, aliases, d),
                     _resolve_expr(e.right, slot_map, aliases, d))
@@ -381,26 +372,11 @@ def _preprocess_heap(d: SymbolicHeap, atoms: Sequence[PCAtom], defs: SpecFile,
             slot_map[(p.var, fname)] = arg
     aliases = _AliasInfo(d, atoms)
     new_pure: list[PureFormula] = []
-    for pos, atom in enumerate(atoms):
-        expr = atom.expr
+    for atom in atoms:
         try:
-            resolved = _resolve_expr(expr, slot_map, aliases, d)
+            resolved = _resolve_expr(atom.expr, slot_map, aliases, d)
             if isinstance(atom, PCAssign):
-                if aliases.entails_null(atom.var):
-                    raise _NullBranch()
-                key = None
-                for (head, fname) in slot_map:
-                    if fname == atom.fieldname and aliases.aliased(head, atom.var):
-                        key = (head, fname)
-                        break
-                if key is None:
-                    for idx, a in enumerate(d.atoms()):
-                        if isinstance(a, PredInst):
-                            for arg in a.args:
-                                if isinstance(arg, Var) and \
-                                        aliases.aliased(arg.name, atom.var):
-                                    raise _NeedUnfold(idx)
-                    raise _Stuck()
+                key = _slot(atom.var, atom.fieldname, slot_map, aliases, d)
                 fresh = F.fresh_var(atom.fieldname)
                 slot_map[key] = Var(fresh)  # overrides the original slot name
                 new_pure.append(Atom("=", Var(fresh), _expr_to_term(resolved)))
@@ -408,9 +384,7 @@ def _preprocess_heap(d: SymbolicHeap, atoms: Sequence[PCAtom], defs: SpecFile,
             else:
                 new_pure.append(expr_to_pure(resolved))
                 aliases.absorb(resolved)
-        except _NullBranch:
-            return []
-        except _Stuck:
+        except _Discard:
             return []
         except _NeedUnfold as need:
             if budget <= 0:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from . import formulas as F
 from .formulas import (
@@ -160,7 +161,7 @@ def _split_cube(cube: list[Lit], sorts: dict[str, str]) -> tuple[list[Lit], list
 # Location solving: union-find + disequalities
 # =====================================================================
 
-_NULL_KEY = "\x00null"
+NULL_KEY = "\x00null"
 
 
 class _UnionFind:
@@ -191,7 +192,33 @@ class _UnionFind:
 
 
 def _loc_key(term: ArithTerm) -> str:
-    return _NULL_KEY if isinstance(term, Null) else term.name
+    return NULL_KEY if isinstance(term, Null) else term.name
+
+
+def merge_alias(uf: _UnionFind, left, right) -> None:
+    """Merge the classes of an equality between variables or null; an
+    equality with any other term (or None) says nothing about aliasing."""
+    if isinstance(left, (Var, Null)) and isinstance(right, (Var, Null)):
+        uf.union(_loc_key(left), _loc_key(right))
+
+
+def alias_classes(eqs: Iterable[tuple], names: Iterable[str] = ()) -> _UnionFind:
+    """Alias classes of the equalities ``eqs`` (pairs of terms).
+
+    Null and then ``names`` are added before any merge, so each class is
+    represented by its earliest-added member.
+    """
+    uf = _UnionFind()
+    for name in (NULL_KEY, *names):
+        uf.add(name)
+    for left, right in eqs:
+        merge_alias(uf, left, right)
+    return uf
+
+
+def pure_equalities(pure: PureFormula) -> list[tuple[ArithTerm, ArithTerm]]:
+    return [(c.left, c.right) for c in F.conjuncts(pure)
+            if isinstance(c, Atom) and c.op == "="]
 
 
 @dataclass
@@ -202,21 +229,12 @@ class LocSolution:
 
 
 def _solve_locs(lits: list[Lit], universe: list[str]) -> LocSolution | None:
-    uf = _UnionFind()
-    uf.add(_NULL_KEY)
-    for v in universe:
-        uf.add(v)
-    diseqs: list[tuple[str, str]] = []
-    for lit in lits:
-        a, b = _loc_key(lit.left), _loc_key(lit.right)
-        if lit.op == "eq":
-            uf.union(a, b)
-        else:
-            diseqs.append((a, b))
+    uf = alias_classes(((l.left, l.right) for l in lits if l.op == "eq"), universe)
+    diseqs = [(_loc_key(l.left), _loc_key(l.right)) for l in lits if l.op != "eq"]
     for a, b in diseqs:
         if uf.find(a) == uf.find(b):
             return None
-    null_rep = uf.find(_NULL_KEY)
+    null_rep = uf.find(NULL_KEY)
     # Prefer null for every class, falling back to a fresh address when a
     # disequality with null or with an already-null class forbids it.
     reps: list[str] = []
@@ -426,15 +444,10 @@ def saturate(d: SymbolicHeap) -> list[PureFormula] | str:
 
 
 def _saturate_points_tos(pts: list[PointsTo], pure: PureFormula) -> list[PureFormula] | str:
-    uf = _UnionFind()
-    uf.add(_NULL_KEY)
-    for c in F.conjuncts(pure):
-        if isinstance(c, Atom) and c.op == "=":
-            if isinstance(c.left, (Var, Null)) and isinstance(c.right, (Var, Null)):
-                uf.union(_loc_key(c.left), _loc_key(c.right))
+    uf = alias_classes(pure_equalities(pure))
     heads = [p.var for p in pts]
     for h in heads:
-        if uf.find(h) == uf.find(_NULL_KEY):
+        if uf.find(h) == uf.find(NULL_KEY):
             return CONTRADICTION
     for i, a in enumerate(heads):
         for b in heads[i + 1:]:
@@ -533,26 +546,6 @@ def pure_solve(pure_or_cube, sorts: dict[str, str], budget: Budget | None = None
         value = int_solution.values[v]
         scalars[v] = bool(value) if sorts.get(v) == "bool" else value
     return PureSolution(scalars, loc_solution), False
-
-
-# =====================================================================
-# Syntactic equality entailment
-# =====================================================================
-
-
-def entails_eq(d: SymbolicHeap, v1: str, v2: str | None) -> bool:
-    """True iff the equalities present in ``d``'s pure part place ``v1``
-    and ``v2`` (or null, when ``v2`` is None) in one alias class."""
-    uf = _UnionFind()
-    uf.add(_NULL_KEY)
-    uf.add(v1)
-    for c in F.conjuncts(d.pure):
-        if isinstance(c, Atom) and c.op == "=":
-            if isinstance(c.left, (Var, Null)) and isinstance(c.right, (Var, Null)):
-                uf.union(_loc_key(c.left), _loc_key(c.right))
-    target = _NULL_KEY if v2 is None else v2
-    uf.add(target)
-    return uf.find(v1) == uf.find(target)
 
 
 # =====================================================================

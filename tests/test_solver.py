@@ -6,7 +6,7 @@ from slc import formulas as F
 from slc import solver as S
 from slc import testgen as T
 from slc.formulas import Atom, Const, Not, Null, Var
-from slc.solver import Budget, entails_eq, model_check, pure_solve, sat, saturate
+from slc.solver import Budget, model_check, pure_solve, sat, saturate
 
 
 def heap(text):
@@ -82,24 +82,39 @@ def test_pure_solve_smallest_witness_ties_negative():
     assert solution.scalars["x"] == -1
 
 
-# ------------------------------------------------------------ entails_eq
+# --------------------------------------------------------- alias_classes
 
 
-def test_entails_eq_transitive():
+def aliased(d, v1, v2):
+    uf = S.alias_classes(S.pure_equalities(d.pure))
+    return uf.find(v1) == uf.find(S.NULL_KEY if v2 is None else v2)
+
+
+def test_alias_classes_transitive():
     d = heap("emp & t = this_root & this_root = u")
-    assert entails_eq(d, "t", "this_root")
-    assert entails_eq(d, "t", "u")
+    assert aliased(d, "t", "this_root")
+    assert aliased(d, "t", "u")
 
 
-def test_entails_eq_null():
+def test_alias_classes_null():
     d = heap("emp & x = null")
-    assert entails_eq(d, "x", None)
+    assert aliased(d, "x", None)
 
 
-def test_entails_eq_unrelated():
+def test_alias_classes_unrelated():
     d = heap("emp & x = y")
-    assert not entails_eq(d, "x", "z")
-    assert not entails_eq(d, "x", None)
+    assert not aliased(d, "x", "z")
+    assert not aliased(d, "x", None)
+
+
+def test_alias_classes_keep_earliest_added_representative():
+    # The representative picks the model in _solve_locs, so it must not
+    # depend on the direction of an equality.
+    for eq in ("y = x", "x = y"):
+        uf = S.alias_classes(S.pure_equalities(heap(f"emp & {eq}").pure), ["x", "y"])
+        assert uf.find("y") == "x"
+    uf = S.alias_classes(S.pure_equalities(heap("emp & y = null").pure), ["y"])
+    assert uf.find("y") == S.NULL_KEY
 
 
 # ------------------------------------------------------------------ sat

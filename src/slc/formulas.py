@@ -352,6 +352,34 @@ def free_vars(d: SymbolicHeap) -> set[str]:
     return heap_vars(d) - set(d.exists)
 
 
+UNDEFINED = object()  # the value of a term that has none; see eval_ground
+
+
+def eval_ground(term: ArithTerm, env: Mapping[str, object]):
+    """Value of ``term`` with its variables read from ``env``.
+
+    Arithmetic is over integers, with booleans as 0 and 1. The result is
+    ``UNDEFINED`` when a variable is unbound or an arithmetic operand is
+    null or an address; each caller decides what that means.
+    """
+    if isinstance(term, Var):
+        return env.get(term.name, UNDEFINED)
+    if isinstance(term, Const):
+        return term.value
+    if isinstance(term, Null):
+        return None
+    if isinstance(term, Add):
+        left = eval_ground(term.left, env)
+        right = eval_ground(term.right, env)
+        if not (isinstance(left, int) and isinstance(right, int)):
+            return UNDEFINED
+        return left + right
+    inner = eval_ground(term.term, env)
+    if not isinstance(inner, int):
+        return UNDEFINED
+    return -inner if isinstance(term, Neg) else term.coeff * inner
+
+
 class SubstitutionError(Exception):
     """A head position required a variable but the binding supplied a term."""
 

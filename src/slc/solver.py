@@ -791,26 +791,10 @@ def concretize_model(m: SymbolicModel, defs: SpecFile):
         data = defs.datas[p.type_name]
         obj = store[env[p.var]]
         for (fname, ftype), arg in zip(data.fields, p.args):
-            value = _eval_model_term(arg, env)
+            value = F.eval_ground(arg, env)
+            if value is F.UNDEFINED:
+                raise ModelError(f"model slot {F.print_term(arg)} has no value")
             if ftype == "bool" and isinstance(value, int) and not isinstance(value, bool):
                 value = bool(value)
             obj.fields[fname] = value
     return store, env
-
-
-def _eval_model_term(term: ArithTerm, env: dict):
-    if isinstance(term, Const):
-        return term.value
-    if isinstance(term, Null):
-        return None
-    if isinstance(term, Var):
-        if term.name not in env:
-            raise ModelError(f"model leaves {term.name} unbound")
-        return env[term.name]
-    if isinstance(term, Neg):
-        return -_eval_model_term(term.term, env)
-    if isinstance(term, Scale):
-        return term.coeff * _eval_model_term(term.term, env)
-    if isinstance(term, Add):
-        return _eval_model_term(term.left, env) + _eval_model_term(term.right, env)
-    raise ModelError(f"unexpected model term {term!r}")

@@ -165,7 +165,9 @@ def to_unit_test(m: S.SymbolicModel, entry_params: Sequence[tuple[str, str]],
         data = defs.datas[p.type_name]
         obj = store[env[p.var]]
         for (fname, ftype), arg in zip(data.fields, p.args):
-            value = _eval_ground(arg, env)
+            value = F.eval_ground(arg, env)
+            if value is F.UNDEFINED:
+                raise ConstructionError(f"model slot {F.print_term(arg)} has no value")
             if ftype == "bool" and isinstance(value, int) and not isinstance(value, bool):
                 value = bool(value)
             obj.fields[fname] = value
@@ -177,24 +179,6 @@ def to_unit_test(m: S.SymbolicModel, entry_params: Sequence[tuple[str, str]],
     reachable = _reachable(store, bindings.values())
     kept = {a: store[a] for a in store if a in reachable}
     return TestInput(kept, bindings, provenance)
-
-
-def _eval_ground(term: ArithTerm, env: Mapping[str, object]):
-    if isinstance(term, Const):
-        return term.value
-    if isinstance(term, Null):
-        return None
-    if isinstance(term, Var):
-        if term.name not in env:
-            raise ConstructionError(f"model slot variable {term.name} unbound")
-        return env[term.name]
-    if isinstance(term, Neg):
-        return -_eval_ground(term.term, env)
-    if isinstance(term, Scale):
-        return term.coeff * _eval_ground(term.term, env)
-    if isinstance(term, Add):
-        return _eval_ground(term.left, env) + _eval_ground(term.right, env)
-    raise ConstructionError(f"bad slot term {term!r}")
 
 
 def _reachable(store: Mapping[Addr, HeapObject], seeds: Iterable[object]) -> set[Addr]:
@@ -215,34 +199,6 @@ def _reachable(store: Mapping[Addr, HeapObject], seeds: Iterable[object]) -> set
 # Concrete satisfaction: footprint-exact matching
 # =====================================================================
 
-_MISSING = object()
-
-
-def _concrete_term(term: ArithTerm, env: Mapping[str, object]):
-    """Evaluate a term; returns _MISSING when an unbound variable blocks it."""
-    if isinstance(term, Const):
-        return term.value
-    if isinstance(term, Null):
-        return None
-    if isinstance(term, Var):
-        return env.get(term.name, _MISSING)
-    if isinstance(term, (Neg, Scale)):
-        inner = _concrete_term(term.term, env)
-        if inner is _MISSING:
-            return _MISSING
-        if not isinstance(inner, int) or isinstance(inner, bool):
-            return _MISSING if inner is None or isinstance(inner, Addr) else inner
-        return -inner if isinstance(term, Neg) else term.coeff * inner
-    if isinstance(term, Add):
-        left = _concrete_term(term.left, env)
-        right = _concrete_term(term.right, env)
-        if left is _MISSING or right is _MISSING:
-            return _MISSING
-        if not isinstance(left, int) or not isinstance(right, int):
-            return _MISSING
-        return left + right
-    return _MISSING
-
 
 def _values_equal(a, b) -> bool:
     if isinstance(a, bool) or isinstance(b, bool):
@@ -256,9 +212,9 @@ def _eval_pure_ground(pure, env: Mapping[str, object]) -> bool | None:
     if isinstance(pure, F.TruePure):
         return True
     if isinstance(pure, Atom):
-        left = _concrete_term(pure.left, env)
-        right = _concrete_term(pure.right, env)
-        if left is _MISSING or right is _MISSING:
+        left = F.eval_ground(pure.left, env)
+        right = F.eval_ground(pure.right, env)
+        if left is F.UNDEFINED or right is F.UNDEFINED:
             return None
         if pure.op == "=":
             return _values_equal(left, right)
@@ -358,8 +314,8 @@ def _match_atoms(atoms, i, fp, env, store, defs, counter, depth,
         return
     atom = atoms[i]
     if isinstance(atom, PointsTo):
-        head = env.get(atom.var, _MISSING)
-        if head is _MISSING:
+        head = env.get(atom.var, F.UNDEFINED)
+        if head is F.UNDEFINED:
             choices = sorted((a for a in fp if a.type_name == atom.type_name),
                              key=lambda a: a.ident)
         elif isinstance(head, Addr):
@@ -381,8 +337,8 @@ def _match_atoms(atoms, i, fp, env, store, defs, counter, depth,
                 if isinstance(arg, Var) and arg.name not in env2:
                     env2[arg.name] = slot
                     continue
-                got = _concrete_term(arg, env2)
-                if got is _MISSING or not _values_equal(got, slot):
+                got = F.eval_ground(arg, env2)
+                if got is F.UNDEFINED or not _values_equal(got, slot):
                     ok = False
                     break
             if ok:
@@ -428,13 +384,13 @@ def _satisfy_pure(parts, env, store, candidates) -> Iterator[dict]:
             if value is False:
                 return
             if isinstance(p, Atom) and p.op == "=":
-                lv = _concrete_term(p.left, env)
-                rv = _concrete_term(p.right, env)
-                if lv is _MISSING and rv is not _MISSING and isinstance(p.left, Var):
+                lv = F.eval_ground(p.left, env)
+                rv = F.eval_ground(p.right, env)
+                if lv is F.UNDEFINED and rv is not F.UNDEFINED and isinstance(p.left, Var):
                     env[p.left.name] = rv
                     progress = True
                     continue
-                if rv is _MISSING and lv is not _MISSING and isinstance(p.right, Var):
+                if rv is F.UNDEFINED and lv is not F.UNDEFINED and isinstance(p.right, Var):
                     env[p.right.name] = lv
                     progress = True
                     continue

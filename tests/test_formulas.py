@@ -10,10 +10,12 @@ from slc.formulas import (
     Atom,
     Const,
     Emp,
+    Neg,
     Not,
     Null,
     PredInst,
     RawSep,
+    Scale,
     SymbolicHeap,
     Var,
 )
@@ -151,6 +153,33 @@ def test_fresh_var_distinct():
 def test_fresh_var_avoids_parsed_names():
     F.register_name("v1")
     assert F.fresh_var("v") != "v1"
+
+
+# ------------------------------------------------------ ground evaluation
+
+ADDR = object()  # stands for an address: any value that is neither int nor null
+
+GROUND = [
+    (Const(7), {}, 7),
+    (Null(), {}, None),
+    (Var("x"), {"x": 4}, 4),
+    (Var("x"), {}, F.UNDEFINED),
+    (Add(Var("x"), Const(1)), {}, F.UNDEFINED),
+    (Add(Var("x"), Const(1)), {"x": None}, F.UNDEFINED),
+    (Neg(Var("x")), {"x": None}, F.UNDEFINED),
+    (Scale(2, Var("x")), {"x": ADDR}, F.UNDEFINED),
+    (Add(Const(1), Var("x")), {"x": ADDR}, F.UNDEFINED),
+    (Add(Scale(3, Var("x")), Neg(Const(2))), {"x": 5}, 13),
+    (Neg(Var("b")), {"b": True}, -1),
+    (Scale(3, Var("b")), {"b": True}, 3),
+    (Add(Var("b"), Const(1)), {"b": True}, 2),
+]
+
+
+@pytest.mark.parametrize("term, env, expected", GROUND)
+def test_eval_ground(term, env, expected):
+    got = F.eval_ground(term, env)
+    assert got is expected or (type(got) is int and got == expected)
 
 
 # ---------------------------------------------------------- substitution

@@ -71,6 +71,15 @@ def test_untyped_fresh_object_refused(bst_spec):
         to_unit_test(m, [("a", "BinaryNode")], bst_spec)
 
 
+def test_slot_term_without_value_refused():
+    spec = F.parse_spec("data C { int v; }")
+    model = S.SymbolicModel(F.parse_heap("x -> C(a + 1) & true"))
+    with pytest.raises(T.ConstructionError):
+        T.to_unit_test(model, [("x", "C")], spec)
+    with pytest.raises(S.ModelError):
+        S.concretize_model(model, spec)
+
+
 def test_unreachable_objects_dropped(bst_spec):
     # Solver-internal objects not visible from the entry bindings (e.g.
     # program allocations) are not part of the input.

@@ -246,11 +246,6 @@ class SpecFile:
     preconditions: dict[str, Formula] = field(default_factory=dict)
 
 
-def heap(exists: Iterable[str] = (), spatial: SpatialFormula = EMP,
-         pure: PureFormula = TRUE) -> SymbolicHeap:
-    return SymbolicHeap(tuple(exists), spatial, pure)
-
-
 # =====================================================================
 # Fresh names
 # =====================================================================
@@ -471,7 +466,8 @@ def freshen_heap(d: SymbolicHeap) -> SymbolicHeap:
 #   (k1 ^ p1) * (k2 ^ p2)        ==  (k1 * k2) ^ (p1 ^ p2)
 #   (ex w. D1) * (ex v. D2)      ==  ex w, v'. (D1 * D2[v'/v])
 #
-# together with distribution of * over \/ and dropping of emp units.
+# together with dropping of emp units. Unfolding splices one disjunct at a
+# time, so a raw formula never contains a disjunction.
 
 
 @dataclass(frozen=True)
@@ -480,13 +476,7 @@ class RawSep:
     right: "RawFormula"
 
 
-@dataclass(frozen=True)
-class RawDisj:
-    left: "RawFormula"
-    right: "RawFormula"
-
-
-RawFormula = Union[SymbolicHeap, RawSep, RawDisj]
+RawFormula = Union[SymbolicHeap, RawSep]
 
 
 def sep_heaps(a: SymbolicHeap, b: SymbolicHeap) -> SymbolicHeap:
@@ -504,18 +494,7 @@ def normalize(raw: RawFormula) -> list[SymbolicHeap]:
     """Flatten a raw composition into grammar-conformant symbolic heaps."""
     if isinstance(raw, SymbolicHeap):
         return [SymbolicHeap(raw.exists, sep(raw.atoms()), conj([raw.pure]))]
-    if isinstance(raw, RawDisj):
-        return normalize(raw.left) + normalize(raw.right)
     return [sep_heaps(x, y) for x in normalize(raw.left) for y in normalize(raw.right)]
-
-
-def grammar_conformant(d: SymbolicHeap) -> bool:
-    """Check the shape invariants the normalizer promises."""
-    names = list(d.exists)
-    if len(set(names)) != len(names):
-        return False
-    used = heap_vars(d)
-    return all(v in used for v in names)
 
 
 # =====================================================================
@@ -669,23 +648,6 @@ def print_heap(d: SymbolicHeap) -> str:
 
 def print_formula(f: Formula) -> str:
     return " \\/ ".join(f"({print_heap(d)})" for d in f.disjuncts)
-
-
-def print_spec(spec: SpecFile) -> str:
-    lines: list[str] = []
-    for data in spec.datas.values():
-        lines.append(f"data {data.name} {{")
-        for fname, ftype in data.fields:
-            lines.append(f"  {ftype} {fname};")
-        lines.append("}")
-        lines.append("")
-    for pred in spec.preds.values():
-        lines.append(f"pred {pred.name}({', '.join(pred.params)}) ==")
-        lines.append("     " + "\n  \\/ ".join(f"({print_heap(d)})" for d in pred.body.disjuncts) + " ;")
-        lines.append("")
-    for name, formula in spec.preconditions.items():
-        lines.append(f"pre {name} == {print_formula(formula)} ;")
-    return "\n".join(lines) + "\n"
 
 
 # =====================================================================

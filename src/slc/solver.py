@@ -568,27 +568,26 @@ def _open_heap(d: SymbolicHeap) -> SymbolicHeap:
 
 def _try_base(d: SymbolicHeap, defs: SpecFile, budget: Budget,
               stats: SolverStats, extra_sorts: dict[str, str],
-              universe_hint: list[str]) -> tuple[PureSolution | None, SymbolicHeap | None, bool]:
-    """Solve one base heap. Returns (solution, opened heap, bounded_flag)."""
+              universe_hint: list[str]) -> tuple[SymbolicModel | None, bool]:
+    """Solve one base heap. Returns (model, bounded_flag)."""
     opened = _open_heap(d)
     additions = saturate(opened)
     if additions == CONTRADICTION:
-        return None, None, False
+        return None, False
     sorts = F.heap_sorts(opened, defs, seed=extra_sorts)
     pure = F.conj([opened.pure, *additions])
-    cubes = _nnf_cubes(pure)
     order = _heap_var_order(opened)
     for v in universe_hint:
         if v not in order:
             order.append(v)
     bounded = False
-    for cube in cubes:
+    for cube in _nnf_cubes(pure):
         solution, independent = pure_solve(cube, sorts, budget, order, stats)
         if solution is not None:
-            return solution, opened, False
+            return _assemble_model(opened, solution, sorts, order), False
         if not independent:
             bounded = True
-    return None, None, bounded
+    return None, bounded
 
 
 def _heap_var_order(d: SymbolicHeap) -> list[str]:
@@ -688,15 +687,8 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
             stats.heaps += 1
             if time.monotonic() > deadline:
                 return SatResult("unknown", None, stats)
-            solution, opened, bounded = _try_base(h, defs, budget, stats,
-                                                  query_sorts, universe)
-            if solution is not None:
-                sorts = F.heap_sorts(opened, defs, seed=query_sorts)
-                order = _heap_var_order(opened)
-                for v in universe:
-                    if v not in order:
-                        order.append(v)
-                model = _assemble_model(opened, solution, sorts, order)
+            model, bounded = _try_base(h, defs, budget, stats, query_sorts, universe)
+            if model is not None:
                 return SatResult("sat", model, stats)
             stats.bounded = stats.bounded or bounded
         if not inductive:

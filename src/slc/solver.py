@@ -376,21 +376,14 @@ def _value_order(lo: int, hi: int) -> list[int]:
     return sorted(range(lo, hi + 1), key=lambda v: (abs(v), v > 0))
 
 
-@dataclass
-class IntSolution:
-    values: dict[str, int]
-
-
-def _solve_ints(lins: list[_Lin], order: list[str], is_bool: set[str],
-                budget: Budget, stats: SolverStats) -> tuple[IntSolution | None, bool]:
-    """Returns (solution, proven_without_domain). The flag is True when an
-    UNSAT answer holds independent of the finite domain bound."""
-    bounds = {v: [_INF, _INF] for v in order}
-    if not _propagate(lins, bounds):
-        return None, True
+def _search_ints(lins: list[_Lin], order: list[str], sorts: dict[str, str],
+                 bounds: dict[str, list], budget: Budget,
+                 stats: SolverStats) -> dict[str, int] | None:
+    """Backtracking search for integer values within the propagated
+    ``bounds``, clamped to the finite domain of each variable."""
     for v in order:
         lo, hi = bounds[v]
-        dlo, dhi = (0, 1) if v in is_bool else (budget.int_min, budget.int_max)
+        dlo, dhi = (0, 1) if sorts.get(v) == "bool" else (budget.int_min, budget.int_max)
         bounds[v] = [dlo if lo is _INF else max(lo, dlo),
                      dhi if hi is _INF else min(hi, dhi)]
 
@@ -420,10 +413,7 @@ def _solve_ints(lins: list[_Lin], order: list[str], is_bool: set[str],
             del assign[v]
         return None
 
-    found = search({}, bounds)
-    if found is not None:
-        return IntSolution(found), False
-    return None, False
+    return search({}, bounds)
 
 
 # =====================================================================
@@ -515,10 +505,29 @@ def pure_solve(pure_or_cube, sorts: dict[str, str], budget: Budget | None = None
         if len(cubes) != 1:
             raise ValueError("pure_solve expects a single conjunction; see sat()")
         cube = cubes[0]
+    prefix = _propagated(cube, sorts, universe)
+    if prefix is None:
+        return None, True
+    loc_solution, lins, int_vars, bounds = prefix
+    values = _search_ints(lins, int_vars, sorts, bounds, budget, stats)
+    if values is None:
+        return None, False
+    scalars: dict[str, int | bool] = {}
+    for v in int_vars:
+        scalars[v] = bool(values[v]) if sorts.get(v) == "bool" else values[v]
+    return PureSolution(scalars, loc_solution), False
+
+
+def _propagated(cube: list[Lit], sorts: dict[str, str], universe: list[str] | None):
+    """The steps of ``pure_solve`` before the integer search: returns the
+    location solution, the integer literals, the integer variables and
+    their propagated bounds, or None when the cube is unsatisfiable
+    whatever the integer domain (a sort clash, a location clash, or empty
+    bounds after propagation)."""
     try:
         locs, ints = _split_cube(cube, sorts)
     except F.SortError:
-        return None, True
+        return None
 
     # The caller-supplied order (syntactic first-occurrence in the heap)
     # leads; literal NNF order only covers variables missing from it.
@@ -532,20 +541,12 @@ def pure_solve(pure_or_cube, sorts: dict[str, str], budget: Budget | None = None
 
     loc_solution = _solve_locs(locs, loc_vars)
     if loc_solution is None:
-        return None, True
-
+        return None
     lins = [_lin_of(l) for l in ints]
-    int_solution, independent = _solve_ints(lins, int_vars,
-                                            {v for v in int_vars
-                                             if sorts.get(v) == "bool"},
-                                            budget, stats)
-    if int_solution is None:
-        return None, independent
-    scalars: dict[str, int | bool] = {}
-    for v in int_vars:
-        value = int_solution.values[v]
-        scalars[v] = bool(value) if sorts.get(v) == "bool" else value
-    return PureSolution(scalars, loc_solution), False
+    bounds = {v: [_INF, _INF] for v in int_vars}
+    if not _propagate(lins, bounds):
+        return None
+    return loc_solution, lins, int_vars, bounds
 
 
 # =====================================================================
@@ -618,20 +619,17 @@ def _heap_var_order(d: SymbolicHeap) -> list[str]:
     return order
 
 
-def _pure_contradictory(d: SymbolicHeap, defs: SpecFile, budget: Budget,
-                        stats: SolverStats) -> bool:
-    """Domain-independent contradiction check for a frontier heap."""
+def _pure_contradictory(d: SymbolicHeap, defs: SpecFile) -> bool:
+    """Domain-independent contradiction check for a frontier heap. It needs
+    no integer search: one that failed would only say the finite domain is
+    too small, which does not make the heap contradictory."""
     additions = _saturate_points_tos(d.points_tos(), d.pure)
     if additions == CONTRADICTION:
         return True
     opened = _open_heap(d)
     sorts = F.heap_sorts(opened, defs)
     pure = F.conj([opened.pure, *additions])
-    for cube in _nnf_cubes(pure):
-        solution, independent = pure_solve(cube, sorts, budget, None, stats)
-        if solution is not None or not independent:
-            return False
-    return True
+    return all(_propagated(cube, sorts, None) is None for cube in _nnf_cubes(pure))
 
 
 def _assemble_model(opened: SymbolicHeap, solution: PureSolution,
@@ -697,7 +695,7 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
             for h in inductive:
                 if time.monotonic() > deadline:
                     return SatResult("unknown", None, stats)
-                if not _pure_contradictory(h, defs, budget, stats):
+                if not _pure_contradictory(h, defs):
                     return SatResult("unknown", None, stats)
             return SatResult("unsat", None, stats)
         nxt: list[SymbolicHeap] = []
@@ -707,7 +705,7 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
             first = next(i for i, a in enumerate(h.atoms())
                          if isinstance(a, F.PredInst))
             for child in unfold_at(h, first, defs):
-                if not _pure_contradictory(child, defs, budget, stats):
+                if not _pure_contradictory(child, defs):
                     nxt.append(child)
         current = F.dedup_heaps(nxt)
         if not current:

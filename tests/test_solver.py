@@ -117,6 +117,22 @@ def test_alias_classes_keep_earliest_added_representative():
     assert uf.find("y") == S.NULL_KEY
 
 
+# ------------------------------------------------------ frontier pruning
+
+
+FRONTIER_SPEC = "data C { int v; }\npred p(x) == emp & x = null ;"
+
+
+def test_frontier_contradiction_is_domain_independent():
+    spec = F.parse_spec(FRONTIER_SPEC)
+    assert S._pure_contradictory(heap("x -> C(a) * y -> C(b) * p(x) & x = y"), spec)
+    assert S._pure_contradictory(heap("p(y) & x <= 0 & 1 <= x"), spec)
+    # Outside Budget()'s int domain (int_max 63), yet not contradictory:
+    # pruning it would turn a domain limit into a verdict.
+    assert Budget().int_max < 100
+    assert not S._pure_contradictory(heap("p(y) & x = 100"), spec)
+
+
 # ------------------------------------------------------------------ sat
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -373,6 +374,20 @@ def _parse_domain(text: str) -> tuple[int, int]:
     return low, high
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argparse takes a value such as ``-200:200`` for an unknown option, so
+    ``--int-domain -200:200`` would lack its argument; attach such a value
+    to the option before it, as ``--int-domain=-200:200``."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] \
+                and re.match(r"-\d+:", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slc",
@@ -406,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:

@@ -73,6 +73,21 @@ def test_cli_full_run_writes_artifacts(tmp_path, capsys):
     assert ops[: ops.count("new")] == ["new"] * ops.count("new")
 
 
+@pytest.mark.parametrize("domain", [["--int-domain", "-200:200"],
+                                    ["--int-domain=-200:200"]])
+def test_int_domain_accepts_negative_lower_bound(domain, tmp_path, capsys):
+    spec = tmp_path / "guard.sl"
+    spec.write_text("pre f == emp & true ;\n")
+    prog = tmp_path / "guard.ir"
+    prog.write_text("proc f(x: int) { 0: if x = 100 then goto 1 else goto 2"
+                    "  1: v := 1 }")
+    code = main(["--spec", str(spec), "--program", str(prog), "--entry", "f",
+                 *domain, "--report", "json"])
+    assert code == 0
+    # 100 lies outside the default domain -64:63, inside -200:200.
+    assert json.loads(capsys.readouterr().out)["totals"]["feasible_percent"] == 100.0
+
+
 def test_spec_only_makes_no_concolic_calls(tmp_path):
     result = run_bench("sortedlist", tmp_path, spec_only=True)
     assert result.report.concolic_solver_calls == 0

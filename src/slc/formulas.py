@@ -222,9 +222,6 @@ class DataDef:
     name: str
     fields: tuple[tuple[str, str], ...]  # (field name, type) in declaration order
 
-    def field_names(self) -> tuple[str, ...]:
-        return tuple(f for f, _ in self.fields)
-
     def field_type(self, name: str) -> str:
         for f, t in self.fields:
             if f == name:
@@ -644,10 +641,6 @@ def print_spatial(spatial: SpatialFormula) -> str:
 def print_heap(d: SymbolicHeap) -> str:
     prefix = f"exists {', '.join(d.exists)} . " if d.exists else ""
     return f"{prefix}{print_spatial(d.spatial)} & {print_pure(d.pure)}"
-
-
-def print_formula(f: Formula) -> str:
-    return " \\/ ".join(f"({print_heap(d)})" for d in f.disjuncts)
 
 
 # =====================================================================

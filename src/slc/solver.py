@@ -23,6 +23,7 @@ on the concretized model and is the soundness oracle for ``sat``.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -98,10 +99,6 @@ class Lit:
     op: str  # 'eq' | 'le' | 'ne'
     left: ArithTerm
     right: ArithTerm
-
-
-class _FalseCube(Exception):
-    pass
 
 
 def _nnf_cubes(pure: PureFormula, positive: bool = True) -> list[list[Lit]]:
@@ -422,34 +419,22 @@ def _search_ints(lins: list[_Lin], order: list[str], sorts: dict[str, str],
 
 
 def saturate(d: SymbolicHeap) -> list[PureFormula] | str:
-    """Disequalities implied by the separating conjunction of a base heap.
+    """Disequalities implied by the separating conjunction of ``d``'s
+    points-to atoms.
 
     Adds ``x != null`` for every points-to head and ``x != y`` for every
     pair of distinct points-to atoms; returns CONTRADICTION when those
-    facts clash with the equalities already present.
+    facts clash with the equalities already present. Predicate instances
+    add nothing, since each may describe the empty heap.
     """
-    if d.instances():
-        raise ValueError("saturate expects a base heap")
-    return _saturate_points_tos(d.points_tos(), d.pure)
-
-
-def _saturate_points_tos(pts: list[PointsTo], pure: PureFormula) -> list[PureFormula] | str:
-    uf = alias_classes(pure_equalities(pure))
-    heads = [p.var for p in pts]
-    for h in heads:
-        if uf.find(h) == uf.find(NULL_KEY):
-            return CONTRADICTION
-    for i, a in enumerate(heads):
-        for b in heads[i + 1:]:
-            if uf.find(a) == uf.find(b):
-                return CONTRADICTION
-    additions: list[PureFormula] = []
-    for h in heads:
-        additions.append(Not(Atom("=", Var(h), Null())))
-    for i, a in enumerate(heads):
-        for b in heads[i + 1:]:
-            additions.append(Not(Atom("=", Var(a), Var(b))))
-    return additions
+    uf = alias_classes(pure_equalities(d.pure))
+    heads = [p.var for p in d.points_tos()]
+    pairs = list(itertools.combinations(heads, 2))
+    if any(uf.find(h) == uf.find(NULL_KEY) for h in heads) \
+            or any(uf.find(a) == uf.find(b) for a, b in pairs):
+        return CONTRADICTION
+    return [Not(Atom("=", Var(h), Null())) for h in heads] \
+        + [Not(Atom("=", Var(a), Var(b))) for a, b in pairs]
 
 
 # =====================================================================
@@ -555,16 +540,9 @@ def _propagated(cube: list[Lit], sorts: dict[str, str], universe: list[str] | No
 
 
 def _open_heap(d: SymbolicHeap) -> SymbolicHeap:
-    """Drop the existential binder, renaming on collision with free names."""
-    if not d.exists:
-        return d
-    free = F.free_vars(d)
-    renames = {v: Var(F.fresh_var(v)) for v in d.exists if v in free}
-    if renames:
-        d = SymbolicHeap(tuple(renames.get(v, Var(v)).name for v in d.exists),
-                         F.subst_spatial(d.spatial, renames),
-                         F.subst_pure(d.pure, renames))
-    return SymbolicHeap((), d.spatial, d.pure)
+    """Drop the existential binder. A name is either bound or free in one
+    heap, so the opened variables cannot clash with free ones."""
+    return SymbolicHeap((), d.spatial, d.pure) if d.exists else d
 
 
 def _try_base(d: SymbolicHeap, defs: SpecFile, budget: Budget,
@@ -623,12 +601,11 @@ def _pure_contradictory(d: SymbolicHeap, defs: SpecFile) -> bool:
     """Domain-independent contradiction check for a frontier heap. It needs
     no integer search: one that failed would only say the finite domain is
     too small, which does not make the heap contradictory."""
-    additions = _saturate_points_tos(d.points_tos(), d.pure)
+    additions = saturate(d)
     if additions == CONTRADICTION:
         return True
-    opened = _open_heap(d)
-    sorts = F.heap_sorts(opened, defs)
-    pure = F.conj([opened.pure, *additions])
+    sorts = F.heap_sorts(d, defs)
+    pure = F.conj([d.pure, *additions])
     return all(_propagated(cube, sorts, None) is None for cube in _nnf_cubes(pure))
 
 

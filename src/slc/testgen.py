@@ -512,14 +512,6 @@ def _enum_stores(defs: SpecFile, root_sorts: Sequence[str], max_objects: int,
     """All connected stores grown from the given roots, with scalar fields
     over the domain. Yields (store, root value per root sort)."""
 
-    def ref_slots(shape: list[str]) -> list[tuple[int, str, str]]:
-        out = []
-        for i, t in enumerate(shape):
-            for fname, ftype in defs.datas[t].fields:
-                if ftype in defs.datas:
-                    out.append((i, fname, ftype))
-        return out
-
     def grow(shape: list[str], wiring: dict, pending: list, roots: list,
              root_idx: int) -> Iterator[tuple[list[str], dict, list]]:
         if root_idx < len(root_sorts):

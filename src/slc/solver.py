@@ -192,14 +192,15 @@ def _loc_key(term: ArithTerm) -> str:
     return NULL_KEY if isinstance(term, Null) else term.name
 
 
-def merge_alias(uf: _UnionFind, left, right) -> None:
+def merge_alias(uf: _UnionFind, left: ArithTerm | None, right: ArithTerm | None) -> None:
     """Merge the classes of an equality between variables or null; an
     equality with any other term (or None) says nothing about aliasing."""
     if isinstance(left, (Var, Null)) and isinstance(right, (Var, Null)):
         uf.union(_loc_key(left), _loc_key(right))
 
 
-def alias_classes(eqs: Iterable[tuple], names: Iterable[str] = ()) -> _UnionFind:
+def alias_classes(eqs: Iterable[tuple[ArithTerm, ArithTerm]],
+                  names: Iterable[str] = ()) -> _UnionFind:
     """Alias classes of the equalities ``eqs`` (pairs of terms).
 
     Null and then ``names`` are added before any merge, so each class is
@@ -503,7 +504,8 @@ def pure_solve(pure_or_cube, sorts: dict[str, str], budget: Budget | None = None
     return PureSolution(scalars, loc_solution), False
 
 
-def _propagated(cube: list[Lit], sorts: dict[str, str], universe: list[str] | None):
+def _propagated(cube: list[Lit], sorts: dict[str, str], universe: list[str] | None,
+                ) -> tuple[LocSolution, list[_Lin], list[str], dict[str, list]] | None:
     """The steps of ``pure_solve`` before the integer search: returns the
     location solution, the integer literals, the integer variables and
     their propagated bounds, or None when the cube is unsatisfiable

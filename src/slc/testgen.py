@@ -36,7 +36,9 @@ from .formulas import (
     Scale,
     SpecFile,
     SymbolicHeap,
+    UNDEFINED,
     Var,
+    eval_ground,
 )
 from .unfold import unfold_round
 
@@ -165,8 +167,8 @@ def to_unit_test(m: S.SymbolicModel, entry_params: Sequence[tuple[str, str]],
         data = defs.datas[p.type_name]
         obj = store[env[p.var]]
         for (fname, ftype), arg in zip(data.fields, p.args):
-            value = F.eval_ground(arg, env)
-            if value is F.UNDEFINED:
+            value = eval_ground(arg, env)
+            if value is UNDEFINED:
                 raise ConstructionError(f"model slot {F.print_term(arg)} has no value")
             if ftype == "bool" and isinstance(value, int) and not isinstance(value, bool):
                 value = bool(value)
@@ -208,13 +210,13 @@ def _values_equal(a, b) -> bool:
 
 
 def _eval_pure_ground(pure, env: Mapping[str, object]) -> bool | None:
-    """Three-valued: None when an unbound variable blocks evaluation."""
+    """Three-valued: None when a term has no value (see ``eval_ground``)."""
     if isinstance(pure, F.TruePure):
         return True
     if isinstance(pure, Atom):
-        left = F.eval_ground(pure.left, env)
-        right = F.eval_ground(pure.right, env)
-        if left is F.UNDEFINED or right is F.UNDEFINED:
+        left = eval_ground(pure.left, env)
+        right = eval_ground(pure.right, env)
+        if left is UNDEFINED or right is UNDEFINED:
             return None
         if pure.op == "=":
             return _values_equal(left, right)
@@ -314,8 +316,8 @@ def _match_atoms(atoms, i, fp, env, store, defs, counter, depth,
         return
     atom = atoms[i]
     if isinstance(atom, PointsTo):
-        head = env.get(atom.var, F.UNDEFINED)
-        if head is F.UNDEFINED:
+        head = env.get(atom.var, UNDEFINED)
+        if head is UNDEFINED:
             choices = sorted((a for a in fp if a.type_name == atom.type_name),
                              key=lambda a: a.ident)
         elif isinstance(head, Addr):
@@ -337,8 +339,8 @@ def _match_atoms(atoms, i, fp, env, store, defs, counter, depth,
                 if isinstance(arg, Var) and arg.name not in env2:
                     env2[arg.name] = slot
                     continue
-                got = F.eval_ground(arg, env2)
-                if got is F.UNDEFINED or not _values_equal(got, slot):
+                got = eval_ground(arg, env2)
+                if got is UNDEFINED or not _values_equal(got, slot):
                     ok = False
                     break
             if ok:
@@ -384,13 +386,13 @@ def _satisfy_pure(parts, env, store, candidates) -> Iterator[dict]:
             if value is False:
                 return
             if isinstance(p, Atom) and p.op == "=":
-                lv = F.eval_ground(p.left, env)
-                rv = F.eval_ground(p.right, env)
-                if lv is F.UNDEFINED and rv is not F.UNDEFINED and isinstance(p.left, Var):
+                lv = eval_ground(p.left, env)
+                rv = eval_ground(p.right, env)
+                if lv is UNDEFINED and rv is not UNDEFINED and isinstance(p.left, Var):
                     env[p.left.name] = rv
                     progress = True
                     continue
-                if rv is F.UNDEFINED and lv is not F.UNDEFINED and isinstance(p.right, Var):
+                if rv is UNDEFINED and lv is not UNDEFINED and isinstance(p.right, Var):
                     env[p.right.name] = lv
                     progress = True
                     continue

@@ -71,9 +71,10 @@ def test_untyped_fresh_object_refused(bst_spec):
         to_unit_test(m, [("a", "BinaryNode")], bst_spec)
 
 
-def test_slot_term_without_value_refused():
+@pytest.mark.parametrize("slot", ["a + 1", "x + 1"])  # unbound; an address
+def test_slot_term_without_value_refused(slot):
     spec = F.parse_spec("data C { int v; }")
-    model = S.SymbolicModel(F.parse_heap("x -> C(a + 1) & true"))
+    model = S.SymbolicModel(F.parse_heap(f"x -> C({slot}) & true"))
     with pytest.raises(T.ConstructionError):
         T.to_unit_test(model, [("x", "C")], spec)
     with pytest.raises(S.ModelError):

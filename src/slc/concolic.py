@@ -317,20 +317,15 @@ class _AliasInfo:
     def absorb(self, e: Expr) -> None:
         """Record an equality learned while resolving a conjunct (a field
         read rewritten to its slot name turns into a variable equality)."""
-        if isinstance(e, EBin) and e.op == "=":
-            S.merge_alias(self.uf, _alias_term(e.left), _alias_term(e.right))
+        if isinstance(e, EBin) and e.op == "=" and isinstance(e.left, (EVar, ENull)) \
+                and isinstance(e.right, (EVar, ENull)):
+            S.merge_alias(self.uf, _expr_to_term(e.left), _expr_to_term(e.right))
 
     def entails_null(self, v: str) -> bool:
         return self.aliased(v, S.NULL_KEY)
 
     def aliased(self, a: str, b: str) -> bool:
         return self.uf.find(a) == self.uf.find(b)
-
-
-def _alias_term(e: Expr) -> ArithTerm | None:
-    if isinstance(e, EVar):
-        return Var(e.name)
-    return Null() if isinstance(e, ENull) else None
 
 
 def _slot(var: str, fieldname: str, slot_map: dict[tuple[str, str], ArithTerm],

@@ -192,9 +192,9 @@ def _loc_key(term: ArithTerm) -> str:
     return NULL_KEY if isinstance(term, Null) else term.name
 
 
-def merge_alias(uf: _UnionFind, left: ArithTerm | None, right: ArithTerm | None) -> None:
+def merge_alias(uf: _UnionFind, left: ArithTerm, right: ArithTerm) -> None:
     """Merge the classes of an equality between variables or null; an
-    equality with any other term (or None) says nothing about aliasing."""
+    equality with any other term says nothing about aliasing."""
     if isinstance(left, (Var, Null)) and isinstance(right, (Var, Null)):
         uf.union(_loc_key(left), _loc_key(right))
 

@@ -120,11 +120,8 @@ def test_alias_classes_keep_earliest_added_representative():
 # ------------------------------------------------------ frontier pruning
 
 
-FRONTIER_SPEC = "data C { int v; }\npred p(x) == emp & x = null ;"
-
-
 def test_frontier_contradiction_is_domain_independent():
-    spec = F.parse_spec(FRONTIER_SPEC)
+    spec = F.parse_spec("data C { int v; }\npred p(x) == emp & x = null ;")
     assert S._pure_contradictory(heap("x -> C(a) * y -> C(b) * p(x) & x = y"), spec)
     assert S._pure_contradictory(heap("p(y) & x <= 0 & 1 <= x"), spec)
     # Outside Budget()'s int domain (int_max 63), yet not contradictory:

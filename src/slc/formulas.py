@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .lexer import TokenStream
 
@@ -116,13 +116,22 @@ PureFormula = Union[TruePure, Atom, Not, And]
 TRUE = TruePure()
 
 
-def conjuncts(pure: PureFormula) -> Iterator[PureFormula]:
-    """Flatten nested conjunctions, dropping redundant ``true``."""
-    if isinstance(pure, And):
-        yield from conjuncts(pure.left)
-        yield from conjuncts(pure.right)
-    elif not isinstance(pure, TruePure):
-        yield pure
+def conjuncts(pure: PureFormula) -> list[PureFormula]:
+    """Flatten nested conjunctions left to right, dropping redundant
+    ``true``. Iterative, so the deep left-nested chains ``conj`` builds
+    cost no recursion."""
+    if not isinstance(pure, And):
+        return [] if isinstance(pure, TruePure) else [pure]
+    out: list[PureFormula] = []
+    stack = [pure]
+    while stack:
+        p = stack.pop()
+        if isinstance(p, And):
+            stack.append(p.right)
+            stack.append(p.left)
+        elif not isinstance(p, TruePure):
+            out.append(p)
+    return out
 
 
 def conj(parts: Iterable[PureFormula]) -> PureFormula:
@@ -170,11 +179,18 @@ SpatialAtom = Union[PointsTo, PredInst]
 
 def spatial_atoms(spatial: SpatialFormula) -> list[SpatialAtom]:
     """Flatten a spatial formula into its atom list (``emp`` vanishes)."""
-    if isinstance(spatial, Emp):
-        return []
-    if isinstance(spatial, (PointsTo, PredInst)):
-        return [spatial]
-    return spatial_atoms(spatial.left) + spatial_atoms(spatial.right)
+    if not isinstance(spatial, SepConj):
+        return [] if isinstance(spatial, Emp) else [spatial]
+    out: list[SpatialAtom] = []
+    stack = [spatial]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, SepConj):
+            stack.append(s.right)
+            stack.append(s.left)
+        elif not isinstance(s, Emp):
+            out.append(s)
+    return out
 
 
 def sep(atoms: Iterable[SpatialAtom]) -> SpatialFormula:
@@ -1000,10 +1016,12 @@ def _term_known_sort(term: ArithTerm, env: dict[str, Sort]) -> Sort | None:
     return env.get(term.name)
 
 
-def heap_sort_pass(d: SymbolicHeap, spec: SpecFile,
+def heap_sort_pass(atoms: list[SpatialAtom], parts: list[PureFormula], spec: SpecFile,
                    param_sorts: dict[str, tuple[Sort, ...]],
                    env: dict[str, Sort], where: str) -> None:
-    for atom in d.atoms():
+    """One pass of sort constraints over a heap's spatial atoms and then
+    its pure conjuncts."""
+    for atom in atoms:
         if isinstance(atom, PointsTo):
             data = spec.datas[atom.type_name]
             _unify(env, atom.var, atom.type_name, where)
@@ -1016,7 +1034,7 @@ def heap_sort_pass(d: SymbolicHeap, spec: SpecFile,
             for sort, arg in zip(sorts, atom.args):
                 if sort is not None:
                     _term_sort_constraints(arg, sort, env, where)
-    for c in conjuncts(d.pure):
+    for c in parts:
         while isinstance(c, Not):
             c = c.inner
         if isinstance(c, Atom):
@@ -1042,7 +1060,8 @@ def infer_sorts(spec: SpecFile) -> dict[str, tuple[Sort | None, ...]]:
         for name, pred in spec.preds.items():
             env: dict[str, Sort] = {}
             for i, d in enumerate(pred.body.disjuncts):
-                heap_sort_pass(d, spec, param_sorts, env, f"pred {name}[{i}]")
+                heap_sort_pass(d.atoms(), conjuncts(d.pure), spec, param_sorts, env,
+                               f"pred {name}[{i}]")
             new = tuple(env.get(p) or param_sorts[name][i]
                         for i, p in enumerate(pred.params))
             if new != param_sorts[name]:
@@ -1054,11 +1073,16 @@ def infer_sorts(spec: SpecFile) -> dict[str, tuple[Sort | None, ...]]:
 
 
 def heap_sorts(d: SymbolicHeap, spec: SpecFile,
+               param_sorts: dict[str, tuple[Sort | None, ...]],
                seed: Mapping[str, Sort] | None = None) -> dict[str, Sort]:
-    """Sorts for every variable of one heap. Unconstrained variables stay
+    """Sorts for every variable of one heap, given the predicates'
+    parameter sorts (``infer_sorts(spec)``). Unconstrained variables stay
     absent; solvers treat them as ints."""
-    param_sorts = infer_sorts(spec)
+    atoms, parts = d.atoms(), conjuncts(d.pure)
     env: dict[str, Sort] = dict(seed or {})
     for _ in range(3):  # equalities may need a couple of passes to percolate
-        heap_sort_pass(d, spec, param_sorts, env, "heap")
+        before = dict(env)
+        heap_sort_pass(atoms, parts, spec, param_sorts, env, "heap")
+        if env == before:  # a pass that changes nothing repeats
+            break
     return env

@@ -164,9 +164,12 @@ NULL_KEY = "\x00null"
 class _UnionFind:
     def __init__(self):
         self.parent: dict[str, str] = {}
+        self.index: dict[str, int] = {}  # insertion order of each name
 
     def add(self, x: str) -> None:
-        self.parent.setdefault(x, x)
+        if x not in self.parent:
+            self.parent[x] = x
+            self.index[x] = len(self.index)
 
     def find(self, x: str) -> str:
         self.add(x)
@@ -181,8 +184,7 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             # Deterministic: keep the earlier-added name as representative.
-            order = list(self.parent)
-            if order.index(ra) <= order.index(rb):
+            if self.index[ra] <= self.index[rb]:
                 self.parent[rb] = ra
             else:
                 self.parent[ra] = rb
@@ -261,7 +263,7 @@ def _solve_locs(lits: list[Lit], universe: list[str]) -> LocSolution | None:
 # =====================================================================
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Lin:
     """Normalized literal: sum of coeff*var plus const, related to zero."""
 
@@ -547,7 +549,7 @@ def _open_heap(d: SymbolicHeap) -> SymbolicHeap:
     return SymbolicHeap((), d.spatial, d.pure) if d.exists else d
 
 
-def _try_base(d: SymbolicHeap, defs: SpecFile, budget: Budget,
+def _try_base(d: SymbolicHeap, defs: SpecFile, param_sorts: dict, budget: Budget,
               stats: SolverStats, extra_sorts: dict[str, str],
               universe_hint: list[str]) -> tuple[SymbolicModel | None, bool]:
     """Solve one base heap. Returns (model, bounded_flag)."""
@@ -555,7 +557,7 @@ def _try_base(d: SymbolicHeap, defs: SpecFile, budget: Budget,
     additions = saturate(opened)
     if additions == CONTRADICTION:
         return None, False
-    sorts = F.heap_sorts(opened, defs, seed=extra_sorts)
+    sorts = F.heap_sorts(opened, defs, param_sorts, seed=extra_sorts)
     pure = F.conj([opened.pure, *additions])
     order = _heap_var_order(opened)
     for v in universe_hint:
@@ -599,14 +601,14 @@ def _heap_var_order(d: SymbolicHeap) -> list[str]:
     return order
 
 
-def _pure_contradictory(d: SymbolicHeap, defs: SpecFile) -> bool:
+def _pure_contradictory(d: SymbolicHeap, defs: SpecFile, param_sorts: dict) -> bool:
     """Domain-independent contradiction check for a frontier heap. It needs
     no integer search: one that failed would only say the finite domain is
     too small, which does not make the heap contradictory."""
     additions = saturate(d)
     if additions == CONTRADICTION:
         return True
-    sorts = F.heap_sorts(d, defs)
+    sorts = F.heap_sorts(d, defs, param_sorts)
     pure = F.conj([d.pure, *additions])
     return all(_propagated(cube, sorts, None) is None for cube in _nnf_cubes(pure))
 
@@ -638,6 +640,131 @@ def _assemble_model(opened: SymbolicHeap, solution: PureSolution,
     return SymbolicModel(heap, dict(sorts))
 
 
+# A frontier check keeps its location classes as ``links``: each merged
+# name maps to another name of its class, and the representative of a
+# class holding null or a points-to head maps to itself. Separation makes
+# the heads non-null and pairwise distinct, so such a class holds exactly
+# one of them; any name not in ``links`` is a class of its own.
+
+
+def _find(links: dict[str, str], x: str) -> str:
+    while x in links and links[x] != x:
+        x = links[x]
+    return x
+
+
+def _merge(links: dict[str, str], a: str, b: str) -> bool:
+    """Merge two classes; False when both hold null or a head."""
+    ra, rb = _find(links, a), _find(links, b)
+    if ra != rb:
+        if ra in links and rb in links:
+            return False
+        if rb in links:
+            ra, rb = rb, ra
+        links[rb] = ra
+    return True
+
+
+def _mark(links: dict[str, str], head: str) -> bool:
+    """Put a points-to head in its class; False when it holds null or a head."""
+    rep = _find(links, head)
+    if rep in links:
+        return False
+    links[rep] = rep
+    return True
+
+
+@dataclass(slots=True)
+class _Facts:
+    """What ``_pure_contradictory`` derives for a heap that is not
+    contradictory and whose pure part has a single DNF cube, kept so that
+    a child extends them.
+
+    ``unfold_at`` builds a child from its parent's atoms minus the unfolded
+    instance followed by the disjunct body's atoms, and from the parent's
+    conjuncts followed by the body's, so the child's facts are the parent's
+    plus the body's.
+    """
+
+    atoms: int                         # spatial atoms of the heap
+    parts: int                         # top-level conjuncts of its pure part
+    # Each variable of the cube with its sort, one dict per extension, so
+    # that siblings share their parent's.
+    cube_sorts: tuple[dict[str, str | None], ...]
+    links: dict[str, str]              # the cube's location classes, as above
+    loc_ne: list[tuple[str, str]]      # the cube's location disequalities
+    lins: list[_Lin]                   # the cube's integer literals, in order
+
+
+def _no_facts() -> _Facts:
+    """Facts of ``emp & true``, which every heap extends."""
+    return _Facts(0, 0, (), {NULL_KEY: NULL_KEY}, [], [])
+
+
+def _extend(facts: _Facts, d: SymbolicHeap, defs: SpecFile,
+            param_sorts: dict) -> _Facts | str | None:
+    """The frontier check of ``d`` from the facts of a heap it extends:
+    ``d`` has that heap's conjuncts followed by new ones, and that heap's
+    atoms but for one unfolded instance followed by new ones (from the
+    facts of ``emp & true``, everything in ``d`` is new).
+
+    Returns CONTRADICTION exactly when ``_pure_contradictory`` holds for
+    ``d``, else ``d``'s facts, or None when ``d`` is no plain extension
+    and the caller must check it from scratch.
+    """
+    atoms, parts = d.atoms(), F.conjuncts(d.pure)
+    new_parts = parts[facts.parts:]
+    lits: list[Lit] = []
+    for part in new_parts:
+        cubes = _nnf_cubes(part)
+        if len(cubes) != 1:
+            return None
+        lits.extend(cubes[0])
+    try:
+        sorts = F.heap_sorts(d, defs, param_sorts)
+    except F.SortError:
+        return None  # saturate's verdict comes first
+    if any(sorts.get(v) != sort for layer in facts.cube_sorts for v, sort in layer.items()):
+        return None
+    # saturate merges the classes of every var/null equality, the cube only
+    # those of location equalities; the heads are marked in the latter, so
+    # saturate's verdict is the cube's unless an equality joins a location
+    # to an integer (sort inference stops after three passes) or joins
+    # variables not known to be locations, one of them unsorted.
+    for lit in lits:
+        if lit.op == "eq" and isinstance(lit.left, (Var, Null)) \
+                and isinstance(lit.right, (Var, Null)):
+            kinds = {_term_is_loc(lit.left, sorts), _term_is_loc(lit.right, sorts)}
+            if kinds == {True, False} or None in kinds and True not in kinds:
+                return None
+    try:
+        loc_lits, int_lits = _split_cube(lits, sorts)
+    except F.SortError:
+        return CONTRADICTION
+    links = dict(facts.links)
+    heads = [a.var for a in atoms[max(facts.atoms - 1, 0):] if isinstance(a, PointsTo)]
+    if not all(_merge(links, _loc_key(l.left), _loc_key(l.right))
+               for l in loc_lits if l.op == "eq") \
+            or not all(_mark(links, h) for h in heads):
+        return CONTRADICTION
+    loc_ne = facts.loc_ne + [(_loc_key(l.left), _loc_key(l.right))
+                             for l in loc_lits if l.op == "ne"]
+    if any(_find(links, a) == _find(links, b) for a, b in loc_ne):
+        return CONTRADICTION
+    lins = facts.lins + [_lin_of(l) for l in int_lits]
+    new_vars = {v: sorts.get(v) for v in _cube_vars(lits)
+                if not any(v in layer for layer in facts.cube_sorts)}
+    cube_sorts = facts.cube_sorts + (new_vars,) if new_vars else facts.cube_sorts
+    # Propagation is a function of the integer literals and the number of
+    # integer variables (its round bound), and it passed for the old heap.
+    if int_lits or any(s is None or s in _SCALARS for s in new_vars.values()):
+        bounds = {v: [_INF, _INF] for layer in cube_sorts for v, s in layer.items()
+                  if s is None or s in _SCALARS}
+        if not _propagate(lins, bounds):
+            return CONTRADICTION
+    return _Facts(len(atoms), len(parts), cube_sorts, links, loc_ne, lins)
+
+
 def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatResult:
     """Satisfiability of one symbolic heap under the given budget.
 
@@ -647,15 +774,20 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
     first). Expanding instances one at a time reaches every combination
     of disjunct choices without the duplication that expanding all
     instances per round would create; heaps whose pure part is already
-    contradictory are dropped early.
+    contradictory are dropped early, each child checked by extending the
+    facts its parent's check derived.
     """
     budget = budget or Budget()
     stats = SolverStats()
     deadline = time.monotonic() + budget.time_limit
+    param_sorts = F.infer_sorts(defs)
     opened_query = _open_heap(d)
     universe = _heap_var_order(opened_query)
-    query_sorts = F.heap_sorts(opened_query, defs)
+    query_sorts = F.heap_sorts(opened_query, defs, param_sorts)
     current = [d]
+    # Facts of the frontier heaps still to unfold, by id; the query and
+    # heaps checked from scratch have none until they are unfolded.
+    facts_of: dict[int, _Facts] = {}
     for round_no in range(budget.max_depth + 1):
         stats.rounds = round_no
         bases = [h for h in current if h.is_base()]
@@ -664,29 +796,40 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
             stats.heaps += 1
             if time.monotonic() > deadline:
                 return SatResult("unknown", None, stats)
-            model, bounded = _try_base(h, defs, budget, stats, query_sorts, universe)
+            model, bounded = _try_base(h, defs, param_sorts, budget, stats, query_sorts,
+                                       universe)
             if model is not None:
                 return SatResult("sat", model, stats)
             stats.bounded = stats.bounded or bounded
         if not inductive:
             return SatResult("unsat", None, stats)
         if round_no == budget.max_depth:
-            for h in inductive:
-                if time.monotonic() > deadline:
-                    return SatResult("unknown", None, stats)
-                if not _pure_contradictory(h, defs):
-                    return SatResult("unknown", None, stats)
+            # After round 0 every frontier heap passed the check when it
+            # was unfolded.
+            if round_no > 0 or time.monotonic() > deadline \
+                    or not _pure_contradictory(d, defs, param_sorts):
+                return SatResult("unknown", None, stats)
             return SatResult("unsat", None, stats)
         nxt: list[SymbolicHeap] = []
+        nxt_facts: dict[int, _Facts] = {}
         for h in inductive:
             if time.monotonic() > deadline:
                 return SatResult("unknown", None, stats)
-            first = next(i for i, a in enumerate(h.atoms())
-                         if isinstance(a, F.PredInst))
+            facts = facts_of.pop(id(h), None) or _extend(_no_facts(), h, defs, param_sorts)
+            if not isinstance(facts, _Facts):
+                facts = None
+            first = next(i for i, a in enumerate(h.atoms()) if isinstance(a, F.PredInst))
             for child in unfold_at(h, first, defs):
-                if not _pure_contradictory(child, defs):
+                child_facts = None if facts is None else _extend(facts, child, defs, param_sorts)
+                if child_facts is None:
+                    if not _pure_contradictory(child, defs, param_sorts):
+                        nxt.append(child)
+                elif child_facts is not CONTRADICTION:
                     nxt.append(child)
+                    if not child.is_base():
+                        nxt_facts[id(child)] = child_facts
         current = F.dedup_heaps(nxt)
+        facts_of = {id(h): nxt_facts[id(h)] for h in current if id(h) in nxt_facts}
         if not current:
             return SatResult("unsat", None, stats)
     return SatResult("unknown", None, stats)

@@ -597,7 +597,7 @@ def oracle_sat(d: SymbolicHeap, defs: SpecFile, max_objects: int,
     """Existence of a concrete model of ``d`` within the given bounds."""
     if max_objects > 4:
         raise OracleBudgetError("oracle limited to at most 4 objects")
-    sorts = F.heap_sorts(d, defs)
+    sorts = F.heap_sorts(d, defs, F.infer_sorts(defs))
     free = sorted(F.free_vars(d))
     ref_vars = [v for v in free if sorts.get(v) in defs.datas]
     seed_types = [sorts[v] for v in ref_vars]

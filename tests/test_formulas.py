@@ -96,6 +96,16 @@ def test_comparison_desugaring():
     assert parts[2] == Not(Atom("=", Var("e"), Var("f")))
 
 
+def test_conjuncts_flattens_long_chains_in_order():
+    # conj builds left-nested chains as long as a path condition.
+    parts = [Atom("=", Var(f"x{i}"), Const(i % 100)) for i in range(1500)]
+    assert F.conjuncts(F.conj(parts)) == parts
+    a, b, c = parts[:3]
+    assert F.conjuncts(F.And(F.And(a, F.TRUE), F.And(b, c))) == [a, b, c]
+    assert F.conjuncts(F.TRUE) == []
+    assert F.conjuncts(a) == [a]
+
+
 def test_scaled_term_requires_constant_coefficient():
     d = heap("emp & 2 * x <= y + 1")
     atom = next(iter(F.conjuncts(d.pure)))

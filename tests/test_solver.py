@@ -2,11 +2,15 @@
 
 import random
 
+import pytest
+
 from slc import formulas as F
 from slc import solver as S
 from slc import testgen as T
+from slc.cli import BENCHMARKS, corpus_path, run_pipeline
 from slc.formulas import Atom, Const, Not, Null, Var
 from slc.solver import Budget, model_check, pure_solve, sat, saturate
+from slc.unfold import unfold_at
 
 
 def heap(text):
@@ -122,12 +126,105 @@ def test_alias_classes_keep_earliest_added_representative():
 
 def test_frontier_contradiction_is_domain_independent():
     spec = F.parse_spec("data C { int v; }\npred p(x) == emp & x = null ;")
-    assert S._pure_contradictory(heap("x -> C(a) * y -> C(b) * p(x) & x = y"), spec)
-    assert S._pure_contradictory(heap("p(y) & x <= 0 & 1 <= x"), spec)
+    params = F.infer_sorts(spec)
+    assert S._pure_contradictory(heap("x -> C(a) * y -> C(b) * p(x) & x = y"), spec, params)
+    assert S._pure_contradictory(heap("p(y) & x <= 0 & 1 <= x"), spec, params)
     # Outside Budget()'s int domain (int_max 63), yet not contradictory:
     # pruning it would turn a domain limit into a verdict.
     assert Budget().int_max < 100
-    assert not S._pure_contradictory(heap("p(y) & x = 100"), spec)
+    assert not S._pure_contradictory(heap("p(y) & x = 100"), spec, params)
+
+
+# ------------------------------------------- incremental frontier check
+
+CHAIN = """
+data N { int v; N next; }
+pred chain(x) == (emp & x = null) \\/ (exists v, n . x -> N(v, n) * chain(n)) ;
+"""
+
+
+def record_child_checks(monkeypatch):
+    """Every child that sat checks by extending its parent's facts, with
+    that verdict and the from-scratch one."""
+    checks = []
+    extend = S._extend
+
+    def recorded(facts, d, defs, param_sorts):
+        result = extend(facts, d, defs, param_sorts)
+        if facts.atoms and result is not None:
+            checks.append((F.print_heap(d), result is S.CONTRADICTION,
+                           S._pure_contradictory(d, defs, param_sorts)))
+        return result
+
+    monkeypatch.setattr(S, "_extend", recorded)
+    return checks
+
+
+@pytest.mark.parametrize("name", ["sll", "dll", "stack", "bst", "tll", "sortedlist"])
+def test_incremental_frontier_check_matches_scratch_on_corpus(name, monkeypatch, tmp_path):
+    checks = record_child_checks(monkeypatch)
+    bench = BENCHMARKS[name]
+    run_pipeline(corpus_path(bench.spec), corpus_path(bench.program), bench.entry,
+                 unfold_depth=bench.unfold_depth, solver_depth=bench.solver_depth,
+                 max_nodes=bench.max_nodes, out_dir=tmp_path)
+    assert checks
+    assert [c for c in checks if c[1] != c[2]] == []
+
+
+def _random_heap_text(rng):
+    locs, ints = ["p", "q", "r"], ["a", "b", "c"]
+    atoms = [f"chain({rng.choice(locs)})" for _ in range(rng.randrange(1, 3))]
+    if rng.random() < 0.3:
+        atoms.insert(0, f"p -> N({rng.choice(ints)}, {rng.choice(locs + ['null'])})")
+    lits = []
+    for _ in range(rng.randrange(0, 5)):
+        kind = rng.randrange(6)
+        x, y = rng.choice(locs), rng.choice(locs + ["null"])
+        a, b = rng.choice(ints), rng.choice(ints + ["1"])
+        lits.append([f"{x} = {y}", f"{x} != {y}", f"!({x} != {y})", f"{a} <= {b}",
+                     f"{a} < {b}", f"{rng.choice(locs + ints)} = {b}"][kind])
+    return " * ".join(atoms) + " & " + (" & ".join(lits) or "true")
+
+
+def test_incremental_frontier_check_matches_scratch_on_random_heaps(monkeypatch):
+    spec = F.parse_spec(CHAIN)
+    checks = record_child_checks(monkeypatch)
+    rng = random.Random(11)
+    for _ in range(60):
+        try:
+            sat(F.parse_heap(_random_heap_text(rng)), spec, Budget(max_depth=4))
+        except F.SortError:
+            continue  # randomly ill-sorted mixtures are fine to reject
+    assert sum(inc for _, inc, _ in checks) > 10
+    assert [c for c in checks if c[1] != c[2]] == []
+
+
+@pytest.mark.parametrize("query", [
+    "chain(p) & p = r",    # the base case sorts p and r nullref instead of N
+    "loose(a) & a != b",   # the second disjunct sorts a and b as N
+    "split(p, q) & true",  # the body !(p = q & q = null) has two cubes
+    "same(a, b) & true",   # the body a = b equates two unsorted variables
+])
+def test_incremental_frontier_check_falls_back(query, monkeypatch):
+    spec = F.parse_spec(CHAIN + """
+    pred loose(x) == (emp & true) \\/ (exists u, w, v . w -> N(v, null) & x = u & u = w) ;
+    pred split(x, y) == emp & !(x = y & y = null) ;
+    pred same(x, y) == emp & x = y ;
+    """)
+    params = F.infer_sorts(spec)
+    d = F.parse_heap(query)
+    facts = S._extend(S._no_facts(), d, spec, params)
+    assert isinstance(facts, S._Facts)
+    assert None in [S._extend(facts, child, spec, params)
+                    for child in unfold_at(d, 0, spec)]
+    results = []
+    for mode in ("incremental", "scratch"):
+        if mode == "scratch":
+            monkeypatch.setattr(S, "_extend", lambda *args: None)
+        F.reset_names()
+        result = sat(d, spec, Budget(max_depth=3))
+        results.append((result.decision, str(result.model), result.stats))
+    assert results[0] == results[1]
 
 
 # ------------------------------------------------------------------ sat

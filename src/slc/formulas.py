@@ -135,11 +135,27 @@ def conjuncts(pure: PureFormula) -> list[PureFormula]:
 
 
 def conj(parts: Iterable[PureFormula]) -> PureFormula:
+    """The left-nested conjunction of the conjuncts of ``parts``. A first
+    part already of that shape is shared, not rebuilt, so an unfolded
+    child's pure part extends its parent's."""
     out: PureFormula = TRUE
     for part in parts:
+        if isinstance(out, TruePure) and _is_chain(part):
+            out = part
+            continue
         for c in conjuncts(part):
             out = c if isinstance(out, TruePure) else And(out, c)
     return out
+
+
+def _is_chain(pure: PureFormula) -> bool:
+    """Whether ``pure`` is a conjunct or a left-nested conjunction of them,
+    none of them ``true`` or a conjunction."""
+    while isinstance(pure, And):
+        if isinstance(pure.right, (And, TruePure)):
+            return False
+        pure = pure.left
+    return not isinstance(pure, TruePure)
 
 
 # =====================================================================

@@ -263,7 +263,7 @@ def _solve_locs(lits: list[Lit], universe: list[str]) -> LocSolution | None:
 # =====================================================================
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class _Lin:
     """Normalized literal: sum of coeff*var plus const, related to zero."""
 

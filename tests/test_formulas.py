@@ -106,6 +106,16 @@ def test_conjuncts_flattens_long_chains_in_order():
     assert F.conjuncts(a) == [a]
 
 
+def test_conj_shares_a_chain_it_extends():
+    a, b, c, d = (Atom("=", Var(x), Const(0)) for x in "abcd")
+    chain = F.conj([a, b, c])
+    longer = F.conj([chain, d])
+    assert longer.left is chain and F.conjuncts(longer) == [a, b, c, d]
+    # Any other shape is rebuilt as the left-nested chain.
+    assert F.conj([F.And(a, F.And(b, c)), d]) == longer
+    assert F.conj([F.And(F.TRUE, a), b]) == F.conj([a, b])
+
+
 def test_scaled_term_requires_constant_coefficient():
     d = heap("emp & 2 * x <= y + 1")
     atom = next(iter(F.conjuncts(d.pure)))

@@ -195,18 +195,11 @@ SpatialAtom = Union[PointsTo, PredInst]
 
 def spatial_atoms(spatial: SpatialFormula) -> list[SpatialAtom]:
     """Flatten a spatial formula into its atom list (``emp`` vanishes)."""
-    if not isinstance(spatial, SepConj):
-        return [] if isinstance(spatial, Emp) else [spatial]
-    out: list[SpatialAtom] = []
-    stack = [spatial]
-    while stack:
-        s = stack.pop()
-        if isinstance(s, SepConj):
-            stack.append(s.right)
-            stack.append(s.left)
-        elif not isinstance(s, Emp):
-            out.append(s)
-    return out
+    if isinstance(spatial, Emp):
+        return []
+    if isinstance(spatial, (PointsTo, PredInst)):
+        return [spatial]
+    return spatial_atoms(spatial.left) + spatial_atoms(spatial.right)
 
 
 def sep(atoms: Iterable[SpatialAtom]) -> SpatialFormula:
@@ -571,15 +564,18 @@ def canonical_heap(d: SymbolicHeap) -> SymbolicHeap:
     counter = itertools.count()
 
     def visit(term: ArithTerm) -> None:
-        if isinstance(term, Var) and term.name in bound and term.name not in renames:
-            renames[term.name] = Var(f".b{next(counter)}")
-        elif isinstance(term, Scale):
-            visit(term.term)
-        elif isinstance(term, Add):
-            visit(term.left)
-            visit(term.right)
-        elif isinstance(term, Neg):
-            visit(term.term)
+        # A loop, not recursion: a closure that calls itself is a reference
+        # cycle, which would keep each call's renames for the cyclic collector.
+        stack = [term]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Var) and t.name in bound and t.name not in renames:
+                renames[t.name] = Var(f".b{next(counter)}")
+            elif isinstance(t, (Scale, Neg)):
+                stack.append(t.term)
+            elif isinstance(t, Add):
+                stack.append(t.right)
+                stack.append(t.left)
 
     for atom in atoms:
         if isinstance(atom, PointsTo):

@@ -10,7 +10,6 @@ from slc import testgen as T
 from slc.cli import BENCHMARKS, corpus_path, run_pipeline
 from slc.formulas import Atom, Const, Not, Null, Var
 from slc.solver import Budget, model_check, pure_solve, sat, saturate
-from slc.unfold import unfold_at
 
 
 def heap(text):
@@ -135,40 +134,21 @@ def test_frontier_contradiction_is_domain_independent():
     assert not S._pure_contradictory(heap("p(y) & x = 100"), spec, params)
 
 
-# ------------------------------------------- incremental frontier check
-
 CHAIN = """
 data N { int v; N next; }
 pred chain(x) == (emp & x = null) \\/ (exists v, n . x -> N(v, n) * chain(n)) ;
 """
 
 
-def record_child_checks(monkeypatch):
-    """Every child that sat checks by extending its parent's facts, with
-    that verdict and the from-scratch one."""
-    checks = []
-    extend = S._extend
-
-    def recorded(facts, d, defs, param_sorts):
-        result = extend(facts, d, defs, param_sorts)
-        if facts.atoms and result is not None:
-            checks.append((F.print_heap(d), result is S.CONTRADICTION,
-                           S._pure_contradictory(d, defs, param_sorts)))
-        return result
-
-    monkeypatch.setattr(S, "_extend", recorded)
-    return checks
-
-
-@pytest.mark.parametrize("name", ["sll", "dll", "stack", "bst", "tll", "sortedlist"])
-def test_incremental_frontier_check_matches_scratch_on_corpus(name, monkeypatch, tmp_path):
-    checks = record_child_checks(monkeypatch)
-    bench = BENCHMARKS[name]
-    run_pipeline(corpus_path(bench.spec), corpus_path(bench.program), bench.entry,
-                 unfold_depth=bench.unfold_depth, solver_depth=bench.solver_depth,
-                 max_nodes=bench.max_nodes, out_dir=tmp_path)
-    assert checks
-    assert [c for c in checks if c[1] != c[2]] == []
+def saturate_definition(d, defs, param_sorts):
+    """The frontier check as saturate and _propagated define it: saturate's
+    pairwise disequalities join the pure part, and every DNF cube fails."""
+    additions = saturate(d)
+    if additions == S.CONTRADICTION:
+        return True
+    sorts = F.heap_sorts(d, defs, param_sorts)
+    pure = F.conj([d.pure, *additions])
+    return all(S._propagated(cube, sorts, None) is None for cube in S._nnf_cubes(pure))
 
 
 def _random_heap_text(rng):
@@ -186,45 +166,45 @@ def _random_heap_text(rng):
     return " * ".join(atoms) + " & " + (" & ".join(lits) or "true")
 
 
-def test_incremental_frontier_check_matches_scratch_on_random_heaps(monkeypatch):
-    spec = F.parse_spec(CHAIN)
-    checks = record_child_checks(monkeypatch)
+def test_frontier_check_matches_saturate_definition(monkeypatch, tmp_path):
+    checks = []
+    check = S._pure_contradictory
+
+    def recorded(d, defs, param_sorts):
+        verdict = check(d, defs, param_sorts)
+        checks.append((F.print_heap(d), verdict, saturate_definition(d, defs, param_sorts)))
+        return verdict
+
+    monkeypatch.setattr(S, "_pure_contradictory", recorded)
+    runs = [(name, {}) for name in ["sll", "dll", "stack", "bst", "tll", "sortedlist"]]
+    runs.append(("tll", {"spec_only": True, "unfold_depth": 4}))
+    for i, (name, overrides) in enumerate(runs):
+        bench = BENCHMARKS[name]
+        settings = dict(unfold_depth=bench.unfold_depth, solver_depth=bench.solver_depth,
+                        max_nodes=bench.max_nodes)
+        settings.update(overrides)
+        run_pipeline(corpus_path(bench.spec), corpus_path(bench.program), bench.entry,
+                     out_dir=tmp_path / str(i), **settings)
+    spec = F.parse_spec(CHAIN + """
+    pred loose(x) == (emp & true) \\/ (exists u, w, v . w -> N(v, null) & x = u & u = w) ;
+    pred split(x, y) == emp & !(x = y & y = null) ;
+    pred same(x, y) == emp & x = y ;
+    """)
     rng = random.Random(11)
     for _ in range(60):
         try:
             sat(F.parse_heap(_random_heap_text(rng)), spec, Budget(max_depth=4))
         except F.SortError:
             continue  # randomly ill-sorted mixtures are fine to reject
-    assert sum(inc for _, inc, _ in checks) > 10
+    for query in [
+        "chain(p) & p = r",    # the base case sorts p and r nullref instead of N
+        "loose(a) & a != b",   # the second disjunct sorts a and b as N
+        "split(p, q) & true",  # the body !(p = q & q = null) has two cubes
+        "same(a, b) & true",   # the body a = b equates two unsorted variables
+    ]:
+        sat(F.parse_heap(query), spec, Budget(max_depth=3))
     assert [c for c in checks if c[1] != c[2]] == []
-
-
-@pytest.mark.parametrize("query", [
-    "chain(p) & p = r",    # the base case sorts p and r nullref instead of N
-    "loose(a) & a != b",   # the second disjunct sorts a and b as N
-    "split(p, q) & true",  # the body !(p = q & q = null) has two cubes
-    "same(a, b) & true",   # the body a = b equates two unsorted variables
-])
-def test_incremental_frontier_check_falls_back(query, monkeypatch):
-    spec = F.parse_spec(CHAIN + """
-    pred loose(x) == (emp & true) \\/ (exists u, w, v . w -> N(v, null) & x = u & u = w) ;
-    pred split(x, y) == emp & !(x = y & y = null) ;
-    pred same(x, y) == emp & x = y ;
-    """)
-    params = F.infer_sorts(spec)
-    d = F.parse_heap(query)
-    facts = S._extend(S._no_facts(), d, spec, params)
-    assert isinstance(facts, S._Facts)
-    assert None in [S._extend(facts, child, spec, params)
-                    for child in unfold_at(d, 0, spec)]
-    results = []
-    for mode in ("incremental", "scratch"):
-        if mode == "scratch":
-            monkeypatch.setattr(S, "_extend", lambda *args: None)
-        F.reset_names()
-        result = sat(d, spec, Budget(max_depth=3))
-        results.append((result.decision, str(result.model), result.stats))
-    assert results[0] == results[1]
+    assert sum(verdict for _, verdict, _ in checks) > 100
 
 
 # ------------------------------------------------------------------ sat
@@ -293,6 +273,31 @@ def test_sat_determinism(bst_spec):
     assert first.decision == second.decision
     assert F.alpha_equal(first.model.heap, second.model.heap)
     assert first.stats == second.stats
+
+
+def test_sat_unchanged_on_ambiguous_predicate():
+    # Two disjuncts derive the same heap, so one round's children repeat;
+    # the frontier keeps them in order and the first one decides.
+    spec = F.parse_spec(CHAIN.replace("chain", "twice").replace(
+        "(emp & x = null)", "(emp & x = null) \\/ (emp & x = null)", 1))
+    results = []
+    for query in ["twice(p) & p != null",
+                  "twice(p) * twice(q) & p != null & q != null",
+                  "twice(p) & p != null & p = q & q = null"]:
+        F.reset_names()
+        result = sat(heap(query), spec, Budget(max_depth=5))
+        results.append((result.decision, result.model and str(result.model)))
+    assert results == [("sat", "p -> N(v1, n1) & n1 = null & v1 = 0"),
+                       ("sat", "p -> N(v1, n1) * q -> N(v2, n2) & n1 = null & n2 = null"
+                               " & v1 = 0 & v2 = 0"),
+                       ("unsat", None)]
+
+
+def test_sat_long_conjunction_needs_no_deep_recursion():
+    # A long path condition is a conjunction of 1,500 literals; DNF
+    # conversion must not recurse once per conjunct.
+    d = heap("emp & " + " & ".join(f"x{i % 20} <= {100 + i}" for i in range(1500)))
+    assert sat(d, EMPTY_SPEC).is_sat
 
 
 def test_unconstrained_reference_prefers_null(bst_spec):

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from slc import formulas as F
 from slc import solver as S
 from slc import testgen as T

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from slc import formulas as F
 from slc import solver as S
 from slc import testgen as T
@@ -164,7 +166,9 @@ def _random_heap_text(rng):
     return " * ".join(atoms) + " & " + (" & ".join(lits) or "true")
 
 
-def test_frontier_check_matches_saturate_definition(monkeypatch, tmp_path):
+def record_checks(monkeypatch):
+    """Every heap that sat checks, with the check's verdict and the
+    saturate/_propagated definition's."""
     checks = []
     check = S._pure_contradictory
 
@@ -174,35 +178,76 @@ def test_frontier_check_matches_saturate_definition(monkeypatch, tmp_path):
         return verdict
 
     monkeypatch.setattr(S, "_pure_contradictory", recorded)
-    runs = [(name, {}) for name in ["sll", "dll", "stack", "bst", "tll", "sortedlist"]]
-    runs.append(("tll", {"spec_only": True, "unfold_depth": 4}))
-    for i, (name, overrides) in enumerate(runs):
-        bench = BENCHMARKS[name]
-        settings = dict(unfold_depth=bench.unfold_depth, solver_depth=bench.solver_depth,
-                        max_nodes=bench.max_nodes)
-        settings.update(overrides)
-        run_pipeline(corpus_path(bench.spec), corpus_path(bench.program), bench.entry,
-                     out_dir=tmp_path / str(i), **settings)
-    spec = F.parse_spec(CHAIN + """
-    pred loose(x) == (emp & true) \\/ (exists u, w, v . w -> N(v, null) & x = u & u = w) ;
-    pred split(x, y) == emp & !(x = y & y = null) ;
-    pred same(x, y) == emp & x = y ;
-    """)
+    return checks
+
+
+def run_benchmark(name, out_dir, **overrides):
+    bench = BENCHMARKS[name]
+    settings = dict(unfold_depth=bench.unfold_depth, solver_depth=bench.solver_depth,
+                    max_nodes=bench.max_nodes)
+    settings.update(overrides)
+    run_pipeline(corpus_path(bench.spec), corpus_path(bench.program), bench.entry,
+                 out_dir=out_dir, **settings)
+
+
+# The frontier check was once incremental, extending each parent's facts;
+# these tests keep their names and hold the stateless check to the
+# from-scratch definition on the same inputs.
+
+
+@pytest.mark.parametrize("name", ["sll", "dll", "stack", "bst", "tll", "sortedlist"])
+def test_incremental_frontier_check_matches_scratch_on_corpus(name, monkeypatch, tmp_path):
+    checks = record_checks(monkeypatch)
+    run_benchmark(name, tmp_path)
+    assert checks
+    assert [c for c in checks if c[1] != c[2]] == []
+
+
+def test_frontier_check_matches_saturate_definition(monkeypatch, tmp_path):
+    # Spec-only generation at a deeper unfolding reaches far more heaps.
+    checks = record_checks(monkeypatch)
+    run_benchmark("tll", tmp_path, spec_only=True, unfold_depth=4)
+    assert len(checks) > 1000
+    assert [c for c in checks if c[1] != c[2]] == []
+
+
+def test_incremental_frontier_check_matches_scratch_on_random_heaps(monkeypatch):
+    spec = F.parse_spec(CHAIN)
+    checks = record_checks(monkeypatch)
     rng = random.Random(11)
     for _ in range(60):
         try:
             sat(F.parse_heap(_random_heap_text(rng)), spec, Budget(max_depth=4))
         except F.SortError:
             continue  # randomly ill-sorted mixtures are fine to reject
-    for query in [
-        "chain(p) & p = r",    # the base case sorts p and r nullref instead of N
-        "loose(a) & a != b",   # the second disjunct sorts a and b as N
-        "split(p, q) & true",  # the body !(p = q & q = null) has two cubes
-        "same(a, b) & true",   # the body a = b equates two unsorted variables
-    ]:
-        sat(F.parse_heap(query), spec, Budget(max_depth=3))
+    assert sum(verdict for _, verdict, _ in checks) > 10
     assert [c for c in checks if c[1] != c[2]] == []
-    assert sum(verdict for _, verdict, _ in checks) > 100
+
+
+@pytest.mark.parametrize("query", [
+    "chain(p) & p = r",    # the base case sorts p and r nullref instead of N
+    "loose(a) & a != b",   # the second disjunct sorts a and b as N
+    "split(p, q) & true",  # the body !(p = q & q = null) has two cubes
+    "same(a, b) & true",   # the body a = b equates two unsorted variables
+])
+def test_incremental_frontier_check_falls_back(query, monkeypatch):
+    spec = F.parse_spec(CHAIN + """
+    pred loose(x) == (emp & true) \\/ (exists u, w, v . w -> N(v, null) & x = u & u = w) ;
+    pred split(x, y) == emp & !(x = y & y = null) ;
+    pred same(x, y) == emp & x = y ;
+    """)
+    d = F.parse_heap(query)
+    checks = record_checks(monkeypatch)
+    results = []
+    for mode in ("check", "definition"):
+        if mode == "definition":
+            monkeypatch.setattr(S, "_pure_contradictory", saturate_definition)
+        F.reset_names()
+        result = sat(d, spec, Budget(max_depth=3))
+        results.append((result.decision, str(result.model), result.stats))
+    assert checks
+    assert [c for c in checks if c[1] != c[2]] == []
+    assert results[0] == results[1]
 
 
 # ------------------------------------------------------------------ sat

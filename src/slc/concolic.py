@@ -175,7 +175,7 @@ class PathCondition:
             pc = self.rename(var, old)
             arg_names = [old if a == var else a for a in arg_names]
         atom = PointsTo(var, type_name, tuple(Var(a) for a in arg_names))
-        heaps = tuple(SymbolicHeap(d.exists, F.sep(d.atoms() + [atom]), d.pure)
+        heaps = tuple(SymbolicHeap(d.exists, d.atoms + (atom,), d.pure)
                       for d in pc.heaps)
         return PathCondition(heaps, pc.atoms)
 
@@ -337,7 +337,7 @@ def _slot(var: str, fieldname: str, slot_map: dict[tuple[str, str], ArithTerm],
     for head, fname in slot_map:
         if fname == fieldname and aliases.aliased(head, var):
             return head, fname
-    for idx, atom in enumerate(d.atoms()):
+    for idx, atom in enumerate(d.atoms):
         if isinstance(atom, PredInst):
             for arg in atom.args:
                 if isinstance(arg, Var) and aliases.aliased(arg.name, var):
@@ -396,7 +396,7 @@ def _preprocess_heap(d: SymbolicHeap, atoms: Sequence[PCAtom], defs: SpecFile,
             return out
         except ConversionError as err:
             raise Unresolvable(str(err)) from None
-    return [SymbolicHeap(d.exists, d.spatial, F.conj([d.pure, *new_pure]))]
+    return [SymbolicHeap(d.exists, d.atoms, F.conj([d.pure, *new_pure]))]
 
 
 def preprocess(delta: PathCondition, defs: SpecFile,

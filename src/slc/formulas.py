@@ -10,6 +10,15 @@ named procedure preconditions.
 
 Design notes:
 
+* A symbolic heap is flat: its spatial part is a tuple of points-to and
+  predicate-instance atoms (``emp`` is the empty tuple) and its pure part
+  a tuple of conjuncts (``true`` is the empty tuple), none of them itself
+  a conjunction or ``true``. The parser builds this shape and the printer
+  reads it, so the two separating-conjunction laws need no rewriting
+  step: ``(k1 & p1) * (k2 & p2)`` is the concatenation of the atom and
+  conjunct tuples, and ``(ex w . D1) * (ex v . D2)`` concatenates the
+  binders once ``v`` is fresh, which freshening before substitution
+  guarantees (see ``unfold.unfold_at``).
 * The pure fragment is kept minimal: atoms are ``=`` and ``<=`` only, and
   the surface comparisons ``<``, ``>``, ``>=``, ``!=`` are desugared at
   parse time (``a < b`` becomes ``!(b <= a)`` and so on). Printing re-sugars
@@ -116,10 +125,16 @@ PureFormula = Union[TruePure, Atom, Not, And]
 TRUE = TruePure()
 
 
-def conjuncts(pure: PureFormula) -> list[PureFormula]:
-    """Flatten nested conjunctions left to right, dropping redundant
-    ``true``. Iterative, so the deep left-nested chains ``conj`` builds
-    cost no recursion."""
+Conjunction = tuple[PureFormula, ...]  # a heap's flat pure part
+
+
+def conjuncts(pure: PureFormula | Conjunction) -> list[PureFormula]:
+    """The conjuncts of ``pure`` left to right: a heap's flat pure tuple as
+    it is, any other formula with its conjunctions flattened and redundant
+    ``true`` dropped. Iterative, so a long parenthesized conjunction costs
+    no recursion."""
+    if isinstance(pure, tuple):
+        return list(pure)
     if not isinstance(pure, And):
         return [] if isinstance(pure, TruePure) else [pure]
     out: list[PureFormula] = []
@@ -134,38 +149,14 @@ def conjuncts(pure: PureFormula) -> list[PureFormula]:
     return out
 
 
-def conj(parts: Iterable[PureFormula]) -> PureFormula:
-    """The left-nested conjunction of the conjuncts of ``parts``. A first
-    part already of that shape is shared, not rebuilt, so an unfolded
-    child's pure part extends its parent's."""
-    out: PureFormula = TRUE
-    for part in parts:
-        if isinstance(out, TruePure) and _is_chain(part):
-            out = part
-            continue
-        for c in conjuncts(part):
-            out = c if isinstance(out, TruePure) else And(out, c)
-    return out
-
-
-def _is_chain(pure: PureFormula) -> bool:
-    """Whether ``pure`` is a conjunct or a left-nested conjunction of them,
-    none of them ``true`` or a conjunction."""
-    while isinstance(pure, And):
-        if isinstance(pure.right, (And, TruePure)):
-            return False
-        pure = pure.left
-    return not isinstance(pure, TruePure)
+def conj(parts: Iterable[PureFormula | Conjunction]) -> Conjunction:
+    """The flat conjunct tuple of ``parts``, each a formula or a tuple."""
+    return tuple(c for part in parts for c in conjuncts(part))
 
 
 # =====================================================================
 # Spatial formulas
 # =====================================================================
-
-
-@dataclass(frozen=True)
-class Emp:
-    pass
 
 
 @dataclass(frozen=True)
@@ -181,32 +172,7 @@ class PredInst:
     args: tuple[ArithTerm, ...]
 
 
-@dataclass(frozen=True)
-class SepConj:
-    left: "SpatialFormula"
-    right: "SpatialFormula"
-
-
-SpatialFormula = Union[Emp, PointsTo, PredInst, SepConj]
-
-EMP = Emp()
 SpatialAtom = Union[PointsTo, PredInst]
-
-
-def spatial_atoms(spatial: SpatialFormula) -> list[SpatialAtom]:
-    """Flatten a spatial formula into its atom list (``emp`` vanishes)."""
-    if isinstance(spatial, Emp):
-        return []
-    if isinstance(spatial, (PointsTo, PredInst)):
-        return [spatial]
-    return spatial_atoms(spatial.left) + spatial_atoms(spatial.right)
-
-
-def sep(atoms: Iterable[SpatialAtom]) -> SpatialFormula:
-    out: SpatialFormula = EMP
-    for atom in atoms:
-        out = atom if isinstance(out, Emp) else SepConj(out, atom)
-    return out
 
 
 # =====================================================================
@@ -216,21 +182,21 @@ def sep(atoms: Iterable[SpatialAtom]) -> SpatialFormula:
 
 @dataclass(frozen=True)
 class SymbolicHeap:
-    exists: tuple[str, ...]
-    spatial: SpatialFormula
-    pure: PureFormula
+    """``exists`` binders over the separating conjunction of ``atoms`` and
+    the conjunction of ``pure`` (see the module notes)."""
 
-    def atoms(self) -> list[SpatialAtom]:
-        return spatial_atoms(self.spatial)
+    exists: tuple[str, ...]
+    atoms: tuple[SpatialAtom, ...]
+    pure: Conjunction
 
     def points_tos(self) -> list[PointsTo]:
-        return [a for a in self.atoms() if isinstance(a, PointsTo)]
+        return [a for a in self.atoms if isinstance(a, PointsTo)]
 
     def instances(self) -> list[PredInst]:
-        return [a for a in self.atoms() if isinstance(a, PredInst)]
+        return [a for a in self.atoms if isinstance(a, PredInst)]
 
     def is_base(self) -> bool:
-        return not self.instances()
+        return not any(isinstance(a, PredInst) for a in self.atoms)
 
 
 @dataclass(frozen=True)
@@ -351,18 +317,16 @@ def pure_vars(pure: PureFormula) -> set[str]:
     return set()
 
 
-def spatial_vars(spatial: SpatialFormula) -> set[str]:
+def heap_vars(d: SymbolicHeap) -> set[str]:
     out: set[str] = set()
-    for atom in spatial_atoms(spatial):
+    for atom in d.atoms:
         if isinstance(atom, PointsTo):
             out.add(atom.var)
         for arg in atom.args:
             out |= term_vars(arg)
+    for c in d.pure:
+        out |= pure_vars(c)
     return out
-
-
-def heap_vars(d: SymbolicHeap) -> set[str]:
-    return spatial_vars(d.spatial) | pure_vars(d.pure)
 
 
 def free_vars(d: SymbolicHeap) -> set[str]:
@@ -413,7 +377,10 @@ def subst_term(term: ArithTerm, binding: Mapping[str, ArithTerm]) -> ArithTerm:
     return term
 
 
-def subst_pure(pure: PureFormula, binding: Mapping[str, ArithTerm]) -> PureFormula:
+def subst_pure(pure: PureFormula | Conjunction,
+               binding: Mapping[str, ArithTerm]) -> PureFormula | Conjunction:
+    if isinstance(pure, tuple):
+        return tuple(subst_pure(c, binding) for c in pure)
     if isinstance(pure, Atom):
         return Atom(pure.op, subst_term(pure.left, binding), subst_term(pure.right, binding))
     if isinstance(pure, Not):
@@ -423,7 +390,8 @@ def subst_pure(pure: PureFormula, binding: Mapping[str, ArithTerm]) -> PureFormu
     return pure
 
 
-def subst_spatial(spatial: SpatialFormula, binding: Mapping[str, ArithTerm]) -> SpatialFormula:
+def subst_spatial(atoms: tuple[SpatialAtom, ...],
+                  binding: Mapping[str, ArithTerm]) -> tuple[SpatialAtom, ...]:
     def sub_atom(atom: SpatialAtom) -> SpatialAtom:
         args = tuple(subst_term(a, binding) for a in atom.args)
         if isinstance(atom, PointsTo):
@@ -436,8 +404,7 @@ def subst_spatial(spatial: SpatialFormula, binding: Mapping[str, ArithTerm]) -> 
             return PointsTo(head.name, atom.type_name, args)
         return PredInst(atom.pred, args)
 
-    atoms = spatial_atoms(spatial)
-    return sep(sub_atom(a) for a in atoms) if atoms else EMP
+    return tuple(sub_atom(a) for a in atoms)
 
 
 def substitute(d: SymbolicHeap, binding: Mapping[str, ArithTerm]) -> SymbolicHeap:
@@ -460,10 +427,10 @@ def substitute(d: SymbolicHeap, binding: Mapping[str, ArithTerm]) -> SymbolicHea
         renames = {v: Var(fresh_var(v)) for v in d.exists if v in capture}
         d = SymbolicHeap(
             tuple(renames[v].name if v in renames else v for v in d.exists),
-            subst_spatial(d.spatial, renames),
+            subst_spatial(d.atoms, renames),
             subst_pure(d.pure, renames),
         )
-    return SymbolicHeap(d.exists, subst_spatial(d.spatial, binding),
+    return SymbolicHeap(d.exists, subst_spatial(d.atoms, binding),
                         subst_pure(d.pure, binding))
 
 
@@ -473,50 +440,8 @@ def freshen_heap(d: SymbolicHeap) -> SymbolicHeap:
         return d
     renames = {v: Var(fresh_var(v)) for v in d.exists}
     return SymbolicHeap(tuple(r.name for r in renames.values()),
-                        subst_spatial(d.spatial, renames),
+                        subst_spatial(d.atoms, renames),
                         subst_pure(d.pure, renames))
-
-
-# =====================================================================
-# Normalization
-# =====================================================================
-#
-# Raw formulas arise when a predicate body (a disjunction) is spliced into
-# a heap under a separating conjunction. Two rewrite axioms bring the
-# result back into the grammar:
-#
-#   (k1 ^ p1) * (k2 ^ p2)        ==  (k1 * k2) ^ (p1 ^ p2)
-#   (ex w. D1) * (ex v. D2)      ==  ex w, v'. (D1 * D2[v'/v])
-#
-# together with dropping of emp units. Unfolding splices one disjunct at a
-# time, so a raw formula never contains a disjunction.
-
-
-@dataclass(frozen=True)
-class RawSep:
-    left: "RawFormula"
-    right: "RawFormula"
-
-
-RawFormula = Union[SymbolicHeap, RawSep]
-
-
-def sep_heaps(a: SymbolicHeap, b: SymbolicHeap) -> SymbolicHeap:
-    """Separating conjunction of two symbolic heaps, axioms 1 and 2."""
-    if set(b.exists) & (free_vars(a) | set(a.exists) | free_vars(b)):
-        b = freshen_heap(b)
-    return SymbolicHeap(
-        a.exists + b.exists,
-        sep(spatial_atoms(a.spatial) + spatial_atoms(b.spatial)),
-        conj([a.pure, b.pure]),
-    )
-
-
-def normalize(raw: RawFormula) -> list[SymbolicHeap]:
-    """Flatten a raw composition into grammar-conformant symbolic heaps."""
-    if isinstance(raw, SymbolicHeap):
-        return [SymbolicHeap(raw.exists, sep(raw.atoms()), conj([raw.pure]))]
-    return [sep_heaps(x, y) for x in normalize(raw.left) for y in normalize(raw.right)]
 
 
 # =====================================================================
@@ -548,8 +473,8 @@ def canonical_heap(d: SymbolicHeap) -> SymbolicHeap:
     or conjunct order map to equal canonical forms.
     """
     bound = set(d.exists)
-    pts = [a for a in d.atoms() if isinstance(a, PointsTo)]
-    insts = [a for a in d.atoms() if isinstance(a, PredInst)]
+    pts = d.points_tos()
+    insts = d.instances()
 
     def atom_key(atom: SpatialAtom) -> str:
         if isinstance(atom, PointsTo):
@@ -582,16 +507,14 @@ def canonical_heap(d: SymbolicHeap) -> SymbolicHeap:
             visit(Var(atom.var))
         for arg in atom.args:
             visit(arg)
-    for c in conjuncts(d.pure):
+    for c in d.pure:
         for v in sorted(pure_vars(c)):
             if v in bound and v not in renames:
                 renames[v] = Var(f".b{next(counter)}")
 
-    spatial = subst_spatial(sep(atoms), renames)
-    pure_parts = sorted((subst_pure(c, renames) for c in conjuncts(d.pure)),
-                        key=print_pure)
     return SymbolicHeap(tuple(r.name for r in renames.values()),
-                        spatial, conj(pure_parts))
+                        subst_spatial(atoms, renames),
+                        tuple(sorted(subst_pure(d.pure, renames), key=print_pure)))
 
 
 def alpha_equal(a: SymbolicHeap, b: SymbolicHeap) -> bool:
@@ -652,23 +575,18 @@ def print_pure(pure: PureFormula) -> str:
     return f"{print_pure(pure.left)} & {print_pure(pure.right)}"
 
 
-def print_spatial(spatial: SpatialFormula) -> str:
-    atoms = spatial_atoms(spatial)
-    if not atoms:
-        return "emp"
+def print_heap(d: SymbolicHeap) -> str:
+    prefix = f"exists {', '.join(d.exists)} . " if d.exists else ""
     parts = []
-    for atom in atoms:
+    for atom in d.atoms:
         args = ", ".join(print_term(a) for a in atom.args)
         if isinstance(atom, PointsTo):
             parts.append(f"{atom.var} -> {atom.type_name}({args})")
         else:
             parts.append(f"{atom.pred}({args})")
-    return " * ".join(parts)
-
-
-def print_heap(d: SymbolicHeap) -> str:
-    prefix = f"exists {', '.join(d.exists)} . " if d.exists else ""
-    return f"{prefix}{print_spatial(d.spatial)} & {print_pure(d.pure)}"
+    spatial = " * ".join(parts) or "emp"
+    pure = " & ".join(print_pure(c) for c in d.pure) or "true"
+    return f"{prefix}{spatial} & {pure}"
 
 
 # =====================================================================
@@ -843,7 +761,7 @@ def _parse_disjunct(ts: TokenStream) -> SymbolicHeap:
         chunk = _parse_disjunct_body(ts)
     if not chunk.atoms and not chunk.pures and not chunk.saw_emp:
         raise ts.error("empty disjunct")
-    return SymbolicHeap(tuple(chunk.exists), sep(chunk.atoms), conj(chunk.pures))
+    return SymbolicHeap(tuple(chunk.exists), tuple(chunk.atoms), conj(chunk.pures))
 
 
 def _parse_formula(ts: TokenStream) -> Formula:
@@ -913,6 +831,8 @@ def parse_spec(text: str) -> SpecFile:
                 raise ts.error(f"duplicate predicate definition {name!r}")
             if len(set(params)) != len(params):
                 raise ts.error(f"duplicate parameter in predicate {name!r}")
+            # An alpha-equal disjunct repeats its twin's unfoldings.
+            body = Formula(tuple(dedup_heaps(body.disjuncts)))
             spec.preds[name] = PredDef(name, tuple(params), body)
         elif ts.at("pre"):
             ts.next()
@@ -945,7 +865,7 @@ def validate_spec(spec: SpecFile) -> None:
         unused = set(d.exists) - heap_vars(d)
         if unused:
             raise SpecError(f"{where}: bound variables never used: {sorted(unused)}")
-        for atom in d.atoms():
+        for atom in d.atoms:
             if isinstance(atom, PointsTo):
                 data = spec.datas.get(atom.type_name)
                 if data is None:
@@ -1028,8 +948,8 @@ def _term_known_sort(term: ArithTerm, env: dict[str, Sort]) -> Sort | None:
     return env.get(term.name)
 
 
-def heap_sort_pass(atoms: list[SpatialAtom], parts: list[PureFormula], spec: SpecFile,
-                   param_sorts: dict[str, tuple[Sort, ...]],
+def heap_sort_pass(atoms: Iterable[SpatialAtom], parts: Iterable[PureFormula],
+                   spec: SpecFile, param_sorts: dict[str, tuple[Sort, ...]],
                    env: dict[str, Sort], where: str) -> None:
     """One pass of sort constraints over a heap's spatial atoms and then
     its pure conjuncts."""
@@ -1072,7 +992,7 @@ def infer_sorts(spec: SpecFile) -> dict[str, tuple[Sort | None, ...]]:
         for name, pred in spec.preds.items():
             env: dict[str, Sort] = {}
             for i, d in enumerate(pred.body.disjuncts):
-                heap_sort_pass(d.atoms(), conjuncts(d.pure), spec, param_sorts, env,
+                heap_sort_pass(d.atoms, d.pure, spec, param_sorts, env,
                                f"pred {name}[{i}]")
             new = tuple(env.get(p) or param_sorts[name][i]
                         for i, p in enumerate(pred.params))
@@ -1090,11 +1010,10 @@ def heap_sorts(d: SymbolicHeap, spec: SpecFile,
     """Sorts for every variable of one heap, given the predicates'
     parameter sorts (``infer_sorts(spec)``). Unconstrained variables stay
     absent; solvers treat them as ints."""
-    atoms, parts = d.atoms(), conjuncts(d.pure)
     env: dict[str, Sort] = dict(seed or {})
     for _ in range(3):  # equalities may need a couple of passes to percolate
         before = dict(env)
-        heap_sort_pass(atoms, parts, spec, param_sorts, env, "heap")
+        heap_sort_pass(d.atoms, d.pure, spec, param_sorts, env, "heap")
         if env == before:  # a pass that changes nothing repeats
             break
     return env

@@ -100,10 +100,10 @@ class Lit:
     right: ArithTerm
 
 
-def _nnf_cubes(pure: PureFormula, positive: bool = True) -> list[list[Lit]]:
-    """Disjunctive normal form as a list of literal cubes. A conjunction is
-    folded over its flattened conjuncts, so the deep left-nested chains
-    ``conj`` builds cost no recursion."""
+def _nnf_cubes(pure: PureFormula | F.Conjunction, positive: bool = True) -> list[list[Lit]]:
+    """Disjunctive normal form as a list of literal cubes. A conjunction (an
+    ``And`` or a heap's conjunct tuple) is folded over its flattened
+    conjuncts, so a long one costs no recursion."""
     if isinstance(pure, F.TruePure):
         return [[]] if positive else []
     if isinstance(pure, Atom):
@@ -115,7 +115,7 @@ def _nnf_cubes(pure: PureFormula, positive: bool = True) -> list[list[Lit]]:
         return [[Lit("le", Add(pure.right, Const(1)), pure.left)]]
     if isinstance(pure, Not):
         return _nnf_cubes(pure.inner, not positive)
-    if isinstance(pure, F.And):
+    if isinstance(pure, (F.And, tuple)):
         parts = [_nnf_cubes(part, positive) for part in F.conjuncts(pure)]
         if not positive:
             return [cube for part in parts for cube in part]
@@ -134,6 +134,8 @@ def _term_is_loc(term: ArithTerm, sorts: dict[str, str]) -> bool | None:
     if isinstance(term, Null):
         return True
     if isinstance(term, (Const, Scale, Add, Neg)):
+        if any(sorts.get(v, "int") not in _SCALARS for v in F.term_vars(term)):
+            raise F.SortError("arithmetic over reference values")
         return False
     sort = sorts.get(term.name)
     if sort is None:
@@ -223,8 +225,8 @@ def alias_classes(eqs: Iterable[tuple[ArithTerm, ArithTerm]],
     return uf
 
 
-def pure_equalities(pure: PureFormula) -> list[tuple[ArithTerm, ArithTerm]]:
-    return [(c.left, c.right) for c in F.conjuncts(pure)
+def pure_equalities(pure: F.Conjunction) -> list[tuple[ArithTerm, ArithTerm]]:
+    return [(c.left, c.right) for c in pure
             if isinstance(c, Atom) and c.op == "="]
 
 
@@ -309,8 +311,10 @@ def _lin_of(lit: Lit) -> _Lin:
 _INF = None
 
 
-def _propagate(lins: list[_Lin], bounds: dict[str, list]) -> bool:
-    """Tighten variable intervals; False on a proven empty interval."""
+def _propagate(lins: list[_Lin], bounds: dict[str, list],
+               trail: list[tuple[str, int, int]] | None = None) -> bool:
+    """Tighten variable intervals; False on a proven empty interval. Each
+    change is first logged to ``trail``, if given, as (variable, lo, hi)."""
     for _ in range(4 * max(1, len(bounds)) + 8):
         changed = False
         for lin in lins:
@@ -339,11 +343,15 @@ def _propagate(lins: list[_Lin], bounds: dict[str, list]) -> bool:
                     if kk > 0:
                         limit = -rest // kk  # v <= floor(-rest / kk)
                         if hi is _INF or limit < hi:
+                            if trail is not None:
+                                trail.append((v, lo, hi))
                             bounds[v][1] = limit
                             changed = True
                     else:
                         limit = -((-rest) // (-kk))  # v >= ceil(rest / -kk)
                         if lo is _INF or limit > lo:
+                            if trail is not None:
+                                trail.append((v, lo, hi))
                             bounds[v][0] = limit
                             changed = True
             if not lin.coeffs:
@@ -387,40 +395,50 @@ def _search_ints(lins: list[_Lin], order: list[str], sorts: dict[str, str],
                  bounds: dict[str, list], budget: Budget,
                  stats: SolverStats) -> dict[str, int] | None:
     """Backtracking search for integer values within the propagated
-    ``bounds``, clamped to the finite domain of each variable."""
+    ``bounds``, clamped to the finite domain of each variable.
+
+    Depth-first over ``order``, each variable's values smallest first. A
+    loop over a stack of frames, one per assigned variable, replaces the
+    recursion, and one ``bounds`` map with a trail of changes, undone on
+    backtracking, replaces a copy per frame; so a long variable list costs
+    neither call depth nor quadratic memory."""
     for v in order:
         lo, hi = bounds[v]
         dlo, dhi = (0, 1) if sorts.get(v) == "bool" else (budget.int_min, budget.int_max)
         bounds[v] = [dlo if lo is _INF else max(lo, dlo),
                      dhi if hi is _INF else min(hi, dhi)]
-
-    def search(assign: dict[str, int], bnds: dict[str, list]) -> dict[str, int] | None:
+    stats.pure_nodes += 1
+    if not order:
+        return {}
+    assign: dict[str, int] = {}
+    trail: list[tuple[str, int, int]] = []
+    # A frame: the values its variable has left to try, and the trail
+    # length that restores the bounds the frame started from.
+    frames = [(iter(_value_order(*bounds[order[0]])), 0)]
+    while frames:
+        values, mark = frames[-1]
+        v = order[len(frames) - 1]
+        while len(trail) > mark:
+            w, lo, hi = trail.pop()
+            bounds[w] = [lo, hi]
+        value = next(values, None)
+        if value is None:
+            frames.pop()
+            assign.pop(v, None)
+            continue
+        assign[v] = value
+        if any(not _lit_holds(lin, got) for lin in lins
+               if (got := _lin_value(lin, assign)) is not None):
+            continue
+        trail.append((v, *bounds[v]))
+        bounds[v] = [value, value]
+        if not _propagate(lins, bounds, trail):
+            continue
         stats.pure_nodes += 1
-        if len(assign) == len(order):
+        if len(frames) == len(order):
             return dict(assign)
-        v = order[len(assign)]
-        lo, hi = bnds[v]
-        if lo > hi:
-            return None
-        for value in _value_order(lo, hi):
-            assign[v] = value
-            ok = True
-            for lin in lins:
-                got = _lin_value(lin, assign)
-                if got is not None and not _lit_holds(lin, got):
-                    ok = False
-                    break
-            if ok:
-                nxt = {w: list(b) for w, b in bnds.items()}
-                nxt[v] = [value, value]
-                if _propagate(lins, nxt):
-                    found = search(assign, nxt)
-                    if found is not None:
-                        return found
-            del assign[v]
-        return None
-
-    return search({}, bounds)
+        frames.append((iter(_value_order(*bounds[order[len(frames)]])), len(trail)))
+    return None
 
 
 # =====================================================================
@@ -553,7 +571,7 @@ def _propagated(cube: list[Lit], sorts: dict[str, str], universe: list[str] | No
 def _open_heap(d: SymbolicHeap) -> SymbolicHeap:
     """Drop the existential binder. A name is either bound or free in one
     heap, so the opened variables cannot clash with free ones."""
-    return SymbolicHeap((), d.spatial, d.pure) if d.exists else d
+    return SymbolicHeap((), d.atoms, d.pure) if d.exists else d
 
 
 def _try_base(d: SymbolicHeap, defs: SpecFile, param_sorts: dict, budget: Budget,
@@ -565,7 +583,7 @@ def _try_base(d: SymbolicHeap, defs: SpecFile, param_sorts: dict, budget: Budget
     if additions == CONTRADICTION:
         return None, False
     sorts = F.heap_sorts(opened, defs, param_sorts, seed=extra_sorts)
-    pure = F.conj([opened.pure, *additions])
+    pure = opened.pure + tuple(additions)
     order = _heap_var_order(opened)
     for v in universe_hint:
         if v not in order:
@@ -588,7 +606,7 @@ def _heap_var_order(d: SymbolicHeap) -> list[str]:
             if v not in order:
                 order.append(v)
 
-    for c in F.conjuncts(d.pure):
+    for c in d.pure:
         stack = [c]
         while stack:
             p = stack.pop()
@@ -600,7 +618,7 @@ def _heap_var_order(d: SymbolicHeap) -> list[str]:
             elif isinstance(p, F.And):
                 stack.append(p.right)
                 stack.append(p.left)
-    for atom in d.atoms():
+    for atom in d.atoms:
         if isinstance(atom, PointsTo):
             add_term(Var(atom.var))
         for a in atom.args:
@@ -631,7 +649,7 @@ def _assemble_model(opened: SymbolicHeap, solution: PureSolution,
             # Non-null class with no points-to: a fresh compatibly-typed
             # object; recorded as a self-alias for the input builder.
             parts.append(Atom("=", Var(v), Var(v)))
-    heap = SymbolicHeap((), F.sep(pts), F.conj(parts))
+    heap = SymbolicHeap((), tuple(pts), tuple(parts))
     return SymbolicModel(heap, dict(sorts))
 
 
@@ -749,7 +767,7 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
         for h in inductive:
             if time.monotonic() > deadline:
                 return SatResult("unknown", None, stats)
-            first = next(i for i, a in enumerate(h.atoms()) if isinstance(a, F.PredInst))
+            first = next(i for i, a in enumerate(h.atoms) if isinstance(a, F.PredInst))
             current.extend(child for child in unfold_at(h, first, defs)
                            if not _pure_contradictory(child, defs, param_sorts))
         if not current:
@@ -796,7 +814,7 @@ def concretize_model(m: SymbolicModel, defs: SpecFile):
         env[p.var] = addr
         store[addr] = HeapObject(addr, p.type_name, {})
     equalities: list[tuple[str, ArithTerm]] = []
-    for c in F.conjuncts(m.heap.pure):
+    for c in m.heap.pure:
         if not (isinstance(c, Atom) and c.op == "=" and isinstance(c.left, Var)):
             raise ModelError(f"model pure part is not a binding: {F.print_pure(c)}")
         equalities.append((c.left.name, c.right))

@@ -116,7 +116,7 @@ def to_unit_test(m: S.SymbolicModel, entry_params: Sequence[tuple[str, str]],
         env[p.var] = addr
         store[addr] = HeapObject(addr, p.type_name, {})
     equalities: list[tuple[str, ArithTerm]] = []
-    for c in F.conjuncts(m.heap.pure):
+    for c in m.heap.pure:
         if not (isinstance(c, Atom) and c.op == "=" and isinstance(c.left, Var)):
             raise ConstructionError(f"unexpected model conjunct {F.print_pure(c)}")
         v, t = c.left.name, c.right
@@ -261,10 +261,12 @@ def _int_candidates(store: Mapping[Addr, HeapObject], env: Mapping[str, object],
             scan_pure(p.left)
             scan_pure(p.right)
 
-    scan_pure(d.pure)
+    for p in d.pure:
+        scan_pure(p)
     for pred in defs.preds.values():
         for disjunct in pred.body.disjuncts:
-            scan_pure(disjunct.pure)
+            for p in disjunct.pure:
+                scan_pure(p)
     return sorted(pool)
 
 
@@ -293,16 +295,16 @@ def heap_satisfies(store: Mapping[Addr, HeapObject], env: Mapping[str, object],
         int_candidates = _int_candidates(store, env, d, defs)
     counter = itertools.count()
     binders = {v: f"{v}#{next(counter)}" for v in d.exists}
-    opened = SymbolicHeap((), F.subst_spatial(d.spatial, {v: Var(n) for v, n in binders.items()}),
-                          F.subst_pure(d.pure, {v: Var(n) for v, n in binders.items()}))
+    renames = {v: Var(n) for v, n in binders.items()}
+    atoms = F.subst_spatial(d.atoms, renames)
+    pure = F.subst_pure(d.pure, renames)
     fp = frozenset(store.keys())
     limit = 2 * len(store) + 16
-    for leftover, env2 in _match_atoms(opened.atoms(), 0, fp, dict(env), store,
+    for leftover, env2 in _match_atoms(atoms, 0, fp, dict(env), store,
                                        defs, counter, limit, list(int_candidates)):
         if leftover:
             continue
-        for _ in _satisfy_pure(list(F.conjuncts(opened.pure)), env2, store,
-                               list(int_candidates)):
+        for _ in _satisfy_pure(pure, env2, store, list(int_candidates)):
             return True
     return False
 
@@ -354,17 +356,15 @@ def _match_atoms(atoms, i, fp, env, store, defs, counter, depth,
         return
     for disjunct in pred.body.disjuncts:
         renames = {v: Var(f"{v}#{next(counter)}") for v in disjunct.exists}
-        body = SymbolicHeap((), F.subst_spatial(disjunct.spatial, renames),
+        body = SymbolicHeap((), F.subst_spatial(disjunct.atoms, renames),
                             F.subst_pure(disjunct.pure, renames))
         try:
             body = F.substitute(body, dict(zip(pred.params, atom.args)))
         except F.SubstitutionError:
             continue
-        inner_atoms = body.atoms()
-        for fp2, env2 in _match_atoms(inner_atoms, 0, fp, env, store, defs,
+        for fp2, env2 in _match_atoms(body.atoms, 0, fp, env, store, defs,
                                       counter, depth - 1, candidates):
-            for env3 in _satisfy_pure(list(F.conjuncts(body.pure)), env2, store,
-                                      candidates):
+            for env3 in _satisfy_pure(body.pure, env2, store, candidates):
                 yield from _match_atoms(atoms, i + 1, fp2, env3, store, defs,
                                         counter, depth, candidates)
 
@@ -428,7 +428,7 @@ def eval_pred(test: TestInput, inst: PredInst, defs: SpecFile,
     scope = dict(test.bindings)
     if env:
         scope.update(env)
-    d = SymbolicHeap((), inst, F.TRUE)
+    d = SymbolicHeap((), (inst,), ())
     return heap_satisfies(test.objects, scope, d, defs)
 
 
@@ -586,7 +586,7 @@ def oracle_enumerate(defs: SpecFile, inst: PredInst, max_objects: int,
     for store, roots in _enum_stores(defs, [sorts[i] for i, _ in ref_args],
                                      max_objects, scalar_domain):
         env = {name: roots[k] for k, (_, name) in enumerate(ref_args)}
-        d = SymbolicHeap((), inst, F.TRUE)
+        d = SymbolicHeap((), (inst,), ())
         if heap_satisfies(store, env, d, defs, int_candidates=list(scalar_domain)):
             out.append(TestInput(store, dict(env), provenance="oracle"))
     return out
@@ -600,10 +600,7 @@ def oracle_sat(d: SymbolicHeap, defs: SpecFile, max_objects: int,
     sorts = F.heap_sorts(d, defs, F.infer_sorts(defs))
     free = sorted(F.free_vars(d))
     ref_vars = [v for v in free if sorts.get(v) in defs.datas]
-    seed_types = [sorts[v] for v in ref_vars]
-    for atom in d.atoms():
-        if isinstance(atom, PointsTo):
-            seed_types.append(atom.type_name)
+    seed_types = [sorts[v] for v in ref_vars] + [p.type_name for p in d.points_tos()]
     types = _relevant_types(defs, seed_types)
     if not types and not d.points_tos():
         return heap_satisfies({}, {}, d, defs, int_candidates=list(scalar_domain))

@@ -1,50 +1,50 @@
 """Predicate unfolding.
 
 Unfolding replaces one inductive predicate instance by its definition body
-with the actual arguments substituted for the parameters, then normalizes,
-yielding one symbolic heap per disjunct of the definition. Unfolding a
-whole heap takes the union over its instances; a base heap (no instances)
-passes through unchanged. Every output heap entails its input, so models
-found below are models of the original formula.
+with the actual arguments substituted for the parameters, yielding one
+symbolic heap per disjunct of the definition. Unfolding a whole heap takes
+the union over its instances; a base heap (no instances) passes through
+unchanged. Every output heap entails its input, so models found below are
+models of the original formula.
 """
 
 from __future__ import annotations
 
 from .formulas import (
     PredInst,
-    RawSep,
     SpecFile,
     SymbolicHeap,
     dedup_heaps,
     freshen_heap,
-    normalize,
-    sep,
     substitute,
 )
 
 
 def unfold_at(d: SymbolicHeap, inst_index: int, defs: SpecFile) -> list[SymbolicHeap]:
-    """Unfold the instance at position ``inst_index`` of ``d``'s atom list."""
-    atoms = d.atoms()
-    inst = atoms[inst_index]
+    """Unfold the instance at position ``inst_index`` of ``d``'s atom list.
+
+    Each child is the separating conjunction of the context (``d`` without
+    the instance) and one freshened body: the context's atoms, conjuncts
+    and binders come first, the body's after them. The body's binders are
+    globally fresh, so they cannot clash with the context's names.
+    """
+    inst = d.atoms[inst_index]
     if not isinstance(inst, PredInst):
         raise ValueError(f"atom {inst_index} is not a predicate instance")
     pred = defs.preds[inst.pred]
-    context = SymbolicHeap(d.exists,
-                           sep(atoms[:inst_index] + atoms[inst_index + 1:]),
-                           d.pure)
+    context = d.atoms[:inst_index] + d.atoms[inst_index + 1:]
+    binding = dict(zip(pred.params, inst.args))
     out: list[SymbolicHeap] = []
     for disjunct in pred.body.disjuncts:
-        body = freshen_heap(disjunct)
-        body = substitute(body, dict(zip(pred.params, inst.args)))
-        out.extend(normalize(RawSep(context, body)))
+        body = substitute(freshen_heap(disjunct), binding)
+        out.append(SymbolicHeap(d.exists + body.exists, context + body.atoms,
+                                d.pure + body.pure))
     return out
 
 
 def unfold_all(d: SymbolicHeap, defs: SpecFile) -> list[SymbolicHeap]:
     """Unfold every instance of ``d`` independently; base heaps pass through."""
-    atoms = d.atoms()
-    indices = [i for i, a in enumerate(atoms) if isinstance(a, PredInst)]
+    indices = [i for i, a in enumerate(d.atoms) if isinstance(a, PredInst)]
     if not indices:
         return [d]
     out: list[SymbolicHeap] = []

@@ -3,10 +3,11 @@
 Each criterion asserts its stated tolerance and prints a PASS line
 (visible with ``pytest tests/test_acceptance.py -s``). Budgets are pinned
 here, not tuned at runtime. Criterion 8 re-runs the artifact-producing
-pipelines through the installed CLI in subprocesses and byte-compares
+pipelines through ``python -m slc.cli`` in subprocesses and byte-compares
 everything they write.
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -246,6 +247,17 @@ def _model_within_bounds(model, max_objects, lo, hi):
     return True
 
 
+def test_criterion_6_bound_filter_reads_model_bindings():
+    # The filter sees a model's scalar bindings; were they hidden from it,
+    # every model would pass as within bounds.
+    wide = S.Budget(int_min=-200, int_max=200)
+    far = S.sat(F.parse_heap("emp & x = 100"), F.SpecFile(), wide)
+    near = S.sat(F.parse_heap("emp & x = 1"), F.SpecFile(), wide)
+    assert far.is_sat and near.is_sat
+    assert not _model_within_bounds(far.model, 3, -4, 4)
+    assert _model_within_bounds(near.model, 3, -4, 4)
+
+
 def test_criterion_6_oracle_equivalence():
     with Timer(300.0) as timer:
         checked = sat_count = 0
@@ -318,7 +330,12 @@ def _cli(bench, out: Path):
             "--out", str(out)]
     if bench.name == "sortedlist":
         args.append("--spec-only")
-    proc = subprocess.run(args, capture_output=True, text=True)
+    # The subprocess runs the package these tests import, also when only
+    # pytest's ``pythonpath`` setting puts it on the path.
+    src = str(Path(F.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(args, capture_output=True, text=True, env=env)
     assert proc.returncode in (0, 2), proc.stderr
     return proc.returncode
 

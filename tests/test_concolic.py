@@ -216,7 +216,7 @@ def test_preprocess_without_field_forms_is_identity(bst_spec, bst_pre):
     out = preprocess(pc, bst_spec)
     assert len(out) == 1
     expected = F.SymbolicHeap(
-        pc.heaps[0].exists, pc.heaps[0].spatial,
+        pc.heaps[0].exists, pc.heaps[0].atoms,
         F.conj([pc.heaps[0].pure, F.Atom("=", F.Var("t"), F.Var("this_root"))]))
     assert F.alpha_equal(out[0], expected)
 

@@ -1,4 +1,5 @@
-"""Assertion-language AST, parser, substitution, and normalization."""
+"""Assertion-language AST, parser, substitution, and the separation laws
+unfolding applies."""
 
 import random
 
@@ -9,17 +10,16 @@ from slc.formulas import (
     Add,
     Atom,
     Const,
-    Emp,
     Neg,
     Not,
     Null,
     PredInst,
-    RawSep,
     Scale,
     SymbolicHeap,
     Var,
 )
 from slc.lexer import ParseError
+from slc.unfold import unfold_at
 
 
 def heap(text):
@@ -34,8 +34,8 @@ def test_parse_bst_definition(bst_spec):
     assert pred.params == ("root", "minE", "maxE")
     base, inductive = pred.body.disjuncts
     assert base.is_base()
-    assert base.spatial == Emp()
-    assert base.pure == Atom("=", Var("root"), Null())
+    assert base.atoms == ()
+    assert base.pure == (Atom("=", Var("root"), Null()),)
     assert not inductive.is_base()
     assert len(inductive.instances()) == 2
     assert [p.type_name for p in inductive.points_tos()] == ["BinaryNode"]
@@ -97,23 +97,19 @@ def test_comparison_desugaring():
 
 
 def test_conjuncts_flattens_long_chains_in_order():
-    # conj builds left-nested chains as long as a path condition.
+    # A conjunction as long as a path condition, flat or left-nested.
     parts = [Atom("=", Var(f"x{i}"), Const(i % 100)) for i in range(1500)]
+    assert F.conj(parts) == tuple(parts)
     assert F.conjuncts(F.conj(parts)) == parts
+    nested = parts[0]
+    for p in parts[1:]:
+        nested = F.And(nested, p)
+    assert F.conjuncts(nested) == parts
     a, b, c = parts[:3]
     assert F.conjuncts(F.And(F.And(a, F.TRUE), F.And(b, c))) == [a, b, c]
+    assert F.conj([(a,), F.And(F.TRUE, b), F.TRUE, c]) == (a, b, c)
     assert F.conjuncts(F.TRUE) == []
     assert F.conjuncts(a) == [a]
-
-
-def test_conj_shares_a_chain_it_extends():
-    a, b, c, d = (Atom("=", Var(x), Const(0)) for x in "abcd")
-    chain = F.conj([a, b, c])
-    longer = F.conj([chain, d])
-    assert longer.left is chain and F.conjuncts(longer) == [a, b, c, d]
-    # Any other shape is rebuilt as the left-nested chain.
-    assert F.conj([F.And(a, F.And(b, c)), d]) == longer
-    assert F.conj([F.And(F.TRUE, a), b]) == F.conj([a, b])
 
 
 def test_scaled_term_requires_constant_coefficient():
@@ -236,8 +232,8 @@ def test_substitution_free_var_homomorphism():
     for _ in range(100):
         vars_in = rng.sample(names, 3)
         d = SymbolicHeap(
-            (), F.sep([PredInst("p", tuple(Var(v) for v in vars_in))]),
-            Atom("<=", Var(vars_in[0]), Const(rng.randrange(5))))
+            (), (PredInst("p", tuple(Var(v) for v in vars_in)),),
+            (Atom("<=", Var(vars_in[0]), Const(rng.randrange(5))),))
         v = rng.choice(names)
         t = Var(rng.choice(names))
         out = F.substitute(d, {v: t})
@@ -247,37 +243,45 @@ def test_substitution_free_var_homomorphism():
         assert F.free_vars(out) == expected
 
 
-# --------------------------------------------------------- normalization
+# ------------------------------------------- separation laws in unfold_at
+#
+# Unfolding joins a context heap with a predicate body by the two laws
+#
+#   (k1 & p1) * (k2 & p2)        ==  (k1 * k2) & (p1 & p2)
+#   (ex w . D1) * (ex v . D2)    ==  ex w, v' . (D1 * D2[v'/v])
+#
+# Each test below puts the right-hand heap of a law in a one-disjunct
+# predicate ``q`` and unfolds ``q`` inside the left-hand one.
+
+
+def unfold_into(context, body, params=("x",), data="data C { int v; }"):
+    """``context * body`` by unfolding a predicate ``q(params) == body``,
+    which ``context`` holds as its last atom."""
+    spec = F.parse_spec(f"{data}\npred q({', '.join(params)}) == {body} ;")
+    d = F.parse_heap(context)
+    return unfold_at(d, len(d.atoms) - 1, spec), spec
 
 
 def test_normalize_axiom_one():
-    a = heap("emp & x = null")
-    b = heap("emp & y = null")
-    out = F.normalize(RawSep(a, b))
-    assert len(out) == 1
-    assert out[0] == heap("emp & x = null & y = null")
+    # Atoms and conjuncts: the context's first, then the body's, in order.
+    (out,), _ = unfold_into("y -> C(b) * q(x) & b = 0 & y != x",
+                            "x -> C(a) & a <= 2 & 0 <= a", params=("x", "a"))
+    assert out == heap("y -> C(b) * x -> C(a) & b = 0 & y != x & a <= 2 & 0 <= a")
 
 
 def test_normalize_axiom_two_renames_clash():
-    a = F.parse_heap("exists a . x -> C(a) & true")
-    b = F.parse_heap("exists a . y -> C(a) & a <= 0")
-    (out,) = F.normalize(RawSep(a, b))
-    assert len(out.exists) == 2
-    assert len(set(out.exists)) == 2
+    (out,), _ = unfold_into("exists a . x -> C(a) * q(y) & true",
+                            "exists a . y -> C(a) & a <= 0", params=("y",))
+    assert out.exists[0] == "a" and len(set(out.exists)) == 2
     pts = out.points_tos()
-    assert pts[0].args != pts[1].args  # second binder got a fresh name
+    assert pts[0].args != pts[1].args  # the body's binder got a fresh name
+    assert out.pure == (Atom("<=", Var(out.exists[1]), Const(0)),)
 
 
 def test_normalize_distributes_over_disjunction(bst_spec):
-    # Splicing the bst body into its use site seeds the two unfolding
-    # disjuncts; hand-application of both axioms gives the same heaps.
-    pred = bst_spec.preds["bst"]
-    context = heap("emp & true")
-    pieces = []
-    for d in pred.body.disjuncts:
-        body = F.substitute(F.freshen_heap(d), dict(
-            zip(pred.params, (Var("this_root"), Var("minE"), Var("maxE")))))
-        pieces.extend(F.normalize(RawSep(context, body)))
+    # Unfolding the bst instance of the precondition yields one heap per
+    # disjunct of the definition, each both laws applied by hand.
+    pieces = unfold_at(heap("bst(this_root, minE, maxE) & true"), 0, bst_spec)
     assert len(pieces) == 2
     assert F.alpha_equal(pieces[0], heap("emp & this_root = null"))
     expected = heap(
@@ -287,34 +291,36 @@ def test_normalize_distributes_over_disjunction(bst_spec):
 
 
 def test_normalize_freshening_preserves_witnesses():
-    # Any concrete valuation of the composed input extends to one of the
-    # normalized output, cross-checked with the brute-force oracle.
+    # A concrete valuation of the composition is one of the joined heap,
+    # cross-checked with the brute-force oracle.
     from slc import testgen as TG
 
-    spec = F.parse_spec("""
-    data C { int v; }
-    pred one(x) == exists a . x -> C(a) & a <= 2 ;
-    """)
-    left = F.parse_heap("exists a . x -> C(a) & a <= 2")
-    right = F.parse_heap("exists a . y -> C(a) & 0 <= a")
-    (merged,) = F.normalize(RawSep(left, right))
-    for d in (merged,):
-        assert TG.oracle_sat(d, spec, 3, range(-2, 3))
-    # witnesses transfer both ways on a concrete instance
+    (merged,), spec = unfold_into("exists a . x -> C(a) * q(y) & a <= 2",
+                                  "exists a . y -> C(a) & 0 <= a", params=("y",))
+    assert TG.oracle_sat(merged, spec, 3, range(-2, 3))
     a1, a2 = TG.Addr(1, "C"), TG.Addr(2, "C")
     store = {a1: TG.HeapObject(a1, "C", {"v": 1}),
              a2: TG.HeapObject(a2, "C", {"v": 0})}
-    env = {"x": a1, "y": a2}
-    assert TG.heap_satisfies(store, env, merged, spec)
+    assert TG.heap_satisfies(store, {"x": a1, "y": a2}, merged, spec)
+    store[a2] = TG.HeapObject(a2, "C", {"v": -1})  # violates the body's 0 <= a
+    assert not TG.heap_satisfies(store, {"x": a1, "y": a2}, merged, spec)
 
 
 def test_normalize_output_is_grammar_conformant():
-    a = F.parse_heap("exists q . x -> C(q) & q = null")
-    b = F.parse_heap("exists q . y -> C(q) & true")
-    for out in F.normalize(RawSep(RawSep(a, b), heap("emp & z <= 1"))):
-        assert len(set(out.exists)) == len(out.exists)
-        assert set(out.exists) <= F.heap_vars(out)
-        assert not isinstance(out.spatial, F.Emp) or not out.points_tos()
+    spec = F.parse_spec("""
+    data C { C v; }
+    pred q(x) == (emp & x = null) \\/ (exists q . x -> C(q) * q(q) & q = null) ;
+    """)
+    frontier = [heap("exists q . y -> C(q) * q(x) * q(q) & z <= 1")]
+    for _ in range(3):
+        frontier = [child for h in frontier for i, a in enumerate(h.atoms)
+                    if isinstance(a, PredInst) for child in unfold_at(h, i, spec)]
+        for out in frontier:
+            assert len(set(out.exists)) == len(out.exists)
+            assert set(out.exists) <= F.heap_vars(out)
+            assert all(isinstance(a, (F.PointsTo, PredInst)) for a in out.atoms)
+            assert all(not isinstance(c, (F.And, F.TruePure)) for c in out.pure)
+            assert F.parse_heap(F.print_heap(out)) == out
 
 
 # ----------------------------------------------------- alpha equivalence

@@ -319,8 +319,8 @@ def test_sat_determinism(bst_spec):
 
 
 def test_sat_unchanged_on_ambiguous_predicate():
-    # Two disjuncts derive the same heap, so one round's children repeat;
-    # the frontier keeps them in order and the first one decides.
+    # Two disjuncts derive the same heap; the spec keeps the first of them,
+    # and the decisions and models stay those of the repeated frontier.
     spec = F.parse_spec(CHAIN.replace("chain", "twice").replace(
         "(emp & x = null)", "(emp & x = null) \\/ (emp & x = null)", 1))
     results = []
@@ -341,6 +341,40 @@ def test_sat_long_conjunction_needs_no_deep_recursion():
     # conversion must not recurse once per conjunct.
     d = heap("emp & " + " & ".join(f"x{i % 20} <= {100 + i}" for i in range(1500)))
     assert sat(d, EMPTY_SPEC).is_sat
+
+
+def test_sat_many_integer_variables_need_no_deep_recursion():
+    # The integer search assigns 1,500 variables one level deeper each.
+    d = heap("emp & " + " & ".join(f"x{i} <= {i}" for i in range(1500)))
+    result = sat(d, EMPTY_SPEC)
+    assert result.is_sat
+    assert result.stats.pure_nodes == 1501
+
+
+def test_sat_alpha_equal_disjuncts_count_once():
+    # amb's two recursive disjuncts differ only in binder names; the spec
+    # keeps one, so the frontier does not double each round.
+    text = CHAIN.replace("chain", "amb").replace(
+        " ;", " \\/ (exists w, m . x -> N(w, m) * amb(m)) ;")
+    amb, plain = F.parse_spec(text), F.parse_spec(CHAIN.replace("chain", "amb"))
+    assert len(amb.preds["amb"].body.disjuncts) == 2
+    query = heap("amb(p) & 100 <= x")
+    got, want = sat(query, amb, Budget(max_depth=6)), sat(query, plain, Budget(max_depth=6))
+    assert (got.decision, got.stats.pure_nodes) == (want.decision, want.stats.pure_nodes)
+
+
+def test_sat_location_inside_arithmetic_is_a_sort_error():
+    # same(c, p) makes c a location; !(r = p & b <= c) puts it in c + 1 <= b.
+    spec = F.parse_spec(CHAIN + """
+    pred loose(x) == (emp & true) \\/ (exists v, n . x -> N(v, n) * loose(n)) ;
+    pred same(x, y) == (emp & x = y) ;
+    """)
+    query = heap("loose(p) * loose(p) * same(c, p) & p = r & !(r = p & b <= c) & !(r != null)")
+    try:
+        result = sat(query, spec)
+    except F.SortError:
+        return
+    assert result.decision in ("sat", "unsat", "unknown")
 
 
 def test_unconstrained_reference_prefers_null(bst_spec):
@@ -413,9 +447,9 @@ def test_sat_models_always_pass_model_check_fuzz():
     names = ["a", "b", "c"]
     for i in range(60):
         pure = _random_pure(rng, names)
-        spatial = F.sep([F.PredInst("chain", (Var(rng.choice(["p", "q"])),))]) \
-            if rng.random() < 0.5 else F.EMP
-        d = F.SymbolicHeap((), spatial, pure)
+        atoms = (F.PredInst("chain", (Var(rng.choice(["p", "q"])),)),) \
+            if rng.random() < 0.5 else ()
+        d = F.SymbolicHeap((), atoms, pure)
         try:
             result = sat(d, spec, Budget(max_depth=3))
         except F.SortError:

@@ -23,8 +23,10 @@ Design notes:
   the surface comparisons ``<``, ``>``, ``>=``, ``!=`` are desugared at
   parse time (``a < b`` becomes ``!(b <= a)`` and so on). Printing re-sugars
   the two negated shapes so round-trips stay readable.
-* Variables are untyped in assertions; ``infer_sorts`` recovers int/bool/
-  record sorts from the positions variables occupy and rejects clashes.
+* Variables are untyped in assertions; ``infer_sorts`` and ``heap_sorts``
+  recover int/bool/record sorts by unification: a union-find merges the
+  two sides of every variable equality, each class has one sort joined
+  from the positions its members occupy, and a clash is a ``SortError``.
 * All AST nodes are frozen dataclasses and may be shared freely.
 """
 
@@ -906,114 +908,156 @@ def validate_spec(spec: SpecFile) -> None:
 # Sort inference
 # =====================================================================
 
-Sort = str  # 'int' | 'bool' | record type name | 'nullref'
+Sort = str  # 'int' | 'bool' | record type name | 'nullref' | 'scalar'
+
+# A term compared only with null has sort 'nullref', one compared only with
+# an integer constant 'scalar': the weak sort of its kind, which refines to
+# a record type or to int or bool. A class left at 'scalar' reads as int.
+_SCALAR_SORTS = ("int", "bool", "scalar")
+_KIND = dict.fromkeys(_SCALAR_SORTS, "scalar")  # any other sort: 'nullref'
 
 
 class SortError(Exception):
     pass
 
 
-def _unify(env: dict[str, Sort], var: str, sort: Sort, where: str) -> None:
+class UnionFind:
+    """Classes of names, each represented by its earliest-added member."""
+
+    def __init__(self):
+        self.parent: dict[str, str] = {}
+        self.index: dict[str, int] = {}  # insertion order of each name
+
+    def find(self, x: str) -> str:
+        """The representative of ``x``'s class; adds ``x`` if it is new."""
+        parent = self.parent
+        if x not in parent:
+            parent[x] = x
+            self.index[x] = len(self.index)
+            return x
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a: str, b: str) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            # Deterministic: keep the earlier-added name as representative.
+            if self.index[ra] <= self.index[rb]:
+                self.parent[rb] = ra
+            else:
+                self.parent[ra] = rb
+
+
+def _use(env: dict[str, Sort], var: str, sort: Sort, where: str) -> None:
+    """Join ``sort`` into the sort of ``var`` in ``env``."""
     have = env.get(var)
-    if have is None or have == "nullref" and sort not in ("int", "bool"):
+    if have == sort:
+        return
+    if have is None or have == _KIND.get(sort, "nullref"):
         env[var] = sort
-        return
-    if have == sort or sort == "nullref" and have not in ("int", "bool"):
-        return
-    raise SortError(f"{where}: variable {var} used both as {have} and as {sort}")
+    elif sort != _KIND.get(have, "nullref"):
+        raise SortError(f"{where}: variable {var} used both as {have} and as {sort}")
 
 
-def _term_sort_constraints(term: ArithTerm, sort: Sort, env: dict[str, Sort],
-                           where: str) -> None:
+def _term_sort(term: ArithTerm) -> Sort | None:
+    """The sort a term has by its shape alone; None for a variable."""
+    return {Var: None, Null: "nullref", Const: "scalar"}.get(type(term), "int")
+
+
+def _constrain(env: dict[str, Sort], term: ArithTerm, sort: Sort, where: str) -> None:
+    """Use ``term`` in a position of sort ``sort``."""
     if isinstance(term, Var):
-        _unify(env, term.name, sort, where)
+        _use(env, term.name, sort, where)
     elif isinstance(term, (Scale, Add, Neg)):
-        if sort not in ("int",):
+        if sort not in ("int", "scalar"):
             raise SortError(f"{where}: arithmetic term in non-int position")
         for sub in ([term.term] if not isinstance(term, Add) else [term.left, term.right]):
-            _term_sort_constraints(sub, "int", env, where)
+            _constrain(env, sub, "int", where)
     elif isinstance(term, Null):
-        if sort in ("int", "bool"):
+        if sort in _SCALAR_SORTS:
             raise SortError(f"{where}: null in scalar position")
-    elif isinstance(term, Const):
-        if sort not in ("int", "bool"):
-            raise SortError(f"{where}: integer constant in reference position")
+    elif sort not in _SCALAR_SORTS:
+        raise SortError(f"{where}: integer constant in reference position")
 
 
-def _term_known_sort(term: ArithTerm, env: dict[str, Sort]) -> Sort | None:
-    if isinstance(term, (Const, Scale, Add, Neg)):
-        return "int"
-    if isinstance(term, Null):
-        return "nullref"
-    return env.get(term.name)
-
-
-def heap_sort_pass(atoms: Iterable[SpatialAtom], parts: Iterable[PureFormula],
-                   spec: SpecFile, param_sorts: dict[str, tuple[Sort, ...]],
-                   env: dict[str, Sort], where: str) -> None:
-    """One pass of sort constraints over a heap's spatial atoms and then
-    its pure conjuncts."""
-    for atom in atoms:
+def _sort_walk(env: dict[str, Sort], classes: UnionFind, d: SymbolicHeap, spec: SpecFile,
+               param_sorts: Mapping[str, tuple[Sort | None, ...]], where: str) -> None:
+    """Join into ``env`` the sorts of the positions ``d``'s variables
+    occupy, and merge in ``classes`` the two sides of every equality of
+    variables, both at any depth under ``!`` and ``&``."""
+    for atom in d.atoms:
         if isinstance(atom, PointsTo):
-            data = spec.datas[atom.type_name]
-            _unify(env, atom.var, atom.type_name, where)
-            for (fname, ftype), arg in zip(data.fields, atom.args):
-                _term_sort_constraints(arg, ftype, env, f"{where}.{fname}")
+            _use(env, atom.var, atom.type_name, where)
+            for (fname, ftype), arg in zip(spec.datas[atom.type_name].fields, atom.args):
+                _constrain(env, arg, ftype, f"{where}.{fname}")
         else:
-            sorts = param_sorts.get(atom.pred)
-            if sorts is None:
-                continue
-            for sort, arg in zip(sorts, atom.args):
+            for sort, arg in zip(param_sorts.get(atom.pred, ()), atom.args):
                 if sort is not None:
-                    _term_sort_constraints(arg, sort, env, where)
-    for c in parts:
-        while isinstance(c, Not):
-            c = c.inner
-        if isinstance(c, Atom):
-            if c.op == "<=":
-                _term_sort_constraints(c.left, "int", env, where)
-                _term_sort_constraints(c.right, "int", env, where)
-            else:
-                ls = _term_known_sort(c.left, env)
-                rs = _term_known_sort(c.right, env)
-                if ls is not None:
-                    _term_sort_constraints(c.right, ls, env, where)
-                elif rs is not None:
-                    _term_sort_constraints(c.left, rs, env, where)
+                    _constrain(env, arg, sort, where)
+    stack = list(d.pure)
+    while stack:
+        c = stack.pop()
+        if isinstance(c, Not):
+            stack.append(c.inner)
+        elif isinstance(c, And):
+            stack += (c.left, c.right)
+        elif isinstance(c, Atom) and c.op == "<=":
+            _constrain(env, c.left, "int", where)
+            _constrain(env, c.right, "int", where)
+        elif isinstance(c, Atom) and isinstance(c.left, Var) and isinstance(c.right, Var):
+            classes.union(c.left.name, c.right.name)
+        elif isinstance(c, Atom):
+            ls, rs = _term_sort(c.left), _term_sort(c.right)
+            _constrain(env, c.left, rs or ls, where)
+            _constrain(env, c.right, ls or rs, where)
+
+
+def _class_sorts(env: dict[str, Sort], classes: UnionFind, where: str) -> dict[str, Sort]:
+    """Each variable's sort: the join of the sorts in its class, with
+    'scalar' read as int. A variable whose class has none is absent."""
+    roots = {v: classes.find(v) for v in classes.parent}
+    joined: dict[str, Sort] = {}
+    for v, root in roots.items():
+        if v in env:
+            _use(joined, root, env[v], where)
+    for v, root in roots.items():
+        if root in joined:
+            env[v] = joined[root]
+    return {v: "int" if sort == "scalar" else sort for v, sort in env.items()}
 
 
 def infer_sorts(spec: SpecFile) -> dict[str, tuple[Sort | None, ...]]:
-    """Infer parameter sorts for every predicate by fixpoint iteration."""
+    """Parameter sorts of every predicate. Each predicate's disjuncts are
+    walked into one set of sort classes, given the parameter sorts found so
+    far, until no parameter sort changes."""
     param_sorts: dict[str, tuple[Sort | None, ...]] = {
-        name: tuple(None for _ in p.params) for name, p in spec.preds.items()
-    }
-    for _ in range(len(spec.preds) + 2):
-        changed = False
+        name: (None,) * len(p.params) for name, p in spec.preds.items()}
+    while True:
+        before = dict(param_sorts)
         for name, pred in spec.preds.items():
             env: dict[str, Sort] = {}
+            classes = UnionFind()
             for i, d in enumerate(pred.body.disjuncts):
-                heap_sort_pass(d.atoms, d.pure, spec, param_sorts, env,
-                               f"pred {name}[{i}]")
-            new = tuple(env.get(p) or param_sorts[name][i]
-                        for i, p in enumerate(pred.params))
-            if new != param_sorts[name]:
-                param_sorts[name] = new
-                changed = True
-        if not changed:
-            break
-    return param_sorts
+                _sort_walk(env, classes, d, spec, param_sorts, f"pred {name}[{i}]")
+            sorts = _class_sorts(env, classes, f"pred {name}")
+            param_sorts[name] = tuple(sorts.get(p) or old
+                                      for p, old in zip(pred.params, param_sorts[name]))
+        if param_sorts == before:
+            return param_sorts
 
 
 def heap_sorts(d: SymbolicHeap, spec: SpecFile,
                param_sorts: dict[str, tuple[Sort | None, ...]],
                seed: Mapping[str, Sort] | None = None) -> dict[str, Sort]:
-    """Sorts for every variable of one heap, given the predicates'
-    parameter sorts (``infer_sorts(spec)``). Unconstrained variables stay
-    absent; solvers treat them as ints."""
-    env: dict[str, Sort] = dict(seed or {})
-    for _ in range(3):  # equalities may need a couple of passes to percolate
-        before = dict(env)
-        heap_sort_pass(d.atoms, d.pure, spec, param_sorts, env, "heap")
-        if env == before:  # a pass that changes nothing repeats
-            break
-    return env
+    """Sorts for every variable of one heap and of ``seed``, given the
+    predicates' parameter sorts (``infer_sorts(spec)``), from one walk of
+    the heap, so they do not depend on the order of atoms or conjuncts.
+    Unconstrained variables stay absent; solvers treat them as ints."""
+    env = dict(seed or {})
+    classes = UnionFind()
+    _sort_walk(env, classes, d, spec, param_sorts, "heap")
+    return _class_sorts(env, classes, "heap")

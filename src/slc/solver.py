@@ -170,40 +170,11 @@ def _split_cube(cube: list[Lit], sorts: dict[str, str]) -> tuple[list[Lit], list
 NULL_KEY = "\x00null"
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[str, str] = {}
-        self.index: dict[str, int] = {}  # insertion order of each name
-
-    def add(self, x: str) -> None:
-        if x not in self.parent:
-            self.parent[x] = x
-            self.index[x] = len(self.index)
-
-    def find(self, x: str) -> str:
-        self.add(x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # Deterministic: keep the earlier-added name as representative.
-            if self.index[ra] <= self.index[rb]:
-                self.parent[rb] = ra
-            else:
-                self.parent[ra] = rb
-
-
 def _loc_key(term: ArithTerm) -> str:
     return NULL_KEY if isinstance(term, Null) else term.name
 
 
-def merge_alias(uf: _UnionFind, left: ArithTerm, right: ArithTerm) -> None:
+def merge_alias(uf: F.UnionFind, left: ArithTerm, right: ArithTerm) -> None:
     """Merge the classes of an equality between variables or null; an
     equality with any other term says nothing about aliasing."""
     if isinstance(left, (Var, Null)) and isinstance(right, (Var, Null)):
@@ -211,15 +182,15 @@ def merge_alias(uf: _UnionFind, left: ArithTerm, right: ArithTerm) -> None:
 
 
 def alias_classes(eqs: Iterable[tuple[ArithTerm, ArithTerm]],
-                  names: Iterable[str] = ()) -> _UnionFind:
+                  names: Iterable[str] = ()) -> F.UnionFind:
     """Alias classes of the equalities ``eqs`` (pairs of terms).
 
     Null and then ``names`` are added before any merge, so each class is
     represented by its earliest-added member.
     """
-    uf = _UnionFind()
+    uf = F.UnionFind()
     for name in (NULL_KEY, *names):
-        uf.add(name)
+        uf.find(name)
     for left, right in eqs:
         merge_alias(uf, left, right)
     return uf
@@ -455,12 +426,10 @@ def saturate(d: SymbolicHeap) -> list[PureFormula] | str:
     facts clash with the equalities already present. Predicate instances
     add nothing, since each may describe the empty heap.
     """
-    uf = alias_classes(pure_equalities(d.pure))
     heads = [p.var for p in d.points_tos()]
-    pairs = list(itertools.combinations(heads, 2))
-    if any(uf.find(h) == uf.find(NULL_KEY) for h in heads) \
-            or any(uf.find(a) == uf.find(b) for a, b in pairs):
+    if _separated_classes(heads, pure_equalities(d.pure)) is None:
         return CONTRADICTION
+    pairs = list(itertools.combinations(heads, 2))
     return [Not(Atom("=", Var(h), Null())) for h in heads] \
         + [Not(Atom("=", Var(a), Var(b))) for a, b in pairs]
 
@@ -582,7 +551,10 @@ def _try_base(d: SymbolicHeap, defs: SpecFile, param_sorts: dict, budget: Budget
     additions = saturate(opened)
     if additions == CONTRADICTION:
         return None, False
-    sorts = F.heap_sorts(opened, defs, param_sorts, seed=extra_sorts)
+    try:
+        sorts = F.heap_sorts(opened, defs, param_sorts, seed=extra_sorts)
+    except F.SortError:
+        return None, False
     pure = opened.pure + tuple(additions)
     order = _heap_var_order(opened)
     for v in universe_hint:
@@ -629,9 +601,9 @@ def _heap_var_order(d: SymbolicHeap) -> list[str]:
 def _assemble_model(opened: SymbolicHeap, solution: PureSolution,
                     sorts: dict[str, str], universe: list[str]) -> SymbolicModel:
     pts = opened.points_tos()
-    head_of_rep: dict[str, str] = {}
+    target: dict[str, str] = {}  # class representative -> the member others alias
     for p in pts:
-        head_of_rep.setdefault(solution.locs.rep.get(p.var, p.var), p.var)
+        target.setdefault(solution.locs.rep.get(p.var, p.var), p.var)
     parts: list[PureFormula] = []
     for v in universe:
         if v in solution.scalars:
@@ -643,76 +615,53 @@ def _assemble_model(opened: SymbolicHeap, solution: PureSolution,
             continue
         if rep in solution.locs.null_reps:
             parts.append(Atom("=", Var(v), Null()))
-        elif rep in head_of_rep and head_of_rep[rep] != v:
-            parts.append(Atom("=", Var(v), Var(head_of_rep[rep])))
-        elif rep not in head_of_rep:
+        elif rep in target and target[rep] != v:
+            parts.append(Atom("=", Var(v), Var(target[rep])))
+        elif rep not in target:
             # Non-null class with no points-to: a fresh compatibly-typed
-            # object; recorded as a self-alias for the input builder.
+            # object, recorded as a self-alias of the class's first member
+            # for the input builder; the other members alias that member.
+            target[rep] = v
             parts.append(Atom("=", Var(v), Var(v)))
     heap = SymbolicHeap((), tuple(pts), tuple(parts))
     return SymbolicModel(heap, dict(sorts))
 
 
-# Location classes as ``links``: each merged name maps to another name of
-# its class, and the representative of a class holding null or a points-to
-# head maps to itself (the class is marked). Any name not in ``links`` is a
-# class of its own.
-
-
-def _find(links: dict[str, str], x: str) -> str:
-    while x in links and links[x] != x:
-        x = links[x]
-    return x
-
-
-def _merge(links: dict[str, str], a: str, b: str) -> bool:
-    """Merge two classes; False when both are marked."""
-    ra, rb = _find(links, a), _find(links, b)
-    if ra != rb:
-        if ra in links and rb in links:
-            return False
-        if rb in links:
-            ra, rb = rb, ra
-        links[rb] = ra
-    return True
-
-
 def _separated_classes(heads: list[str], eqs: Iterable[tuple[ArithTerm, ArithTerm]],
-                       ) -> dict[str, str] | None:
-    """The classes of the var/null equalities ``eqs`` with null and each
-    points-to head marked, or None when a class gets two marks: separation
-    makes the heads non-null and pairwise distinct."""
-    links = {NULL_KEY: NULL_KEY}
-    for h in heads:
-        if h in links:
-            return None
-        links[h] = h
-    for left, right in eqs:
-        if isinstance(left, (Var, Null)) and isinstance(right, (Var, Null)) \
-                and not _merge(links, _loc_key(left), _loc_key(right)):
-            return None
-    return links
+                       ) -> F.UnionFind | None:
+    """The alias classes of ``eqs``, or None when null and the points-to
+    heads do not have pairwise distinct roots: separation makes the heads
+    non-null and pairwise distinct."""
+    uf = alias_classes(eqs)
+    roots = {uf.find(name) for name in (NULL_KEY, *heads)}
+    return uf if len(roots) == len(heads) + 1 else None
 
 
 def _pure_contradictory(d: SymbolicHeap, defs: SpecFile, param_sorts: dict) -> bool:
     """Domain-independent contradiction check for a frontier heap: whether
     ``saturate(d)`` is CONTRADICTION or ``_propagated`` fails on every DNF
-    cube of ``d``'s pure part with saturate's disequalities added, decided
-    from marked location classes instead of the pairwise disequalities. It
-    needs no integer search: one that failed would only say the finite
-    domain is too small, which does not make the heap contradictory."""
+    cube of ``d``'s pure part with saturate's disequalities added. It is
+    decided per cube from the alias classes of its location equalities,
+    where null and every points-to head must have distinct roots, instead
+    of the pairwise disequalities, and a sort clash makes the heap or the
+    cube contradictory. Saturate's own verdict needs no separate check:
+    sorts are exact, so each top-level equality that links a head or null
+    is a location literal of every cube. No integer search is run: one
+    that failed would only say the finite domain is too small, which does
+    not make the heap contradictory."""
     heads = [p.var for p in d.points_tos()]
-    if _separated_classes(heads, pure_equalities(d.pure)) is None:
+    try:
+        sorts = F.heap_sorts(d, defs, param_sorts)
+    except F.SortError:
         return True
-    sorts = F.heap_sorts(d, defs, param_sorts)
     for cube in _nnf_cubes(d.pure):
         try:
             locs, ints = _split_cube(cube, sorts)
         except F.SortError:
             continue
-        links = _separated_classes(heads, ((l.left, l.right) for l in locs if l.op == "eq"))
-        if links is None or any(_find(links, _loc_key(l.left)) == _find(links, _loc_key(l.right))
-                                for l in locs if l.op == "ne"):
+        uf = _separated_classes(heads, ((l.left, l.right) for l in locs if l.op == "eq"))
+        if uf is None or any(uf.find(_loc_key(l.left)) == uf.find(_loc_key(l.right))
+                             for l in locs if l.op == "ne"):
             continue
         # Every head has its data type as sort, so the heads add no integer
         # variable to the cube.

@@ -150,17 +150,18 @@ def to_unit_test(m: S.SymbolicModel, entry_params: Sequence[tuple[str, str]],
     for v, t in equalities:
         if v in env:
             continue
-        sort = m.sorts.get(v) or m.sorts.get(t.name)
-        if sort == "nullref":
-            sort = None
-        if sort is None or sort in ("int", "bool"):
-            raise ConstructionError(f"cannot pick a type for fresh object {v}")
-        data = defs.datas[sort]
-        addr = Addr(next(next_id), sort)
-        store[addr] = HeapObject(addr, sort,
-                                 {f: default_value(ft) for f, ft in data.fields})
-        env[v] = addr
-        env[t.name] = addr
+        if t.name not in env:
+            sort = m.sorts.get(v) or m.sorts.get(t.name)
+            if sort == "nullref":
+                sort = None
+            if sort is None or sort in ("int", "bool"):
+                raise ConstructionError(f"cannot pick a type for fresh object {v}")
+            data = defs.datas[sort]
+            addr = Addr(next(next_id), sort)
+            store[addr] = HeapObject(addr, sort,
+                                     {f: default_value(ft) for f, ft in data.fields})
+            env[t.name] = addr
+        env[v] = env[t.name]
 
     # Pass 3: field wiring.
     for p in m.heap.points_tos():

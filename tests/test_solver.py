@@ -1,6 +1,7 @@
 """Bounded heap satisfiability: saturation, pure solving, models."""
 
 import random
+import re
 
 import pytest
 
@@ -363,18 +364,18 @@ def test_sat_alpha_equal_disjuncts_count_once():
     assert (got.decision, got.stats.pure_nodes) == (want.decision, want.stats.pure_nodes)
 
 
+LOOSE = CHAIN + """
+pred loose(x) == (emp & true) \\/ (exists v, n . x -> N(v, n) * loose(n)) ;
+pred same(x, y) == (emp & x = y) ;
+"""
+
+
 def test_sat_location_inside_arithmetic_is_a_sort_error():
-    # same(c, p) makes c a location; !(r = p & b <= c) puts it in c + 1 <= b.
-    spec = F.parse_spec(CHAIN + """
-    pred loose(x) == (emp & true) \\/ (exists v, n . x -> N(v, n) * loose(n)) ;
-    pred same(x, y) == (emp & x = y) ;
-    """)
+    # same(c, p) makes c a location; !(r = p & b <= c) makes it an int.
+    spec = F.parse_spec(LOOSE)
     query = heap("loose(p) * loose(p) * same(c, p) & p = r & !(r = p & b <= c) & !(r != null)")
-    try:
-        result = sat(query, spec)
-    except F.SortError:
-        return
-    assert result.decision in ("sat", "unsat", "unknown")
+    # Every unfolding of same(c, p) clashes, and sat reads each as no model.
+    assert sat(query, spec).decision == "unsat"
 
 
 def test_unconstrained_reference_prefers_null(bst_spec):
@@ -384,17 +385,40 @@ def test_unconstrained_reference_prefers_null(bst_spec):
 
 
 def test_self_alias_for_headless_nonnull_class():
-    spec = F.parse_spec("data C { C next; }\npred p(x) == emp & x = null ;")
-    d = F.parse_heap("x -> C(y) & !(y = null)")
+    spec = F.parse_spec("data C { C next; }\ndata SNode { int v; SNode next; }\n"
+                        "pred p(x) == emp & x = null ;")
+    # The first member of the headless class keeps the self-alias; the
+    # others alias it, so the whole class denotes one object.
+    for text, data, first, others in [("x -> C(y) & !(y = null)", "C", "y", []),
+                                      ("x -> SNode(0, p) & p = b & p != null", "SNode", "p", ["b"])]:
+        d = F.parse_heap(text)
+        result = sat(d, spec)
+        assert result.is_sat
+        pure = list(F.conjuncts(result.model.heap.pure))
+        assert Atom("=", Var(first), Var(first)) in pure
+        assert all(Atom("=", Var(v), Var(first)) in pure for v in others)
+        # The oracle reads the self-alias as a dangling pointer...
+        assert model_check(result.model, d, spec)
+        # ...while the input builder materializes a compatibly-typed object.
+        params = [(v, data) for v in ["x", first, *others]]
+        test = T.to_unit_test(result.model, params, spec)
+        assert len(test.objects) == 2
+        assert test.bindings[first] in test.objects
+        assert all(test.bindings[v] == test.bindings[first] for v in others)
+
+
+def test_sorts_cross_any_number_of_equalities():
+    # Sorts once crossed at most three equalities per heap, so a0 stayed
+    # unsorted, was solved as an integer, and the model failed.
+    spec = F.parse_spec(corpus_path("sll.sl").read_text())
+    d = heap("a7 -> SNode(0, null) & " + " & ".join(f"a{i} = a{i + 1}" for i in range(7)))
     result = sat(d, spec)
     assert result.is_sat
-    assert Atom("=", Var("y"), Var("y")) in list(F.conjuncts(result.model.heap.pure))
-    # The oracle reads the self-alias as a dangling pointer...
     assert model_check(result.model, d, spec)
-    # ...while the input builder materializes a compatibly-typed object.
-    test = T.to_unit_test(result.model, [("x", "C"), ("y", "C")], spec)
-    assert len(test.objects) == 2
-    assert test.bindings["y"] in test.objects
+    params = F.infer_sorts(spec)
+    backward = F.SymbolicHeap((), d.atoms, d.pure[::-1])
+    assert F.heap_sorts(d, spec, params) == F.heap_sorts(backward, spec, params) \
+        == {f"a{i}": "SNode" for i in range(8)}
 
 
 # ------------------------------------------------------------ model_check
@@ -456,6 +480,29 @@ def test_sat_models_always_pass_model_check_fuzz():
             continue  # randomly ill-sorted mixtures are fine to reject
         if result.is_sat:
             assert model_check(result.model, d, spec), F.print_heap(d)
+
+
+def test_sat_models_pass_model_check_on_random_heaps():
+    # chain, loose and same instances over mixed location and integer
+    # literals, many of them ill-sorted once unfolded.
+    spec = F.parse_spec(LOOSE)
+    rng = random.Random(5)
+
+    def substitute(m):
+        x = m.group(1)
+        return rng.choice([f"chain({x})", f"loose({x})", f"same({rng.choice('abcpqr')}, {x})"])
+
+    models = 0
+    for _ in range(600):
+        d = heap(re.sub(r"chain\((\w+)\)", substitute, _random_heap_text(rng)))
+        try:
+            result = sat(d, spec, Budget(max_depth=4))
+        except F.SortError:
+            continue
+        if result.is_sat:
+            models += 1
+            assert model_check(result.model, d, spec), F.print_heap(d)
+    assert models > 300
 
 
 def test_solver_unsat_never_contradicts_oracle():

@@ -9,24 +9,30 @@ the then-child and its negation to the else-child, and the concretely
 taken side is flagged explored.
 
 Path conditions keep field reads (``v.f``) and field assignments
-(``v.f := e``) in their raw form; ``preprocess`` eliminates them before
+(``v.f := e``) in their raw form; field elimination removes them before
 solving by mapping points-to slots to their symbolic names, discarding
 branches whose base pointer is entailed null, and unfolding an inductive
 predicate when the pointer is only constrained by one, recursing over the
-results. The output heaps under-approximate the input condition, so any
-model of one drives execution down the intended path.
+results depth-first. ``field_free_heaps`` produces the resulting heaps on
+demand, one per pull; ``preprocess`` is the same heaps as a list. The
+output heaps under-approximate the input condition, so any model of one
+drives execution down the intended path.
 
-``explore`` repeatedly picks the shallowest unexplored node, preprocesses
-its path condition, solves, builds a new input from the model, and runs
-it, which flips the node's flag; unsatisfiable nodes are pruned and
-unknown ones parked permanently.
+``explore`` repeatedly picks the shallowest unexplored node and pulls its
+heaps one at a time: it solves each, builds a new input from the model
+and runs it, and stops pulling once the run flips the node's flag. A node
+that no heap covers is pruned only when every heap was proven to have no
+model. Otherwise it is parked as unresolved: when field elimination
+dropped a branch (unfolding budget or a term outside the solvable
+fragment), when ``sat`` answered unknown or unsat only within the finite
+integer domain (``SolverStats.bounded``), or when a model missed the node.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dfield
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from . import formulas as F
 from . import ir
@@ -293,8 +299,8 @@ def _term_to_expr(t: ArithTerm) -> Expr:
 
 
 class Unresolvable(Exception):
-    """Field elimination ran out of unfolding budget or left the solvable
-    fragment; the node is parked rather than pruned."""
+    """Field elimination dropped every branch: each ran out of unfolding
+    budget or left the solvable fragment."""
 
 
 class _Discard(Exception):
@@ -359,7 +365,7 @@ def _resolve_expr(e: Expr, slot_map: dict[tuple[str, str], ArithTerm],
 
 
 def _preprocess_heap(d: SymbolicHeap, atoms: Sequence[PCAtom], defs: SpecFile,
-                     budget: int) -> list[SymbolicHeap]:
+                     budget: int, drops: list[str]) -> Iterator[SymbolicHeap]:
     slot_map: dict[tuple[str, str], ArithTerm] = {}
     for p in d.points_tos():
         data = defs.datas[p.type_name]
@@ -367,8 +373,8 @@ def _preprocess_heap(d: SymbolicHeap, atoms: Sequence[PCAtom], defs: SpecFile,
             slot_map[(p.var, fname)] = arg
     aliases = _AliasInfo(d, atoms)
     new_pure: list[PureFormula] = []
-    for atom in atoms:
-        try:
+    try:
+        for atom in atoms:
             resolved = _resolve_expr(atom.expr, slot_map, aliases, d)
             if isinstance(atom, PCAssign):
                 key = _slot(atom.var, atom.fieldname, slot_map, aliases, d)
@@ -379,40 +385,44 @@ def _preprocess_heap(d: SymbolicHeap, atoms: Sequence[PCAtom], defs: SpecFile,
             else:
                 new_pure.append(expr_to_pure(resolved))
                 aliases.absorb(resolved)
-        except _Discard:
-            return []
-        except _NeedUnfold as need:
-            if budget <= 0:
-                raise Unresolvable("unfolding budget exhausted in preprocess")
-            out: list[SymbolicHeap] = []
-            unresolved = 0
-            for unfolded in unfold_at(d, need.inst_index, defs):
-                try:
-                    out.extend(_preprocess_heap(unfolded, atoms, defs, budget - 1))
-                except Unresolvable:
-                    unresolved += 1
-            if unresolved and not out:
-                raise Unresolvable("all unfolded branches unresolvable")
-            return out
-        except ConversionError as err:
-            raise Unresolvable(str(err)) from None
-    return [SymbolicHeap(d.exists, d.atoms, F.conj([d.pure, *new_pure]))]
+    except _Discard:
+        return
+    except _NeedUnfold as need:
+        index = need.inst_index
+    except ConversionError as err:
+        drops.append(str(err))
+        return
+    else:
+        yield SymbolicHeap(d.exists, d.atoms, F.conj([d.pure, *new_pure]))
+        return
+    if budget <= 0:
+        drops.append("unfolding budget exhausted in preprocess")
+        return
+    for unfolded in unfold_at(d, index, defs):
+        yield from _preprocess_heap(unfolded, atoms, defs, budget - 1, drops)
+
+
+def field_free_heaps(delta: PathCondition, defs: SpecFile, unfold_budget: int,
+                     drops: list[str]) -> Iterator[SymbolicHeap]:
+    """Field-access-free heaps covering the path condition, depth-first,
+    each built only when it is pulled. A branch that runs out of unfolding
+    budget or leaves the solvable fragment is dropped, and its reason
+    appended to ``drops``. A branch whose field base is entailed null or
+    described by nothing in the heap is discarded without a trace."""
+    for d in delta.heaps:
+        yield from _preprocess_heap(d, delta.atoms, defs, unfold_budget, drops)
 
 
 def preprocess(delta: PathCondition, defs: SpecFile,
                unfold_budget: int = 6) -> list[SymbolicHeap]:
-    """Field-access-free heaps covering the path condition (may be empty:
-    contradiction or not enough information, both discard the branch)."""
-    out: list[SymbolicHeap] = []
-    unresolved = 0
-    for d in delta.heaps:
-        try:
-            out.extend(_preprocess_heap(d, delta.atoms, defs, unfold_budget))
-        except Unresolvable:
-            unresolved += 1
-    if unresolved and not out:
-        raise Unresolvable("path condition outside the solvable fragment")
-    return out
+    """Every heap of ``field_free_heaps``, built eagerly; ``explore`` pulls
+    them one at a time instead. Raises Unresolvable when there is none and
+    a branch was dropped."""
+    drops: list[str] = []
+    heaps = list(field_free_heaps(delta, defs, unfold_budget, drops))
+    if drops and not heaps:
+        raise Unresolvable(drops[0])
+    return heaps
 
 
 # =====================================================================
@@ -743,23 +753,16 @@ def explore(program: ElabProgram, pre: F.Formula, seeds: Sequence[TestInput],
             stats.budget_stopped = True
             break
         node = min(candidates, key=lambda n: (n.depth, n.path))
-        try:
-            heaps = preprocess(node.delta, defs, unfold_budget=budget.max_depth)
-        except Unresolvable:
-            node.status = "unresolved"
-            stats.unresolved += 1
-            continue
-        saw_unknown = False
-        sat_but_missed = False
-        for d in heaps:
+        drops: list[str] = []
+        unproven = False  # some heap is not shown to have no model
+        for d in field_free_heaps(node.delta, defs, budget.max_depth, drops):
             result = S.sat(d, defs, budget)
             stats.solver_calls += 1
             stats.unfold_rounds += result.stats.rounds
             stats.pure_nodes += result.stats.pure_nodes
-            if result.decision == "unknown":
-                saw_unknown = True
-                continue
             if not result.is_sat:
+                # Unknown, or unsat only within the finite integer domain.
+                unproven = unproven or result.decision == "unknown" or result.stats.bounded
                 continue
             test = T.to_unit_test(result.model, program.params, defs,
                                   provenance=f"concolic:i{next(iteration)}:n{node.nid}")
@@ -769,11 +772,11 @@ def explore(program: ElabProgram, pre: F.Formula, seeds: Sequence[TestInput],
             log.append((test.provenance, outcome))
             if node.flag:
                 break
-            sat_but_missed = True
+            unproven = True  # a model that missed the node
         if not node.flag:
-            if saw_unknown or sat_but_missed:
-                # A model that failed to reach the node means the branch is
-                # beyond this solver, not that it is infeasible.
+            if unproven or drops:
+                # The branch is beyond this solver or this unfolding budget,
+                # which does not make it infeasible.
                 node.status = "unresolved"
                 stats.unresolved += 1
             else:

@@ -12,7 +12,7 @@ The solver trades the completeness of a full decision procedure for
 bounded search: outside its budgets it answers UNKNOWN, which for a test
 generator costs missed tests but never invalid ones. An UNSAT that was
 only established by exhausting the integer domain is flagged ``bounded``
-in the statistics so drivers can tell it apart in logs.
+in the statistics, so a caller does not read it as infeasible.
 
 Every SAT answer carries a symbolic model: a quantifier-free base heap in
 which each reference variable is resolved by a points-to atom, an alias
@@ -57,6 +57,10 @@ class Budget:
     time_limit: float = 10.0
     int_min: int = -64
     int_max: int = 63
+
+
+class Timeout(Exception):
+    """The query's deadline passed during the integer search."""
 
 
 @dataclass
@@ -363,10 +367,11 @@ def _value_order(lo: int, hi: int) -> list[int]:
 
 
 def _search_ints(lins: list[_Lin], order: list[str], sorts: dict[str, str],
-                 bounds: dict[str, list], budget: Budget,
-                 stats: SolverStats) -> dict[str, int] | None:
+                 bounds: dict[str, list], budget: Budget, stats: SolverStats,
+                 deadline: float | None = None) -> dict[str, int] | None:
     """Backtracking search for integer values within the propagated
-    ``bounds``, clamped to the finite domain of each variable.
+    ``bounds``, clamped to the finite domain of each variable. Raises
+    Timeout once ``time.monotonic()`` passes ``deadline``.
 
     Depth-first over ``order``, each variable's values smallest first. A
     loop over a stack of frames, one per assigned variable, replaces the
@@ -387,6 +392,8 @@ def _search_ints(lins: list[_Lin], order: list[str], sorts: dict[str, str],
     # length that restores the bounds the frame started from.
     frames = [(iter(_value_order(*bounds[order[0]])), 0)]
     while frames:
+        if deadline is not None and time.monotonic() > deadline:
+            raise Timeout()
         values, mark = frames[-1]
         v = order[len(frames) - 1]
         while len(trail) > mark:
@@ -468,13 +475,14 @@ def _term_var_order(term: ArithTerm) -> list[str]:
 
 
 def pure_solve(pure_or_cube, sorts: dict[str, str], budget: Budget | None = None,
-               universe: list[str] | None = None,
-               stats: SolverStats | None = None) -> tuple[PureSolution | None, bool]:
+               universe: list[str] | None = None, stats: SolverStats | None = None,
+               deadline: float | None = None) -> tuple[PureSolution | None, bool]:
     """Solve one conjunction of literals.
 
     Returns ``(solution, domain_independent)``: on success the second
     component is meaningless; on failure it reports whether unsatisfiability
-    was proven without appealing to the finite integer domain.
+    was proven without appealing to the finite integer domain. Raises
+    Timeout when the integer search runs past ``deadline``.
     """
     budget = budget or Budget()
     stats = stats if stats is not None else SolverStats()
@@ -491,7 +499,7 @@ def pure_solve(pure_or_cube, sorts: dict[str, str], budget: Budget | None = None
     if prefix is None:
         return None, True
     loc_solution, lins, int_vars, bounds = prefix
-    values = _search_ints(lins, int_vars, sorts, bounds, budget, stats)
+    values = _search_ints(lins, int_vars, sorts, bounds, budget, stats, deadline)
     if values is None:
         return None, False
     scalars: dict[str, int | bool] = {}
@@ -545,7 +553,8 @@ def _open_heap(d: SymbolicHeap) -> SymbolicHeap:
 
 def _try_base(d: SymbolicHeap, defs: SpecFile, param_sorts: dict, budget: Budget,
               stats: SolverStats, extra_sorts: dict[str, str],
-              universe_hint: list[str]) -> tuple[SymbolicModel | None, bool]:
+              universe_hint: list[str],
+              deadline: float) -> tuple[SymbolicModel | None, bool]:
     """Solve one base heap. Returns (model, bounded_flag)."""
     opened = _open_heap(d)
     additions = saturate(opened)
@@ -562,7 +571,7 @@ def _try_base(d: SymbolicHeap, defs: SpecFile, param_sorts: dict, budget: Budget
             order.append(v)
     bounded = False
     for cube in _nnf_cubes(pure):
-        solution, independent = pure_solve(cube, sorts, budget, order, stats)
+        solution, independent = pure_solve(cube, sorts, budget, order, stats, deadline)
         if solution is not None:
             return _assemble_model(opened, solution, sorts, order), False
         if not independent:
@@ -681,7 +690,9 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
     first). Expanding instances one at a time reaches every combination
     of disjunct choices without the duplication that expanding all
     instances per round would create; heaps whose pure part is already
-    contradictory are dropped early.
+    contradictory are dropped early. ``budget.time_limit`` bounds the
+    whole query, the integer search included; past it the answer is
+    UNKNOWN.
     """
     budget = budget or Budget()
     stats = SolverStats()
@@ -698,8 +709,11 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
         for h in bases:
             if time.monotonic() > deadline:
                 return SatResult("unknown", None, stats)
-            model, bounded = _try_base(h, defs, param_sorts, budget, stats, query_sorts,
-                                       universe)
+            try:
+                model, bounded = _try_base(h, defs, param_sorts, budget, stats,
+                                           query_sorts, universe, deadline)
+            except Timeout:
+                return SatResult("unknown", None, stats)
             if model is not None:
                 return SatResult("sat", model, stats)
             stats.bounded = stats.bounded or bounded

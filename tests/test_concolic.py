@@ -1,5 +1,7 @@
 """Execution rules, constraint tree growth, preprocess, exploration."""
 
+import re
+
 import pytest
 
 from slc import concolic as C
@@ -7,7 +9,7 @@ from slc import formulas as F
 from slc import ir
 from slc import solver as S
 from slc import testgen as T
-from slc.cli import corpus_path
+from slc.cli import BENCHMARKS, corpus_path, run_pipeline
 from slc.concolic import (
     ConstraintTree,
     ExecError,
@@ -333,3 +335,162 @@ def test_tree_dot_output(bst_spec, bst_pre):
     dot = result.tree.to_dot()
     assert dot.startswith("digraph")
     assert '"then"' in dot and '"else"' in dot and "?" in dot
+
+
+# ----------------------------------------------- lazy field elimination
+
+# A list whose last cell either loops to itself with value 0 or goes on.
+LOOP_SPEC = """
+data N { int val; N next; }
+pred p(x) == (exists v . x -> N(v, x) & v = 0) \\/ (exists v, n . x -> N(v, n) * p(n)) ;
+pre f == p(t) ;
+"""
+
+
+def seven_reads_path_condition(spec):
+    pc = C.initial_path_condition(spec.preconditions["f"])
+    for _ in range(7):
+        pc = pc.assign("t", EField("t", "next"))
+    return pc.conjoin(EBin("=", EField("t", "val"), EConst(5)))
+
+
+def pipeline(tmp_path, spec_text, program_text, entry):
+    (tmp_path / "s.sl").write_text(spec_text)
+    (tmp_path / "p.ir").write_text(program_text)
+    return run_pipeline(tmp_path / "s.sl", tmp_path / "p.ir", entry)
+
+
+def test_explore_dropped_branch_is_unresolved_not_pruned(tmp_path):
+    # At unfolding budget 6 every heap that resolves the seventh read puts
+    # t on the self-looping cell, where val = 0, so sat says unsat on all
+    # of them; the branch that reaches a later cell is dropped, not refuted.
+    program = "proc f(t: N) {\n" + "".join(
+        f"  {i}: t := t.next\n" for i in range(7)) + \
+        "  7: if t.val = 5 then goto 8 else goto 9\n  8: v := 1\n}\n"
+    result = pipeline(tmp_path, LOOP_SPEC, program, "f")
+    assert (result.report.pruned_nodes, result.report.unresolved_nodes) == (0, 1)
+    (node,) = [n for n in result.tree.nodes if n.branch == ("f", 7, "then")]
+    assert node.status == "unresolved" and not node.flag
+
+
+def test_explore_domain_bounded_unsat_is_unresolved_not_pruned(tmp_path):
+    # x = 100 lies outside the default integer domain -64..63.
+    spec = "data N { int val; N next; }\npred q(x) == (emp & x = null) ;\npre g == q(root) ;\n"
+    program = "proc g(root: N, x: int) {\n  0: if x = 100 then goto 1 else goto 2\n" \
+              "  1: v := 1\n}\n"
+    result = pipeline(tmp_path, spec, program, "g")
+    assert (result.report.pruned_nodes, result.report.unresolved_nodes) == (0, 1)
+
+
+def test_explore_pulls_one_heap_when_the_first_covers_the_node(monkeypatch):
+    spec = F.parse_spec(LOOP_SPEC)
+    program = ir.parse_program("proc f(t: N) {\n  0: t := t.next\n"
+                               "  1: if t.val = 0 then goto 2 else goto 3\n  2: v := 1\n}",
+                               datas=spec.datas)
+    elab = ir.elaborate(program, "f")
+    a, b = Addr(1, "N"), Addr(2, "N")
+    seed = T.TestInput({a: HeapObject(a, "N", {"val": 1, "next": b}),
+                        b: HeapObject(b, "N", {"val": 7, "next": b})},
+                       {"t": a}, "seed:else")
+    pulled = []
+    eager = C.field_free_heaps
+
+    def counted(delta, defs, unfold_budget, drops):
+        for heap in eager(delta, defs, unfold_budget, drops):
+            pulled.append((delta, heap))
+            yield heap
+
+    monkeypatch.setattr(C, "field_free_heaps", counted)
+    result = explore(elab, spec.preconditions["f"], [seed], spec)
+    assert all(n.flag for n in result.tree.nodes if n.branch is not None)
+    # The then-node's first heap (the self-looping cell, val = 0) covers it.
+    assert len(pulled) == 1
+    assert len(preprocess(pulled[0][0], spec)) == 3
+
+
+def test_unresolvable_surfaces_exactly_when_no_heap_was_yielded(bst_spec, bst_pre):
+    spec = F.parse_spec(LOOP_SPEC)
+    pc = seven_reads_path_condition(spec)
+    seen = set()
+    for budget in range(10):
+        drops = []
+        heaps = list(C.field_free_heaps(pc, spec, budget, drops))
+        try:
+            assert len(preprocess(pc, spec, budget)) == len(heaps)
+            raised = False
+        except Unresolvable:
+            raised = True
+        assert raised == (not heaps and bool(drops)), budget
+        seen.add((raised, bool(heaps), bool(drops)))
+    # Budget 0 drops the only branch; 1 to 7 yield heaps and drop the
+    # deepest branch; 8 and more resolve every branch.
+    assert seen == {(True, False, True), (False, True, True), (False, True, False)}
+    # Leaving the solvable fragment drops the branch before it yields.
+    nonlinear = C.initial_path_condition(bst_pre).conjoin(
+        EBin("=", EVar("sq"), EBin("*", EVar("x"), EVar("x"))))
+    drops = []
+    assert list(C.field_free_heaps(nonlinear, bst_spec, 6, drops)) == []
+    assert drops and drops[0].startswith("nonlinear product")
+
+
+def shape(texts, keep):
+    """The texts with every name outside ``keep`` replaced by its rank of
+    first occurrence: equal for heaps that differ only in fresh names."""
+    names = {}
+
+    def rename(m):
+        word = m.group(0)
+        return word if word in keep else names.setdefault(word, f"_{len(names)}")
+
+    return [re.sub(r"[A-Za-z_][A-Za-z0-9_@]*", rename, t) for t in texts]
+
+
+@pytest.mark.parametrize("name", list(BENCHMARKS))
+def test_explore_solves_eager_heaps_in_order(name, monkeypatch, tmp_path):
+    # Each query's heaps as explore pulls them, and every sat call in order.
+    queries, calls = [], []
+    lazy, solve = C.field_free_heaps, S.sat
+
+    def recorded_heaps(delta, defs, unfold_budget, drops):
+        pulled = []
+        queries.append((delta, unfold_budget, pulled))
+        for heap in lazy(delta, defs, unfold_budget, drops):
+            pulled.append(heap)
+            yield heap
+
+    def recorded_sat(d, defs, budget=None):
+        result = solve(d, defs, budget)
+        calls.append((d, result, budget))
+        return result
+
+    monkeypatch.setattr(C, "field_free_heaps", recorded_heaps)
+    monkeypatch.setattr(S, "sat", recorded_sat)
+    bench = BENCHMARKS[name]
+    spec = F.parse_spec(corpus_path(bench.spec).read_text())
+    result = run_pipeline(corpus_path(bench.spec), corpus_path(bench.program), bench.entry,
+                          unfold_depth=bench.unfold_depth, solver_depth=bench.solver_depth,
+                          max_nodes=bench.max_nodes, out_dir=tmp_path)
+    monkeypatch.undo()
+    covered = {id(n.delta) for n in result.tree.nodes if n.flag}
+    pulled_ids = {id(heap) for _, _, pulled in queries for heap in pulled}
+    concolic_calls = [call for call in calls if id(call[0]) in pulled_ids]
+    # Each pulled heap is solved once, right after it is pulled.
+    assert [call[0] for call in concolic_calls] == \
+        [heap for _, _, pulled in queries for heap in pulled]
+    assert len(concolic_calls) == result.report.concolic_solver_calls
+    calls_of = iter(concolic_calls)
+    for delta, unfold_budget, pulled in queries:
+        try:
+            eager = preprocess(delta, spec, unfold_budget)
+        except Unresolvable:
+            assert pulled == []
+            continue
+        # Every heap is pulled unless the node was covered before the last.
+        assert len(pulled) == len(eager) or \
+            (len(pulled) < len(eager) and id(delta) in covered)
+        for want in eager[:len(pulled)]:
+            heap, got, budget = next(calls_of)
+            again = solve(want, spec, budget)
+            assert got.decision == again.decision
+            assert shape([F.print_heap(heap), str(got.model)], delta.vars()) == \
+                shape([F.print_heap(want), str(again.model)], delta.vars())

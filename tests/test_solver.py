@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 
 import pytest
 
@@ -350,6 +351,16 @@ def test_sat_many_integer_variables_need_no_deep_recursion():
     result = sat(d, EMPTY_SPEC)
     assert result.is_sat
     assert result.stats.pure_nodes == 1501
+
+
+def test_sat_time_limit_bounds_integer_search():
+    # The p = q / p != q clash shows only once a, r, c and b are assigned,
+    # so without a deadline the search visits 128^4 integer assignments.
+    d = heap("emp & a = r & c = b & p = q & !(p = q)")
+    start = time.monotonic()
+    result = sat(d, EMPTY_SPEC, Budget(time_limit=0.5))
+    assert result.decision == "unknown"
+    assert time.monotonic() - start < 5
 
 
 def test_sat_alpha_equal_disjuncts_count_once():

@@ -294,6 +294,11 @@ def _propagate(lins: list[_Lin], bounds: dict[str, list],
         changed = False
         for lin in lins:
             if lin.rel == "ne":
+                # Only a disequality over pinned variables says anything.
+                if all(bounds[v][0] is not _INF and bounds[v][0] == bounds[v][1]
+                       for v, _ in lin.coeffs) \
+                        and lin.const + sum(k * bounds[v][0] for v, k in lin.coeffs) == 0:
+                    return False
                 continue
             rels = [1] if lin.rel == "le" else [1, -1]
             for direction in rels:
@@ -334,8 +339,6 @@ def _propagate(lins: list[_Lin], bounds: dict[str, list],
                 if lin.rel == "le" and value > 0:
                     return False
                 if lin.rel == "eq" and value != 0:
-                    return False
-                if lin.rel == "ne" and value == 0:
                     return False
         for lo, hi in bounds.values():
             if lo is not _INF and hi is not _INF and lo > hi:
@@ -689,10 +692,15 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
     definition disjuncts (base cases first, so small models surface
     first). Expanding instances one at a time reaches every combination
     of disjunct choices without the duplication that expanding all
-    instances per round would create; heaps whose pure part is already
-    contradictory are dropped early. ``budget.time_limit`` bounds the
-    whole query, the integer search included; past it the answer is
-    UNKNOWN.
+    instances per round would create. A round takes its base heaps first,
+    then its inductive ones, and checks each heap when it reaches it, just
+    before solving or unfolding it: one whose pure part is already
+    contradictory (``_pure_contradictory``) is dropped, so the children
+    left behind by an early answer are never checked. The query itself is
+    checked only when it is inductive and ``max_depth`` is 0.
+    ``stats.rounds`` is the last round in which a heap passed the check.
+    ``budget.time_limit`` bounds the whole query, the integer search
+    included; past it the answer is UNKNOWN.
     """
     budget = budget or Budget()
     stats = SolverStats()
@@ -701,14 +709,23 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
     opened_query = _open_heap(d)
     universe = _heap_var_order(opened_query)
     query_sorts = F.heap_sorts(opened_query, defs, param_sorts)
-    current = [d]
-    for round_no in range(budget.max_depth + 1):
-        stats.rounds = round_no
-        bases = [h for h in current if h.is_base()]
-        inductive = [h for h in current if not h.is_base()]
-        for h in bases:
+    current, round_no = [d], 0
+    while current:
+        children = []
+        for h in sorted(current, key=lambda h: not h.is_base()):
             if time.monotonic() > deadline:
                 return SatResult("unknown", None, stats)
+            base, last = h.is_base(), round_no == budget.max_depth
+            if (round_no > 0 or (last and not base)) \
+                    and _pure_contradictory(h, defs, param_sorts):
+                continue
+            stats.rounds = round_no
+            if not base:
+                if last:
+                    return SatResult("unknown", None, stats)
+                first = next(i for i, a in enumerate(h.atoms) if isinstance(a, F.PredInst))
+                children.extend(unfold_at(h, first, defs))
+                continue
             try:
                 model, bounded = _try_base(h, defs, param_sorts, budget, stats,
                                            query_sorts, universe, deadline)
@@ -717,25 +734,8 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
             if model is not None:
                 return SatResult("sat", model, stats)
             stats.bounded = stats.bounded or bounded
-        if not inductive:
-            return SatResult("unsat", None, stats)
-        if round_no == budget.max_depth:
-            # After round 0 every frontier heap passed the check when it
-            # was unfolded.
-            if round_no > 0 or time.monotonic() > deadline \
-                    or not _pure_contradictory(d, defs, param_sorts):
-                return SatResult("unknown", None, stats)
-            return SatResult("unsat", None, stats)
-        current = []
-        for h in inductive:
-            if time.monotonic() > deadline:
-                return SatResult("unknown", None, stats)
-            first = next(i for i, a in enumerate(h.atoms) if isinstance(a, F.PredInst))
-            current.extend(child for child in unfold_at(h, first, defs)
-                           if not _pure_contradictory(child, defs, param_sorts))
-        if not current:
-            return SatResult("unsat", None, stats)
-    return SatResult("unknown", None, stats)
+        current, round_no = children, round_no + 1
+    return SatResult("unsat", None, stats)
 
 
 # =====================================================================

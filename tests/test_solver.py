@@ -134,6 +134,8 @@ def test_frontier_contradiction_is_domain_independent():
     # pruning it would turn a domain limit into a verdict.
     assert Budget().int_max < 100
     assert not S._pure_contradictory(heap("p(y) & x = 100"), spec, params)
+    # Propagation pins x to 3, and the disequality over it fails.
+    assert S._pure_contradictory(heap("p(y) & x = 3 & x != 3"), spec, params)
 
 
 CHAIN = """
@@ -206,9 +208,11 @@ def test_incremental_frontier_check_matches_scratch_on_corpus(name, monkeypatch,
 
 
 def test_frontier_check_matches_saturate_definition(monkeypatch, tmp_path):
-    # Spec-only generation at a deeper unfolding reaches far more heaps.
+    # Spec-only generation at a deeper unfolding and the gated bst run
+    # reach the most heaps between them.
     checks = record_checks(monkeypatch)
-    run_benchmark("tll", tmp_path, spec_only=True, unfold_depth=4)
+    run_benchmark("tll", tmp_path / "tll", spec_only=True, unfold_depth=4)
+    run_benchmark("bst", tmp_path / "bst")
     assert len(checks) > 1000
     assert [c for c in checks if c[1] != c[2]] == []
 
@@ -250,6 +254,124 @@ def test_incremental_frontier_check_falls_back(query, monkeypatch):
     assert checks
     assert [c for c in checks if c[1] != c[2]] == []
     assert results[0] == results[1]
+
+
+def eager_sat(d, defs, budget):
+    """sat's loop as it was when every child was checked the moment
+    unfold_at made it: a reference for the loop that checks each heap
+    when it reaches it."""
+    stats = S.SolverStats()
+    deadline = time.monotonic() + budget.time_limit
+    param_sorts = F.infer_sorts(defs)
+    opened_query = S._open_heap(d)
+    universe = S._heap_var_order(opened_query)
+    query_sorts = F.heap_sorts(opened_query, defs, param_sorts)
+    current = [d]
+    for round_no in range(budget.max_depth + 1):
+        stats.rounds = round_no
+        bases = [h for h in current if h.is_base()]
+        inductive = [h for h in current if not h.is_base()]
+        for h in bases:
+            if time.monotonic() > deadline:
+                return S.SatResult("unknown", None, stats)
+            try:
+                model, bounded = S._try_base(h, defs, param_sorts, budget, stats,
+                                             query_sorts, universe, deadline)
+            except S.Timeout:
+                return S.SatResult("unknown", None, stats)
+            if model is not None:
+                return S.SatResult("sat", model, stats)
+            stats.bounded = stats.bounded or bounded
+        if not inductive:
+            return S.SatResult("unsat", None, stats)
+        if round_no == budget.max_depth:
+            if round_no > 0 or time.monotonic() > deadline \
+                    or not S._pure_contradictory(d, defs, param_sorts):
+                return S.SatResult("unknown", None, stats)
+            return S.SatResult("unsat", None, stats)
+        current = []
+        for h in inductive:
+            if time.monotonic() > deadline:
+                return S.SatResult("unknown", None, stats)
+            first = next(i for i, a in enumerate(h.atoms) if isinstance(a, F.PredInst))
+            current.extend(child for child in S.unfold_at(h, first, defs)
+                           if not S._pure_contradictory(child, defs, param_sorts))
+        if not current:
+            return S.SatResult("unsat", None, stats)
+    return S.SatResult("unknown", None, stats)
+
+
+def outcome(solve, d, spec, budget):
+    F.reset_names()
+    try:
+        result = solve(d, spec, budget)
+    except F.SortError as error:
+        return "SortError", str(error)
+    return (result.decision, result.model and F.print_heap(result.model.heap),
+            result.stats.rounds, result.stats.pure_nodes, result.stats.bounded)
+
+
+@pytest.mark.parametrize("max_depth", [0, 1, 2, 4])
+def test_lazy_frontier_check_matches_eager_loop(max_depth):
+    spec = F.parse_spec(CHAIN)
+    rng = random.Random(40 + max_depth)
+    decisions = set()
+    for _ in range(500):
+        d = F.parse_heap(_random_heap_text(rng))
+        got = outcome(sat, d, spec, Budget(max_depth=max_depth))
+        assert got == outcome(eager_sat, d, spec, Budget(max_depth=max_depth)), F.print_heap(d)
+        decisions.add(got[0])
+    # Every random heap has a chain instance, so depth 0 finds no model;
+    # its unsat answers come from checking the query itself.
+    assert decisions >= {"unsat", "sat" if max_depth else "unknown"}
+
+
+def record_uses(monkeypatch):
+    """Per sat query: its decision and the heaps it checked, solved and
+    unfolded, in order, as ("passed" | "used", heap) events."""
+    queries, events = [], []
+    check, try_base, unfold, solve = S._pure_contradictory, S._try_base, S.unfold_at, S.sat
+
+    def checked(d, *args):
+        verdict = check(d, *args)
+        if not verdict:
+            events.append(("passed", d))
+        return verdict
+
+    def used(call):
+        def wrapped(d, *args):
+            events.append(("used", d))
+            return call(d, *args)
+        return wrapped
+
+    def query(*args):
+        result = solve(*args)
+        queries.append((result.decision, events[:]))
+        events.clear()
+        return result
+
+    monkeypatch.setattr(S, "_pure_contradictory", checked)
+    monkeypatch.setattr(S, "_try_base", used(try_base))
+    monkeypatch.setattr(S, "unfold_at", used(unfold))
+    monkeypatch.setattr(S, "sat", query)
+    return queries
+
+
+def test_every_heap_that_passes_the_check_is_solved_or_unfolded(monkeypatch, tmp_path):
+    # The only heap a query may check and leave is the inductive one that
+    # makes its last round answer unknown.
+    queries = record_uses(monkeypatch)
+    run_benchmark("tll", tmp_path / "tll", spec_only=True, unfold_depth=4)
+    run_benchmark("bst", tmp_path / "bst")
+    assert sum(kind == "passed" for _, events in queries for kind, _ in events) > 1000
+    for decision, events in queries:
+        for at, (kind, d) in enumerate(events):
+            if kind != "passed":
+                continue
+            if at + 1 == len(events):
+                assert decision == "unknown" and not d.is_base()
+            else:
+                assert events[at + 1] == ("used", d)
 
 
 # ------------------------------------------------------------------ sat
@@ -379,6 +501,20 @@ LOOSE = CHAIN + """
 pred loose(x) == (emp & true) \\/ (exists v, n . x -> N(v, n) * loose(n)) ;
 pred same(x, y) == (emp & x = y) ;
 """
+
+
+def test_disequality_over_pinned_variables_fails_propagation():
+    # same(q, r) unfolds to q = r, which pins r once q is assigned; the
+    # search must refute r != q there, not at the leaves of the other
+    # variables' values.
+    spec = F.parse_spec(LOOSE)
+    query = heap("same(q, r) & p != r & c < 1 & b <= c & r != q")
+    result = sat(query, spec, Budget(max_depth=1))
+    assert result.decision == "unsat" and result.stats.pure_nodes < 1000
+    # A disequality between constants is refuted too, not read as a model.
+    assert sat(heap("emp & 3 != 3"), EMPTY_SPEC).decision == "unsat"
+    result = sat(heap("emp & x = 3 & x != 3"), EMPTY_SPEC)
+    assert result.decision == "unsat" and not result.stats.bounded
 
 
 def test_sat_location_inside_arithmetic_is_a_sort_error():

@@ -292,7 +292,11 @@ class PipelineResult:
     tests: list
     report: CoverageReport
     tree: C.ConstraintTree
-    exit_code: int
+    stopped_by: str | None  # the budget that cut exploration short
+
+    @property
+    def exit_code(self) -> int:
+        return 2 if self.stopped_by else 0
 
 
 def run_pipeline(spec_path: Path, program_path: Path, entry: str, *,
@@ -349,7 +353,6 @@ def run_pipeline(spec_path: Path, program_path: Path, entry: str, *,
         unknown_skipped=gen_stats.unknown_skipped)
     report.wall = wall
 
-    exit_code = 2 if result.stats.budget_stopped else 0
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         suite = suite_json_payload(tests, str(spec_path), str(program_path), entry)
@@ -358,7 +361,7 @@ def run_pipeline(spec_path: Path, program_path: Path, entry: str, *,
                       json.dumps(coverage_json_payload(report), indent=2) + "\n")
         _write_atomic(out_dir / "coverage.txt", render_coverage_text(report))
         _write_atomic(out_dir / "tree.dot", result.tree.to_dot())
-    return PipelineResult(tests, report, result.tree, exit_code)
+    return PipelineResult(tests, report, result.tree, result.stats.stopped_by)
 
 
 # =====================================================================
@@ -451,8 +454,8 @@ def main(argv=None) -> int:
         sys.stdout.write(render_coverage_text(report))
         for phase, seconds in report.wall.items():
             print(f"time {phase}: {seconds:.2f}s")
-    if result.exit_code == 2:
-        print("slc: node budget exhausted; outputs are partial", file=sys.stderr)
+    if result.stopped_by:
+        print(f"slc: {result.stopped_by} reached; outputs are partial", file=sys.stderr)
     return result.exit_code
 
 

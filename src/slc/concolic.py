@@ -31,6 +31,7 @@ integer domain (``SolverStats.bounded``), or when a model missed the node.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass, field as dfield
 from typing import Callable, Iterator, Sequence, Union
 
@@ -707,7 +708,7 @@ class ExploreStats:
     runs: int = 0
     pruned: int = 0
     unresolved: int = 0
-    budget_stopped: bool = False
+    stopped_by: str | None = None  # "node budget" | "timeout"
     unfold_rounds: int = 0
     pure_nodes: int = 0
 
@@ -729,10 +730,8 @@ def explore(program: ElabProgram, pre: F.Formula, seeds: Sequence[TestInput],
     a budget is hit. ``spec_only`` stops after the seed runs."""
     if not seeds:
         raise ValueError("need at least one initial test input")
-    import time as _time
-
     budget = budget or S.Budget()
-    deadline = None if time_limit is None else _time.monotonic() + time_limit
+    deadline = None if time_limit is None else time.monotonic() + time_limit
     tree = ConstraintTree(program, pre)
     stats = ExploreStats()
     log: list[tuple[str, RunOutcome]] = []
@@ -748,9 +747,11 @@ def explore(program: ElabProgram, pre: F.Formula, seeds: Sequence[TestInput],
         candidates = tree.unexplored()
         if not candidates:
             break
-        if len(tree.nodes) >= max_nodes or \
-                (deadline is not None and _time.monotonic() > deadline):
-            stats.budget_stopped = True
+        if len(tree.nodes) >= max_nodes:
+            stats.stopped_by = "node budget"
+        elif deadline is not None and time.monotonic() > deadline:
+            stats.stopped_by = "timeout"
+        if stats.stopped_by:
             break
         node = min(candidates, key=lambda n: (n.depth, n.path))
         drops: list[str] = []

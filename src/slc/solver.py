@@ -2,11 +2,16 @@
 
 ``sat`` runs an iterative-deepening search: predicate instances are
 unfolded breadth-first up to a depth budget, and every fully-base heap
-reached is closed by a two-sorted ground solver. Location variables are
-solved by union-find over the equalities plus disequality checking, with
-each equivalence class mapped to null or a distinct abstract address;
-integer variables are solved by interval propagation followed by
-backtracking search over a finite domain.
+reached is closed by a two-sorted ground solver, one DNF cube at a time.
+Location variables are solved by union-find over the equalities, with
+null and every points-to head marked: separation makes the heads non-null
+and pairwise distinct, so a cube in which two marks share a class, or a
+disequality joins a class to itself, has no model. Each head's class gets
+its own abstract address, and every other class is null unless a
+disequality with a null class forbids it. Integer variables are solved by
+interval propagation followed by backtracking search over a finite
+domain. The frontier check of ``sat`` is the same per-cube check without
+the integer search.
 
 The solver trades the completeness of a full decision procedure for
 bounded search: outside its budgets it answers UNKNOWN, which for a test
@@ -23,10 +28,9 @@ on the concretized model and is the soundness oracle for ``sat``.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import formulas as F
 from .formulas import (
@@ -45,8 +49,6 @@ from .formulas import (
     Var,
 )
 from .unfold import unfold_at
-
-CONTRADICTION = "contradiction"
 
 _SCALARS = ("int", "bool")
 
@@ -168,7 +170,7 @@ def _split_cube(cube: list[Lit], sorts: dict[str, str]) -> tuple[list[Lit], list
 
 
 # =====================================================================
-# Location solving: union-find + disequalities
+# Location solving: marked alias classes
 # =====================================================================
 
 NULL_KEY = "\x00null"
@@ -207,39 +209,41 @@ def pure_equalities(pure: F.Conjunction) -> list[tuple[ArithTerm, ArithTerm]]:
 
 @dataclass
 class LocSolution:
-    rep: dict[str, str]              # variable -> class representative
-    null_reps: set[str]              # representatives assigned null
-    addr_reps: list[str]             # representatives assigned distinct addresses
+    """The alias classes of one cube's location literals."""
+
+    uf: F.UnionFind
+    marked: set[str]                 # roots of null and of every points-to head
+    diseqs: list[tuple[str, str]]    # the roots each disequality keeps apart
+
+    def null_roots(self) -> set[str]:
+        """The classes a model makes null: null's own, and every unmarked
+        class that no disequality keeps apart from an earlier null one, in
+        the order the classes were added."""
+        null_roots = {self.uf.find(NULL_KEY)}
+        for r in dict.fromkeys([self.uf.find(name) for name in self.uf.parent]):
+            if r not in self.marked and not any(
+                    (x == r and y in null_roots) or (y == r and x in null_roots)
+                    for x, y in self.diseqs):
+                null_roots.add(r)
+        return null_roots
 
 
-def _solve_locs(lits: list[Lit], universe: list[str]) -> LocSolution | None:
+def _solve_locs(lits: list[Lit], universe: list[str], heads: Sequence[str],
+                ) -> LocSolution | None:
+    """The alias classes of the location literals ``lits`` over
+    ``universe``, with null and each points-to head in ``heads`` marked.
+    None when two marks share a root, since separation makes the heads
+    non-null and pairwise distinct, or when a disequality joins a class to
+    itself."""
     uf = alias_classes(((l.left, l.right) for l in lits if l.op == "eq"), universe)
-    diseqs = [(_loc_key(l.left), _loc_key(l.right)) for l in lits if l.op != "eq"]
-    for a, b in diseqs:
-        if uf.find(a) == uf.find(b):
-            return None
-    null_rep = uf.find(NULL_KEY)
-    # Prefer null for every class, falling back to a fresh address when a
-    # disequality with null or with an already-null class forbids it.
-    reps: list[str] = []
-    for name in uf.parent:
-        r = uf.find(name)
-        if r not in reps:
-            reps.append(r)
-    null_reps = {null_rep}
-    addr_reps: list[str] = []
-    diseq_reps = [(uf.find(a), uf.find(b)) for a, b in diseqs]
-    for r in reps:
-        if r == null_rep:
-            continue
-        conflict = any((x == r and y in null_reps) or (y == r and x in null_reps)
-                       for x, y in diseq_reps)
-        if conflict:
-            addr_reps.append(r)
-        else:
-            null_reps.add(r)
-    rep = {v: uf.find(v) for v in universe}
-    return LocSolution(rep, null_reps, addr_reps)
+    marked = {uf.find(name) for name in (NULL_KEY, *heads)}
+    if len(marked) <= len(heads):
+        return None
+    diseqs = [(uf.find(_loc_key(l.left)), uf.find(_loc_key(l.right)))
+              for l in lits if l.op != "eq"]
+    if any(a == b for a, b in diseqs):
+        return None
+    return LocSolution(uf, marked, diseqs)
 
 
 # =====================================================================
@@ -423,28 +427,6 @@ def _search_ints(lins: list[_Lin], order: list[str], sorts: dict[str, str],
 
 
 # =====================================================================
-# Saturation: separation semantics as pure facts
-# =====================================================================
-
-
-def saturate(d: SymbolicHeap) -> list[PureFormula] | str:
-    """Disequalities implied by the separating conjunction of ``d``'s
-    points-to atoms.
-
-    Adds ``x != null`` for every points-to head and ``x != y`` for every
-    pair of distinct points-to atoms; returns CONTRADICTION when those
-    facts clash with the equalities already present. Predicate instances
-    add nothing, since each may describe the empty heap.
-    """
-    heads = [p.var for p in d.points_tos()]
-    if _separated_classes(heads, pure_equalities(d.pure)) is None:
-        return CONTRADICTION
-    pairs = list(itertools.combinations(heads, 2))
-    return [Not(Atom("=", Var(h), Null())) for h in heads] \
-        + [Not(Atom("=", Var(a), Var(b))) for a, b in pairs]
-
-
-# =====================================================================
 # Pure solving
 # =====================================================================
 
@@ -477,10 +459,12 @@ def _term_var_order(term: ArithTerm) -> list[str]:
     return []
 
 
-def pure_solve(pure_or_cube, sorts: dict[str, str], budget: Budget | None = None,
+def pure_solve(cube: list[Lit], sorts: dict[str, str], budget: Budget | None = None,
                universe: list[str] | None = None, stats: SolverStats | None = None,
-               deadline: float | None = None) -> tuple[PureSolution | None, bool]:
-    """Solve one conjunction of literals.
+               deadline: float | None = None, heads: Sequence[str] = (),
+               ) -> tuple[PureSolution | None, bool]:
+    """Solve one cube, a conjunction of literals, in a heap whose points-to
+    heads are ``heads``.
 
     Returns ``(solution, domain_independent)``: on success the second
     component is meaningless; on failure it reports whether unsatisfiability
@@ -489,16 +473,7 @@ def pure_solve(pure_or_cube, sorts: dict[str, str], budget: Budget | None = None
     """
     budget = budget or Budget()
     stats = stats if stats is not None else SolverStats()
-    if isinstance(pure_or_cube, list):
-        cube = pure_or_cube
-    else:
-        cubes = _nnf_cubes(pure_or_cube)
-        if not cubes:
-            return None, True
-        if len(cubes) != 1:
-            raise ValueError("pure_solve expects a single conjunction; see sat()")
-        cube = cubes[0]
-    prefix = _propagated(cube, sorts, universe)
+    prefix = _propagated(cube, sorts, universe, heads)
     if prefix is None:
         return None, True
     loc_solution, lins, int_vars, bounds = prefix
@@ -512,12 +487,13 @@ def pure_solve(pure_or_cube, sorts: dict[str, str], budget: Budget | None = None
 
 
 def _propagated(cube: list[Lit], sorts: dict[str, str], universe: list[str] | None,
+                heads: Sequence[str],
                 ) -> tuple[LocSolution, list[_Lin], list[str], dict[str, list]] | None:
     """The steps of ``pure_solve`` before the integer search: returns the
-    location solution, the integer literals, the integer variables and
+    location classes, the integer literals, the integer variables and
     their propagated bounds, or None when the cube is unsatisfiable
-    whatever the integer domain (a sort clash, a location clash, or empty
-    bounds after propagation)."""
+    whatever the integer domain (a sort clash, a location clash with the
+    points-to ``heads`` marked, or empty bounds after propagation)."""
     try:
         locs, ints = _split_cube(cube, sorts)
     except F.SortError:
@@ -533,7 +509,7 @@ def _propagated(cube: list[Lit], sorts: dict[str, str], universe: list[str] | No
                 if sorts.get(v) is not None and sorts[v] not in _SCALARS]
     int_vars = [v for v in var_order if v not in loc_vars]
 
-    loc_solution = _solve_locs(locs, loc_vars)
+    loc_solution = _solve_locs(locs, loc_vars, heads)
     if loc_solution is None:
         return None
     lins = [_lin_of(l) for l in ints]
@@ -560,21 +536,18 @@ def _try_base(d: SymbolicHeap, defs: SpecFile, param_sorts: dict, budget: Budget
               deadline: float) -> tuple[SymbolicModel | None, bool]:
     """Solve one base heap. Returns (model, bounded_flag)."""
     opened = _open_heap(d)
-    additions = saturate(opened)
-    if additions == CONTRADICTION:
-        return None, False
     try:
         sorts = F.heap_sorts(opened, defs, param_sorts, seed=extra_sorts)
     except F.SortError:
         return None, False
-    pure = opened.pure + tuple(additions)
+    heads = [p.var for p in opened.points_tos()]
     order = _heap_var_order(opened)
     for v in universe_hint:
         if v not in order:
             order.append(v)
     bounded = False
-    for cube in _nnf_cubes(pure):
-        solution, independent = pure_solve(cube, sorts, budget, order, stats, deadline)
+    for cube in _nnf_cubes(opened.pure):
+        solution, independent = pure_solve(cube, sorts, budget, order, stats, deadline, heads)
         if solution is not None:
             return _assemble_model(opened, solution, sorts, order), False
         if not independent:
@@ -613,19 +586,18 @@ def _heap_var_order(d: SymbolicHeap) -> list[str]:
 def _assemble_model(opened: SymbolicHeap, solution: PureSolution,
                     sorts: dict[str, str], universe: list[str]) -> SymbolicModel:
     pts = opened.points_tos()
+    uf, null_roots = solution.locs.uf, solution.locs.null_roots()
     target: dict[str, str] = {}  # class representative -> the member others alias
     for p in pts:
-        target.setdefault(solution.locs.rep.get(p.var, p.var), p.var)
+        target.setdefault(uf.find(p.var), p.var)
     parts: list[PureFormula] = []
     for v in universe:
         if v in solution.scalars:
             value = solution.scalars[v]
             parts.append(Atom("=", Var(v), Const(int(value))))
             continue
-        rep = solution.locs.rep.get(v)
-        if rep is None:
-            continue
-        if rep in solution.locs.null_reps:
+        rep = uf.find(v)
+        if rep in null_roots:
             parts.append(Atom("=", Var(v), Null()))
         elif rep in target and target[rep] != v:
             parts.append(Atom("=", Var(v), Var(target[rep])))
@@ -639,49 +611,19 @@ def _assemble_model(opened: SymbolicHeap, solution: PureSolution,
     return SymbolicModel(heap, dict(sorts))
 
 
-def _separated_classes(heads: list[str], eqs: Iterable[tuple[ArithTerm, ArithTerm]],
-                       ) -> F.UnionFind | None:
-    """The alias classes of ``eqs``, or None when null and the points-to
-    heads do not have pairwise distinct roots: separation makes the heads
-    non-null and pairwise distinct."""
-    uf = alias_classes(eqs)
-    roots = {uf.find(name) for name in (NULL_KEY, *heads)}
-    return uf if len(roots) == len(heads) + 1 else None
-
-
 def _pure_contradictory(d: SymbolicHeap, defs: SpecFile, param_sorts: dict) -> bool:
     """Domain-independent contradiction check for a frontier heap: whether
-    ``saturate(d)`` is CONTRADICTION or ``_propagated`` fails on every DNF
-    cube of ``d``'s pure part with saturate's disequalities added. It is
-    decided per cube from the alias classes of its location equalities,
-    where null and every points-to head must have distinct roots, instead
-    of the pairwise disequalities, and a sort clash makes the heap or the
-    cube contradictory. Saturate's own verdict needs no separate check:
-    sorts are exact, so each top-level equality that links a head or null
-    is a location literal of every cube. No integer search is run: one
-    that failed would only say the finite domain is too small, which does
-    not make the heap contradictory."""
-    heads = [p.var for p in d.points_tos()]
+    a sort clash rules ``d`` out, or ``_propagated`` fails on every DNF cube
+    of ``d``'s pure part, with ``d``'s points-to heads marked in the alias
+    classes as in base-heap solving. No integer search is run: one that
+    failed would only say the finite domain is too small, which does not
+    make the heap contradictory."""
     try:
         sorts = F.heap_sorts(d, defs, param_sorts)
     except F.SortError:
         return True
-    for cube in _nnf_cubes(d.pure):
-        try:
-            locs, ints = _split_cube(cube, sorts)
-        except F.SortError:
-            continue
-        uf = _separated_classes(heads, ((l.left, l.right) for l in locs if l.op == "eq"))
-        if uf is None or any(uf.find(_loc_key(l.left)) == uf.find(_loc_key(l.right))
-                             for l in locs if l.op == "ne"):
-            continue
-        # Every head has its data type as sort, so the heads add no integer
-        # variable to the cube.
-        bounds = {v: [_INF, _INF] for v in _cube_vars(cube)
-                  if sorts.get(v) is None or sorts[v] in _SCALARS}
-        if _propagate([_lin_of(l) for l in ints], bounds):
-            return False
-    return True
+    heads = [p.var for p in d.points_tos()]
+    return all(_propagated(cube, sorts, None, heads) is None for cube in _nnf_cubes(d.pure))
 
 
 def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatResult:
@@ -695,8 +637,10 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
     instances per round would create. A round takes its base heaps first,
     then its inductive ones, and checks each heap when it reaches it, just
     before solving or unfolding it: one whose pure part is already
-    contradictory (``_pure_contradictory``) is dropped, so the children
-    left behind by an early answer are never checked. The query itself is
+    contradictory is dropped, so the children left behind by an early
+    answer are never checked. That check (``_pure_contradictory``) is
+    base-heap solving's own per-cube check of the marked alias classes and
+    the integer bounds, without the integer search. The query itself is
     checked only when it is inductive and ``max_depth`` is 0.
     ``stats.rounds`` is the last round in which a heap passed the check.
     ``budget.time_limit`` bounds the whole query, the integer search
@@ -743,20 +687,15 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
 # =====================================================================
 
 
-def model_check(m, d: SymbolicHeap, defs: SpecFile, store=None, env=None) -> bool:
+def model_check(m: SymbolicModel, d: SymbolicHeap, defs: SpecFile) -> bool:
     """Concretize a model and evaluate ``d`` on it under concrete semantics.
 
-    ``m`` may be a SymbolicModel (concretized here) or a plain valuation
-    dict, in which case ``store`` supplies the heap. Existentials of ``d``
-    are witnessed by bounded search over the model's objects and scalars.
+    Existentials of ``d`` are witnessed by bounded search over the model's
+    objects and scalars.
     """
     from . import testgen
 
-    if isinstance(m, SymbolicModel):
-        store, env = concretize_model(m, defs)
-    else:
-        env = dict(m)
-        store = store or {}
+    store, env = concretize_model(m, defs)
     return testgen.heap_satisfies(store, env, d, defs)
 
 

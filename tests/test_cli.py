@@ -88,6 +88,19 @@ def test_int_domain_accepts_negative_lower_bound(domain, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["totals"]["feasible_percent"] == 100.0
 
 
+@pytest.mark.parametrize("limit, stopped_by, other", [
+    (["--timeout", "0"], "timeout", "node budget"),
+    (["--max-nodes", "1"], "node budget", "timeout"),
+])
+def test_partial_run_names_the_budget_that_stopped_it(limit, stopped_by, other, capsys):
+    code = main(["--spec", str(corpus_path("sll.sl")), "--program", str(corpus_path("sll.ir")),
+                 "--entry", "contains", *limit])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"slc: {stopped_by} reached; outputs are partial" in err
+    assert other not in err
+
+
 def test_spec_only_makes_no_concolic_calls(tmp_path):
     result = run_bench("sortedlist", tmp_path, spec_only=True)
     assert result.report.concolic_solver_calls == 0

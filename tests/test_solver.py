@@ -1,5 +1,6 @@
-"""Bounded heap satisfiability: saturation, pure solving, models."""
+"""Bounded heap satisfiability: separation, pure solving, models."""
 
+import itertools
 import random
 import re
 import time
@@ -11,7 +12,7 @@ from slc import solver as S
 from slc import testgen as T
 from slc.cli import BENCHMARKS, corpus_path, run_pipeline
 from slc.formulas import Atom, Const, Not, Null, Var
-from slc.solver import Budget, model_check, pure_solve, sat, saturate
+from slc.solver import Budget, model_check, pure_solve, sat
 
 
 def heap(text):
@@ -21,69 +22,86 @@ def heap(text):
 EMPTY_SPEC = F.SpecFile()
 
 
-# ------------------------------------------------------------- saturate
+# ----------------------------------------------------------- separation
+
+
+def saturate(d):
+    """Separation written out as pure facts, as base-heap solving once did:
+    ``x != null`` for every points-to head of ``d`` and ``x != y`` for every
+    pair of them, or None when the top-level equalities already alias two
+    of null and the heads. A reference for the marked alias classes."""
+    heads = [p.var for p in d.points_tos()]
+    uf = S.alias_classes(S.pure_equalities(d.pure))
+    if len({uf.find(name) for name in (S.NULL_KEY, *heads)}) <= len(heads):
+        return None
+    return [Not(Atom("=", Var(h), Null())) for h in heads] \
+        + [Not(Atom("=", Var(a), Var(b))) for a, b in itertools.combinations(heads, 2)]
+
+
+SEPARATION = F.parse_spec("data C { int v; }\npred p(x) == emp & x = null ;")
 
 
 def test_saturate_adds_separation_facts():
-    spec = F.parse_spec("data C { int v; }\npred p(x) == emp & x = null ;")
     d = F.parse_heap("x -> C(a) * y -> C(b) & true")
-    additions = saturate(d)
-    assert Not(Atom("=", Var("x"), Null())) in additions
-    assert Not(Atom("=", Var("y"), Null())) in additions
-    assert Not(Atom("=", Var("x"), Var("y"))) in additions
+    result = sat(d, SEPARATION)
+    assert result.is_sat and model_check(result.model, d, SEPARATION)
+    _, env = S.concretize_model(result.model, SEPARATION)
+    assert None not in (env["x"], env["y"]) and env["x"] != env["y"]
 
 
 def test_saturate_head_equal_null_contradicts():
     d = F.parse_heap("x -> C(a) & x = null")
-    assert saturate(d) == S.CONTRADICTION
+    assert S._pure_contradictory(d, SEPARATION, F.infer_sorts(SEPARATION))
+    assert sat(d, SEPARATION).decision == "unsat"
 
 
 def test_saturate_aliased_heads_contradict():
     d = F.parse_heap("x -> C(a) * y -> C(b) & x = y")
-    assert saturate(d) == S.CONTRADICTION
+    assert S._pure_contradictory(d, SEPARATION, F.infer_sorts(SEPARATION))
+    assert sat(d, SEPARATION).decision == "unsat"
 
 
 # ------------------------------------------------------------ pure_solve
 
 
 def test_pure_solve_interval_witness():
-    pure = F.parse_heap("emp & minE < elt & maxE > elt").pure
-    solution, _ = pure_solve(pure, {}, Budget(), ["elt", "minE", "maxE"])
+    (cube,) = S._nnf_cubes(F.parse_heap("emp & minE < elt & maxE > elt").pure)
+    solution, _ = pure_solve(cube, {}, Budget(), ["elt", "minE", "maxE"])
     values = solution.scalars
     assert values["minE"] < values["elt"] < values["maxE"]
     assert values["elt"] == 0 and values["minE"] == -1 and values["maxE"] == 1
 
 
 def test_pure_solve_loc_contradiction():
-    pure = F.parse_heap("emp & x = y & !(x = y)").pure
-    solution, independent = pure_solve(pure, {"x": "C", "y": "C"}, Budget())
+    (cube,) = S._nnf_cubes(F.parse_heap("emp & x = y & !(x = y)").pure)
+    solution, independent = pure_solve(cube, {"x": "C", "y": "C"}, Budget())
     assert solution is None
     assert independent
 
 
 def test_pure_solve_direct_binding():
-    pure = F.parse_heap("emp & v = 5").pure
-    solution, _ = pure_solve(pure, {}, Budget())
+    (cube,) = S._nnf_cubes(F.parse_heap("emp & v = 5").pure)
+    solution, _ = pure_solve(cube, {}, Budget())
     assert solution.scalars["v"] == 5
 
 
 def test_pure_solve_unsat_outside_domain_is_bounded():
-    pure = F.parse_heap("emp & 100 <= x").pure
-    solution, independent = pure_solve(pure, {}, Budget())
+    (cube,) = S._nnf_cubes(F.parse_heap("emp & 100 <= x").pure)
+    solution, independent = pure_solve(cube, {}, Budget())
     assert solution is None
     assert not independent  # only the domain bound rules it out
 
 
 def test_pure_solve_propagation_proves_independent_unsat():
-    pure = F.parse_heap("emp & x <= 3 & 6 <= x").pure
-    solution, independent = pure_solve(pure, {}, Budget())
+    (cube,) = S._nnf_cubes(F.parse_heap("emp & x <= 3 & 6 <= x").pure)
+    solution, independent = pure_solve(cube, {}, Budget())
     assert solution is None
     assert independent
 
 
 def test_pure_solve_smallest_witness_ties_negative():
-    pure = F.parse_heap("emp & !(x = 0)").pure
-    solution, _ = pure_solve(pure, {}, Budget())
+    (cube,) = S._nnf_cubes(F.parse_heap("emp & !(x = 0)").pure)
+    solution, _ = pure_solve(cube, {}, Budget())
     assert solution.scalars["x"] == -1
 
 
@@ -146,13 +164,14 @@ pred chain(x) == (emp & x = null) \\/ (exists v, n . x -> N(v, n) * chain(n)) ;
 
 def saturate_definition(d, defs, param_sorts):
     """The frontier check as saturate and _propagated define it: saturate's
-    pairwise disequalities join the pure part, and every DNF cube fails."""
+    pairwise disequalities join the pure part, no head is marked, and every
+    DNF cube fails."""
     additions = saturate(d)
-    if additions == S.CONTRADICTION:
+    if additions is None:
         return True
     sorts = F.heap_sorts(d, defs, param_sorts)
     pure = F.conj([d.pure, *additions])
-    return all(S._propagated(cube, sorts, None) is None for cube in S._nnf_cubes(pure))
+    return all(S._propagated(cube, sorts, None, ()) is None for cube in S._nnf_cubes(pure))
 
 
 def _random_heap_text(rng):
@@ -374,6 +393,85 @@ def test_every_heap_that_passes_the_check_is_solved_or_unfolded(monkeypatch, tmp
                 assert events[at + 1] == ("used", d)
 
 
+def pairwise_try_base(d, defs, param_sorts, budget, stats, extra_sorts, universe_hint,
+                      deadline):
+    """_try_base as it was when separation reached the pure solver as
+    saturate's pairwise disequalities, with no head marked: a reference
+    for base-heap solving over marked alias classes."""
+    opened = S._open_heap(d)
+    additions = saturate(opened)
+    if additions is None:
+        return None, False
+    try:
+        sorts = F.heap_sorts(opened, defs, param_sorts, seed=extra_sorts)
+    except F.SortError:
+        return None, False
+    order = S._heap_var_order(opened)
+    for v in universe_hint:
+        if v not in order:
+            order.append(v)
+    bounded = False
+    for cube in S._nnf_cubes(opened.pure + tuple(additions)):
+        solution, independent = pure_solve(cube, sorts, budget, order, stats, deadline)
+        if solution is not None:
+            return S._assemble_model(opened, solution, sorts, order), False
+        if not independent:
+            bounded = True
+    return None, bounded
+
+
+def compare_base_solving(monkeypatch):
+    """Run every sat call twice from the same fresh-name state, once with
+    pairwise_try_base and once with _try_base, and record both outcomes
+    and the name state each leaves; the caller gets _try_base's."""
+    pairs = []
+    solve, marked, session = S.sat, S._try_base, F._session
+
+    def run(try_base, names, args):
+        session._seen, session._counters = set(names[0]), dict(names[1])
+        monkeypatch.setattr(S, "_try_base", try_base)
+        try:
+            result = solve(*args)
+            summary = (result.decision, result.model and F.print_heap(result.model.heap),
+                       result.model and result.model.sorts, result.stats)
+        except F.SortError as error:
+            result, summary = error, ("SortError", str(error))
+        return result, (summary, set(session._seen), dict(session._counters))
+
+    def both(*args):
+        names = set(session._seen), dict(session._counters)
+        _, want = run(pairwise_try_base, names, args)
+        got, outcome = run(marked, names, args)
+        pairs.append((F.print_heap(args[0]), outcome, want))
+        if isinstance(got, F.SortError):
+            raise got
+        return got
+
+    monkeypatch.setattr(S, "sat", both)
+    return pairs
+
+
+@pytest.mark.parametrize("name", ["sll", "dll", "stack", "bst", "tll", "sortedlist"])
+def test_marked_classes_match_pairwise_disequalities_on_corpus(name, monkeypatch, tmp_path):
+    pairs = compare_base_solving(monkeypatch)
+    run_benchmark(name, tmp_path)
+    assert pairs
+    assert [p for p in pairs if p[1] != p[2]] == []
+
+
+def test_marked_classes_match_pairwise_disequalities_on_random_heaps(monkeypatch):
+    spec = F.parse_spec(LOOSE)
+    pairs = compare_base_solving(monkeypatch)
+    for d in loose_random_heaps():
+        try:
+            S.sat(d, spec, Budget(max_depth=4))
+        except F.SortError:
+            continue
+    assert len(pairs) == 600
+    assert sum(outcome[0][0] == "sat" for _, outcome, _ in pairs) > 300
+    assert [p for p in pairs if p[1] != p[2]] == []
+
+
 # ------------------------------------------------------------------ sat
 
 
@@ -501,6 +599,17 @@ LOOSE = CHAIN + """
 pred loose(x) == (emp & true) \\/ (exists v, n . x -> N(v, n) * loose(n)) ;
 pred same(x, y) == (emp & x = y) ;
 """
+def loose_random_heaps():
+    """600 seeded chain, loose and same heaps over mixed location and
+    integer literals, many of them ill-sorted once unfolded."""
+    rng = random.Random(5)
+
+    def substitute(m):
+        x = m.group(1)
+        return rng.choice([f"chain({x})", f"loose({x})", f"same({rng.choice('abcpqr')}, {x})"])
+
+    return [heap(re.sub(r"chain\((\w+)\)", substitute, _random_heap_text(rng)))
+            for _ in range(600)]
 
 
 def test_disequality_over_pinned_variables_fails_propagation():
@@ -630,18 +739,9 @@ def test_sat_models_always_pass_model_check_fuzz():
 
 
 def test_sat_models_pass_model_check_on_random_heaps():
-    # chain, loose and same instances over mixed location and integer
-    # literals, many of them ill-sorted once unfolded.
     spec = F.parse_spec(LOOSE)
-    rng = random.Random(5)
-
-    def substitute(m):
-        x = m.group(1)
-        return rng.choice([f"chain({x})", f"loose({x})", f"same({rng.choice('abcpqr')}, {x})"])
-
     models = 0
-    for _ in range(600):
-        d = heap(re.sub(r"chain\((\w+)\)", substitute, _random_heap_text(rng)))
+    for d in loose_random_heaps():
         try:
             result = sat(d, spec, Budget(max_depth=4))
         except F.SortError:

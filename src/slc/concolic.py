@@ -12,11 +12,11 @@ Path conditions keep field reads (``v.f``) and field assignments
 (``v.f := e``) in their raw form; field elimination removes them before
 solving by mapping points-to slots to their symbolic names, discarding
 branches whose base pointer is entailed null, and unfolding an inductive
-predicate when the pointer is only constrained by one, recursing over the
-results depth-first. ``field_free_heaps`` produces the resulting heaps on
-demand, one per pull; ``preprocess`` is the same heaps as a list. The
-output heaps under-approximate the input condition, so any model of one
-drives execution down the intended path.
+predicate when the pointer is only constrained by one, going on depth-first
+in each result from the read that needed it. ``field_free_heaps`` yields
+the resulting heaps on demand, one per pull; ``preprocess`` is the same
+heaps as a list. The output heaps under-approximate the input condition,
+so any model of one drives execution down the intended path.
 
 ``explore`` repeatedly picks the shallowest unexplored node and pulls its
 heaps one at a time: it solves each, builds a new input from the model
@@ -30,6 +30,7 @@ integer domain (``SolverStats.bounded``), or when a model missed the node.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import time
 from dataclasses import dataclass, field as dfield
@@ -314,12 +315,47 @@ class _NeedUnfold(Exception):
         self.inst_index = inst_index
 
 
-class _AliasInfo:
-    def __init__(self, d: SymbolicHeap, atoms: Sequence[PCAtom]):
+def _slots(atoms: Sequence, defs: SpecFile) -> list[tuple[tuple[str, str], ArithTerm]]:
+    """The points-to slots among ``atoms``: ((head, field), value) pairs."""
+    return [((p.var, fname), arg) for p in atoms if isinstance(p, PointsTo)
+            for (fname, _), arg in zip(defs.datas[p.type_name].fields, p.args)]
+
+
+class _Elimination:
+    """Field elimination over the heap ``d`` after its first ``done`` path
+    condition atoms: the points-to slot of each (head, field) pair, the
+    alias classes, the conjuncts those atoms resolved to, and each field
+    read among them as ``(base var, field, slot chosen)``."""
+
+    def __init__(self, d: SymbolicHeap, atoms: Sequence[PCAtom], defs: SpecFile):
+        self.d = d
+        self.slot_map = dict(_slots(d.atoms, defs))
         self.uf = S.alias_classes(S.pure_equalities(d.pure))
         for atom in atoms:
             if isinstance(atom, PCExpr):
                 self.absorb(atom.expr)
+        self.pure: list[PureFormula] = []
+        self.reads: list[tuple[str, str, tuple[str, str]]] = []
+        self.done = 0
+
+    def resumed(self, child: SymbolicHeap, defs: SpecFile) -> "_Elimination | None":
+        """This state carried into ``child``, which ``unfold_at`` made from
+        ``d``: the body's points-to slots go after the context's and its
+        pure equalities join the alias classes. None when the body could
+        change a resolved read (its base now entailed null or first aliased
+        to another slot) or has a slot that is already there."""
+        new = copy.copy(self)
+        new.d, new.slot_map, new.uf = child, dict(self.slot_map), self.uf.copy()
+        new.pure, new.reads = list(self.pure), list(self.reads)
+        for left, right in S.pure_equalities(child.pure[len(self.d.pure):]):
+            S.merge_alias(new.uf, left, right)
+        body = _slots(child.atoms[len(self.d.atoms) - 1:], defs)
+        if any(key in new.slot_map for key, _ in body) or any(
+                new.aliased(var, S.NULL_KEY) or new._first_slot(var, fname) != key
+                for var, fname, key in new.reads):
+            return None
+        new.slot_map.update(body)
+        return new
 
     def absorb(self, e: Expr) -> None:
         """Record an equality learned while resolving a conjunct (a field
@@ -328,64 +364,73 @@ class _AliasInfo:
                 and isinstance(e.right, (EVar, ENull)):
             S.merge_alias(self.uf, _expr_to_term(e.left), _expr_to_term(e.right))
 
-    def entails_null(self, v: str) -> bool:
-        return self.aliased(v, S.NULL_KEY)
-
     def aliased(self, a: str, b: str) -> bool:
         return self.uf.find(a) == self.uf.find(b)
 
+    def _first_slot(self, var: str, fieldname: str) -> tuple[str, str] | None:
+        root, find = self.uf.find(var), self.uf.find
+        return next((key for key in self.slot_map
+                     if key[1] == fieldname and find(key[0]) == root), None)
 
-def _slot(var: str, fieldname: str, slot_map: dict[tuple[str, str], ArithTerm],
-          aliases: _AliasInfo, d: SymbolicHeap) -> tuple[str, str]:
-    """The points-to slot that ``var.fieldname`` denotes; raise when there
-    is none (null base, unfolding needed, or no information)."""
-    if aliases.entails_null(var):
-        raise _Discard()
-    for head, fname in slot_map:
-        if fname == fieldname and aliases.aliased(head, var):
-            return head, fname
-    for idx, atom in enumerate(d.atoms):
-        if isinstance(atom, PredInst):
-            for arg in atom.args:
-                if isinstance(arg, Var) and aliases.aliased(arg.name, var):
+    def _slot(self, var: str, fieldname: str, reads: list) -> tuple[str, str]:
+        """The points-to slot that ``var.fieldname`` denotes, recorded in
+        ``reads``; raise when there is none (null base, unfolding needed,
+        or no information)."""
+        if self.aliased(var, S.NULL_KEY):
+            raise _Discard()
+        key = self._first_slot(var, fieldname)
+        if key is None:
+            for idx, atom in enumerate(self.d.atoms):
+                if isinstance(atom, PredInst) and any(
+                        isinstance(arg, Var) and self.aliased(arg.name, var)
+                        for arg in atom.args):
                     raise _NeedUnfold(idx)
-    raise _Discard()
+            raise _Discard()
+        reads.append((var, fieldname, key))
+        return key
 
+    def _resolved(self, e: Expr, reads: list) -> Expr:
+        """``e`` with every field access rewritten via the slot map."""
+        if isinstance(e, EField):
+            return _term_to_expr(self.slot_map[self._slot(e.var, e.fieldname, reads)])
+        if isinstance(e, EBin):
+            return EBin(e.op, self._resolved(e.left, reads), self._resolved(e.right, reads))
+        if isinstance(e, EUn):
+            return EUn(e.op, self._resolved(e.operand, reads))
+        return e
 
-def _resolve_expr(e: Expr, slot_map: dict[tuple[str, str], ArithTerm],
-                  aliases: _AliasInfo, d: SymbolicHeap) -> Expr:
-    """Rewrite every field access via the slot map."""
-    if isinstance(e, EField):
-        return _term_to_expr(slot_map[_slot(e.var, e.fieldname, slot_map, aliases, d)])
-    if isinstance(e, EBin):
-        return EBin(e.op, _resolve_expr(e.left, slot_map, aliases, d),
-                    _resolve_expr(e.right, slot_map, aliases, d))
-    if isinstance(e, EUn):
-        return EUn(e.op, _resolve_expr(e.operand, slot_map, aliases, d))
-    return e
+    def resolve(self, atom: PCAtom) -> None:
+        """Resolve the next atom into a conjunct. The state is left as it
+        was when a read raises."""
+        reads: list = []
+        resolved = self._resolved(atom.expr, reads)
+        if isinstance(atom, PCAssign):
+            key = self._slot(atom.var, atom.fieldname, reads)
+            fresh = F.fresh_var(atom.fieldname)
+            self.slot_map[key] = Var(fresh)  # overrides the original slot name
+            self.pure.append(Atom("=", Var(fresh), _expr_to_term(resolved)))
+            resolved = EBin("=", EVar(fresh), resolved)
+        else:
+            self.pure.append(expr_to_pure(resolved))
+        self.absorb(resolved)
+        self.reads += reads
+        self.done += 1
 
 
 def _preprocess_heap(d: SymbolicHeap, atoms: Sequence[PCAtom], defs: SpecFile,
-                     budget: int, drops: list[str]) -> Iterator[SymbolicHeap]:
-    slot_map: dict[tuple[str, str], ArithTerm] = {}
-    for p in d.points_tos():
-        data = defs.datas[p.type_name]
-        for (fname, _), arg in zip(data.fields, p.args):
-            slot_map[(p.var, fname)] = arg
-    aliases = _AliasInfo(d, atoms)
-    new_pure: list[PureFormula] = []
+                     budget: int, drops: list[str],
+                     state: _Elimination | None = None) -> Iterator[SymbolicHeap]:
+    """The field-free heaps of ``d`` under ``atoms``, depth-first, from
+    ``state`` (which has resolved a prefix of ``atoms`` over ``d``) or else
+    from the first atom. When a read in atom i needs an unfold, each child
+    of ``unfold_at`` resumes at atom i from a copy of the state; when the
+    child's body could change a read of atoms before i, the child starts
+    over from the first atom instead. Both yield the same heaps, up to the
+    names of fresh slot variables."""
+    state = state or _Elimination(d, atoms, defs)
     try:
-        for atom in atoms:
-            resolved = _resolve_expr(atom.expr, slot_map, aliases, d)
-            if isinstance(atom, PCAssign):
-                key = _slot(atom.var, atom.fieldname, slot_map, aliases, d)
-                fresh = F.fresh_var(atom.fieldname)
-                slot_map[key] = Var(fresh)  # overrides the original slot name
-                new_pure.append(Atom("=", Var(fresh), _expr_to_term(resolved)))
-                aliases.absorb(EBin("=", EVar(fresh), resolved))
-            else:
-                new_pure.append(expr_to_pure(resolved))
-                aliases.absorb(resolved)
+        for atom in atoms[state.done:]:
+            state.resolve(atom)
     except _Discard:
         return
     except _NeedUnfold as need:
@@ -394,13 +439,14 @@ def _preprocess_heap(d: SymbolicHeap, atoms: Sequence[PCAtom], defs: SpecFile,
         drops.append(str(err))
         return
     else:
-        yield SymbolicHeap(d.exists, d.atoms, F.conj([d.pure, *new_pure]))
+        yield SymbolicHeap(d.exists, d.atoms, F.conj([d.pure, *state.pure]))
         return
     if budget <= 0:
         drops.append("unfolding budget exhausted in preprocess")
         return
     for unfolded in unfold_at(d, index, defs):
-        yield from _preprocess_heap(unfolded, atoms, defs, budget - 1, drops)
+        yield from _preprocess_heap(unfolded, atoms, defs, budget - 1, drops,
+                                    state.resumed(unfolded, defs))
 
 
 def field_free_heaps(delta: PathCondition, defs: SpecFile, unfold_budget: int,
@@ -409,7 +455,10 @@ def field_free_heaps(delta: PathCondition, defs: SpecFile, unfold_budget: int,
     each built only when it is pulled. A branch that runs out of unfolding
     budget or leaves the solvable fragment is dropped, and its reason
     appended to ``drops``. A branch whose field base is entailed null or
-    described by nothing in the heap is discarded without a trace."""
+    described by nothing in the heap is discarded without a trace. A heap
+    unfolded for a field read resumes at the atom of that read; it starts
+    over from the first atom only when the unfolding could change an
+    earlier read (see ``_preprocess_heap``)."""
     for d in delta.heaps:
         yield from _preprocess_heap(d, delta.atoms, defs, unfold_budget, drops)
 

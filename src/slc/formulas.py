@@ -942,6 +942,11 @@ class UnionFind:
             parent[x], x = root, parent[x]
         return root
 
+    def copy(self) -> "UnionFind":
+        other = UnionFind()
+        other.parent, other.index = dict(self.parent), dict(self.index)
+        return other
+
     def union(self, a: str, b: str) -> None:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:

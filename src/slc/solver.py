@@ -393,6 +393,13 @@ def _search_ints(lins: list[_Lin], order: list[str], sorts: dict[str, str],
     stats.pure_nodes += 1
     if not order:
         return {}
+    # Each literal is checked once, when the last of its variables in
+    # ``order`` is assigned; literals without variables at the first.
+    position = {v: i for i, v in enumerate(order)}
+    checks: list[list[_Lin]] = [[] for _ in order]
+    for lin in lins:
+        if all(v in position for v, _ in lin.coeffs):
+            checks[max((position[v] for v, _ in lin.coeffs), default=0)].append(lin)
     assign: dict[str, int] = {}
     trail: list[tuple[str, int, int]] = []
     # A frame: the values its variable has left to try, and the trail
@@ -412,8 +419,8 @@ def _search_ints(lins: list[_Lin], order: list[str], sorts: dict[str, str],
             assign.pop(v, None)
             continue
         assign[v] = value
-        if any(not _lit_holds(lin, got) for lin in lins
-               if (got := _lin_value(lin, assign)) is not None):
+        if any(not _lit_holds(lin, _lin_value(lin, assign))
+               for lin in checks[len(frames) - 1]):
             continue
         trail.append((v, *bounds[v]))
         bounds[v] = [value, value]
@@ -438,13 +445,8 @@ class PureSolution:
 
 
 def _cube_vars(cube: list[Lit]) -> list[str]:
-    order: list[str] = []
-    for lit in cube:
-        for term in (lit.left, lit.right):
-            for v in _term_var_order(term):
-                if v not in order:
-                    order.append(v)
-    return order
+    return list(dict.fromkeys(v for lit in cube for term in (lit.left, lit.right)
+                              for v in _term_var_order(term)))
 
 
 def _term_var_order(term: ArithTerm) -> list[str]:
@@ -501,13 +503,10 @@ def _propagated(cube: list[Lit], sorts: dict[str, str], universe: list[str] | No
 
     # The caller-supplied order (syntactic first-occurrence in the heap)
     # leads; literal NNF order only covers variables missing from it.
-    var_order = list(universe or [])
-    for v in _cube_vars(cube):
-        if v not in var_order:
-            var_order.append(v)
-    loc_vars = [v for v in var_order
-                if sorts.get(v) is not None and sorts[v] not in _SCALARS]
-    int_vars = [v for v in var_order if v not in loc_vars]
+    var_order = dict.fromkeys([*(universe or []), *_cube_vars(cube)])
+    is_loc = {v: sorts.get(v) is not None and sorts[v] not in _SCALARS for v in var_order}
+    loc_vars = [v for v in var_order if is_loc[v]]
+    int_vars = [v for v in var_order if not is_loc[v]]
 
     loc_solution = _solve_locs(locs, loc_vars, heads)
     if loc_solution is None:
@@ -541,10 +540,7 @@ def _try_base(d: SymbolicHeap, defs: SpecFile, param_sorts: dict, budget: Budget
     except F.SortError:
         return None, False
     heads = [p.var for p in opened.points_tos()]
-    order = _heap_var_order(opened)
-    for v in universe_hint:
-        if v not in order:
-            order.append(v)
+    order = list(dict.fromkeys([*_heap_var_order(opened), *universe_hint]))
     bounded = False
     for cube in _nnf_cubes(opened.pure):
         solution, independent = pure_solve(cube, sorts, budget, order, stats, deadline, heads)
@@ -556,20 +552,13 @@ def _try_base(d: SymbolicHeap, defs: SpecFile, param_sorts: dict, budget: Budget
 
 
 def _heap_var_order(d: SymbolicHeap) -> list[str]:
-    order: list[str] = []
-
-    def add_term(t: ArithTerm) -> None:
-        for v in _term_var_order(t):
-            if v not in order:
-                order.append(v)
-
+    names: list[str] = []
     for c in d.pure:
         stack = [c]
         while stack:
             p = stack.pop()
             if isinstance(p, Atom):
-                add_term(p.left)
-                add_term(p.right)
+                names += _term_var_order(p.left) + _term_var_order(p.right)
             elif isinstance(p, Not):
                 stack.append(p.inner)
             elif isinstance(p, F.And):
@@ -577,10 +566,10 @@ def _heap_var_order(d: SymbolicHeap) -> list[str]:
                 stack.append(p.left)
     for atom in d.atoms:
         if isinstance(atom, PointsTo):
-            add_term(Var(atom.var))
+            names.append(atom.var)
         for a in atom.args:
-            add_term(a)
-    return order
+            names += _term_var_order(a)
+    return list(dict.fromkeys(names))
 
 
 def _assemble_model(opened: SymbolicHeap, solution: PureSolution,

@@ -494,3 +494,92 @@ def test_explore_solves_eager_heaps_in_order(name, monkeypatch, tmp_path):
             assert got.decision == again.decision
             assert shape([F.print_heap(heap), str(got.model)], delta.vars()) == \
                 shape([F.print_heap(want), str(again.model)], delta.vars())
+
+
+# ------------------------------------------------ resumed field elimination
+
+
+def force_restart(monkeypatch):
+    """Make every unfolded child of field elimination start over from the
+    first atom: the from-scratch reference that resuming must match."""
+    monkeypatch.setattr(C._Elimination, "resumed", lambda self, child, defs: None)
+
+
+def heaps_and_drops(delta, spec, unfold_budget):
+    drops = []
+    heaps = [F.print_heap(h) for h in C.field_free_heaps(delta, spec, unfold_budget, drops)]
+    keep = delta.vars()
+    # Fresh slot variables differ between the two paths: compare each heap
+    # and drop after renaming its other names in order of first occurrence.
+    return [shape([h], keep) for h in heaps], [shape([d], keep) for d in drops]
+
+
+def gated_run(name, tmp_path):
+    bench = BENCHMARKS[name]
+    spec = F.parse_spec(corpus_path(bench.spec).read_text())
+    result = run_pipeline(corpus_path(bench.spec), corpus_path(bench.program), bench.entry,
+                          unfold_depth=bench.unfold_depth, solver_depth=bench.solver_depth,
+                          max_nodes=bench.max_nodes, out_dir=tmp_path)
+    return spec, bench, result
+
+
+@pytest.mark.parametrize("name", list(BENCHMARKS))
+def test_resumed_field_elimination_matches_restarting(name, monkeypatch, tmp_path):
+    spec, bench, result = gated_run(name, tmp_path)
+    deltas = [n.delta for n in result.tree.nodes]
+    resumed = [heaps_and_drops(delta, spec, bench.solver_depth) for delta in deltas]
+    force_restart(monkeypatch)
+    assert resumed == [heaps_and_drops(delta, spec, bench.solver_depth) for delta in deltas]
+
+
+def test_resuming_cuts_atom_resolutions_on_tll(monkeypatch, tmp_path):
+    resolve, count = C._Elimination.resolve, [0]
+
+    def counted(self, atom):
+        count[0] += 1
+        return resolve(self, atom)
+
+    monkeypatch.setattr(C._Elimination, "resolve", counted)
+    gated_run("tll", tmp_path / "resumed")
+    resumed, count[0] = count[0], 0
+    force_restart(monkeypatch)
+    gated_run("tll", tmp_path / "restarted")
+    # Restarting every unfolded child resolved 8,190 atoms.
+    assert resumed <= 2000 and count[0] > 4 * resumed
+
+
+RESTART_SPEC = """
+data N { int val; N next; }
+pred nulls(y, x) == (exists w . y -> N(w, null) & x = null) \\/ (exists w . y -> N(w, null)) ;
+pred joins(c, b, a) == (exists w . c -> N(w, null) & b = a) \\/ (exists w . c -> N(w, null)) ;
+"""
+
+
+@pytest.mark.parametrize("heap, first_read, expected", [
+    # Unfolding nulls(y, x) makes x, the base of the resolved read, null.
+    ("x -> N(1, null) * nulls(y, x)", EField("x", "val"), 1),
+    # Unfolding joins(c, b, a) aliases b to a, whose slot comes first.
+    ("a -> N(1, null) * b -> N(2, null) * joins(c, b, a)", EField("b", "val"), 2),
+])
+def test_unfold_that_changes_a_resolved_read_restarts(heap, first_read, expected,
+                                                        monkeypatch):
+    spec = F.parse_spec(RESTART_SPEC)
+    base = first_read.var
+    pc = PathCondition((F.parse_heap(heap),), ())
+    pc = pc.conjoin(EBin("=", first_read, EConst(2)))
+    pc = pc.conjoin(EBin("=", EField("y" if base == "x" else "c", "val"), EConst(3)))
+    carried = []
+    resumed = C._Elimination.resumed
+
+    def recorded(self, child, defs):
+        state = resumed(self, child, defs)
+        carried.append(state is not None)
+        return state
+
+    monkeypatch.setattr(C._Elimination, "resumed", recorded)
+    got = heaps_and_drops(pc, spec, 6)
+    # The first child starts over, the second resumes.
+    assert carried == [False, True]
+    assert len(got[0]) == expected
+    force_restart(monkeypatch)
+    assert got == heaps_and_drops(pc, spec, 6)

@@ -8,6 +8,12 @@ path; a conditional creates both children, conjoining the condition to
 the then-child and its negation to the else-child, and the concretely
 taken side is flagged explored.
 
+Path conditions are append-only, in SSA style: a child's heaps and atoms
+extend its parent's, and nothing is rewritten once made. An assignment or
+allocation names the new value with a fresh symbol and maps the variable to
+it; every later expression reads variables through that map, and a
+variable outside it still holds its entry value, under its own name.
+
 Path conditions keep field reads (``v.f``) and field assignments
 (``v.f := e``) in their raw form; field elimination removes them before
 solving by mapping points-to slots to their symbolic names, discarding
@@ -126,69 +132,48 @@ PCAtom = Union[PCExpr, PCAssign]
 
 @dataclass(frozen=True)
 class PathCondition:
+    """Append-only: each step adds a heap atom or a path atom and rewrites
+    none. ``current`` maps a program variable to the symbol of its latest
+    value, which an assignment or allocation makes fresh; every expression a
+    step adds reads its variables through it. A variable not in ``current``
+    holds its entry value under its own name, as the parameters in a model."""
+
     heaps: tuple[SymbolicHeap, ...]  # precondition disjuncts, plus allocations
     atoms: tuple[PCAtom, ...]
+    current: dict[str, str] = dfield(default_factory=dict)  # var -> latest symbol
 
-    def vars(self) -> set[str]:
-        out: set[str] = set()
-        for d in self.heaps:
-            out |= F.free_vars(d)
-        for atom in self.atoms:
-            if isinstance(atom, PCExpr):
-                out |= ir.expr_vars(atom.expr)
-            else:
-                out.add(atom.var)
-                out |= ir.expr_vars(atom.expr)
-        return out
+    def _now(self, var: str) -> str:
+        return self.current.get(var, var)
 
-    def rename(self, old: str, new: str) -> "PathCondition":
-        binding = {old: Var(new)}
+    def _read(self, expr: Expr) -> Expr:
+        return ir.rename_expr(expr, self._now)
 
-        def renamed(v: str) -> str:
-            return new if v == old else v
-
-        heaps = tuple(F.substitute(d, binding) if old in F.free_vars(d) else d
-                      for d in self.heaps)
-        atoms = []
-        for atom in self.atoms:
-            if isinstance(atom, PCExpr):
-                atoms.append(PCExpr(ir.rename_expr(atom.expr, renamed)))
-            else:
-                atoms.append(PCAssign(renamed(atom.var), atom.fieldname,
-                                      ir.rename_expr(atom.expr, renamed)))
-        return PathCondition(heaps, tuple(atoms))
+    def _bind(self, var: str) -> tuple[str, dict[str, str]]:
+        new = F.fresh_var(var)
+        return new, {**self.current, var: new}
 
     def conjoin(self, expr: Expr) -> "PathCondition":
-        return PathCondition(self.heaps, self.atoms + (PCExpr(expr),))
+        return PathCondition(self.heaps, self.atoms + (PCExpr(self._read(expr)),),
+                             self.current)
 
     def assign(self, var: str, expr: Expr) -> "PathCondition":
-        """Assignment rule: substitute the old value of ``var`` by a fresh
-        symbol, then conjoin the defining equation."""
-        pc = self
-        new_expr = expr
-        if var in self.vars():
-            old = F.fresh_var(var)
-            pc = self.rename(var, old)
-            new_expr = ir.rename_expr(expr,
-                                      lambda v: old if v == var else v)
-        return pc.conjoin(EBin("=", EVar(var), new_expr))
+        """Assignment rule: conjoin ``new = expr`` for a fresh symbol."""
+        new, current = self._bind(var)
+        atom = PCExpr(EBin("=", EVar(new), self._read(expr)))
+        return PathCondition(self.heaps, self.atoms + (atom,), current)
 
     def allocate(self, var: str, type_name: str, args: Sequence[str]) -> "PathCondition":
         """Allocation rule: like assignment, but the new value is described
         by a separating points-to atom on every disjunct."""
-        pc = self
-        arg_names = list(args)
-        if var in self.vars():
-            old = F.fresh_var(var)
-            pc = self.rename(var, old)
-            arg_names = [old if a == var else a for a in arg_names]
-        atom = PointsTo(var, type_name, tuple(Var(a) for a in arg_names))
+        new, current = self._bind(var)
+        atom = PointsTo(new, type_name, tuple(Var(self._now(a)) for a in args))
         heaps = tuple(SymbolicHeap(d.exists, d.atoms + (atom,), d.pure)
-                      for d in pc.heaps)
-        return PathCondition(heaps, pc.atoms)
+                      for d in self.heaps)
+        return PathCondition(heaps, self.atoms, current)
 
     def store(self, var: str, fieldname: str, expr: Expr) -> "PathCondition":
-        return PathCondition(self.heaps, self.atoms + (PCAssign(var, fieldname, expr),))
+        atom = PCAssign(self._now(var), fieldname, self._read(expr))
+        return PathCondition(self.heaps, self.atoms + (atom,), self.current)
 
 
 def initial_path_condition(pre: F.Formula) -> PathCondition:

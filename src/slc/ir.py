@@ -83,18 +83,6 @@ _CMP = ("=", "!=", "<", "<=", ">", ">=")
 _LOGIC = ("&", "|")
 
 
-def expr_vars(e: Expr) -> set[str]:
-    if isinstance(e, EVar):
-        return {e.name}
-    if isinstance(e, EField):
-        return {e.var}
-    if isinstance(e, EBin):
-        return expr_vars(e.left) | expr_vars(e.right)
-    if isinstance(e, EUn):
-        return expr_vars(e.operand)
-    return set()
-
-
 def rename_expr(e: Expr, rename: Callable[[str], str]) -> Expr:
     if isinstance(e, EVar):
         return EVar(rename(e.name))

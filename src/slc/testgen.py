@@ -459,32 +459,30 @@ class GenStats:
 def gen_from_spec(g: Sequence[SymbolicHeap], n: int, defs: SpecFile,
                   entry_params: Sequence[tuple[str, str]],
                   budget: S.Budget | None = None,
-                  stats: GenStats | None = None,
-                  _depth0: int | None = None) -> list[TestInput]:
+                  stats: GenStats | None = None) -> list[TestInput]:
     """Generate inputs from a heap set: unfold ``n`` rounds (base heaps
     carry forward), then emit one input per satisfiable heap."""
     if not g:
         raise ValueError("the initial heap set must be nonempty")
     budget = budget or S.Budget()
     stats = stats if stats is not None else GenStats()
-    total = n if _depth0 is None else _depth0
-    if n == 0:
-        tests: list[TestInput] = []
-        for i, d in enumerate(g):
-            result = S.sat(d, defs, budget)
-            stats.solver_calls += 1
-            stats.unfold_rounds += result.stats.rounds
-            stats.pure_nodes += result.stats.pure_nodes
-            if result.is_sat:
-                tests.append(to_unit_test(result.model, entry_params, defs,
-                                          provenance=f"spec:d{total}:h{i}"))
-            elif result.decision == "unknown":
-                stats.unknown_skipped += 1
-            else:
-                stats.unsat_skipped += 1
-        return tests
-    return gen_from_spec(unfold_round(list(g), defs), n - 1, defs, entry_params,
-                         budget, stats, total)
+    heaps = list(g)
+    for _ in range(n):
+        heaps = unfold_round(heaps, defs)
+    tests: list[TestInput] = []
+    for i, d in enumerate(heaps):
+        result = S.sat(d, defs, budget)
+        stats.solver_calls += 1
+        stats.unfold_rounds += result.stats.rounds
+        stats.pure_nodes += result.stats.pure_nodes
+        if result.is_sat:
+            tests.append(to_unit_test(result.model, entry_params, defs,
+                                      provenance=f"spec:d{n}:h{i}"))
+        elif result.decision == "unknown":
+            stats.unknown_skipped += 1
+        else:
+            stats.unsat_skipped += 1
+    return tests
 
 
 # =====================================================================

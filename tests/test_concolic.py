@@ -1,5 +1,7 @@
 """Execution rules, constraint tree growth, preprocess, exploration."""
 
+import itertools
+import random
 import re
 
 import pytest
@@ -84,7 +86,9 @@ def test_assign_extends_path_condition():
     outcome = run_test(T.TestInput({}, {}, "t"), tree, F.SpecFile())
     assert outcome.kind == "ok"
     child = tree.nodes[tree.root.children["assign"]]
-    assert child.delta.atoms == (C.PCExpr(EBin("=", EVar("v"), EConst(1))),)
+    (new,) = child.delta.current.values()
+    assert new != "v" and child.delta.current == {"v": new}
+    assert child.delta.atoms == (C.PCExpr(EBin("=", EVar(new), EConst(1))),)
     assert child.flag
 
 
@@ -92,13 +96,15 @@ def test_reassignment_versions_old_value():
     elab = trivial_program("proc f() { 0: v := 1  1: v := v + 1 }")
     tree = ConstraintTree(elab, TRUE_PRE)
     run_test(T.TestInput({}, {}, "t"), tree, F.SpecFile())
-    leaf = tree.nodes[-1]
+    first_node, leaf = tree.nodes[1], tree.nodes[-1]
     first, second = leaf.delta.atoms
-    # second equation reads the renamed old copy, not v itself
-    assert second.expr.left == EVar("v")
-    (old,) = ir.expr_vars(second.expr.right)
-    assert old != "v"
-    assert first.expr.left == EVar(old)
+    # Each value has its own symbol; the second equation reads the first's
+    # symbol, and the earlier atom is the parent's, unchanged.
+    old, new = first.expr.left.name, second.expr.left.name
+    assert len({old, new, "v"}) == 3
+    assert second.expr.right == EBin("+", EVar(old), EConst(1))
+    assert first_node.delta.atoms == (first,) and first_node.delta.current == {"v": old}
+    assert leaf.delta.current == {"v": new}
 
 
 def test_conditional_creates_both_children():
@@ -170,16 +176,28 @@ def test_step_budget():
     assert outcome.kind == "budget"
 
 
+ALLOCATIONS = [
+    ("data C { int v; }\nproc f(a: int) { 0: p := new C(a)  1: w := p.v }", {"a": 5}),
+    # a variable among its own allocation arguments: the cell holds p's old value
+    ("data C { int v; C next; }\n"
+     "proc f(a: int, p: C) { 0: p := new C(a, p)  1: w := p.v }", {"a": 5, "p": None}),
+]
+
+
 def test_allocation_adds_points_to():
-    text = "data C { int v; }\nproc f(a: int) { 0: p := new C(a)  1: w := p.v }"
-    elab = trivial_program(text)
-    tree = ConstraintTree(elab, TRUE_PRE)
-    outcome = run_test(T.TestInput({}, {"a": 5}, "t"), tree, F.SpecFile())
-    assert outcome.kind == "ok"
-    new_node = tree.nodes[tree.root.children["new"]]
-    (heap,) = new_node.delta.heaps
-    (pt,) = heap.points_tos()
-    assert pt.var == "p" and pt.type_name == "C"
+    for text, bindings in ALLOCATIONS:
+        elab = trivial_program(text)
+        tree = ConstraintTree(elab, TRUE_PRE)
+        outcome = run_test(T.TestInput({}, bindings, "t"), tree, F.SpecFile())
+        assert outcome.kind == "ok"
+        new_node = tree.nodes[tree.root.children["new"]]
+        (heap,) = new_node.delta.heaps
+        (pt,) = heap.points_tos()
+        p = new_node.delta.current["p"]
+        assert p != "p" and pt == F.PointsTo(p, "C", tuple(F.Var(a) for a in bindings))
+        # the later read goes through the new symbol
+        (read,) = tree.nodes[-1].delta.atoms
+        assert read.expr.right == EField(p, "v")
 
 
 # -------------------------------------------------------------- preprocess
@@ -354,10 +372,10 @@ def seven_reads_path_condition(spec):
     return pc.conjoin(EBin("=", EField("t", "val"), EConst(5)))
 
 
-def pipeline(tmp_path, spec_text, program_text, entry):
+def pipeline(tmp_path, spec_text, program_text, entry, **options):
     (tmp_path / "s.sl").write_text(spec_text)
     (tmp_path / "p.ir").write_text(program_text)
-    return run_pipeline(tmp_path / "s.sl", tmp_path / "p.ir", entry)
+    return run_pipeline(tmp_path / "s.sl", tmp_path / "p.ir", entry, **options)
 
 
 def test_explore_dropped_branch_is_unresolved_not_pruned(tmp_path):
@@ -380,6 +398,87 @@ def test_explore_domain_bounded_unsat_is_unresolved_not_pruned(tmp_path):
               "  1: v := 1\n}\n"
     result = pipeline(tmp_path, spec, program, "g")
     assert (result.report.pruned_nodes, result.report.unresolved_nodes) == (0, 1)
+
+
+SLL_SPEC = """
+data SNode { int val; SNode next; }
+pred sll(x) == (emp & x = null) \\/ (exists v, n . x -> SNode(v, n) * sll(n)) ;
+pre f == sll(root) ;
+"""
+
+
+@pytest.mark.parametrize("body", [
+    # the guard reads the new x: x = x + 1 must not be conjoined
+    "0: x := x + 1\n  1: if x = 5 then goto 2 else goto 3\n  2: v := 1\n",
+    # y holds the entry x, which the model must bind, not x's current 0
+    "0: y := x\n  1: x := 0\n  2: if y = 5 then goto 3 else goto 4\n  3: v := 1\n",
+], ids=["self-referential", "reassigned-parameter"])
+def test_reassigned_parameter_branches_are_both_covered(tmp_path, body):
+    result = pipeline(tmp_path, SLL_SPEC, f"proc f(root: SNode, x: int) {{\n  {body}}}\n", "f")
+    report = result.report
+    assert (report.pruned_nodes, report.unresolved_nodes) == (0, 0)
+    assert report.covered_branches == report.total_branches == 2
+
+
+def random_int_program(rng):
+    """A small loop-free goto program over two or three int parameters:
+    self-referential and parameter reassignments, and one or two forward
+    conditionals."""
+    params = ["a", "b", "c"][:rng.choice([2, 3])]
+
+    def term():
+        v, w, k = rng.choice(params), rng.choice(params), rng.randint(0, 3)
+        return rng.choice([f"{v}", f"{k}", f"{v} + {k}", f"{v} - {w}",
+                           f"{v} + {w}", f"2 * {v} - {w}"])
+
+    n = rng.randint(3, 6)
+    conds = set(rng.sample(range(n - 1), rng.choice([1, 2])))
+    stmts = []
+    for i in range(n):
+        if i in conds:
+            op = rng.choice(["=", "!=", "<", "<="])
+            stmts.append(f"if {term()} {op} {term()} then goto {i + 1} "
+                         f"else goto {rng.randint(i + 2, n)}")
+        else:
+            v = rng.choice(params)
+            stmts.append(rng.choice([f"{v} := {v} + {rng.randint(1, 2)}",
+                                     f"{v} := {term()}"]))
+    signature = ", ".join(f"{p}: int" for p in params)
+    lines = "".join(f"  {i}: {st}\n" for i, st in enumerate(stmts))
+    return params, f"proc f({signature}) {{\n{lines}}}\n"
+
+
+def edge_path(tree, node):
+    """The rule labels from the root down to ``node``: the same in any
+    tree of the program, unlike node ids."""
+    labels = []
+    while node.parent is not None:
+        labels.append(node.edge)
+        node = tree.nodes[node.parent]
+    return tuple(reversed(labels))
+
+
+def test_pruned_nodes_are_unreachable_within_the_domain(tmp_path):
+    # Pruned means infeasible: no parameter assignment in the integer
+    # domain may reach a node that exploration pruned.
+    rng, domain = random.Random(12), (-3, 3)
+    spec_text = "pre f == emp & true ;\n"
+    pre = F.parse_spec(spec_text).preconditions["f"]
+    pruned_total = 0
+    for _ in range(50):
+        params, text = random_int_program(rng)
+        result = pipeline(tmp_path, spec_text, text, "f", int_domain=domain)
+        pruned = {edge_path(result.tree, n) for n in result.tree.nodes
+                  if n.status == "pruned"}
+        pruned_total += len(pruned)
+        fresh = ConstraintTree(result.tree.program, pre)
+        for values in itertools.product(range(domain[0], domain[1] + 1),
+                                        repeat=len(params)):
+            run_test(T.TestInput({}, dict(zip(params, values)), "all"), fresh,
+                     F.SpecFile())
+        reached = {edge_path(fresh, n) for n in fresh.nodes if n.flag}
+        assert not pruned & reached, text
+    assert pruned_total > 0  # the programs do have infeasible branches
 
 
 def test_explore_pulls_one_heap_when_the_first_covers_the_node(monkeypatch):
@@ -431,6 +530,27 @@ def test_unresolvable_surfaces_exactly_when_no_heap_was_yielded(bst_spec, bst_pr
     drops = []
     assert list(C.field_free_heaps(nonlinear, bst_spec, 6, drops)) == []
     assert drops and drops[0].startswith("nonlinear product")
+
+
+def expr_names(e):
+    """The variables an IR expression reads, field bases included."""
+    if isinstance(e, EVar):
+        return {e.name}
+    if isinstance(e, EField):
+        return {e.var}
+    if isinstance(e, EBin):
+        return expr_names(e.left) | expr_names(e.right)
+    if isinstance(e, EUn):
+        return expr_names(e.operand)
+    return set()
+
+
+def delta_names(delta):
+    """Every symbol a path condition mentions: free in a heap or in an atom."""
+    names = set().union(*(F.free_vars(d) for d in delta.heaps))
+    for atom in delta.atoms:
+        names |= expr_names(atom.expr) | ({atom.var} if isinstance(atom, C.PCAssign) else set())
+    return names
 
 
 def shape(texts, keep):
@@ -492,8 +612,8 @@ def test_explore_solves_eager_heaps_in_order(name, monkeypatch, tmp_path):
             heap, got, budget = next(calls_of)
             again = solve(want, spec, budget)
             assert got.decision == again.decision
-            assert shape([F.print_heap(heap), str(got.model)], delta.vars()) == \
-                shape([F.print_heap(want), str(again.model)], delta.vars())
+            assert shape([F.print_heap(heap), str(got.model)], delta_names(delta)) == \
+                shape([F.print_heap(want), str(again.model)], delta_names(delta))
 
 
 # ------------------------------------------------ resumed field elimination
@@ -508,7 +628,7 @@ def force_restart(monkeypatch):
 def heaps_and_drops(delta, spec, unfold_budget):
     drops = []
     heaps = [F.print_heap(h) for h in C.field_free_heaps(delta, spec, unfold_budget, drops)]
-    keep = delta.vars()
+    keep = delta_names(delta)
     # Fresh slot variables differ between the two paths: compare each heap
     # and drop after renaming its other names in order of first occurrence.
     return [shape([h], keep) for h in heaps], [shape([d], keep) for d in drops]

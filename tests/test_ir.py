@@ -128,10 +128,16 @@ def test_callee_locals_do_not_clobber_caller():
     """
     outcome, tree = run(text, {"x": 3})
     assert outcome.kind == "ok"
-    assigned = [n.delta.atoms[-1].expr.left.name for n in tree.nodes
-                if n.edge == "assign"]
-    # parameter copy, callee body, result copy
-    assert assigned == ["b", "ret", "b@1", "b@1", "ret@1", "y"]
+    nodes = [n for n in tree.nodes if n.edge == "assign"]
+    assigned = [n.delta.atoms[-1].expr.left.name for n in nodes]
+    # parameter copy, callee body, result copy: each value its own symbol,
+    # and each program variable's symbol found through ``current``
+    variables = ["b", "ret", "b@1", "b@1", "ret@1", "y"]
+    assert len(set(assigned)) == 6 and not set(assigned) & set(variables)
+    assert [n.delta.current[v] for n, v in zip(nodes, variables)] == assigned
+    assert nodes[-1].delta.current == {"b": assigned[0], "ret": assigned[1],
+                                       "b@1": assigned[3], "ret@1": assigned[4],
+                                       "y": assigned[5]}
 
 
 @pytest.mark.parametrize("text", [

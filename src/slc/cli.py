@@ -374,6 +374,8 @@ def _parse_domain(text: str) -> tuple[int, int]:
     low, high = int(lo), int(hi)
     if low > high:
         raise argparse.ArgumentTypeError(f"empty integer domain {text!r}")
+    if low < F.INT32_MIN or high > F.INT32_MAX:
+        raise argparse.ArgumentTypeError(f"integer domain {text!r} exceeds 32 bits")
     return low, high
 
 

@@ -621,7 +621,7 @@ def _init_stack(test: TestInput) -> Stack:
     return s
 
 
-def run_test(test: TestInput, tree: ConstraintTree, defs: SpecFile,
+def run_test(test: TestInput, tree: ConstraintTree,
              step_budget: int = DEFAULT_STEP_BUDGET) -> RunOutcome:
     """Execute one input, walking existing tree nodes where the path is
     already known and creating new ones where it is not."""
@@ -771,7 +771,7 @@ def explore(program: ElabProgram, pre: F.Formula, seeds: Sequence[TestInput],
     log: list[tuple[str, RunOutcome]] = []
     tests: list[TestInput] = []
     for seed in seeds:
-        outcome = run_test(seed, tree, defs, step_budget)
+        outcome = run_test(seed, tree, step_budget)
         stats.runs += 1
         log.append((seed.provenance, outcome))
     if spec_only:
@@ -802,7 +802,7 @@ def explore(program: ElabProgram, pre: F.Formula, seeds: Sequence[TestInput],
             test = T.to_unit_test(result.model, program.params, defs,
                                   provenance=f"concolic:i{next(iteration)}:n{node.nid}")
             tests.append(test)
-            outcome = run_test(test, tree, defs, step_budget)
+            outcome = run_test(test, tree, step_budget)
             stats.runs += 1
             log.append((test.provenance, outcome))
             if node.flag:

@@ -26,11 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
-from .formulas import DataDef, register_name
+from .formulas import INT32_MAX, INT32_MIN, DataDef, _parse_data, register_name
 from .lexer import TokenStream
-
-INT32_MIN = -(2**31)
-INT32_MAX = 2**31 - 1
 
 
 def wrap32(value: int) -> int:
@@ -461,20 +458,10 @@ def parse_program(text: str, datas: Mapping[str, DataDef] | None = None) -> Prog
     program = Program(datas=dict(datas or {}))
     while not ts.at_kind("eof"):
         if ts.at("data"):
-            ts.next()
-            name = ts.expect_ident("record type name").text
-            ts.expect("{")
-            fields: list[tuple[str, str]] = []
-            while not ts.at("}"):
-                ftype = ts.expect_ident("field type").text
-                fname = ts.expect_ident("field name").text
-                ts.expect(";")
-                fields.append((fname, ftype))
-            ts.expect("}")
-            data = DataDef(name, tuple(fields))
-            if name in program.datas and program.datas[name] != data:
-                raise ts.error(f"conflicting definition of data {name!r}")
-            program.datas[name] = data
+            data = _parse_data(ts)
+            if program.datas.get(data.name, data) != data:
+                raise ts.error(f"conflicting definition of data {data.name!r}")
+            program.datas[data.name] = data
         elif ts.at("proc"):
             ts.next()
             name = ts.expect_ident("procedure name").text

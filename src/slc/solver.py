@@ -22,8 +22,13 @@ in the statistics, so a caller does not read it as infeasible.
 Every SAT answer carries a symbolic model: a quantifier-free base heap in
 which each reference variable is resolved by a points-to atom, an alias
 equation, or ``= null``, and each scalar variable by an integer or boolean
-constant. ``model_check`` independently re-evaluates the queried formula
-on the concretized model and is the soundness oracle for ``sat``.
+constant; a non-null class with no points-to is a self-alias of its first
+member. ``concretize_model`` is the one reader of that format: it gives
+each points-to head an object and each such class a dangling address
+outside the store. ``model_check`` independently re-evaluates the queried
+formula on that reading and is the soundness oracle for ``sat``; the
+input builder (``testgen.to_unit_test``) puts a default-valued object at
+each dangling address.
 """
 
 from __future__ import annotations
@@ -369,8 +374,16 @@ def _lit_holds(lin: _Lin, value: int) -> bool:
     return value != 0
 
 
-def _value_order(lo: int, hi: int) -> list[int]:
-    return sorted(range(lo, hi + 1), key=lambda v: (abs(v), v > 0))
+def _value_order(lo: int, hi: int) -> Iterable[int]:
+    """The values of ``[lo, hi]`` smallest first, negative before positive
+    (0, -1, 1, -2, 2, ...), made one at a time, so a wide domain costs
+    nothing up front."""
+    if lo >= 0:
+        return range(lo, hi + 1)
+    if hi <= 0:
+        return range(hi, lo - 1, -1)
+    return (v for n in range(max(-lo, hi) + 1) for v in ((-n, n) if n else (0,))
+            if lo <= v <= hi)
 
 
 def _search_ints(lins: list[_Lin], order: list[str], sorts: dict[str, str],
@@ -591,9 +604,9 @@ def _assemble_model(opened: SymbolicHeap, solution: PureSolution,
         elif rep in target and target[rep] != v:
             parts.append(Atom("=", Var(v), Var(target[rep])))
         elif rep not in target:
-            # Non-null class with no points-to: a fresh compatibly-typed
-            # object, recorded as a self-alias of the class's first member
-            # for the input builder; the other members alias that member.
+            # Non-null class with no points-to: a dangling address, recorded
+            # as a self-alias of the class's first member; the other
+            # members alias that member.
             target[rep] = v
             parts.append(Atom("=", Var(v), Var(v)))
     heap = SymbolicHeap((), tuple(pts), tuple(parts))
@@ -689,51 +702,58 @@ def model_check(m: SymbolicModel, d: SymbolicHeap, defs: SpecFile) -> bool:
 
 
 class ModelError(Exception):
-    pass
+    """A symbolic model that does not read as a concrete heap."""
 
 
 def concretize_model(m: SymbolicModel, defs: SpecFile):
-    """Direct reading of a symbolic model as (store, environment)."""
+    """Direct reading of a symbolic model as (store, environment).
+
+    Each points-to head gets an object of its own, in atom order; each
+    alias class takes the value of a member bound to null, to a constant or
+    to a head. A reference class with no such member gets a dangling
+    address outside the store, of the class's record sort (``<external>``
+    when it has none), in the order the alias equations meet the classes.
+    Raises ModelError on a conjunct that is not a binding, on a class with
+    two values, on a class with no value that is not a reference, and on a
+    points-to slot with no value.
+    """
     from .testgen import Addr, HeapObject
 
     store: dict = {}
-    env: dict = {}
-    next_id = 1
+    bound: list[tuple[str, object]] = []  # (variable, value) from heads and constants
     for p in m.heap.points_tos():
-        addr = Addr(next_id, p.type_name)
-        next_id += 1
-        env[p.var] = addr
+        addr = Addr(len(store) + 1, p.type_name)
         store[addr] = HeapObject(addr, p.type_name, {})
-    equalities: list[tuple[str, ArithTerm]] = []
+        bound.append((p.var, addr))
+    aliases: list[tuple[Var, Var | Null]] = []
     for c in m.heap.pure:
-        if not (isinstance(c, Atom) and c.op == "=" and isinstance(c.left, Var)):
+        if not (isinstance(c, Atom) and c.op == "=" and isinstance(c.left, Var)
+                and isinstance(c.right, (Var, Null, Const))):
             raise ModelError(f"model pure part is not a binding: {F.print_pure(c)}")
-        equalities.append((c.left.name, c.right))
-    for v, t in equalities:
-        if isinstance(t, Const):
-            env[v] = bool(t.value) if m.sorts.get(v) == "bool" else t.value
-        elif isinstance(t, Null):
-            env[v] = None
-    changed = True
-    while changed:
-        changed = False
-        for v, t in equalities:
-            if v in env or not isinstance(t, Var):
-                continue
-            if t.name == v:
-                # Headless non-null class: a dangling pointer, denoting an
-                # address outside the footprint. (The input builder instead
-                # materializes an object, to keep tests executable.)
-                env[v] = Addr(next_id, "<external>")
-                next_id += 1
-                changed = True
-            elif t.name in env:
-                env[v] = env[t.name]
-                changed = True
-    for p in m.heap.points_tos():
-        data = defs.datas[p.type_name]
-        obj = store[env[p.var]]
-        for (fname, ftype), arg in zip(data.fields, p.args):
+        if isinstance(c.right, Const):
+            v, value = c.left.name, c.right.value
+            bound.append((v, bool(value) if m.sorts.get(v) == "bool" else value))
+        else:
+            aliases.append((c.left, c.right))
+    uf = alias_classes(aliases)
+    values = {uf.find(NULL_KEY): None}
+    for v, value in bound:
+        if values.setdefault(uf.find(v), value) != value:
+            raise ModelError(f"conflicting aliases for {v}")
+    next_id = len(store) + 1
+    for v, _ in aliases:
+        rep = uf.find(v.name)
+        if rep in values:
+            continue
+        sorts = [m.sorts.get(u) for u in uf.parent if uf.find(u) == rep]
+        record = next((sort for sort in sorts if sort in defs.datas), None)
+        if record is None and "nullref" not in sorts:
+            raise ModelError(f"model gives {v.name} no value")
+        values[rep] = Addr(next_id, record or "<external>")
+        next_id += 1
+    env = {v: values[uf.find(v)] for v in uf.parent if v != NULL_KEY}
+    for p, obj in zip(m.heap.points_tos(), store.values()):
+        for (fname, ftype), arg in zip(defs.datas[p.type_name].fields, p.args):
             value = F.eval_ground(arg, env)
             if value is F.UNDEFINED:
                 raise ModelError(f"model slot {F.print_term(arg)} has no value")

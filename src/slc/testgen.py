@@ -30,7 +30,6 @@ from .formulas import (
     Const,
     Formula,
     Neg,
-    Null,
     PointsTo,
     PredInst,
     Scale,
@@ -88,10 +87,6 @@ def default_value(type_name: str):
     return None
 
 
-class ConstructionError(Exception):
-    """The model could not be turned into an input; indicates a solver bug."""
-
-
 # =====================================================================
 # toUnitTest: symbolic model -> concrete input
 # =====================================================================
@@ -99,86 +94,27 @@ class ConstructionError(Exception):
 
 def to_unit_test(m: S.SymbolicModel, entry_params: Sequence[tuple[str, str]],
                  defs: SpecFile, provenance: str = "") -> TestInput:
-    """Three passes: allocate and bind direct resolutions, resolve alias
-    equations (allocating a compatibly-typed object when a class has no
-    initialized member), then wire every points-to's field slots. Objects
-    not reachable from the entry bindings are dropped at the end: they
-    describe solver-internal values, not part of the input."""
-    env: dict[str, object] = {}
-    store: dict[Addr, HeapObject] = {}
-    next_id = itertools.count(1)
-
-    # Pass 1: points-to heads, null bindings, scalar constants.
-    for p in m.heap.points_tos():
-        if p.var in env:
-            raise ConstructionError(f"{p.var} heads two points-to atoms")
-        addr = Addr(next(next_id), p.type_name)
-        env[p.var] = addr
-        store[addr] = HeapObject(addr, p.type_name, {})
-    equalities: list[tuple[str, ArithTerm]] = []
-    for c in m.heap.pure:
-        if not (isinstance(c, Atom) and c.op == "=" and isinstance(c.left, Var)):
-            raise ConstructionError(f"unexpected model conjunct {F.print_pure(c)}")
-        v, t = c.left.name, c.right
-        if isinstance(t, Null):
-            env.setdefault(v, None)
-        elif isinstance(t, Const):
-            value = bool(t.value) if m.sorts.get(v) == "bool" else t.value
-            if isinstance(value, int) and not isinstance(value, bool):
-                if not (F.INT32_MIN <= value <= F.INT32_MAX):
-                    raise ConstructionError(f"scalar {v}={value} outside 32-bit range")
-            env.setdefault(v, value)
-        else:
-            equalities.append((v, t))
-
-    # Pass 2: alias equations.
-    changed = True
-    while changed:
-        changed = False
-        for v, t in equalities:
-            if not isinstance(t, Var):
-                raise ConstructionError(f"non-variable alias for {v}")
-            if v in env and t.name in env:
-                if env[v] != env[t.name]:
-                    raise ConstructionError(f"conflicting aliases for {v}")
-            elif v in env:
-                env[t.name] = env[v]
-                changed = True
-            elif t.name in env:
-                env[v] = env[t.name]
-                changed = True
-    for v, t in equalities:
-        if v in env:
-            continue
-        if t.name not in env:
-            sort = m.sorts.get(v) or m.sorts.get(t.name)
-            if sort == "nullref":
-                sort = None
-            if sort is None or sort in ("int", "bool"):
-                raise ConstructionError(f"cannot pick a type for fresh object {v}")
-            data = defs.datas[sort]
-            addr = Addr(next(next_id), sort)
-            store[addr] = HeapObject(addr, sort,
-                                     {f: default_value(ft) for f, ft in data.fields})
-            env[t.name] = addr
-        env[v] = env[t.name]
-
-    # Pass 3: field wiring.
-    for p in m.heap.points_tos():
-        data = defs.datas[p.type_name]
-        obj = store[env[p.var]]
-        for (fname, ftype), arg in zip(data.fields, p.args):
-            value = eval_ground(arg, env)
-            if value is UNDEFINED:
-                raise ConstructionError(f"model slot {F.print_term(arg)} has no value")
-            if ftype == "bool" and isinstance(value, int) and not isinstance(value, bool):
-                value = bool(value)
-            obj.fields[fname] = value
-
-    bindings = {}
-    for name, ptype in entry_params:
-        bindings[name] = env.get(name, default_value(ptype))
-
+    """Build an input on the solver's own reading of the model
+    (``solver.concretize_model``): put a default-valued object at each
+    dangling address, so the input runs as-is, check the scalars against
+    int32, bind the entry parameters (their type's default where the model
+    leaves one free), and drop the objects not reachable from them: those
+    describe solver-internal values, not part of the input. A dangling
+    class sorted only as a reference takes its record type from an entry
+    parameter it contains. Raises ``solver.ModelError``."""
+    declared = {name: ptype for name, ptype in entry_params
+                if m.sorts.get(name) == "nullref"}
+    store, env = S.concretize_model(S.SymbolicModel(m.heap, {**m.sorts, **declared}), defs)
+    for addr in sorted({a for a in env.values() if isinstance(a, Addr)} - store.keys(),
+                       key=lambda a: a.ident):
+        if addr.type_name in defs.datas:
+            store[addr] = HeapObject(addr, addr.type_name, {
+                f: default_value(ft) for f, ft in defs.datas[addr.type_name].fields})
+    fields = [kv for obj in store.values() for kv in obj.fields.items()]
+    for name, value in [*env.items(), *fields]:
+        if type(value) is int and not F.INT32_MIN <= value <= F.INT32_MAX:
+            raise S.ModelError(f"scalar {name}={value} outside 32-bit range")
+    bindings = {name: env.get(name, default_value(ptype)) for name, ptype in entry_params}
     reachable = _reachable(store, bindings.values())
     kept = {a: store[a] for a in store if a in reachable}
     return TestInput(kept, bindings, provenance)

@@ -196,7 +196,7 @@ def test_criterion_5_tree_replay(bst_spec, bst_pre):
 
         # seed 1, the empty tree: one conditional on the path, taken side
         # explored, the other flagged with a question mark.
-        assert C.run_test(empty, tree, bst_spec).kind == "ok"
+        assert C.run_test(empty, tree).kind == "ok"
         conds = [n for n in tree.nodes
                  if isinstance(tree.statement(n), ir.SCond) and n.children]
         assert len(conds) == 1
@@ -208,7 +208,7 @@ def test_criterion_5_tree_replay(bst_spec, bst_pre):
 
         # seed 2, the one-node tree with x = 0: walks the else side, takes
         # C-FCOND at every comparison, leaving four question marks.
-        assert C.run_test(one, tree, bst_spec).kind == "ok"
+        assert C.run_test(one, tree).kind == "ok"
         assert else_child.flag
         unexplored = {n.branch for n in tree.unexplored()}
         assert unexplored == {("remove", 4, "then"), ("remove", 8, "then"),
@@ -224,7 +224,7 @@ def test_criterion_5_tree_replay(bst_spec, bst_pre):
         test = T.to_unit_test(result.model, elab.params, bst_spec, "iter1")
         root_obj = test.objects[test.bindings["this_root"]]
         assert test.bindings["x"] < root_obj.fields["element"]
-        assert C.run_test(test, tree, bst_spec).kind == "ok"
+        assert C.run_test(test, tree).kind == "ok"
         assert node.flag
     passed(5, f"seed replay matches the published pattern; first iteration "
               f"takes x < element ({timer.elapsed:.1f}s)")

@@ -88,6 +88,35 @@ def test_int_domain_accepts_negative_lower_bound(domain, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["totals"]["feasible_percent"] == 100.0
 
 
+@pytest.mark.parametrize("domain", ["2147483640:2147483660", "-2147483649:0"])
+def test_int_domain_outside_int32_is_usage_error(domain, tmp_path, capsys):
+    spec = tmp_path / "guard.sl"
+    spec.write_text("pre f == emp & true ;\n")
+    prog = tmp_path / "guard.ir"
+    prog.write_text("proc f(x: int) { 0: if x = 100 then goto 1 else goto 2  1: v := 1 }")
+    code = main(["--spec", str(spec), "--program", str(prog), "--entry", "f",
+                 f"--int-domain={domain}"])
+    assert code == 1
+    assert "exceeds 32 bits" in capsys.readouterr().err
+
+
+def test_untyped_non_null_reference_gets_its_declared_type(tmp_path, capsys):
+    # The model sorts p only as a reference; the input builder takes its
+    # type from the entry parameter instead of refusing the model.
+    spec = tmp_path / "ref.sl"
+    spec.write_text("data C { int v; }\npre f == emp & true ;\n")
+    prog = tmp_path / "ref.ir"
+    prog.write_text("proc f(p: C) { 0: if p = null then goto 1 else goto 1 }")
+    code = main(["--spec", str(spec), "--program", str(prog), "--entry", "f",
+                 "--report", "json"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["totals"]["feasible_percent"] == 100.0
+    # The non-null input's object lies outside the precondition's empty
+    # footprint, and the report says so.
+    assert payload["tests"] == {"emitted": 2, "valid": 1}
+
+
 @pytest.mark.parametrize("limit, stopped_by, other", [
     (["--timeout", "0"], "timeout", "node budget"),
     (["--max-nodes", "1"], "node budget", "timeout"),
@@ -148,8 +177,7 @@ def fig7a_tree(bst_pre):
     program = ir.parse_program(corpus_path("bst.ir").read_text(), datas=spec.datas)
     elab = ir.elaborate(program, "remove", inline_depth=2)
     tree = C.ConstraintTree(elab, bst_pre)
-    outcome = C.run_test(T.TestInput({}, {"this_root": None, "x": 0}, "s"),
-                         tree, spec)
+    outcome = C.run_test(T.TestInput({}, {"this_root": None, "x": 0}, "s"), tree)
     return tree, [("s", outcome)]
 
 

@@ -83,7 +83,7 @@ def test_eval_wraps_32_bits():
 def test_assign_extends_path_condition():
     elab = trivial_program("proc f() { 0: v := 1 }")
     tree = ConstraintTree(elab, TRUE_PRE)
-    outcome = run_test(T.TestInput({}, {}, "t"), tree, F.SpecFile())
+    outcome = run_test(T.TestInput({}, {}, "t"), tree)
     assert outcome.kind == "ok"
     child = tree.nodes[tree.root.children["assign"]]
     (new,) = child.delta.current.values()
@@ -95,7 +95,7 @@ def test_assign_extends_path_condition():
 def test_reassignment_versions_old_value():
     elab = trivial_program("proc f() { 0: v := 1  1: v := v + 1 }")
     tree = ConstraintTree(elab, TRUE_PRE)
-    run_test(T.TestInput({}, {}, "t"), tree, F.SpecFile())
+    run_test(T.TestInput({}, {}, "t"), tree)
     first_node, leaf = tree.nodes[1], tree.nodes[-1]
     first, second = leaf.delta.atoms
     # Each value has its own symbol; the second equation reads the first's
@@ -111,7 +111,7 @@ def test_conditional_creates_both_children():
     elab = trivial_program(
         "proc f(c: bool) { 0: if c then goto 1 else goto 2  1: v := 1 }")
     tree = ConstraintTree(elab, TRUE_PRE)
-    run_test(T.TestInput({}, {"c": True}, "t"), tree, F.SpecFile())
+    run_test(T.TestInput({}, {"c": True}, "t"), tree)
     root = tree.root
     then_child = tree.nodes[root.children["then"]]
     else_child = tree.nodes[root.children["else"]]
@@ -125,9 +125,9 @@ def test_revisit_promotes_flag_without_duplicating():
     elab = trivial_program(
         "proc f(c: bool) { 0: if c then goto 1 else goto 2  1: v := 1 }")
     tree = ConstraintTree(elab, TRUE_PRE)
-    run_test(T.TestInput({}, {"c": True}, "t"), tree, F.SpecFile())
+    run_test(T.TestInput({}, {"c": True}, "t"), tree)
     size = len(tree.nodes)
-    run_test(T.TestInput({}, {"c": False}, "t"), tree, F.SpecFile())
+    run_test(T.TestInput({}, {"c": False}, "t"), tree)
     else_child = tree.nodes[tree.root.children["else"]]
     assert else_child.flag
     assert len(tree.nodes) == size  # walked, not re-created
@@ -136,7 +136,7 @@ def test_revisit_promotes_flag_without_duplicating():
 def test_assert_violation_outcome():
     elab = trivial_program("proc f() { 0: assert false }")
     tree = ConstraintTree(elab, TRUE_PRE)
-    outcome = run_test(T.TestInput({}, {}, "t"), tree, F.SpecFile())
+    outcome = run_test(T.TestInput({}, {}, "t"), tree)
     assert outcome.kind == "assertion" and outcome.pc == (("f", 0),)
 
 
@@ -145,34 +145,32 @@ def test_free_then_use_is_dangling():
     data C { int v; }
     proc f(p: C) { 0: free p  1: w := p.v }
     """
-    spec = F.SpecFile()
     elab = trivial_program(text)
     addr = Addr(1, "C")
     test = T.TestInput({addr: HeapObject(addr, "C", {"v": 7})}, {"p": addr}, "t")
     tree = ConstraintTree(elab, TRUE_PRE)
-    outcome = run_test(test, tree, spec)
+    outcome = run_test(test, tree)
     assert outcome.kind == "error" and outcome.error == "dangling"
 
 
 def test_free_of_null():
     elab = trivial_program("data C { int v; }\nproc f(p: C) { 0: free p }")
     tree = ConstraintTree(elab, TRUE_PRE)
-    outcome = run_test(T.TestInput({}, {"p": None}, "t"), tree, F.SpecFile())
+    outcome = run_test(T.TestInput({}, {"p": None}, "t"), tree)
     assert outcome.kind == "error" and outcome.error == "free-of-null"
 
 
 def test_computed_goto_out_of_range():
     elab = trivial_program("proc f(k: int) { 0: goto k }")
     tree = ConstraintTree(elab, TRUE_PRE)
-    outcome = run_test(T.TestInput({}, {"k": 9}, "t"), tree, F.SpecFile())
+    outcome = run_test(T.TestInput({}, {"k": 9}, "t"), tree)
     assert outcome.kind == "error" and outcome.error == "goto-out-of-range"
 
 
 def test_step_budget():
     elab = trivial_program("proc f() { 0: goto 0 }")
     tree = ConstraintTree(elab, TRUE_PRE)
-    outcome = run_test(T.TestInput({}, {}, "t"), tree, F.SpecFile(),
-                       step_budget=50)
+    outcome = run_test(T.TestInput({}, {}, "t"), tree, step_budget=50)
     assert outcome.kind == "budget"
 
 
@@ -188,7 +186,7 @@ def test_allocation_adds_points_to():
     for text, bindings in ALLOCATIONS:
         elab = trivial_program(text)
         tree = ConstraintTree(elab, TRUE_PRE)
-        outcome = run_test(T.TestInput({}, bindings, "t"), tree, F.SpecFile())
+        outcome = run_test(T.TestInput({}, bindings, "t"), tree)
         assert outcome.kind == "ok"
         new_node = tree.nodes[tree.root.children["new"]]
         (heap,) = new_node.delta.heaps
@@ -474,8 +472,7 @@ def test_pruned_nodes_are_unreachable_within_the_domain(tmp_path):
         fresh = ConstraintTree(result.tree.program, pre)
         for values in itertools.product(range(domain[0], domain[1] + 1),
                                         repeat=len(params)):
-            run_test(T.TestInput({}, dict(zip(params, values)), "all"), fresh,
-                     F.SpecFile())
+            run_test(T.TestInput({}, dict(zip(params, values)), "all"), fresh)
         reached = {edge_path(fresh, n) for n in fresh.nodes if n.flag}
         assert not pruned & reached, text
     assert pruned_total > 0  # the programs do have infeasible branches

@@ -30,7 +30,7 @@ def run(text, bindings=None, inline_depth=8):
     program = parse_program(text)
     elab = elaborate(program, next(iter(program.procs)), inline_depth)
     tree = C.ConstraintTree(elab, F.Formula((F.parse_heap("emp & true"),)))
-    outcome = C.run_test(T.TestInput({}, bindings or {}, "t"), tree, F.SpecFile())
+    outcome = C.run_test(T.TestInput({}, bindings or {}, "t"), tree)
     return outcome, tree
 
 
@@ -88,6 +88,18 @@ def test_mixed_type_comparison_rejected():
 def test_statement_indices_must_be_dense():
     with pytest.raises(ParseError, match="out of order"):
         parse_program("proc f() { 0: x := 1  2: y := 2 }")
+
+
+def test_duplicate_field_in_program_data_rejected():
+    with pytest.raises(ParseError, match="duplicate field 'v'"):
+        parse_program("data C { int v; int v; }\nproc f() { 0: x := 1 }")
+
+
+def test_program_data_conflicting_with_spec_rejected():
+    datas = F.parse_spec("data C { int v; }").datas
+    assert parse_program("data C { int v; }\nproc f() { 0: x := 1 }", datas).datas == datas
+    with pytest.raises(ParseError, match="conflicting definition"):
+        parse_program("data C { bool v; }\nproc f() { 0: x := 1 }", datas)
 
 
 def test_result_from_procedure_without_ret_rejected():
@@ -243,7 +255,7 @@ def test_renamed_copies_never_capture_frame_locals(bst_spec, monkeypatch):
     # while remove@1's t@1 is still live.
     test = T.TestInput(objects, {"this_root": r, "x": 7}, "t")
     tree = C.ConstraintTree(elab, bst_spec.preconditions["remove"])
-    assert C.run_test(test, tree, bst_spec).kind == "ok"
+    assert C.run_test(test, tree).kind == "ok"
     assert "t@2" in {hint for hint, _ in issued}
     frame_names = {ir.local_name(v, level) for v in
                    ("t", "this_root", "x", "ret", "nl", "nr", "m", "me", "nr2")

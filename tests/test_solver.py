@@ -92,6 +92,17 @@ def test_pure_solve_unsat_outside_domain_is_bounded():
     assert not independent  # only the domain bound rules it out
 
 
+def test_value_order_is_sorted_by_magnitude_negative_first():
+    for lo, hi in itertools.product(range(-6, 7), repeat=2):
+        expected = sorted(range(lo, hi + 1), key=lambda v: (abs(v), v > 0))
+        assert list(S._value_order(lo, hi)) == expected, (lo, hi)
+
+
+def test_value_order_is_lazy_on_a_wide_domain():
+    values = S._value_order(-5 * 10**9, 5 * 10**9)
+    assert list(itertools.islice(values, 5)) == [0, -1, 1, -2, 2]
+
+
 def test_pure_solve_propagation_proves_independent_unsat():
     (cube,) = S._nnf_cubes(F.parse_heap("emp & x <= 3 & 6 <= x").pure)
     solution, independent = pure_solve(cube, {}, Budget())

@@ -67,7 +67,7 @@ def test_uninitialized_alias_class_allocates_default_object(bst_spec):
 
 def test_untyped_fresh_object_refused(bst_spec):
     m = model("emp & a = b")
-    with pytest.raises(T.ConstructionError):
+    with pytest.raises(S.ModelError):
         to_unit_test(m, [("a", "BinaryNode")], bst_spec)
 
 
@@ -75,7 +75,7 @@ def test_untyped_fresh_object_refused(bst_spec):
 def test_slot_term_without_value_refused(slot):
     spec = F.parse_spec("data C { int v; }")
     model = S.SymbolicModel(F.parse_heap(f"x -> C({slot}) & true"))
-    with pytest.raises(T.ConstructionError):
+    with pytest.raises(S.ModelError):
         T.to_unit_test(model, [("x", "C")], spec)
     with pytest.raises(S.ModelError):
         S.concretize_model(model, spec)

@@ -13,6 +13,14 @@ interval propagation followed by backtracking search over a finite
 domain. The frontier check of ``sat`` is the same per-cube check without
 the integer search.
 
+One query derives each conjunct's facts once. ``sat`` keeps a memo for
+the length of the call: each conjunct's DNF cubes and each literal's
+variable order and linear form, keyed by object identity, and the sort
+classes of the query's pure part. The memo is exact because conjuncts are
+immutable, ``unfold_at`` only appends to the pure part, so every heap the
+query reaches begins with the query's conjuncts, and sort joins do not
+depend on order.
+
 The solver trades the completeness of a full decision procedure for
 bounded search: outside its budgets it answers UNKNOWN, which for a test
 generator costs missed tests but never invalid ones. An UNSAT that was
@@ -128,30 +136,32 @@ def _nnf_cubes(pure: PureFormula | F.Conjunction, positive: bool = True) -> list
         return _nnf_cubes(pure.inner, not positive)
     if isinstance(pure, (F.And, tuple)):
         parts = [_nnf_cubes(part, positive) for part in F.conjuncts(pure)]
-        if not positive:
-            return [cube for part in parts for cube in part]
-        cubes: list[list[Lit]] = [[]]
-        for part in parts:
-            if len(part) == 1:
-                for cube in cubes:
-                    cube.extend(part[0])
-            else:
-                cubes = [cube + other for cube in cubes for other in part]
-        return cubes
+        return _conjoin(parts) if positive else [cube for part in parts for cube in part]
     raise TypeError(f"not a pure formula: {pure!r}")
 
 
+def _conjoin(parts: Iterable[list[list[Lit]]]) -> list[list[Lit]]:
+    """The cubes of a conjunction from its conjuncts' cubes, which it
+    leaves unmutated."""
+    cubes: list[list[Lit]] = [[]]
+    for part in parts:
+        if len(part) == 1:
+            for cube in cubes:
+                cube.extend(part[0])
+        else:
+            cubes = [cube + other for cube in cubes for other in part]
+    return cubes
+
+
 def _term_is_loc(term: ArithTerm, sorts: dict[str, str]) -> bool | None:
+    if isinstance(term, Var):
+        sort = sorts.get(term.name)
+        return None if sort is None else sort not in _SCALARS
     if isinstance(term, Null):
         return True
-    if isinstance(term, (Const, Scale, Add, Neg)):
-        if any(sorts.get(v, "int") not in _SCALARS for v in F.term_vars(term)):
-            raise F.SortError("arithmetic over reference values")
-        return False
-    sort = sorts.get(term.name)
-    if sort is None:
-        return None
-    return sort not in _SCALARS
+    if any(sorts.get(v, "int") not in _SCALARS for v in F.term_vars(term)):
+        raise F.SortError("arithmetic over reference values")
+    return False
 
 
 def _split_cube(cube: list[Lit], sorts: dict[str, str]) -> tuple[list[Lit], list[Lit]]:
@@ -160,10 +170,7 @@ def _split_cube(cube: list[Lit], sorts: dict[str, str]) -> tuple[list[Lit], list
     for lit in cube:
         lk = _term_is_loc(lit.left, sorts)
         rk = _term_is_loc(lit.right, sorts)
-        if lk is None:
-            lk = rk
-        if rk is None:
-            rk = lk
+        lk, rk = (rk if lk is None else lk), (lk if rk is None else rk)
         if lk or rk:
             if lit.op == "le" or not (isinstance(lit.left, (Var, Null))
                                       and isinstance(lit.right, (Var, Null))):
@@ -457,17 +464,14 @@ class PureSolution:
     locs: LocSolution
 
 
-def _cube_vars(cube: list[Lit]) -> list[str]:
-    return list(dict.fromkeys(v for lit in cube for term in (lit.left, lit.right)
-                              for v in _term_var_order(term)))
+def _lit_vars(lit: Lit) -> list[str]:
+    return _term_var_order(lit.left) + _term_var_order(lit.right)
 
 
 def _term_var_order(term: ArithTerm) -> list[str]:
     if isinstance(term, Var):
         return [term.name]
-    if isinstance(term, Scale):
-        return _term_var_order(term.term)
-    if isinstance(term, Neg):
+    if isinstance(term, (Scale, Neg)):
         return _term_var_order(term.term)
     if isinstance(term, Add):
         return _term_var_order(term.left) + _term_var_order(term.right)
@@ -477,7 +481,7 @@ def _term_var_order(term: ArithTerm) -> list[str]:
 def pure_solve(cube: list[Lit], sorts: dict[str, str], budget: Budget | None = None,
                universe: list[str] | None = None, stats: SolverStats | None = None,
                deadline: float | None = None, heads: Sequence[str] = (),
-               ) -> tuple[PureSolution | None, bool]:
+               memo: _QueryMemo | None = None) -> tuple[PureSolution | None, bool]:
     """Solve one cube, a conjunction of literals, in a heap whose points-to
     heads are ``heads``.
 
@@ -488,27 +492,26 @@ def pure_solve(cube: list[Lit], sorts: dict[str, str], budget: Budget | None = N
     """
     budget = budget or Budget()
     stats = stats if stats is not None else SolverStats()
-    prefix = _propagated(cube, sorts, universe, heads)
+    prefix = _propagated(cube, sorts, universe, heads, memo)
     if prefix is None:
         return None, True
     loc_solution, lins, int_vars, bounds = prefix
     values = _search_ints(lins, int_vars, sorts, bounds, budget, stats, deadline)
     if values is None:
         return None, False
-    scalars: dict[str, int | bool] = {}
-    for v in int_vars:
-        scalars[v] = bool(values[v]) if sorts.get(v) == "bool" else values[v]
+    scalars = {v: bool(values[v]) if sorts.get(v) == "bool" else values[v] for v in int_vars}
     return PureSolution(scalars, loc_solution), False
 
 
 def _propagated(cube: list[Lit], sorts: dict[str, str], universe: list[str] | None,
-                heads: Sequence[str],
+                heads: Sequence[str], memo: _QueryMemo | None = None,
                 ) -> tuple[LocSolution, list[_Lin], list[str], dict[str, list]] | None:
     """The steps of ``pure_solve`` before the integer search: returns the
     location classes, the integer literals, the integer variables and
     their propagated bounds, or None when the cube is unsatisfiable
     whatever the integer domain (a sort clash, a location clash with the
     points-to ``heads`` marked, or empty bounds after propagation)."""
+    memo = memo or _QueryMemo()
     try:
         locs, ints = _split_cube(cube, sorts)
     except F.SortError:
@@ -516,7 +519,8 @@ def _propagated(cube: list[Lit], sorts: dict[str, str], universe: list[str] | No
 
     # The caller-supplied order (syntactic first-occurrence in the heap)
     # leads; literal NNF order only covers variables missing from it.
-    var_order = dict.fromkeys([*(universe or []), *_cube_vars(cube)])
+    var_order = dict.fromkeys([*(universe or []),
+                               *(v for lit in cube for v in memo.of(_lit_vars, lit))])
     is_loc = {v: sorts.get(v) is not None and sorts[v] not in _SCALARS for v in var_order}
     loc_vars = [v for v in var_order if is_loc[v]]
     int_vars = [v for v in var_order if not is_loc[v]]
@@ -524,11 +528,43 @@ def _propagated(cube: list[Lit], sorts: dict[str, str], universe: list[str] | No
     loc_solution = _solve_locs(locs, loc_vars, heads)
     if loc_solution is None:
         return None
-    lins = [_lin_of(l) for l in ints]
+    lins = [memo.of(_lin_of, l) for l in ints]
     bounds = {v: [_INF, _INF] for v in int_vars}
     if not _propagate(lins, bounds):
         return None
     return loc_solution, lins, int_vars, bounds
+
+
+class _QueryMemo:
+    """One ``sat`` query's cache of pure functions of immutable objects:
+    each conjunct's DNF cubes and each literal's variable order and linear
+    form, and the sort-walk state of the query's pure part, with which
+    every heap that the query reaches begins."""
+
+    def __init__(self, defs: SpecFile | None = None, param_sorts: dict | None = None,
+                 query_pure: F.Conjunction = ()):
+        self.defs, self.param_sorts, self.prefix = defs, param_sorts, len(query_pure)
+        self.tables: dict = {_nnf_cubes: {}, _lit_vars: {}, _lin_of: {}}
+        self.env, self.classes = {}, F.UnionFind()
+        F._sort_walk(self.env, self.classes, SymbolicHeap((), (), query_pure), defs,
+                     param_sorts, "heap")
+
+    def of(self, compute, obj):
+        """``compute(obj)``, once; the entry keeps ``obj``, so its id stays its own."""
+        table = self.tables[compute]
+        entry = table.get(id(obj))
+        if entry is None:
+            entry = table[id(obj)] = (obj, compute(obj))
+        return entry[1]
+
+    def sorts(self, d: SymbolicHeap) -> dict[str, str]:
+        """``F.heap_sorts`` of a heap whose pure part begins with the
+        query's: a copy of the query's state walks only ``d``'s atoms and
+        the later conjuncts, since sort joins do not depend on order."""
+        env, classes = dict(self.env), self.classes.copy()
+        F._sort_walk(env, classes, SymbolicHeap((), d.atoms, d.pure[self.prefix:]),
+                     self.defs, self.param_sorts, "heap")
+        return F._class_sorts(env, classes, "heap")
 
 
 # =====================================================================
@@ -544,9 +580,10 @@ def _open_heap(d: SymbolicHeap) -> SymbolicHeap:
 
 def _try_base(d: SymbolicHeap, defs: SpecFile, param_sorts: dict, budget: Budget,
               stats: SolverStats, extra_sorts: dict[str, str],
-              universe_hint: list[str],
-              deadline: float) -> tuple[SymbolicModel | None, bool]:
+              universe_hint: list[str], deadline: float,
+              memo: _QueryMemo | None = None) -> tuple[SymbolicModel | None, bool]:
     """Solve one base heap. Returns (model, bounded_flag)."""
+    memo = memo or _QueryMemo()
     opened = _open_heap(d)
     try:
         sorts = F.heap_sorts(opened, defs, param_sorts, seed=extra_sorts)
@@ -555,8 +592,9 @@ def _try_base(d: SymbolicHeap, defs: SpecFile, param_sorts: dict, budget: Budget
     heads = [p.var for p in opened.points_tos()]
     order = list(dict.fromkeys([*_heap_var_order(opened), *universe_hint]))
     bounded = False
-    for cube in _nnf_cubes(opened.pure):
-        solution, independent = pure_solve(cube, sorts, budget, order, stats, deadline, heads)
+    for cube in _conjoin([memo.of(_nnf_cubes, c) for c in opened.pure]):
+        solution, independent = pure_solve(cube, sorts, budget, order, stats, deadline,
+                                           heads, memo)
         if solution is not None:
             return _assemble_model(opened, solution, sorts, order), False
         if not independent:
@@ -613,19 +651,22 @@ def _assemble_model(opened: SymbolicHeap, solution: PureSolution,
     return SymbolicModel(heap, dict(sorts))
 
 
-def _pure_contradictory(d: SymbolicHeap, defs: SpecFile, param_sorts: dict) -> bool:
+def _pure_contradictory(d: SymbolicHeap, defs: SpecFile, param_sorts: dict,
+                        memo: _QueryMemo | None = None) -> bool:
     """Domain-independent contradiction check for a frontier heap: whether
     a sort clash rules ``d`` out, or ``_propagated`` fails on every DNF cube
     of ``d``'s pure part, with ``d``'s points-to heads marked in the alias
     classes as in base-heap solving. No integer search is run: one that
     failed would only say the finite domain is too small, which does not
-    make the heap contradictory."""
+    make the heap contradictory. Without ``memo`` it is a query of its own."""
+    memo = memo or _QueryMemo(defs, param_sorts)
     try:
-        sorts = F.heap_sorts(d, defs, param_sorts)
+        sorts = memo.sorts(d)
     except F.SortError:
         return True
     heads = [p.var for p in d.points_tos()]
-    return all(_propagated(cube, sorts, None, heads) is None for cube in _nnf_cubes(d.pure))
+    return all(_propagated(cube, sorts, None, heads, memo) is None
+               for cube in _conjoin([memo.of(_nnf_cubes, c) for c in d.pure]))
 
 
 def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatResult:
@@ -646,7 +687,9 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
     checked only when it is inductive and ``max_depth`` is 0.
     ``stats.rounds`` is the last round in which a heap passed the check.
     ``budget.time_limit`` bounds the whole query, the integer search
-    included; past it the answer is UNKNOWN.
+    included; past it the answer is UNKNOWN. Every check and base heap
+    reads its cubes, linear forms and (in the check) sorts through one
+    ``_QueryMemo``, made here and dropped on return (see the module notes).
     """
     budget = budget or Budget()
     stats = SolverStats()
@@ -655,6 +698,7 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
     opened_query = _open_heap(d)
     universe = _heap_var_order(opened_query)
     query_sorts = F.heap_sorts(opened_query, defs, param_sorts)
+    memo = _QueryMemo(defs, param_sorts, d.pure)
     current, round_no = [d], 0
     while current:
         children = []
@@ -663,7 +707,7 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
                 return SatResult("unknown", None, stats)
             base, last = h.is_base(), round_no == budget.max_depth
             if (round_no > 0 or (last and not base)) \
-                    and _pure_contradictory(h, defs, param_sorts):
+                    and _pure_contradictory(h, defs, param_sorts, memo):
                 continue
             stats.rounds = round_no
             if not base:
@@ -674,7 +718,7 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
                 continue
             try:
                 model, bounded = _try_base(h, defs, param_sorts, budget, stats,
-                                           query_sorts, universe, deadline)
+                                           query_sorts, universe, deadline, memo)
             except Timeout:
                 return SatResult("unknown", None, stats)
             if model is not None:

@@ -1,9 +1,11 @@
 """Bounded heap satisfiability: separation, pure solving, models."""
 
+import gc
 import itertools
 import random
 import re
 import time
+import weakref
 
 import pytest
 
@@ -173,10 +175,11 @@ pred chain(x) == (emp & x = null) \\/ (exists v, n . x -> N(v, n) * chain(n)) ;
 """
 
 
-def saturate_definition(d, defs, param_sorts):
+def saturate_definition(d, defs, param_sorts, memo=None):
     """The frontier check as saturate and _propagated define it: saturate's
     pairwise disequalities join the pure part, no head is marked, and every
-    DNF cube fails."""
+    DNF cube fails. It derives everything from scratch, so it ignores a
+    query's memo."""
     additions = saturate(d)
     if additions is None:
         return True
@@ -206,8 +209,8 @@ def record_checks(monkeypatch):
     checks = []
     check = S._pure_contradictory
 
-    def recorded(d, defs, param_sorts):
-        verdict = check(d, defs, param_sorts)
+    def recorded(d, defs, param_sorts, memo=None):
+        verdict = check(d, defs, param_sorts, memo)
         checks.append((F.print_heap(d), verdict, saturate_definition(d, defs, param_sorts)))
         return verdict
 
@@ -224,9 +227,11 @@ def run_benchmark(name, out_dir, **overrides):
                  out_dir=out_dir, **settings)
 
 
-# The frontier check was once incremental, extending each parent's facts;
-# these tests keep their names and hold the stateless check to the
-# from-scratch definition on the same inputs.
+# The frontier check was once incremental, extending each parent's facts.
+# It now reads each conjunct's cubes, each literal's linear form and the
+# sort state of the query's pure part through sat's per-query memo; these
+# tests keep their names and hold that check to the from-scratch
+# definition on the same inputs.
 
 
 @pytest.mark.parametrize("name", ["sll", "dll", "stack", "bst", "tll", "sortedlist"])
@@ -405,10 +410,11 @@ def test_every_heap_that_passes_the_check_is_solved_or_unfolded(monkeypatch, tmp
 
 
 def pairwise_try_base(d, defs, param_sorts, budget, stats, extra_sorts, universe_hint,
-                      deadline):
+                      deadline, memo=None):
     """_try_base as it was when separation reached the pure solver as
     saturate's pairwise disequalities, with no head marked: a reference
-    for base-heap solving over marked alias classes."""
+    for base-heap solving over marked alias classes, derived from scratch
+    without the query's memo."""
     opened = S._open_heap(d)
     additions = saturate(opened)
     if additions is None:
@@ -431,16 +437,19 @@ def pairwise_try_base(d, defs, param_sorts, budget, stats, extra_sorts, universe
     return None, bounded
 
 
-def compare_base_solving(monkeypatch):
+def compare_sat(monkeypatch, reference):
     """Run every sat call twice from the same fresh-name state, once with
-    pairwise_try_base and once with _try_base, and record both outcomes
-    and the name state each leaves; the caller gets _try_base's."""
+    the solver functions named in ``reference`` replaced by its values and
+    once as they are, and record both outcomes and the name state each
+    leaves; the caller gets the second run's."""
     pairs = []
-    solve, marked, session = S.sat, S._try_base, F._session
+    solve, session = S.sat, F._session
+    actual = {name: getattr(S, name) for name in reference}
 
-    def run(try_base, names, args):
+    def run(functions, names, args):
         session._seen, session._counters = set(names[0]), dict(names[1])
-        monkeypatch.setattr(S, "_try_base", try_base)
+        for name, function in functions.items():
+            monkeypatch.setattr(S, name, function)
         try:
             result = solve(*args)
             summary = (result.decision, result.model and F.print_heap(result.model.heap),
@@ -451,8 +460,8 @@ def compare_base_solving(monkeypatch):
 
     def both(*args):
         names = set(session._seen), dict(session._counters)
-        _, want = run(pairwise_try_base, names, args)
-        got, outcome = run(marked, names, args)
+        _, want = run(reference, names, args)
+        got, outcome = run(actual, names, args)
         pairs.append((F.print_heap(args[0]), outcome, want))
         if isinstance(got, F.SortError):
             raise got
@@ -460,6 +469,11 @@ def compare_base_solving(monkeypatch):
 
     monkeypatch.setattr(S, "sat", both)
     return pairs
+
+
+def compare_base_solving(monkeypatch):
+    """sat with _try_base against sat with pairwise_try_base."""
+    return compare_sat(monkeypatch, {"_try_base": pairwise_try_base})
 
 
 @pytest.mark.parametrize("name", ["sll", "dll", "stack", "bst", "tll", "sortedlist"])
@@ -481,6 +495,87 @@ def test_marked_classes_match_pairwise_disequalities_on_random_heaps(monkeypatch
     assert len(pairs) == 600
     assert sum(outcome[0][0] == "sat" for _, outcome, _ in pairs) > 300
     assert [p for p in pairs if p[1] != p[2]] == []
+
+
+# ------------------------------------------------------------ query memo
+
+
+def compare_query_memo(monkeypatch):
+    """sat with its per-query memo against sat with a fresh memo for every
+    frontier check and every base heap, which derives each heap's cubes,
+    linear forms and sorts from scratch."""
+    check, try_base = S._pure_contradictory, S._try_base
+
+    def scratch_check(d, defs, param_sorts, memo):
+        return check(d, defs, param_sorts)
+
+    def scratch_try_base(*args):
+        return try_base(*args[:-1])
+
+    return compare_sat(monkeypatch, {"_pure_contradictory": scratch_check,
+                                     "_try_base": scratch_try_base})
+
+
+@pytest.mark.parametrize("name", ["sll", "dll", "stack", "bst", "tll", "sortedlist",
+                                  "tll-generate"])
+def test_query_memo_matches_scratch_on_benchmarks(name, monkeypatch, tmp_path):
+    pairs = compare_query_memo(monkeypatch)
+    if name == "tll-generate":
+        run_benchmark("tll", tmp_path, spec_only=True, unfold_depth=4)
+    else:
+        run_benchmark(name, tmp_path)
+    assert pairs
+    assert [p for p in pairs if p[1] != p[2]] == []
+
+
+def test_query_memo_matches_scratch_on_random_heaps(monkeypatch):
+    spec = F.parse_spec(LOOSE)
+    pairs = compare_query_memo(monkeypatch)
+    for d in loose_random_heaps():
+        try:
+            S.sat(d, spec, Budget(max_depth=4))
+        except F.SortError:
+            continue
+    assert len(pairs) == 600
+    assert {outcome[0][0] for _, outcome, _ in pairs} >= {"sat", "unsat", "SortError"}
+    assert [p for p in pairs if p[1] != p[2]] == []
+
+
+def test_query_memo_lives_for_one_query(monkeypatch):
+    # The conjunct x = y is one object in both queries: its variables are
+    # integers in the first and locations in the second, where the heads
+    # they alias make every unfolding contradictory.
+    spec = F.parse_spec(CHAIN)
+    ints = heap("chain(p) & x = y & 1 <= x")
+    locs = heap("x -> N(a, null) * chain(y) & true")
+    locs = F.SymbolicHeap(locs.exists, locs.atoms, ints.pure[:1])
+    memos = []
+
+    class Recorded(S._QueryMemo):
+        def __init__(self, *args):
+            super().__init__(*args)
+            memos.append(self)
+
+    monkeypatch.setattr(S, "_QueryMemo", Recorded)
+    for query in [ints, locs, ints, locs]:
+        memos.clear()
+        result = S.sat(query, spec, Budget(max_depth=4))
+        assert result.decision == ("sat" if query is ints else "unsat")
+        # One memo per query, threaded through every check and base heap.
+        assert len(memos) == 1 and memos[0].prefix == len(query.pure)
+        for conjunct, cubes in memos[0].tables[S._nnf_cubes].values():
+            assert cubes == S._nnf_cubes(conjunct)
+        # Nothing keeps the memo once sat has returned.
+        memo = weakref.ref(memos.pop())
+        gc.collect()
+        assert memo() is None
+    pairs = compare_query_memo(monkeypatch)
+    for query in [ints, locs, ints, locs]:
+        S.sat(query, spec, Budget(max_depth=4))
+    assert len(pairs) == 4 and [p for p in pairs if p[1] != p[2]] == []
+    assert [name for name, value in vars(S).items() if not name.startswith("__")
+            and isinstance(value, (dict, list, set))] == []
+    assert not [name for name, value in vars(S).items() if hasattr(value, "cache_info")]
 
 
 # ------------------------------------------------------------------ sat
@@ -751,7 +846,7 @@ def test_sat_models_always_pass_model_check_fuzz():
 
 def test_sat_models_pass_model_check_on_random_heaps():
     spec = F.parse_spec(LOOSE)
-    models = 0
+    models = inputs = 0
     for d in loose_random_heaps():
         try:
             result = sat(d, spec, Budget(max_depth=4))
@@ -760,7 +855,20 @@ def test_sat_models_pass_model_check_on_random_heaps():
         if result.is_sat:
             models += 1
             assert model_check(result.model, d, spec), F.print_heap(d)
-    assert models > 300
+            # Every variable of the query is an entry parameter, declared
+            # with the sort of its model value (N for a bare reference).
+            sorts = result.model.sorts
+            params = [(v, {"nullref": "N"}.get(sorts.get(v, "int"), sorts.get(v, "int")))
+                      for v in S._heap_var_order(d)]
+            test = T.to_unit_test(result.model, params, spec)
+            # An input fails the query only where the model leaves a class
+            # dangling (a self-alias): to_unit_test puts an object there,
+            # which the query's exact footprint need not allow.
+            dangling = any(c.left == c.right for c in result.model.heap.pure)
+            valid = T.input_satisfies(test, F.Formula((d,)), spec)
+            assert valid or dangling, F.print_heap(d)
+            inputs += valid
+    assert models > 300 and inputs > 300
 
 
 def test_solver_unsat_never_contradicts_oracle():

@@ -13,13 +13,20 @@ interval propagation followed by backtracking search over a finite
 domain. The frontier check of ``sat`` is the same per-cube check without
 the integer search.
 
-One query derives each conjunct's facts once. ``sat`` keeps a memo for
-the length of the call: each conjunct's DNF cubes and each literal's
-variable order and linear form, keyed by object identity, and the sort
-classes of the query's pure part. The memo is exact because conjuncts are
-immutable, ``unfold_at`` only appends to the pure part, so every heap the
-query reaches begins with the query's conjuncts, and sort joins do not
-depend on order.
+One query derives each conjunct's facts once. ``sat`` keeps a memo for the
+call: each conjunct's DNF cubes and each literal's variable order and
+linear form, keyed by object identity, and the check state of each heap
+whose children wait for their check: the sort-walk state of its points-to
+atoms and pure part, and per cube each variable's kind (unsorted, location
+or integer), the location (dis)equalities and the integer linear forms. A
+child of ``unfold_at`` is its parent minus the instance plus the body, its
+conjuncts the parent's followed by the body's, so it copies the parent's
+state, walks the body and then its own instances for its sorts, and splits
+only the body's literals. A cube starts from scratch when its parent cube
+was contradictory or a variable changed kind (dropping the instance can
+unsort one). Alias classes, marks and propagation are redone each time.
+This is exact: conjuncts are immutable, sort joins do not depend on order,
+and literals split by their variables' kinds.
 
 The solver trades the completeness of a full decision procedure for
 bounded search: outside its budgets it answers UNKNOWN, which for a test
@@ -43,7 +50,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import formulas as F
 from .formulas import (
@@ -153,10 +160,15 @@ def _conjoin(parts: Iterable[list[list[Lit]]]) -> list[list[Lit]]:
     return cubes
 
 
+def _kind(sorts: dict[str, str], v: str) -> bool | None:
+    """Whether ``v`` is a location under ``sorts``; None when it is unsorted."""
+    sort = sorts.get(v)
+    return None if sort is None else sort not in _SCALARS
+
+
 def _term_is_loc(term: ArithTerm, sorts: dict[str, str]) -> bool | None:
     if isinstance(term, Var):
-        sort = sorts.get(term.name)
-        return None if sort is None else sort not in _SCALARS
+        return _kind(sorts, term.name)
     if isinstance(term, Null):
         return True
     if any(sorts.get(v, "int") not in _SCALARS for v in F.term_vars(term)):
@@ -238,24 +250,6 @@ class LocSolution:
                     for x, y in self.diseqs):
                 null_roots.add(r)
         return null_roots
-
-
-def _solve_locs(lits: list[Lit], universe: list[str], heads: Sequence[str],
-                ) -> LocSolution | None:
-    """The alias classes of the location literals ``lits`` over
-    ``universe``, with null and each points-to head in ``heads`` marked.
-    None when two marks share a root, since separation makes the heads
-    non-null and pairwise distinct, or when a disequality joins a class to
-    itself."""
-    uf = alias_classes(((l.left, l.right) for l in lits if l.op == "eq"), universe)
-    marked = {uf.find(name) for name in (NULL_KEY, *heads)}
-    if len(marked) <= len(heads):
-        return None
-    diseqs = [(uf.find(_loc_key(l.left)), uf.find(_loc_key(l.right)))
-              for l in lits if l.op != "eq"]
-    if any(a == b for a, b in diseqs):
-        return None
-    return LocSolution(uf, marked, diseqs)
 
 
 # =====================================================================
@@ -492,62 +486,94 @@ def pure_solve(cube: list[Lit], sorts: dict[str, str], budget: Budget | None = N
     """
     budget = budget or Budget()
     stats = stats if stats is not None else SolverStats()
-    prefix = _propagated(cube, sorts, universe, heads, memo)
-    if prefix is None:
+    propagated = _propagated(cube, sorts, universe, heads, memo)
+    if propagated is None:
         return None, True
-    loc_solution, lins, int_vars, bounds = prefix
-    values = _search_ints(lins, int_vars, sorts, bounds, budget, stats, deadline)
+    state, loc_solution, bounds = propagated
+    int_vars = list(bounds)
+    values = _search_ints(state.lins, int_vars, sorts, bounds, budget, stats, deadline)
     if values is None:
         return None, False
     scalars = {v: bool(values[v]) if sorts.get(v) == "bool" else values[v] for v in int_vars}
     return PureSolution(scalars, loc_solution), False
 
 
-def _propagated(cube: list[Lit], sorts: dict[str, str], universe: list[str] | None,
+class _Cube(NamedTuple):
+    """What extending a cube reads: each variable's kind (``_kind``) in
+    first-occurrence order, the location equalities and disequalities, and
+    the integer literals' linear forms."""
+
+    kinds: dict[str, bool | None]
+    eqs: list[Lit]
+    diseqs: list[Lit]
+    lins: list[_Lin]
+
+
+def _propagated(lits: list[Lit], sorts: dict[str, str], universe: Sequence[str] | None,
                 heads: Sequence[str], memo: _QueryMemo | None = None,
-                ) -> tuple[LocSolution, list[_Lin], list[str], dict[str, list]] | None:
-    """The steps of ``pure_solve`` before the integer search: returns the
-    location classes, the integer literals, the integer variables and
-    their propagated bounds, or None when the cube is unsatisfiable
-    whatever the integer domain (a sort clash, a location clash with the
-    points-to ``heads`` marked, or empty bounds after propagation)."""
+                parent: _Cube | None = None,
+                ) -> tuple[_Cube, LocSolution, dict[str, list]] | None:
+    """The steps of ``pure_solve`` before the integer search, on the cube
+    ``parent``'s literals (none by default) followed by ``lits``, with the
+    variables of ``universe`` leading and null and the points-to ``heads``
+    marked: the cube's ``_Cube``, alias classes and propagated integer
+    bounds, or None when no integer domain satisfies it (a sort clash, a
+    location clash, or empty bounds). ``parent`` must give its variables
+    the kinds ``sorts`` gives them, so that its literals split the same
+    way: only ``lits`` are split, and the classes, marks and propagation
+    are redone over all literals, so the result is the one from scratch."""
     memo = memo or _QueryMemo()
     try:
-        locs, ints = _split_cube(cube, sorts)
+        locs, ints = _split_cube(lits, sorts)
     except F.SortError:
         return None
-
-    # The caller-supplied order (syntactic first-occurrence in the heap)
-    # leads; literal NNF order only covers variables missing from it.
-    var_order = dict.fromkeys([*(universe or []),
-                               *(v for lit in cube for v in memo.of(_lit_vars, lit))])
-    is_loc = {v: sorts.get(v) is not None and sorts[v] not in _SCALARS for v in var_order}
-    loc_vars = [v for v in var_order if is_loc[v]]
-    int_vars = [v for v in var_order if not is_loc[v]]
-
-    loc_solution = _solve_locs(locs, loc_vars, heads)
-    if loc_solution is None:
+    kinds, eqs, diseqs, lins = parent or ({}, [], [], [])
+    kinds = dict(kinds)
+    for v in dict.fromkeys([*(universe or ()),
+                            *(v for lit in lits for v in memo.of(_lit_vars, lit))]):
+        if v not in kinds:
+            kinds[v] = _kind(sorts, v)
+    eqs = eqs + [l for l in locs if l.op == "eq"]
+    uf = alias_classes(((l.left, l.right) for l in eqs), [v for v, k in kinds.items() if k])
+    marked = {uf.find(name) for name in (NULL_KEY, *heads)}
+    if len(marked) <= len(heads):
         return None
-    lins = [memo.of(_lin_of, l) for l in ints]
-    bounds = {v: [_INF, _INF] for v in int_vars}
+    diseqs = diseqs + [l for l in locs if l.op != "eq"]
+    roots = [(uf.find(_loc_key(l.left)), uf.find(_loc_key(l.right))) for l in diseqs]
+    if any(a == b for a, b in roots):
+        return None
+    lins = lins + [memo.of(_lin_of, l) for l in ints]
+    bounds = {v: [_INF, _INF] for v, k in kinds.items() if not k}
     if not _propagate(lins, bounds):
         return None
-    return loc_solution, lins, int_vars, bounds
+    return _Cube(kinds, eqs, diseqs, lins), LocSolution(uf, marked, roots), bounds
+
+
+class _HeapState:
+    """A checked heap: the sort-walk state of its points-to atoms and pure
+    part (None after a sort clash), and each cube's ``_Cube`` under the
+    heap's sorts (None when the cube is contradictory)."""
+
+    def __init__(self, walked: tuple[dict, F.UnionFind] | None, cubes: list[_Cube | None]):
+        self.walked, self.cubes = walked, cubes
 
 
 class _QueryMemo:
-    """One ``sat`` query's cache of pure functions of immutable objects:
-    each conjunct's DNF cubes and each literal's variable order and linear
-    form, and the sort-walk state of the query's pure part, with which
-    every heap that the query reaches begins."""
+    """One ``sat`` query's cache of pure functions of immutable objects
+    (each conjunct's DNF cubes and each literal's variable order and linear
+    form), and the check state of each heap that a child may still extend
+    (see the module notes)."""
 
     def __init__(self, defs: SpecFile | None = None, param_sorts: dict | None = None,
                  query_pure: F.Conjunction = ()):
-        self.defs, self.param_sorts, self.prefix = defs, param_sorts, len(query_pure)
+        self.defs, self.param_sorts = defs, param_sorts
+        self.query_pure, self.prefix = query_pure, len(query_pure)
         self.tables: dict = {_nnf_cubes: {}, _lit_vars: {}, _lin_of: {}}
-        self.env, self.classes = {}, F.UnionFind()
-        F._sort_walk(self.env, self.classes, SymbolicHeap((), (), query_pure), defs,
-                     param_sorts, "heap")
+        self.prefix_walk: tuple[dict, F.UnionFind] | None = None  # made on first use
+        # id(child) -> (child, [parent, its state or None until needed]): a
+        # parent's state goes once the last of its children is checked.
+        self.parents: dict = {}
+        self.latest: tuple[SymbolicHeap, _HeapState] | None = None  # the last check
 
     def of(self, compute, obj):
         """``compute(obj)``, once; the entry keeps ``obj``, so its id stays its own."""
@@ -557,14 +583,69 @@ class _QueryMemo:
             entry = table[id(obj)] = (obj, compute(obj))
         return entry[1]
 
-    def sorts(self, d: SymbolicHeap) -> dict[str, str]:
-        """``F.heap_sorts`` of a heap whose pure part begins with the
-        query's: a copy of the query's state walks only ``d``'s atoms and
-        the later conjuncts, since sort joins do not depend on order."""
-        env, classes = dict(self.env), self.classes.copy()
-        F._sort_walk(env, classes, SymbolicHeap((), d.atoms, d.pure[self.prefix:]),
-                     self.defs, self.param_sorts, "heap")
-        return F._class_sorts(env, classes, "heap")
+    def cubes(self, pure: F.Conjunction) -> list[list[Lit]]:
+        """``_nnf_cubes(pure)`` from each conjunct's memoised cubes."""
+        return _conjoin([self.of(_nnf_cubes, c) for c in pure])
+
+    def adopt(self, parent: SymbolicHeap, children: Iterable[SymbolicHeap]) -> None:
+        """Record that ``unfold_at`` made ``children`` from ``parent``, whose
+        state is that of the last check if ``parent`` was its heap."""
+        latest = self.latest or (None, None)
+        shared = [parent, latest[1] if latest[0] is parent else None]
+        for child in children:
+            self.parents[id(child)] = (child, shared)
+
+    def state(self, d: SymbolicHeap) -> _HeapState:
+        """``d``'s check state, extending its parent's if ``unfold_at`` made
+        it; any other heap (the query too, once a child needs it) begins
+        with the query's conjuncts."""
+        link = self.parents.pop(id(d), None)
+        if link is None:
+            state = self._made(d, None, None)
+        else:
+            shared = link[1]
+            if shared[1] is None:
+                shared[1] = self._made(shared[0], None, None)
+            state = self._made(d, *shared)
+        self.latest = (d, state)
+        return state
+
+    def _walk(self, walked: tuple[dict, F.UnionFind], atoms, pure) -> tuple[dict, F.UnionFind]:
+        env, classes = dict(walked[0]), walked[1].copy()
+        F._sort_walk(env, classes, SymbolicHeap((), tuple(atoms), tuple(pure)), self.defs,
+                     self.param_sorts, "heap")
+        return env, classes
+
+    def _made(self, d: SymbolicHeap, parent: SymbolicHeap | None,
+              above: _HeapState | None) -> _HeapState:
+        if above is None or above.walked is None:
+            if self.prefix_walk is None:
+                self.prefix_walk = self._walk(({}, F.UnionFind()), (), self.query_pure)
+            above, walked, atoms, pure = None, self.prefix_walk, 0, self.prefix
+        else:
+            walked, atoms, pure = above.walked, len(parent.atoms) - 1, len(parent.pure)
+        try:
+            walked = self._walk(walked, [a for a in d.atoms[atoms:] if isinstance(a, PointsTo)],
+                                d.pure[pure:])
+            sorts = F._class_sorts(*self._walk(walked, d.instances(), ()), "heap")
+        except F.SortError:
+            return _HeapState(None, [])
+        heads = [p.var for p in d.points_tos()]
+        if above is None:
+            found = [_propagated(lits, sorts, None, heads, self) for lits in self.cubes(d.pure)]
+        else:
+            # A child's cubes are each parent cube followed by each body cube
+            # (_conjoin is parent-major).
+            body = self.cubes(d.pure[pure:])
+            keep = [cube is not None and all(_kind(sorts, v) == kind
+                                             for v, kind in cube.kinds.items())
+                    for cube in above.cubes]
+            whole = None if all(keep) else self.cubes(d.pure)
+            found = [_propagated(new, sorts, None, heads, self, cube) if kept else
+                     _propagated(whole[i * len(body) + j], sorts, None, heads, self)
+                     for i, (cube, kept) in enumerate(zip(above.cubes, keep))
+                     for j, new in enumerate(body)]
+        return _HeapState(walked, [result and result[0] for result in found])
 
 
 # =====================================================================
@@ -592,7 +673,7 @@ def _try_base(d: SymbolicHeap, defs: SpecFile, param_sorts: dict, budget: Budget
     heads = [p.var for p in opened.points_tos()]
     order = list(dict.fromkeys([*_heap_var_order(opened), *universe_hint]))
     bounded = False
-    for cube in _conjoin([memo.of(_nnf_cubes, c) for c in opened.pure]):
+    for cube in memo.cubes(opened.pure):
         solution, independent = pure_solve(cube, sorts, budget, order, stats, deadline,
                                            heads, memo)
         if solution is not None:
@@ -659,14 +740,8 @@ def _pure_contradictory(d: SymbolicHeap, defs: SpecFile, param_sorts: dict,
     classes as in base-heap solving. No integer search is run: one that
     failed would only say the finite domain is too small, which does not
     make the heap contradictory. Without ``memo`` it is a query of its own."""
-    memo = memo or _QueryMemo(defs, param_sorts)
-    try:
-        sorts = memo.sorts(d)
-    except F.SortError:
-        return True
-    heads = [p.var for p in d.points_tos()]
-    return all(_propagated(cube, sorts, None, heads, memo) is None
-               for cube in _conjoin([memo.of(_nnf_cubes, c) for c in d.pure]))
+    state = (memo or _QueryMemo(defs, param_sorts)).state(d)
+    return all(cube is None for cube in state.cubes)
 
 
 def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatResult:
@@ -688,8 +763,11 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
     ``stats.rounds`` is the last round in which a heap passed the check.
     ``budget.time_limit`` bounds the whole query, the integer search
     included; past it the answer is UNKNOWN. Every check and base heap
-    reads its cubes, linear forms and (in the check) sorts through one
-    ``_QueryMemo``, made here and dropped on return (see the module notes).
+    reads its cubes and linear forms through one ``_QueryMemo``, made here
+    and dropped on return. Each heap that ``unfold_at`` makes is checked by
+    extending the check state of the heap it came from, which the memo
+    keeps until the last of those children has been checked (see the
+    module notes).
     """
     budget = budget or Budget()
     stats = SolverStats()
@@ -714,7 +792,9 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
                 if last:
                     return SatResult("unknown", None, stats)
                 first = next(i for i, a in enumerate(h.atoms) if isinstance(a, F.PredInst))
-                children.extend(unfold_at(h, first, defs))
+                kids = unfold_at(h, first, defs)
+                memo.adopt(h, kids)
+                children += kids
                 continue
             try:
                 model, bounded = _try_base(h, defs, param_sorts, budget, stats,

@@ -14,9 +14,11 @@ from .formulas import (
     PredInst,
     SpecFile,
     SymbolicHeap,
+    Var,
     dedup_heaps,
-    freshen_heap,
-    substitute,
+    fresh_var,
+    subst_pure,
+    subst_spatial,
 )
 
 
@@ -24,9 +26,10 @@ def unfold_at(d: SymbolicHeap, inst_index: int, defs: SpecFile) -> list[Symbolic
     """Unfold the instance at position ``inst_index`` of ``d``'s atom list.
 
     Each child is the separating conjunction of the context (``d`` without
-    the instance) and one freshened body: the context's atoms, conjuncts
-    and binders come first, the body's after them. The body's binders are
-    globally fresh, so they cannot clash with the context's names.
+    the instance) and one body: the context's atoms, conjuncts and binders
+    come first, the body's after them. One substitution maps each parameter
+    to its argument and each binder to a globally fresh name (taken in
+    binder order), which can neither clash with nor capture another name.
     """
     inst = d.atoms[inst_index]
     if not isinstance(inst, PredInst):
@@ -36,9 +39,11 @@ def unfold_at(d: SymbolicHeap, inst_index: int, defs: SpecFile) -> list[Symbolic
     binding = dict(zip(pred.params, inst.args))
     out: list[SymbolicHeap] = []
     for disjunct in pred.body.disjuncts:
-        body = substitute(freshen_heap(disjunct), binding)
-        out.append(SymbolicHeap(d.exists + body.exists, context + body.atoms,
-                                d.pure + body.pure))
+        fresh = tuple(fresh_var(v) for v in disjunct.exists)
+        renaming = {**binding, **{v: Var(name) for v, name in zip(disjunct.exists, fresh)}}
+        out.append(SymbolicHeap(d.exists + fresh,
+                                context + subst_spatial(disjunct.atoms, renaming),
+                                d.pure + subst_pure(disjunct.pure, renaming)))
     return out
 
 

@@ -144,7 +144,7 @@ def test_alias_classes_unrelated():
 
 
 def test_alias_classes_keep_earliest_added_representative():
-    # The representative picks the model in _solve_locs, so it must not
+    # The representative picks the model in _propagated, so it must not
     # depend on the direction of an equality.
     for eq in ("y = x", "x = y"):
         uf = S.alias_classes(S.pure_equalities(heap(f"emp & {eq}").pure), ["x", "y"])
@@ -227,11 +227,11 @@ def run_benchmark(name, out_dir, **overrides):
                  out_dir=out_dir, **settings)
 
 
-# The frontier check was once incremental, extending each parent's facts.
-# It now reads each conjunct's cubes, each literal's linear form and the
-# sort state of the query's pure part through sat's per-query memo; these
-# tests keep their names and hold that check to the from-scratch
-# definition on the same inputs.
+# The frontier check is incremental: through sat's per-query memo, each
+# heap that unfold_at makes extends the check state of the heap it came
+# from, and starts a cube from scratch where that would not be exact.
+# These tests hold that check to the from-scratch definition on the same
+# inputs.
 
 
 @pytest.mark.parametrize("name", ["sll", "dll", "stack", "bst", "tll", "sortedlist"])
@@ -541,6 +541,22 @@ def test_query_memo_matches_scratch_on_random_heaps(monkeypatch):
     assert [p for p in pairs if p[1] != p[2]] == []
 
 
+def test_unchecked_base_query_walks_its_pure_part_once(monkeypatch):
+    # The query's sorts and the base heap's own, with the query's sorts as
+    # seed; the memo walks the query's conjuncts only once a check needs it.
+    walks = []
+    walk = F._sort_walk
+
+    def recorded(env, classes, d, *args):
+        walks.append(d.pure)
+        return walk(env, classes, d, *args)
+
+    monkeypatch.setattr(F, "_sort_walk", recorded)
+    query = heap("x -> N(a, null) & a = 1 & x != null")
+    assert sat(query, F.parse_spec(CHAIN)).is_sat
+    assert sum(pure is query.pure for pure in walks) == 2
+
+
 def test_query_memo_lives_for_one_query(monkeypatch):
     # The conjunct x = y is one object in both queries: its variables are
     # integers in the first and locations in the second, where the heads
@@ -576,6 +592,73 @@ def test_query_memo_lives_for_one_query(monkeypatch):
     assert [name for name, value in vars(S).items() if not name.startswith("__")
             and isinstance(value, (dict, list, set))] == []
     assert not [name for name, value in vars(S).items() if hasattr(value, "cache_info")]
+
+
+def test_query_memo_keeps_a_heap_state_only_until_its_children_are_checked(monkeypatch):
+    # A heap's check state lives while one of its children waits for its
+    # check, and no longer: no state of a finished round stays reachable.
+    spec = F.parse_spec(CHAIN)
+    unfold, check, build = S.unfold_at, S._pure_contradictory, S._QueryMemo._made
+    made, waiting, rounds = {}, {}, {}  # all keyed by id(heap)
+
+    def unfolded(h, i, defs):
+        children = unfold(h, i, defs)
+        for child in children:
+            rounds[id(child)] = rounds.get(id(h), 0) + 1
+        waiting[id(h)] = {id(child) for child in children}
+        return children
+
+    def built(memo, d, *args):
+        state = build(memo, d, *args)
+        made[id(d)] = (d, weakref.ref(state))
+        return state
+
+    def checked(d, *args):
+        for children in waiting.values():
+            children.discard(id(d))
+        verdict = check(d, *args)
+        gc.collect()
+        live = {key for key, (_, state) in made.items() if state() is not None}
+        # The last check's state, and those of heaps with an unchecked child.
+        assert live <= {id(d)} | {key for key, children in waiting.items() if children}
+        assert all(rounds.get(key, 0) >= rounds[id(d)] - 1 for key in live)
+        return verdict
+
+    monkeypatch.setattr(S, "unfold_at", unfolded)
+    monkeypatch.setattr(S, "_pure_contradictory", checked)
+    monkeypatch.setattr(S._QueryMemo, "_made", built)
+    for text in ["chain(p) * chain(q) & p != q & 3 <= a", "chain(p) * chain(q) & a = 200"]:
+        for table in (made, waiting, rounds):
+            table.clear()
+        result = sat(heap(text), spec, Budget(max_depth=4))
+        assert max(rounds.values()) >= 3 and len(made) > 5
+        gc.collect()
+        assert [d for d, state in made.values() if state() is not None] == []
+    assert (result.decision, result.stats.rounds) == ("unknown", 4)
+
+
+def test_child_check_is_exact_when_the_unfolded_instance_sorted_a_variable(monkeypatch):
+    # The query's cube is contradictory only because loose(q) sorts q as a
+    # record, so q = r & q != r is a location clash. In the emp child q is
+    # unsorted and both literals are integer ones: the child is checked from
+    # scratch, not given its parent's verdict.
+    spec = F.parse_spec(LOOSE)
+    params = F.infer_sorts(spec)
+    query = heap("p -> N(a, p) * loose(q) * same(c, q) & a <= b & q = r & q != r & c <= a")
+    assert S._pure_contradictory(query, spec, params)
+    checks = []
+    check = S._pure_contradictory
+
+    def recorded(d, defs, param_sorts, memo=None):
+        verdict = check(d, defs, param_sorts, memo)
+        checks.append((F.print_heap(d), verdict, check(d, defs, param_sorts)))
+        return verdict
+
+    monkeypatch.setattr(S, "_pure_contradictory", recorded)
+    sat(query, spec, Budget(max_depth=4))
+    assert [c for c in checks if c[1] != c[2]] == []
+    emp_child = "p -> N(a, p) * same(c, q) & a <= b & q = r & q != r & c <= a"
+    assert (emp_child, False, False) in checks
 
 
 # ------------------------------------------------------------------ sat

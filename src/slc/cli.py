@@ -33,7 +33,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import concolic as C
@@ -41,21 +40,20 @@ from . import formulas as F
 from . import ir
 from . import solver as S
 from . import testgen as T
+from .value import Value
 
 # =====================================================================
 # Bundled benchmark corpus
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class Benchmark:
-    name: str
-    spec: str
-    program: str
-    entry: str
-    unfold_depth: int
-    solver_depth: int = 6
-    max_nodes: int = 150
+class Benchmark(Value):
+    __slots__ = ("name", "spec", "program", "entry", "unfold_depth", "solver_depth",
+                 "max_nodes")
+
+    def __init__(self, name: str, spec: str, program: str, entry: str,
+                 unfold_depth: int, solver_depth: int = 6, max_nodes: int = 150):
+        super().__init__(name, spec, program, entry, unfold_depth, solver_depth, max_nodes)
 
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -83,22 +81,23 @@ def corpus_path(filename: str) -> Path:
 # =====================================================================
 
 
-@dataclass
 class CoverageReport:
-    entry: str
-    branches: dict[tuple[str, int, str], bool]  # (proc, pc, side) -> covered
-    infeasible: set[tuple[str, int, str]]
-    valid_tests: int
-    total_tests: int
-    spec_solver_calls: int
-    concolic_solver_calls: int
-    unresolved_nodes: int
-    pruned_nodes: int
-    runs: list[tuple[str, str]]  # (test provenance, outcome)
-    solver_rounds: int = 0
-    solver_pure_nodes: int = 0
-    unknown_skipped: int = 0
-    wall: dict[str, float] = field(default_factory=dict)
+    def __init__(self, entry: str, branches: dict[tuple[str, int, str], bool],
+                 infeasible: set[tuple[str, int, str]], valid_tests: int,
+                 total_tests: int, spec_solver_calls: int, concolic_solver_calls: int,
+                 unresolved_nodes: int, pruned_nodes: int, runs: list[tuple[str, str]],
+                 solver_rounds: int = 0, solver_pure_nodes: int = 0,
+                 unknown_skipped: int = 0):
+        self.entry, self.infeasible = entry, infeasible
+        self.branches = branches  # (proc, pc, side) -> covered
+        self.runs = runs  # (test provenance, outcome)
+        self.valid_tests, self.total_tests = valid_tests, total_tests
+        self.spec_solver_calls = spec_solver_calls
+        self.concolic_solver_calls = concolic_solver_calls
+        self.unresolved_nodes, self.pruned_nodes = unresolved_nodes, pruned_nodes
+        self.solver_rounds, self.solver_pure_nodes = solver_rounds, solver_pure_nodes
+        self.unknown_skipped = unknown_skipped
+        self.wall: dict[str, float] = {}
 
     @property
     def total_branches(self) -> int:
@@ -287,12 +286,11 @@ def _write_atomic(path: Path, text: str) -> None:
 # =====================================================================
 
 
-@dataclass
 class PipelineResult:
-    tests: list
-    report: CoverageReport
-    tree: C.ConstraintTree
-    stopped_by: str | None  # the budget that cut exploration short
+    def __init__(self, tests: list, report: CoverageReport, tree: C.ConstraintTree,
+                 stopped_by: str | None):
+        self.tests, self.report, self.tree = tests, report, tree
+        self.stopped_by = stopped_by  # the budget that cut exploration short
 
     @property
     def exit_code(self) -> int:

@@ -39,7 +39,6 @@ from __future__ import annotations
 import copy
 import itertools
 import time
-from dataclasses import dataclass, field as dfield
 from typing import Callable, Iterator, Sequence, Union
 
 from . import formulas as F
@@ -82,17 +81,20 @@ from .ir import (
 )
 from .testgen import Addr, TestInput
 from .unfold import unfold_at
+from .value import Value, setfield
 
 # =====================================================================
 # Run outcomes
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class RunOutcome:
-    kind: str  # 'ok' | 'assertion' | 'error' | 'budget'
-    error: str | None = None  # null-deref | dangling | goto-out-of-range | free-of-null
-    pc: ir.PC = ()
+class RunOutcome(Value):
+    # kind: 'ok' | 'assertion' | 'error' | 'budget'; error (of kind 'error'):
+    # null-deref | dangling | goto-out-of-range | free-of-null
+    __slots__ = ("kind", "error", "pc")
+
+    def __init__(self, kind: str, error: str | None = None, pc: ir.PC = ()):
+        super().__init__(kind, error, pc)
 
     def __str__(self) -> str:
         if self.kind == "ok":
@@ -115,32 +117,31 @@ class ExecError(Exception):
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class PCExpr:
-    expr: Expr
+class PCExpr(Value):
+    __slots__ = ("expr",)
 
 
-@dataclass(frozen=True)
-class PCAssign:
-    var: str
-    fieldname: str
-    expr: Expr
+class PCAssign(Value):
+    __slots__ = ("var", "fieldname", "expr")
 
 
 PCAtom = Union[PCExpr, PCAssign]
 
 
-@dataclass(frozen=True)
-class PathCondition:
+class PathCondition(Value):
     """Append-only: each step adds a heap atom or a path atom and rewrites
     none. ``current`` maps a program variable to the symbol of its latest
     value, which an assignment or allocation makes fresh; every expression a
     step adds reads its variables through it. A variable not in ``current``
     holds its entry value under its own name, as the parameters in a model."""
 
-    heaps: tuple[SymbolicHeap, ...]  # precondition disjuncts, plus allocations
-    atoms: tuple[PCAtom, ...]
-    current: dict[str, str] = dfield(default_factory=dict)  # var -> latest symbol
+    __slots__ = ("heaps", "atoms", "current")  # heaps: the precondition's, plus allocations
+
+    def __init__(self, heaps: tuple[SymbolicHeap, ...], atoms: tuple[PCAtom, ...],
+                 current: dict[str, str] | None = None):  # var -> latest symbol
+        setfield(self, "heaps", heaps)
+        setfield(self, "atoms", atoms)
+        setfield(self, "current", {} if current is None else current)
 
     def _now(self, var: str) -> str:
         return self.current.get(var, var)
@@ -519,20 +520,17 @@ def eval_expr(s: Stack, e: Expr):
 # =====================================================================
 
 
-@dataclass
 class ConcolicNode:
-    nid: int
-    parent: int | None
-    edge: str  # rule label on the incoming edge ('then'/'else' for branches)
-    depth: int
-    pc: ir.PC
-    delta: PathCondition
-    flag: bool = False
-    status: str = "open"  # 'open' | 'pruned' | 'unresolved'
-    outcome: RunOutcome | None = None
-    children: dict[str, int] = dfield(default_factory=dict)
-    branch: tuple[str, int, str] | None = None  # (source proc, source pc, side)
-    path: tuple[int, ...] = ()  # child-creation indices from the root
+    def __init__(self, nid: int, parent: int | None, edge: str, depth: int, pc: ir.PC,
+                 delta: PathCondition, flag: bool = False,
+                 branch: tuple[str, int, str] | None = None, path: tuple[int, ...] = ()):
+        self.nid, self.parent, self.depth, self.pc, self.delta = nid, parent, depth, pc, delta
+        self.edge = edge  # rule label on the incoming edge ('then'/'else' for branches)
+        self.flag, self.status = flag, "open"  # status: 'open' | 'pruned' | 'unresolved'
+        self.outcome: RunOutcome | None = None
+        self.children: dict[str, int] = {}
+        self.branch = branch  # (source proc, source pc, side)
+        self.path = path  # child-creation indices from the root
 
 
 class ConstraintTree:
@@ -736,23 +734,17 @@ def run_test(test: TestInput, tree: ConstraintTree,
 # =====================================================================
 
 
-@dataclass
 class ExploreStats:
-    solver_calls: int = 0
-    runs: int = 0
-    pruned: int = 0
-    unresolved: int = 0
-    stopped_by: str | None = None  # "node budget" | "timeout"
-    unfold_rounds: int = 0
-    pure_nodes: int = 0
+    def __init__(self):
+        self.solver_calls = self.runs = self.pruned = self.unresolved = 0
+        self.unfold_rounds = self.pure_nodes = 0
+        self.stopped_by: str | None = None  # "node budget" | "timeout"
 
 
-@dataclass
 class ExploreResult:
-    tree: ConstraintTree
-    tests: list[TestInput]
-    log: list[tuple[str, RunOutcome]]
-    stats: ExploreStats
+    def __init__(self, tree: ConstraintTree, tests: list[TestInput],
+                 log: list[tuple[str, RunOutcome]], stats: ExploreStats):
+        self.tree, self.tests, self.log, self.stats = tree, tests, log, stats
 
 
 def explore(program: ElabProgram, pre: F.Formula, seeds: Sequence[TestInput],

@@ -27,17 +27,18 @@ Design notes:
   recover int/bool/record sorts by unification: a union-find merges the
   two sides of every variable equality, each class has one sort joined
   from the positions its members occupy, and a clash is a ``SortError``.
-* All AST nodes are frozen dataclasses and may be shared freely.
+* AST nodes are immutable values (``value.Value``) and may be shared
+  freely; ``solver._QueryMemo``'s id-keyed caches rely on that.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
 from .lexer import TokenStream
+from .value import Value, setfield
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
@@ -47,41 +48,39 @@ INT32_MAX = 2**31 - 1
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class Null:
-    def __repr__(self) -> str:
-        return "Null()"
+class Null(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Const:
-    value: int
+class Const(Value):
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if not (INT32_MIN <= self.value <= INT32_MAX):
-            raise ValueError(f"constant {self.value} outside 32-bit range")
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
+    def __init__(self, value: int):
+        if not (INT32_MIN <= value <= INT32_MAX):
+            raise ValueError(f"constant {value} outside 32-bit range")
+        setfield(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Scale:
-    coeff: int  # constant coefficient; linearity is part of the term grammar
-    term: "ArithTerm"
+class Var(Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        setfield(self, "name", name)
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "ArithTerm"
-    right: "ArithTerm"
+class Scale(Value):
+    __slots__ = ("coeff", "term")  # coeff: a constant; linearity is part of the grammar
 
 
-@dataclass(frozen=True)
-class Neg:
-    term: "ArithTerm"
+class Add(Value):
+    __slots__ = ("left", "right")
+
+
+class Neg(Value):
+    __slots__ = ("term",)
 
 
 ArithTerm = Union[Null, Const, Var, Scale, Add, Neg]
@@ -95,31 +94,30 @@ TRUE = None  # placeholder replaced below once PureFormula exists
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class TruePure:
-    pass
+class TruePure(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Atom:
-    op: str  # '=' or '<='
-    left: ArithTerm
-    right: ArithTerm
+class Atom(Value):
+    __slots__ = ("op", "left", "right")
 
-    def __post_init__(self):
-        if self.op not in ("=", "<="):
-            raise ValueError(f"pure atom operator must be = or <=, got {self.op!r}")
-
-
-@dataclass(frozen=True)
-class Not:
-    inner: "PureFormula"
+    def __init__(self, op: str, left: ArithTerm, right: ArithTerm):
+        if op not in ("=", "<="):
+            raise ValueError(f"pure atom operator must be = or <=, got {op!r}")
+        setfield(self, "op", op)
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "PureFormula"
-    right: "PureFormula"
+class Not(Value):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: PureFormula):
+        setfield(self, "inner", inner)
+
+
+class And(Value):
+    __slots__ = ("left", "right")
 
 
 PureFormula = Union[TruePure, Atom, Not, And]
@@ -161,17 +159,21 @@ def conj(parts: Iterable[PureFormula | Conjunction]) -> Conjunction:
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class PointsTo:
-    var: str  # head variable: the address of exactly one record
-    type_name: str
-    args: tuple[ArithTerm, ...]
+class PointsTo(Value):
+    __slots__ = ("var", "type_name", "args")  # var: the address of exactly one record
+
+    def __init__(self, var: str, type_name: str, args: tuple[ArithTerm, ...]):
+        setfield(self, "var", var)
+        setfield(self, "type_name", type_name)
+        setfield(self, "args", args)
 
 
-@dataclass(frozen=True)
-class PredInst:
-    pred: str
-    args: tuple[ArithTerm, ...]
+class PredInst(Value):
+    __slots__ = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple[ArithTerm, ...]):
+        setfield(self, "pred", pred)
+        setfield(self, "args", args)
 
 
 SpatialAtom = Union[PointsTo, PredInst]
@@ -182,14 +184,17 @@ SpatialAtom = Union[PointsTo, PredInst]
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class SymbolicHeap:
+class SymbolicHeap(Value):
     """``exists`` binders over the separating conjunction of ``atoms`` and
     the conjunction of ``pure`` (see the module notes)."""
 
-    exists: tuple[str, ...]
-    atoms: tuple[SpatialAtom, ...]
-    pure: Conjunction
+    __slots__ = ("exists", "atoms", "pure")
+
+    def __init__(self, exists: tuple[str, ...], atoms: tuple[SpatialAtom, ...],
+                 pure: Conjunction):
+        setfield(self, "exists", exists)
+        setfield(self, "atoms", atoms)
+        setfield(self, "pure", pure)
 
     def points_tos(self) -> list[PointsTo]:
         return [a for a in self.atoms if isinstance(a, PointsTo)]
@@ -201,19 +206,17 @@ class SymbolicHeap:
         return not any(isinstance(a, PredInst) for a in self.atoms)
 
 
-@dataclass(frozen=True)
-class Formula:
-    disjuncts: tuple[SymbolicHeap, ...]
+class Formula(Value):
+    __slots__ = ("disjuncts",)
 
-    def __post_init__(self):
-        if not self.disjuncts:
+    def __init__(self, disjuncts: tuple[SymbolicHeap, ...]):
+        if not disjuncts:
             raise ValueError("a formula needs at least one disjunct")
+        setfield(self, "disjuncts", disjuncts)
 
 
-@dataclass(frozen=True)
-class DataDef:
-    name: str
-    fields: tuple[tuple[str, str], ...]  # (field name, type) in declaration order
+class DataDef(Value):
+    __slots__ = ("name", "fields")  # fields: (name, type) pairs in declaration order
 
     def field_type(self, name: str) -> str:
         for f, t in self.fields:
@@ -222,18 +225,15 @@ class DataDef:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class PredDef:
-    name: str
-    params: tuple[str, ...]
-    body: Formula
+class PredDef(Value):
+    __slots__ = ("name", "params", "body")  # body: a Formula
 
 
-@dataclass
 class SpecFile:
-    datas: dict[str, DataDef] = field(default_factory=dict)
-    preds: dict[str, PredDef] = field(default_factory=dict)
-    preconditions: dict[str, Formula] = field(default_factory=dict)
+    def __init__(self):
+        self.datas: dict[str, DataDef] = {}
+        self.preds: dict[str, PredDef] = {}
+        self.preconditions: dict[str, Formula] = {}
 
 
 # =====================================================================
@@ -683,12 +683,10 @@ def _parse_pure_full(ts: TokenStream) -> PureFormula:
     return left
 
 
-@dataclass
 class _Chunk:
-    exists: list[str]
-    atoms: list[SpatialAtom]
-    pures: list[PureFormula]
-    saw_emp: bool = False
+    def __init__(self, exists: list[str], atoms: list[SpatialAtom],
+                 pures: list[PureFormula], saw_emp: bool = False):
+        self.exists, self.atoms, self.pures, self.saw_emp = exists, atoms, pures, saw_emp
 
 
 def _parse_args(ts: TokenStream) -> tuple[ArithTerm, ...]:

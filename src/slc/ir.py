@@ -23,11 +23,11 @@ frame and across calls alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .formulas import INT32_MAX, INT32_MIN, DataDef, _parse_data, register_name
 from .lexer import TokenStream
+from .value import Value, setfield
 
 
 def wrap32(value: int) -> int:
@@ -39,38 +39,36 @@ def wrap32(value: int) -> int:
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class EConst:
-    value: object  # int or bool
+class EConst(Value):
+    __slots__ = ("value",)  # an int or a bool
 
 
-@dataclass(frozen=True)
-class ENull:
-    pass
+class ENull(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EVar:
-    name: str
+class EVar(Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        setfield(self, "name", name)
 
 
-@dataclass(frozen=True)
-class EField:
-    var: str
-    fieldname: str
+class EField(Value):
+    __slots__ = ("var", "fieldname")
 
 
-@dataclass(frozen=True)
-class EBin:
-    op: str  # + - * = != < <= > >= & |
-    left: "Expr"
-    right: "Expr"
+class EBin(Value):
+    __slots__ = ("op", "left", "right")  # op: + - * = != < <= > >= & |
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        setfield(self, "op", op)
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
-@dataclass(frozen=True)
-class EUn:
-    op: str  # ! -
-    operand: "Expr"
+class EUn(Value):
+    __slots__ = ("op", "operand")  # op: ! or -
 
 
 Expr = Union[EConst, ENull, EVar, EField, EBin, EUn]
@@ -121,69 +119,49 @@ def _print_expr(e: Expr, parent: int) -> str:
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class SAssign:
-    var: str
-    expr: Expr
+class SAssign(Value):
+    __slots__ = ("var", "expr")
 
 
-@dataclass(frozen=True)
-class SStore:
-    var: str
-    fieldname: str
-    expr: Expr
+class SStore(Value):
+    __slots__ = ("var", "fieldname", "expr")
 
 
-@dataclass(frozen=True)
-class SGoto:
-    target: Expr
+class SGoto(Value):
+    __slots__ = ("target",)
 
 
-@dataclass(frozen=True)
-class SAssert:
-    expr: Expr
+class SAssert(Value):
+    __slots__ = ("expr",)
 
 
-@dataclass(frozen=True)
-class SCond:
-    cond: Expr
-    then_target: Expr
-    else_target: Expr
+class SCond(Value):
+    __slots__ = ("cond", "then_target", "else_target")
 
 
-@dataclass(frozen=True)
-class SNew:
-    var: str
-    type_name: str
-    args: tuple[str, ...]  # argument variables, one per field
+class SNew(Value):
+    __slots__ = ("var", "type_name", "args")  # args: one variable per field
 
 
-@dataclass(frozen=True)
-class SFree:
-    var: str
+class SFree(Value):
+    __slots__ = ("var",)
 
 
-@dataclass(frozen=True)
-class SCall:
-    result: str | None
-    proc: str
-    args: tuple[Expr, ...]
+class SCall(Value):
+    __slots__ = ("result", "proc", "args")  # result: a variable or None
 
 
 Statement = Union[SAssign, SStore, SGoto, SAssert, SCond, SNew, SFree, SCall]
 
 
-@dataclass(frozen=True)
-class Procedure:
-    name: str
-    params: tuple[tuple[str, str], ...]  # (name, type)
-    stmts: tuple[Statement, ...]
+class Procedure(Value):
+    __slots__ = ("name", "params", "stmts")  # params: (name, type) pairs
 
 
-@dataclass
 class Program:
-    datas: dict[str, DataDef] = field(default_factory=dict)
-    procs: dict[str, Procedure] = field(default_factory=dict)
+    def __init__(self, datas: dict[str, DataDef]):
+        self.datas = datas
+        self.procs: dict[str, Procedure] = {}
 
 
 PC = tuple[tuple[str, int], ...]
@@ -197,7 +175,6 @@ def pc_label(pc: PC) -> str:
     return "/".join(f"{name}:{i}" for name, i in pc)
 
 
-@dataclass
 class ElabProgram:
     """An entry procedure with the procedures it reaches, ready to run.
 
@@ -213,11 +190,11 @@ class ElabProgram:
     every local of every body at ``level``; a new frame starts without them.
     """
 
-    entry: str
-    params: tuple[tuple[str, str], ...]
-    procs: dict[str, dict[int, tuple[Statement, ...]]]
-    source: Program
-    frame_locals: dict[int, set[str]]
+    def __init__(self, entry: str, params: tuple[tuple[str, str], ...],
+                 procs: dict[str, dict[int, tuple[Statement, ...]]],
+                 source: Program, frame_locals: dict[int, set[str]]):
+        self.entry, self.params, self.procs = entry, params, procs
+        self.source, self.frame_locals = source, frame_locals
 
     @property
     def stmts(self) -> tuple[Statement, ...]:
@@ -455,7 +432,7 @@ def parse_program(text: str, datas: Mapping[str, DataDef] | None = None) -> Prog
     """Parse and validate an ``.ir`` file. Record types may come from the
     file itself or be supplied (typically from the companion ``.sl``)."""
     ts = TokenStream(text)
-    program = Program(datas=dict(datas or {}))
+    program = Program(dict(datas or {}))
     while not ts.at_kind("eof"):
         if ts.at("data"):
             data = _parse_data(ts)

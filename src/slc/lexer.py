@@ -8,7 +8,7 @@ identifiers are keywords in which position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .value import Value
 
 # Longest-match first.
 _SYMBOLS = (
@@ -28,12 +28,8 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'ident' | 'int' | 'sym' | 'eof'
-    text: str
-    line: int
-    col: int
+class Token(Value):
+    __slots__ = ("kind", "text", "line", "col")  # kind: 'ident' | 'int' | 'sym' | 'eof'
 
 
 def tokenize(text: str) -> list[Token]:

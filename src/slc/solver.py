@@ -49,7 +49,6 @@ each dangling address.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from . import formulas as F
@@ -69,45 +68,44 @@ from .formulas import (
     Var,
 )
 from .unfold import unfold_at
+from .value import Value, setfield
 
 _SCALARS = ("int", "bool")
 
 
-@dataclass
 class Budget:
-    max_depth: int = 6
-    time_limit: float = 10.0
-    int_min: int = -64
-    int_max: int = 63
+    def __init__(self, max_depth: int = 6, time_limit: float = 10.0,
+                 int_min: int = -64, int_max: int = 63):
+        self.max_depth, self.time_limit = max_depth, time_limit
+        self.int_min, self.int_max = int_min, int_max
 
 
 class Timeout(Exception):
     """The query's deadline passed during the integer search."""
 
 
-@dataclass
 class SolverStats:
-    rounds: int = 0
-    pure_nodes: int = 0
-    bounded: bool = False
+    def __init__(self):
+        self.rounds, self.pure_nodes, self.bounded = 0, 0, False
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SolverStats) and vars(self) == vars(other)
 
 
-@dataclass
 class SymbolicModel:
     """SAT witness: a base heap binding every variable to a symbolic value."""
 
-    heap: SymbolicHeap
-    sorts: dict[str, str] = field(default_factory=dict)
+    def __init__(self, heap: SymbolicHeap, sorts: dict[str, str] | None = None):
+        self.heap, self.sorts = heap, {} if sorts is None else sorts
 
     def __str__(self) -> str:
         return F.print_heap(self.heap)
 
 
-@dataclass
 class SatResult:
-    decision: str  # 'sat' | 'unsat' | 'unknown'
-    model: SymbolicModel | None
-    stats: SolverStats
+    def __init__(self, decision: str, model: SymbolicModel | None, stats: SolverStats):
+        self.decision = decision  # 'sat' | 'unsat' | 'unknown'
+        self.model, self.stats = model, stats
 
     @property
     def is_sat(self) -> bool:
@@ -119,11 +117,13 @@ class SatResult:
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class Lit:
-    op: str  # 'eq' | 'le' | 'ne'
-    left: ArithTerm
-    right: ArithTerm
+class Lit(Value):
+    __slots__ = ("op", "left", "right")  # op: 'eq' | 'le' | 'ne'
+
+    def __init__(self, op: str, left: ArithTerm, right: ArithTerm):
+        setfield(self, "op", op)
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
 def _nnf_cubes(pure: PureFormula | F.Conjunction, positive: bool = True) -> list[list[Lit]]:
@@ -231,13 +231,13 @@ def pure_equalities(pure: F.Conjunction) -> list[tuple[ArithTerm, ArithTerm]]:
             if isinstance(c, Atom) and c.op == "="]
 
 
-@dataclass
 class LocSolution:
     """The alias classes of one cube's location literals."""
 
-    uf: F.UnionFind
-    marked: set[str]                 # roots of null and of every points-to head
-    diseqs: list[tuple[str, str]]    # the roots each disequality keeps apart
+    def __init__(self, uf: F.UnionFind, marked: set[str], diseqs: list[tuple[str, str]]):
+        self.uf = uf
+        self.marked = marked  # roots of null and of every points-to head
+        self.diseqs = diseqs  # the roots each disequality keeps apart
 
     def null_roots(self) -> set[str]:
         """The classes a model makes null: null's own, and every unmarked
@@ -257,13 +257,10 @@ class LocSolution:
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class _Lin:
+class _Lin(Value):
     """Normalized literal: sum of coeff*var plus const, related to zero."""
 
-    coeffs: tuple[tuple[str, int], ...]
-    const: int
-    rel: str  # 'le' | 'eq' | 'ne'
+    __slots__ = ("coeffs", "const", "rel")  # rel: 'le' | 'eq' | 'ne'
 
 
 def _linearize(term: ArithTerm, sign: int, coeffs: dict[str, int]) -> int:
@@ -452,10 +449,9 @@ def _search_ints(lins: list[_Lin], order: list[str], sorts: dict[str, str],
 # =====================================================================
 
 
-@dataclass
 class PureSolution:
-    scalars: dict[str, int | bool]
-    locs: LocSolution
+    def __init__(self, scalars: dict[str, int | bool], locs: LocSolution):
+        self.scalars, self.locs = scalars, locs
 
 
 def _lit_vars(lit: Lit) -> list[str]:

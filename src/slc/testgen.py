@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import formulas as F
@@ -40,36 +39,40 @@ from .formulas import (
     eval_ground,
 )
 from .unfold import unfold_round
+from .value import Value, setfield
 
 # =====================================================================
 # Concrete values and heaps
 # =====================================================================
 
 
-@dataclass(frozen=True)
-class Addr:
-    ident: int
-    type_name: str
+class Addr(Value):
+    __slots__ = ("ident", "type_name")
+
+    def __init__(self, ident: int, type_name: str):
+        setfield(self, "ident", ident)
+        setfield(self, "type_name", type_name)
+
+    def __hash__(self) -> int:
+        return hash((self.ident, self.type_name))
+
+    def __eq__(self, other: object) -> bool:
+        return (other.__class__ is Addr
+                and (self.ident, self.type_name) == (other.ident, other.type_name))
 
     def __repr__(self) -> str:
         return f"@{self.type_name}{self.ident}"
 
 
-Value = "int | bool | Addr | None"
-
-
-@dataclass
 class HeapObject:
-    addr: Addr
-    type_name: str
-    fields: dict[str, object]
+    def __init__(self, addr: Addr, type_name: str, fields: dict[str, object]):
+        self.addr, self.type_name, self.fields = addr, type_name, fields
 
 
-@dataclass
 class TestInput:
-    objects: dict[Addr, HeapObject]
-    bindings: dict[str, object]
-    provenance: str = ""
+    def __init__(self, objects: dict[Addr, HeapObject], bindings: dict[str, object],
+                 provenance: str = ""):
+        self.objects, self.bindings, self.provenance = objects, bindings, provenance
 
     def describe(self) -> str:
         objs = "; ".join(
@@ -383,13 +386,10 @@ def input_satisfies(test: TestInput, formula: Formula, defs: SpecFile) -> bool:
 # =====================================================================
 
 
-@dataclass
 class GenStats:
-    solver_calls: int = 0
-    unknown_skipped: int = 0
-    unsat_skipped: int = 0
-    unfold_rounds: int = 0
-    pure_nodes: int = 0
+    def __init__(self):
+        self.solver_calls = self.unknown_skipped = self.unsat_skipped = 0
+        self.unfold_rounds = self.pure_nodes = 0
 
 
 def gen_from_spec(g: Sequence[SymbolicHeap], n: int, defs: SpecFile,

@@ -47,22 +47,16 @@ def unfold_at(d: SymbolicHeap, inst_index: int, defs: SpecFile) -> list[Symbolic
     return out
 
 
-def unfold_all(d: SymbolicHeap, defs: SpecFile) -> list[SymbolicHeap]:
-    """Unfold every instance of ``d`` independently; base heaps pass through."""
-    indices = [i for i, a in enumerate(d.atoms) if isinstance(a, PredInst)]
-    if not indices:
-        return [d]
-    out: list[SymbolicHeap] = []
-    for i in indices:
-        out.extend(unfold_at(d, i, defs))
-    return dedup_heaps(out)
-
-
 def unfold_round(heaps: list[SymbolicHeap], defs: SpecFile) -> list[SymbolicHeap]:
-    """One generation round: base heaps carry forward, the rest unfold."""
+    """One generation round: base heaps carry forward, the rest unfold
+    every instance independently; alpha-equivalent results are dropped."""
     out: list[SymbolicHeap] = []
     for d in heaps:
-        out.extend(unfold_all(d, defs))
+        if d.is_base():
+            out.append(d)
+        for i, a in enumerate(d.atoms):
+            if isinstance(a, PredInst):
+                out.extend(unfold_at(d, i, defs))
     return dedup_heaps(out)
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from slc import formulas as F
 from slc import solver as S
-from slc.unfold import unfold_all, unfold_at, unfold_closure
+from slc.unfold import unfold_at, unfold_closure, unfold_round
 
 # The six depth-2 unfoldings of bst(this_root, minE, maxE), written out.
 ITEM = {
@@ -66,12 +66,12 @@ def test_unfold_left_instance_of_item2(pre, bst_spec):
 
 def test_unfold_all_base_heap_passes_through(bst_spec):
     base = F.parse_heap("emp & this_root = null")
-    assert unfold_all(base, bst_spec) == [base]
+    assert unfold_round([base], bst_spec) == [base]
 
 
 def test_unfold_all_item2_gives_items_3_to_6(pre, bst_spec):
     item2 = unfold_at(pre[0], 0, bst_spec)[1]
-    out = unfold_all(item2, bst_spec)
+    out = unfold_round([item2], bst_spec)
     match_sets(out, items(3, 4, 5, 6))
 
 
@@ -79,7 +79,7 @@ def test_unfold_all_count_tracks_disjunct_count():
     spec = F.parse_spec("""
     pred three(x) == (emp & x = 0) \\/ (emp & x = 1) \\/ (emp & x = 2) ;
     """)
-    out = unfold_all(F.parse_heap("three(x) & true"), spec)
+    out = unfold_round([F.parse_heap("three(x) & true")], spec)
     assert len(out) == 3
 
 
@@ -101,7 +101,7 @@ def test_closure_depth2_matches_published_unfoldings(pre, bst_spec):
 def test_unfolding_under_approximates(pre, bst_spec):
     # Every model of an unfolded heap is a model of what it unfolds.
     item2 = unfold_at(pre[0], 0, bst_spec)[1]
-    for child in unfold_all(item2, bst_spec):
+    for child in unfold_round([item2], bst_spec):
         result = S.sat(child, bst_spec)
         assert result.is_sat
         assert S.model_check(result.model, child, bst_spec)
@@ -113,5 +113,5 @@ def test_duplicate_heaps_deduplicated():
     spec = F.parse_spec("""
     pred p(x) == (emp & x = null) \\/ (emp & x = null) ;
     """)
-    out = unfold_all(F.parse_heap("p(x) & true"), spec)
+    out = unfold_round([F.parse_heap("p(x) & true")], spec)
     assert len(out) == 1

@@ -244,9 +244,10 @@ class SpecFile:
 class _NameSession:
     """Session-wide fresh-name source.
 
-    Every parsed or issued variable name is registered so a fresh name can
-    never collide with one already in play. Freshening appends a numeric
-    suffix to the hint (``elt`` -> ``elt1``, ``elt2``, ...).
+    Every parsed variable name is registered so a fresh name can never
+    collide with one in play. A fresh name is the hint without trailing
+    digits (its base) and that base's next count (``elt1``, ``elt2``, ...);
+    it splits back one way only, so issued names need no record.
     """
 
     def __init__(self):
@@ -267,7 +268,6 @@ class _NameSession:
                 name = f"{base}{n}"
                 if name not in self._seen:
                     self._counters[base] = n
-                    self._seen.add(name)
                     return name
 
     def reset(self) -> None:

@@ -18,15 +18,23 @@ call: each conjunct's DNF cubes and each literal's variable order and
 linear form, keyed by object identity, and the check state of each heap
 whose children wait for their check: the sort-walk state of its points-to
 atoms and pure part, and per cube each variable's kind (unsorted, location
-or integer), the location (dis)equalities and the integer linear forms. A
-child of ``unfold_at`` is its parent minus the instance plus the body, its
-conjuncts the parent's followed by the body's, so it copies the parent's
-state, walks the body and then its own instances for its sorts, and splits
-only the body's literals. A cube starts from scratch when its parent cube
-was contradictory or a variable changed kind (dropping the instance can
-unsort one). Alias classes, marks and propagation are redone each time.
-This is exact: conjuncts are immutable, sort joins do not depend on order,
-and literals split by their variables' kinds.
+or integer), the alias classes, the disequalities, the linear forms and,
+if propagation reached its fixpoint, the bounds. A child of ``unfold_at``
+is its parent minus the instance plus the body, its conjuncts the
+parent's followed by the body's, so it extends the parent's walk by the
+body and then its own instances for its sorts, and each child cube shares
+its parent cube's state, copying what the body adds to: it splits and
+merges only the body's literals, checks the marks and disequalities over
+the merged classes, and propagates from the parent's fixpoint, starting
+from the body's linear forms. A cube starts from scratch when its parent
+cube was contradictory or a variable changed kind (dropping the instance
+can unsort one), and from fresh bounds when its parent's stopped at the
+round cap. This is exact: conjuncts are immutable, sort joins do not
+depend on order, literals split by their variables' kinds, and merging
+gives the partition from scratch (only base heaps, solved from scratch,
+read representatives). Narrowing is monotone, so a converged run from a
+parent's fixpoint reaches the fixpoint from scratch; a contradiction or a
+cap met that way is confirmed from fresh bounds.
 
 The solver trades the completeness of a full decision procedure for
 bounded search: outside its budgets it answers UNKNOWN, which for a test
@@ -49,6 +57,7 @@ each dangling address.
 from __future__ import annotations
 
 import time
+from bisect import insort
 from typing import Iterable, NamedTuple, Sequence
 
 from . import formulas as F
@@ -291,15 +300,35 @@ def _lin_of(lit: Lit) -> _Lin:
 
 
 _INF = None
+_TOP = (_INF, _INF)
 
 
-def _propagate(lins: list[_Lin], bounds: dict[str, list],
-               trail: list[tuple[str, int, int]] | None = None) -> bool:
-    """Tighten variable intervals; False on a proven empty interval. Each
-    change is first logged to ``trail``, if given, as (variable, lo, hi)."""
+def _propagate(lins: list[_Lin], uses: dict[str, tuple[int, ...]], bounds: dict[str, tuple],
+               start: Iterable[int] | None = None,
+               trail: list[tuple[str, int, int]] | None = None) -> bool | None:
+    """Tighten variable intervals; False on a proven empty interval, None
+    when the round cap stops it short of a fixpoint, else True. Each change
+    is first logged to ``trail``, if given, as (variable, lo, hi). A round
+    runs its forms in list order: the first those ``start`` lists in
+    ascending order (default: all), then every form over a variable
+    (``uses``: variable -> form indexes) that changed, this round if it
+    comes later, else the next. A form whose variables did not change since
+    it last ran narrows nothing, so from a fixpoint of the other forms this
+    is the loop that runs every form each round, under the same cap."""
+    if start is None:
+        start = range(len(lins))
+        if any(_INF not in b and b[0] > b[1] for b in bounds.values()):
+            return False
+    todo = list(start)
     for _ in range(4 * max(1, len(bounds)) + 8):
-        changed = False
-        for lin in lins:
+        if not todo:
+            return True
+        later, last, at = [], -1, 0
+        while at < len(todo):
+            i, at = todo[at], at + 1
+            if i == last:
+                continue  # queued twice; sorted, so twins sit side by side
+            lin, last = lins[i], i
             if lin.rel == "ne":
                 # Only a disequality over pinned variables says anything.
                 if all(bounds[v][0] is not _INF and bounds[v][0] == bounds[v][1]
@@ -307,52 +336,42 @@ def _propagate(lins: list[_Lin], bounds: dict[str, list],
                         and lin.const + sum(k * bounds[v][0] for v, k in lin.coeffs) == 0:
                     return False
                 continue
-            rels = [1] if lin.rel == "le" else [1, -1]
-            for direction in rels:
+            if not lin.coeffs and (lin.const > 0 if lin.rel == "le" else lin.const != 0):
+                return False
+            for direction in ((1,) if lin.rel == "le" else (1, -1)):
                 # direction * (sum + const) <= 0
                 for v, k in lin.coeffs:
                     kk = direction * k
                     rest = direction * lin.const
-                    infinite = False
                     for w, kw in lin.coeffs:
                         if w == v:
                             continue
                         kkw = direction * kw
-                        lo, hi = bounds[w]
-                        b = lo if kkw > 0 else hi
+                        b = bounds[w][0 if kkw > 0 else 1]
                         if b is _INF:
-                            infinite = True
                             break
                         rest += kkw * b
-                    if infinite:
-                        continue
-                    lo, hi = bounds[v]
-                    if kk > 0:
-                        limit = -rest // kk  # v <= floor(-rest / kk)
-                        if hi is _INF or limit < hi:
-                            if trail is not None:
-                                trail.append((v, lo, hi))
-                            bounds[v][1] = limit
-                            changed = True
                     else:
-                        limit = -((-rest) // (-kk))  # v >= ceil(rest / -kk)
-                        if lo is _INF or limit > lo:
-                            if trail is not None:
-                                trail.append((v, lo, hi))
-                            bounds[v][0] = limit
-                            changed = True
-            if not lin.coeffs:
-                value = lin.const
-                if lin.rel == "le" and value > 0:
-                    return False
-                if lin.rel == "eq" and value != 0:
-                    return False
-        for lo, hi in bounds.values():
-            if lo is not _INF and hi is not _INF and lo > hi:
-                return False
-        if not changed:
-            return True
-    return True
+                        lo, hi = bounds[v]
+                        if kk > 0:
+                            limit = -rest // kk  # v <= floor(-rest / kk)
+                            if hi is not _INF and limit >= hi:
+                                continue
+                            narrowed = (lo, limit)
+                        else:
+                            limit = -((-rest) // (-kk))  # v >= ceil(rest / -kk)
+                            if lo is not _INF and limit <= lo:
+                                continue
+                            narrowed = (limit, hi)
+                        if trail is not None:
+                            trail.append((v, lo, hi))
+                        bounds[v] = narrowed
+                        if _INF not in narrowed and narrowed[0] > narrowed[1]:
+                            return False
+                        for j in uses[v]:  # j > i lands past the forms already run
+                            insort(todo if j > i else later, j)
+        todo = later
+    return None if todo else True
 
 
 def _lin_value(lin: _Lin, assign: dict[str, int]) -> int | None:
@@ -384,8 +403,8 @@ def _value_order(lo: int, hi: int) -> Iterable[int]:
             if lo <= v <= hi)
 
 
-def _search_ints(lins: list[_Lin], order: list[str], sorts: dict[str, str],
-                 bounds: dict[str, list], budget: Budget, stats: SolverStats,
+def _search_ints(lins: list[_Lin], uses: dict, order: list[str], sorts: dict[str, str],
+                 bounds: dict[str, tuple], budget: Budget, stats: SolverStats,
                  deadline: float | None = None) -> dict[str, int] | None:
     """Backtracking search for integer values within the propagated
     ``bounds``, clamped to the finite domain of each variable. Raises
@@ -395,15 +414,18 @@ def _search_ints(lins: list[_Lin], order: list[str], sorts: dict[str, str],
     loop over a stack of frames, one per assigned variable, replaces the
     recursion, and one ``bounds`` map with a trail of changes, undone on
     backtracking, replaces a copy per frame; so a long variable list costs
-    neither call depth nor quadratic memory."""
+    neither call depth nor quadratic memory. Propagation runs once over
+    every literal after the domain clamp, and after each assignment only
+    from the literals of the variable it pinned."""
     for v in order:
         lo, hi = bounds[v]
         dlo, dhi = (0, 1) if sorts.get(v) == "bool" else (budget.int_min, budget.int_max)
-        bounds[v] = [dlo if lo is _INF else max(lo, dlo),
-                     dhi if hi is _INF else min(hi, dhi)]
+        bounds[v] = (dlo if lo is _INF else max(lo, dlo), dhi if hi is _INF else min(hi, dhi))
     stats.pure_nodes += 1
     if not order:
         return {}
+    if _propagate(lins, uses, bounds) is False:
+        return None
     # Each literal is checked once, when the last of its variables in
     # ``order`` is assigned; literals without variables at the first.
     position = {v: i for i, v in enumerate(order)}
@@ -423,7 +445,7 @@ def _search_ints(lins: list[_Lin], order: list[str], sorts: dict[str, str],
         v = order[len(frames) - 1]
         while len(trail) > mark:
             w, lo, hi = trail.pop()
-            bounds[w] = [lo, hi]
+            bounds[w] = (lo, hi)
         value = next(values, None)
         if value is None:
             frames.pop()
@@ -434,8 +456,8 @@ def _search_ints(lins: list[_Lin], order: list[str], sorts: dict[str, str],
                for lin in checks[len(frames) - 1]):
             continue
         trail.append((v, *bounds[v]))
-        bounds[v] = [value, value]
-        if not _propagate(lins, bounds, trail):
+        bounds[v] = (value, value)
+        if _propagate(lins, uses, bounds, uses.get(v, ()), trail) is False:
             continue
         stats.pure_nodes += 1
         if len(frames) == len(order):
@@ -487,7 +509,8 @@ def pure_solve(cube: list[Lit], sorts: dict[str, str], budget: Budget | None = N
         return None, True
     state, loc_solution, bounds = propagated
     int_vars = list(bounds)
-    values = _search_ints(state.lins, int_vars, sorts, bounds, budget, stats, deadline)
+    values = _search_ints(state.lins, state.uses, int_vars, sorts, bounds, budget, stats,
+                          deadline)
     if values is None:
         return None, False
     scalars = {v: bool(values[v]) if sorts.get(v) == "bool" else values[v] for v in int_vars}
@@ -495,20 +518,24 @@ def pure_solve(cube: list[Lit], sorts: dict[str, str], budget: Budget | None = N
 
 
 class _Cube(NamedTuple):
-    """What extending a cube reads: each variable's kind (``_kind``) in
-    first-occurrence order, the location equalities and disequalities, and
-    the integer literals' linear forms."""
+    """A cube's check state, which an extending cube shares and copies where
+    its literals add to it: each variable's kind (``_kind``) in first-
+    occurrence order, the alias classes, the disequalities' class keys, the
+    integer linear forms with each variable's forms, and the bounds if they
+    are a fixpoint (None when the round cap stopped propagation)."""
 
     kinds: dict[str, bool | None]
-    eqs: list[Lit]
-    diseqs: list[Lit]
+    uf: F.UnionFind
+    diseqs: list[tuple[str, str]]
     lins: list[_Lin]
+    uses: dict[str, tuple[int, ...]]
+    bounds: dict[str, tuple] | None
 
 
 def _propagated(lits: list[Lit], sorts: dict[str, str], universe: Sequence[str] | None,
                 heads: Sequence[str], memo: _QueryMemo | None = None,
                 parent: _Cube | None = None,
-                ) -> tuple[_Cube, LocSolution, dict[str, list]] | None:
+                ) -> tuple[_Cube, LocSolution, dict[str, tuple]] | None:
     """The steps of ``pure_solve`` before the integer search, on the cube
     ``parent``'s literals (none by default) followed by ``lits``, with the
     variables of ``universe`` leading and null and the points-to ``heads``
@@ -516,33 +543,54 @@ def _propagated(lits: list[Lit], sorts: dict[str, str], universe: Sequence[str] 
     bounds, or None when no integer domain satisfies it (a sort clash, a
     location clash, or empty bounds). ``parent`` must give its variables
     the kinds ``sorts`` gives them, so that its literals split the same
-    way: only ``lits`` are split, and the classes, marks and propagation
-    are redone over all literals, so the result is the one from scratch."""
+    way. Only ``lits`` are split and merged, and propagation starts from
+    ``parent``'s fixpoint and ``lits``' linear forms, so the verdict, the
+    classes (not their representatives) and any fixpoint are the ones from
+    scratch (see the module notes)."""
     memo = memo or _QueryMemo()
     try:
         locs, ints = _split_cube(lits, sorts)
     except F.SortError:
         return None
-    kinds, eqs, diseqs, lins = parent or ({}, [], [], [])
-    kinds = dict(kinds)
-    for v in dict.fromkeys([*(universe or ()),
-                            *(v for lit in lits for v in memo.of(_lit_vars, lit))]):
-        if v not in kinds:
-            kinds[v] = _kind(sorts, v)
-    eqs = eqs + [l for l in locs if l.op == "eq"]
-    uf = alias_classes(((l.left, l.right) for l in eqs), [v for v, k in kinds.items() if k])
+    kinds, uf, diseqs, lins, uses, bounds = parent or _Cube({}, alias_classes(()), [], [], {}, {})
+    new = {v: _kind(sorts, v) for v in (*(universe or ()), *(
+        v for lit in lits for v in memo.of(_lit_vars, lit))) if v not in kinds}
+    kinds = {**kinds, **new} if new else kinds
+    eqs = [l for l in locs if l.op == "eq"]
+    pairs = [(_loc_key(l.left), _loc_key(l.right)) for l in locs if l.op != "eq"]
+    names = [v for v, k in new.items() if k]
+    if eqs or any(n not in uf.parent for n in (*names, *heads, *(n for p in pairs for n in p))):
+        uf = uf.copy()
+        for name in names:
+            uf.find(name)
+        for l in eqs:
+            merge_alias(uf, l.left, l.right)
     marked = {uf.find(name) for name in (NULL_KEY, *heads)}
     if len(marked) <= len(heads):
         return None
-    diseqs = diseqs + [l for l in locs if l.op != "eq"]
-    roots = [(uf.find(_loc_key(l.left)), uf.find(_loc_key(l.right))) for l in diseqs]
+    diseqs = diseqs + pairs if pairs else diseqs
+    roots = [(uf.find(a), uf.find(b)) for a, b in diseqs]
     if any(a == b for a, b in roots):
         return None
-    lins = lins + [memo.of(_lin_of, l) for l in ints]
-    bounds = {v: [_INF, _INF] for v, k in kinds.items() if not k}
-    if not _propagate(lins, bounds):
+    start, fresh = len(lins), [v for v, k in new.items() if not k]
+    if ints:
+        lins = lins + [memo.of(_lin_of, l) for l in ints]
+        uses = dict(uses)
+        for i in range(start, len(lins)):
+            for v, _ in lins[i].coeffs:
+                uses[v] = uses.get(v, ()) + (i,)
+    converged = None
+    if bounds is not None:
+        if ints or fresh:
+            bounds = {**bounds, **dict.fromkeys(fresh, _TOP)}
+        converged = _propagate(lins, uses, bounds, range(start, len(lins)))
+    if converged is not True and start:  # confirmed, or the parent was capped
+        bounds = {v: _TOP for v, k in kinds.items() if not k}
+        converged = _propagate(lins, uses, bounds)
+    if converged is False:
         return None
-    return _Cube(kinds, eqs, diseqs, lins), LocSolution(uf, marked, roots), bounds
+    return (_Cube(kinds, uf, diseqs, lins, uses, bounds if converged else None),
+            LocSolution(uf, marked, roots), bounds)
 
 
 class _HeapState:
@@ -606,8 +654,7 @@ class _QueryMemo:
         self.latest = (d, state)
         return state
 
-    def _walk(self, walked: tuple[dict, F.UnionFind], atoms, pure) -> tuple[dict, F.UnionFind]:
-        env, classes = dict(walked[0]), walked[1].copy()
+    def _walk(self, env: dict, classes: F.UnionFind, atoms, pure) -> tuple[dict, F.UnionFind]:
         F._sort_walk(env, classes, SymbolicHeap((), tuple(atoms), tuple(pure)), self.defs,
                      self.param_sorts, "heap")
         return env, classes
@@ -616,14 +663,17 @@ class _QueryMemo:
               above: _HeapState | None) -> _HeapState:
         if above is None or above.walked is None:
             if self.prefix_walk is None:
-                self.prefix_walk = self._walk(({}, F.UnionFind()), (), self.query_pure)
+                self.prefix_walk = self._walk({}, F.UnionFind(), (), self.query_pure)
             above, walked, atoms, pure = None, self.prefix_walk, 0, self.prefix
         else:
             walked, atoms, pure = above.walked, len(parent.atoms) - 1, len(parent.pure)
         try:
-            walked = self._walk(walked, [a for a in d.atoms[atoms:] if isinstance(a, PointsTo)],
+            walked = self._walk(dict(walked[0]), walked[1].copy(),
+                                [a for a in d.atoms[atoms:] if isinstance(a, PointsTo)],
                                 d.pure[pure:])
-            sorts = F._class_sorts(*self._walk(walked, d.instances(), ()), "heap")
+            # Instances merge no classes, and _class_sorts only compresses paths.
+            sorts = F._class_sorts(*self._walk(dict(walked[0]), walked[1], d.instances(), ()),
+                                   "heap")
         except F.SortError:
             return _HeapState(None, [])
         heads = [p.var for p in d.points_tos()]

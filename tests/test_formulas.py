@@ -1,6 +1,7 @@
 """Assertion-language AST, parser, substitution, and the separation laws
 unfolding applies."""
 
+import itertools
 import random
 
 import pytest
@@ -162,6 +163,20 @@ def test_fresh_var_distinct():
 def test_fresh_var_avoids_parsed_names():
     F.register_name("v1")
     assert F.fresh_var("v") != "v1"
+
+
+def test_fresh_names_never_repeat_and_only_registered_names_are_stored():
+    # A name splits into one base (no trailing digit) and one counter, and
+    # each base's counter only grows, so issued names need no record.
+    registered = {"x1", "x3", "x12", "x13", "x121", "v2", "v10"}
+    for name in registered:
+        F.register_name(name)
+    hints = itertools.islice(itertools.cycle(["x", "x1", "x12", "v"]), 10_000)
+    issued = [F.fresh_var(hint) for hint in hints]
+    assert issued[:6] == ["x2", "x4", "x5", "v1", "x6", "x7"]
+    assert len(set(issued)) == len(issued)
+    assert not set(issued) & registered
+    assert F._session._seen == registered
 
 
 # ------------------------------------------------------ ground evaluation

@@ -661,6 +661,181 @@ def test_child_check_is_exact_when_the_unfolded_instance_sorted_a_variable(monke
     assert (emp_child, False, False) in checks
 
 
+# Each extended cube carries its parent cube's alias classes and integer
+# fixpoint. These tests hold that state to _propagated from scratch, and
+# count the work a child's cube does.
+
+
+def classes(uf):
+    """The partition of a UnionFind's names, whatever its representatives."""
+    members = {}
+    for name in uf.parent:
+        members.setdefault(uf.find(name), set()).add(name)
+    return {root: frozenset(names) for root, names in members.items()}
+
+
+def cube_summary(result, heads):
+    """What a cube state decides: its kinds, alias partition, marked
+    classes, disequalities, linear forms and converged bounds."""
+    if result is None:
+        return None
+    cube = result[0]
+    partition = classes(cube.uf)
+    marks = {partition[cube.uf.find(name)] for name in (S.NULL_KEY, *heads)}
+    return (list(cube.kinds.items()), set(partition.values()), marks, cube.diseqs, cube.lins,
+            cube.bounds)
+
+
+def compare_carried_state(monkeypatch):
+    """Check every heap state the memo makes by extending a parent's
+    against _propagated from scratch on each of the heap's DNF cubes; the
+    list returned collects the cubes checked."""
+    made, extended = S._QueryMemo._made, []
+
+    def built(memo, d, parent, above):
+        state = made(memo, d, parent, above)
+        if above is None or not state.cubes:
+            return state
+        sorts = F.heap_sorts(d, memo.defs, memo.param_sorts)
+        heads = [p.var for p in d.points_tos()]
+        for cube, lits in zip(state.cubes, memo.cubes(d.pure), strict=True):
+            got = cube_summary(cube and (cube,), heads)
+            want = cube_summary(S._propagated(lits, sorts, None, heads), heads)
+            if want is not None and want[-1] is None:  # capped from scratch
+                got, want = got[:-1], want[:-1]
+            assert got == want, F.print_heap(d)
+            extended.append(cube)
+        return state
+
+    monkeypatch.setattr(S._QueryMemo, "_made", built)
+    return extended
+
+
+@pytest.mark.parametrize("name", ["sll", "dll", "stack", "bst", "tll", "sortedlist",
+                                  "tll-generate"])
+def test_carried_cube_state_matches_scratch_on_benchmarks(name, monkeypatch, tmp_path):
+    extended = compare_carried_state(monkeypatch)
+    if name == "tll-generate":
+        run_benchmark("tll", tmp_path, spec_only=True, unfold_depth=4)
+    else:
+        run_benchmark(name, tmp_path)
+    assert extended
+    assert all(cube is None or cube.bounds is not None for cube in extended)
+
+
+def test_carried_cube_state_matches_scratch_on_random_heaps(monkeypatch):
+    spec = F.parse_spec(LOOSE)
+    extended = compare_carried_state(monkeypatch)
+    for d in loose_random_heaps():
+        try:
+            S.sat(d, spec, Budget(max_depth=4))
+        except F.SortError:
+            continue
+    assert sum(cube is not None for cube in extended) > 500
+    assert sum(cube is None for cube in extended) > 100
+
+
+def test_capped_propagation_keeps_the_scratch_verdicts(monkeypatch):
+    # x + 1 <= y & y + 1 <= x narrows x by 2 a round, so propagation from
+    # scratch stops at the cap (16 rounds for two variables). A capped cube
+    # keeps no bounds, and each child propagates from scratch again.
+    spec = F.parse_spec(CHAIN)
+    query = heap("chain(p) & 0 <= x & x <= 1000 & x + 1 <= y & y + 1 <= x")
+    [lits] = S._nnf_cubes(query.pure)
+    cube, _, bounds = S._propagated(lits, F.heap_sorts(query, spec, F.infer_sorts(spec)),
+                                    None, ())
+    assert bounds["x"] == (32, 970) and cube.bounds is None
+    checks, extended = record_checks(monkeypatch), compare_carried_state(monkeypatch)
+    result = sat(query, spec, Budget(max_depth=3))
+    assert [verdict for _, verdict, _ in checks] == [False] * 6
+    assert extended and all(cube.bounds is None for cube in extended)
+    assert [c for c in checks if c[1] != c[2]] == []
+    stats = result.stats
+    assert (result.decision, result.model, stats.rounds, stats.pure_nodes, stats.bounded) \
+        == ("unknown", None, 3, 3, True)
+
+
+def test_contradiction_from_a_carried_fixpoint_is_confirmed_from_scratch():
+    # From the parent's fixpoint x1 <= 104, the cycle x1 + 1 <= z & z + 1 <=
+    # x1 empties x1 within the round cap. From scratch the bound needs four
+    # rounds to come down the chain first, and the cap (28 rounds for five
+    # variables) stops propagation before the clash: the child keeps that
+    # verdict, not contradictory, and no bounds.
+    def lits(text):
+        [cube] = S._nnf_cubes(heap("emp & " + text).pure)
+        return cube
+
+    chain, body = lits("x1 <= x2 & x2 <= x3 & x3 <= x4 & x4 <= 104"), \
+        lits("x1 + 1 <= z & z + 1 <= x1 & 0 <= z")
+    parent, _, _ = S._propagated(chain, {}, None, ())
+    scratch = S._propagated(chain + body, {}, None, ())
+    child = S._propagated(body, {}, None, (), None, parent)
+    assert scratch is not None and scratch[0].bounds is None
+    assert child is not None and child[0].bounds is None
+    carried = {**parent.bounds, "z": S._TOP}
+    assert S._propagate(child[0].lins, child[0].uses, carried, range(4, 7)) is False
+
+
+def test_integer_search_propagates_once_before_its_first_assignment():
+    # The domain clamp leaves x in [100, 63]. The full rounds that followed
+    # each assignment refuted that before any value of y counted as a node;
+    # the search's first propagation, over every literal, does so now.
+    result = sat(heap("emp & y <= 5 & x = 100"), EMPTY_SPEC)
+    assert (result.decision, result.stats.pure_nodes, result.stats.bounded) == ("unsat", 1, True)
+
+
+class Visits(list):
+    """Linear forms that count how often _propagate reads one to run it."""
+
+    def __init__(self, lins, counter):
+        super().__init__(lins)
+        self.counter = counter
+
+    def __getitem__(self, i):
+        self.counter.append(i)
+        return super().__getitem__(i)
+
+
+def test_child_cube_merges_and_propagates_only_its_body(monkeypatch, tmp_path):
+    # Counted per extended cube: merge_alias calls, and each propagation
+    # run's start and narrowing steps (one per linear form it runs).
+    propagated, merge, propagate = S._propagated, S.merge_alias, S._propagate
+    work, cubes = {}, []
+
+    def merged(*args):
+        work["merges"] += 1
+        return merge(*args)
+
+    def narrowed(lins, uses, bounds, start=None, trail=None):
+        steps = []
+        result = propagate(Visits(lins, steps), uses, bounds, start, trail)
+        work["runs"].append((start, len(steps)))
+        return result
+
+    def extended(lits, sorts, universe, heads, memo=None, parent=None):
+        work.update(merges=0, runs=[])
+        result = propagated(lits, sorts, universe, heads, memo, parent)
+        if parent is not None and parent.bounds is not None and result is not None:
+            cube, scratch = result[0], []
+            locs, ints = S._split_cube(lits, sorts)
+            propagate(Visits(cube.lins, scratch), cube.uses,
+                      {v: S._TOP for v, k in cube.kinds.items() if not k})
+            cubes.append((work["merges"], sum(l.op == "eq" for l in locs), work["runs"],
+                          range(len(parent.lins), len(parent.lins) + len(ints)), len(scratch)))
+        return result
+
+    monkeypatch.setattr(S, "merge_alias", merged)
+    monkeypatch.setattr(S, "_propagate", narrowed)
+    monkeypatch.setattr(S, "_propagated", extended)
+    run_benchmark("bst", tmp_path)
+    assert len(cubes) > 300
+    for merges, body_eqs, runs, body, scratch_steps in cubes:
+        assert merges == body_eqs
+        [(start, steps)] = runs
+        assert start == body and steps <= scratch_steps
+    assert sum(c[-1] for c in cubes) > 5 * sum(c[2][0][1] for c in cubes)
+
+
 # ------------------------------------------------------------------ sat
 
 

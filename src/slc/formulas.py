@@ -28,7 +28,7 @@ Design notes:
   two sides of every variable equality, each class has one sort joined
   from the positions its members occupy, and a clash is a ``SortError``.
 * AST nodes are immutable values (``value.Value``) and may be shared
-  freely; ``solver._QueryMemo``'s id-keyed caches rely on that.
+  freely.
 """
 
 from __future__ import annotations
@@ -409,33 +409,6 @@ def subst_spatial(atoms: tuple[SpatialAtom, ...],
     return tuple(sub_atom(a) for a in atoms)
 
 
-def substitute(d: SymbolicHeap, binding: Mapping[str, ArithTerm]) -> SymbolicHeap:
-    """Capture-avoiding simultaneous substitution.
-
-    The binding domain must not mention bound variables of ``d``; callers
-    freshen first. Bound variables that collide with variables introduced
-    by the binding's range are renamed.
-    """
-    if not binding:
-        return d
-    clash = set(binding) & set(d.exists)
-    if clash:
-        raise SubstitutionError(f"binding domain hits bound variables: {sorted(clash)}")
-    incoming: set[str] = set()
-    for t in binding.values():
-        incoming |= term_vars(t)
-    capture = incoming & set(d.exists)
-    if capture:
-        renames = {v: Var(fresh_var(v)) for v in d.exists if v in capture}
-        d = SymbolicHeap(
-            tuple(renames[v].name if v in renames else v for v in d.exists),
-            subst_spatial(d.atoms, renames),
-            subst_pure(d.pure, renames),
-        )
-    return SymbolicHeap(d.exists, subst_spatial(d.atoms, binding),
-                        subst_pure(d.pure, binding))
-
-
 def freshen_heap(d: SymbolicHeap) -> SymbolicHeap:
     """Rename all bound variables of ``d`` to globally fresh names."""
     if not d.exists:
@@ -734,10 +707,10 @@ def _parse_chunk(ts: TokenStream) -> _Chunk:
     return _Chunk([], [], [_parse_pure_primary(ts)])
 
 
-def _parse_disjunct_body(ts: TokenStream) -> _Chunk:
-    chunk = _parse_chunk(ts)
-    while ts.at("&") or ts.at("*"):
-        ts.next()
+def _parse_disjunct_body(ts: TokenStream, chunk: _Chunk | None = None) -> _Chunk:
+    """Chunks joined by ``&`` or ``*``, after ``chunk`` if one is given."""
+    chunk = _parse_chunk(ts) if chunk is None else chunk
+    while ts.accept("&") or ts.accept("*"):
         more = _parse_chunk(ts)
         chunk.exists += more.exists
         chunk.atoms += more.atoms
@@ -747,18 +720,11 @@ def _parse_disjunct_body(ts: TokenStream) -> _Chunk:
 
 
 def _parse_disjunct(ts: TokenStream) -> SymbolicHeap:
+    chunk = None
     if ts.accept("("):
         chunk = _parse_disjunct_body(ts)
         ts.expect(")")
-        while ts.at("&") or ts.at("*"):
-            ts.next()
-            more = _parse_chunk(ts)
-            chunk.exists += more.exists
-            chunk.atoms += more.atoms
-            chunk.pures += more.pures
-            chunk.saw_emp = chunk.saw_emp or more.saw_emp
-    else:
-        chunk = _parse_disjunct_body(ts)
+    chunk = _parse_disjunct_body(ts, chunk)
     if not chunk.atoms and not chunk.pures and not chunk.saw_emp:
         raise ts.error("empty disjunct")
     return SymbolicHeap(tuple(chunk.exists), tuple(chunk.atoms), conj(chunk.pures))

@@ -13,28 +13,29 @@ interval propagation followed by backtracking search over a finite
 domain. The frontier check of ``sat`` is the same per-cube check without
 the integer search.
 
-One query derives each conjunct's facts once. ``sat`` keeps a memo for the
-call: each conjunct's DNF cubes and each literal's variable order and
-linear form, keyed by object identity, and the check state of each heap
-whose children wait for their check: the sort-walk state of its points-to
-atoms and pure part, and per cube each variable's kind (unsorted, location
-or integer), the alias classes, the disequalities, the linear forms and,
-if propagation reached its fixpoint, the bounds. A child of ``unfold_at``
+One query checks each heap once, by extending its parent's check state.
+A heap's state is the sort-walk state of its points-to atoms and pure
+part, and per cube each variable's kind (unsorted, location or integer),
+the alias classes, the disequalities, the linear forms and, if
+propagation reached its fixpoint, the bounds. ``sat``'s frontier carries
+each heap that ``unfold_at`` made with its parent and the parent's state,
+so a state lives until the last of its children has been checked. A child
 is its parent minus the instance plus the body, its conjuncts the
 parent's followed by the body's, so it extends the parent's walk by the
 body and then its own instances for its sorts, and each child cube shares
 its parent cube's state, copying what the body adds to: it splits and
 merges only the body's literals, checks the marks and disequalities over
 the merged classes, and propagates from the parent's fixpoint, starting
-from the body's linear forms. A cube starts from scratch when its parent
-cube was contradictory or a variable changed kind (dropping the instance
-can unsort one), and from fresh bounds when its parent's stopped at the
-round cap. This is exact: conjuncts are immutable, sort joins do not
-depend on order, literals split by their variables' kinds, and merging
-gives the partition from scratch (only base heaps, solved from scratch,
-read representatives). Narrowing is monotone, so a converged run from a
-parent's fixpoint reaches the fixpoint from scratch; a contradiction or a
-cap met that way is confirmed from fresh bounds.
+from the body's linear forms. The query, and a child of a sort clash,
+begin with the sort walk of the query's conjuncts, made once. A cube
+starts from scratch when its parent cube was contradictory or a variable
+changed kind (dropping the instance can unsort one), and from fresh
+bounds when its parent's stopped at the round cap. This is exact: sort
+joins do not depend on order, literals split by their variables' kinds,
+and merging gives the partition from scratch (only base heaps, solved
+from scratch, read representatives). Narrowing is monotone, so a
+converged run from a parent's fixpoint reaches the fixpoint from scratch;
+a contradiction or a cap met that way is confirmed from fresh bounds.
 
 The solver trades the completeness of a full decision procedure for
 bounded search: outside its budgets it answers UNKNOWN, which for a test
@@ -150,16 +151,12 @@ def _nnf_cubes(pure: PureFormula | F.Conjunction, positive: bool = True) -> list
         return [[Lit("le", Add(pure.right, Const(1)), pure.left)]]
     if isinstance(pure, Not):
         return _nnf_cubes(pure.inner, not positive)
-    if isinstance(pure, (F.And, tuple)):
-        parts = [_nnf_cubes(part, positive) for part in F.conjuncts(pure)]
-        return _conjoin(parts) if positive else [cube for part in parts for cube in part]
-    raise TypeError(f"not a pure formula: {pure!r}")
-
-
-def _conjoin(parts: Iterable[list[list[Lit]]]) -> list[list[Lit]]:
-    """The cubes of a conjunction from its conjuncts' cubes, which it
-    leaves unmutated."""
-    cubes: list[list[Lit]] = [[]]
+    if not isinstance(pure, (F.And, tuple)):
+        raise TypeError(f"not a pure formula: {pure!r}")
+    parts = [_nnf_cubes(part, positive) for part in F.conjuncts(pure)]
+    if not positive:
+        return [cube for part in parts for cube in part]
+    cubes: list[list[Lit]] = [[]]  # the earlier conjuncts' cubes vary slowest
     for part in parts:
         if len(part) == 1:
             for cube in cubes:
@@ -492,8 +489,8 @@ def _term_var_order(term: ArithTerm) -> list[str]:
 
 def pure_solve(cube: list[Lit], sorts: dict[str, str], budget: Budget | None = None,
                universe: list[str] | None = None, stats: SolverStats | None = None,
-               deadline: float | None = None, heads: Sequence[str] = (),
-               memo: _QueryMemo | None = None) -> tuple[PureSolution | None, bool]:
+               deadline: float | None = None,
+               heads: Sequence[str] = ()) -> tuple[PureSolution | None, bool]:
     """Solve one cube, a conjunction of literals, in a heap whose points-to
     heads are ``heads``.
 
@@ -504,7 +501,7 @@ def pure_solve(cube: list[Lit], sorts: dict[str, str], budget: Budget | None = N
     """
     budget = budget or Budget()
     stats = stats if stats is not None else SolverStats()
-    propagated = _propagated(cube, sorts, universe, heads, memo)
+    propagated = _propagated(cube, sorts, universe, heads)
     if propagated is None:
         return None, True
     state, loc_solution, bounds = propagated
@@ -533,8 +530,7 @@ class _Cube(NamedTuple):
 
 
 def _propagated(lits: list[Lit], sorts: dict[str, str], universe: Sequence[str] | None,
-                heads: Sequence[str], memo: _QueryMemo | None = None,
-                parent: _Cube | None = None,
+                heads: Sequence[str], parent: _Cube | None = None,
                 ) -> tuple[_Cube, LocSolution, dict[str, tuple]] | None:
     """The steps of ``pure_solve`` before the integer search, on the cube
     ``parent``'s literals (none by default) followed by ``lits``, with the
@@ -547,14 +543,13 @@ def _propagated(lits: list[Lit], sorts: dict[str, str], universe: Sequence[str] 
     ``parent``'s fixpoint and ``lits``' linear forms, so the verdict, the
     classes (not their representatives) and any fixpoint are the ones from
     scratch (see the module notes)."""
-    memo = memo or _QueryMemo()
     try:
         locs, ints = _split_cube(lits, sorts)
     except F.SortError:
         return None
     kinds, uf, diseqs, lins, uses, bounds = parent or _Cube({}, alias_classes(()), [], [], {}, {})
     new = {v: _kind(sorts, v) for v in (*(universe or ()), *(
-        v for lit in lits for v in memo.of(_lit_vars, lit))) if v not in kinds}
+        v for lit in lits for v in _lit_vars(lit))) if v not in kinds}
     kinds = {**kinds, **new} if new else kinds
     eqs = [l for l in locs if l.op == "eq"]
     pairs = [(_loc_key(l.left), _loc_key(l.right)) for l in locs if l.op != "eq"]
@@ -574,7 +569,7 @@ def _propagated(lits: list[Lit], sorts: dict[str, str], universe: Sequence[str] 
         return None
     start, fresh = len(lins), [v for v, k in new.items() if not k]
     if ints:
-        lins = lins + [memo.of(_lin_of, l) for l in ints]
+        lins = lins + [_lin_of(l) for l in ints]
         uses = dict(uses)
         for i in range(start, len(lins)):
             for v, _ in lins[i].coeffs:
@@ -601,72 +596,39 @@ class _HeapState:
     def __init__(self, walked: tuple[dict, F.UnionFind] | None, cubes: list[_Cube | None]):
         self.walked, self.cubes = walked, cubes
 
+    @property
+    def contradictory(self) -> bool:
+        return all(cube is None for cube in self.cubes)
+
 
 class _QueryMemo:
-    """One ``sat`` query's cache of pure functions of immutable objects
-    (each conjunct's DNF cubes and each literal's variable order and linear
-    form), and the check state of each heap that a child may still extend
-    (see the module notes)."""
+    """One ``sat`` query's sort walk of its own conjuncts, made on first
+    use, and the check of each of its heaps (see the module notes)."""
 
     def __init__(self, defs: SpecFile | None = None, param_sorts: dict | None = None,
                  query_pure: F.Conjunction = ()):
         self.defs, self.param_sorts = defs, param_sorts
         self.query_pure, self.prefix = query_pure, len(query_pure)
-        self.tables: dict = {_nnf_cubes: {}, _lit_vars: {}, _lin_of: {}}
-        self.prefix_walk: tuple[dict, F.UnionFind] | None = None  # made on first use
-        # id(child) -> (child, [parent, its state or None until needed]): a
-        # parent's state goes once the last of its children is checked.
-        self.parents: dict = {}
-        self.latest: tuple[SymbolicHeap, _HeapState] | None = None  # the last check
-
-    def of(self, compute, obj):
-        """``compute(obj)``, once; the entry keeps ``obj``, so its id stays its own."""
-        table = self.tables[compute]
-        entry = table.get(id(obj))
-        if entry is None:
-            entry = table[id(obj)] = (obj, compute(obj))
-        return entry[1]
-
-    def cubes(self, pure: F.Conjunction) -> list[list[Lit]]:
-        """``_nnf_cubes(pure)`` from each conjunct's memoised cubes."""
-        return _conjoin([self.of(_nnf_cubes, c) for c in pure])
-
-    def adopt(self, parent: SymbolicHeap, children: Iterable[SymbolicHeap]) -> None:
-        """Record that ``unfold_at`` made ``children`` from ``parent``, whose
-        state is that of the last check if ``parent`` was its heap."""
-        latest = self.latest or (None, None)
-        shared = [parent, latest[1] if latest[0] is parent else None]
-        for child in children:
-            self.parents[id(child)] = (child, shared)
-
-    def state(self, d: SymbolicHeap) -> _HeapState:
-        """``d``'s check state, extending its parent's if ``unfold_at`` made
-        it; any other heap (the query too, once a child needs it) begins
-        with the query's conjuncts."""
-        link = self.parents.pop(id(d), None)
-        if link is None:
-            state = self._made(d, None, None)
-        else:
-            shared = link[1]
-            if shared[1] is None:
-                shared[1] = self._made(shared[0], None, None)
-            state = self._made(d, *shared)
-        self.latest = (d, state)
-        return state
+        self.prefix_walk: tuple[dict, F.UnionFind] | None = None
 
     def _walk(self, env: dict, classes: F.UnionFind, atoms, pure) -> tuple[dict, F.UnionFind]:
         F._sort_walk(env, classes, SymbolicHeap((), tuple(atoms), tuple(pure)), self.defs,
                      self.param_sorts, "heap")
         return env, classes
 
-    def _made(self, d: SymbolicHeap, parent: SymbolicHeap | None,
-              above: _HeapState | None) -> _HeapState:
-        if above is None or above.walked is None:
+    def state(self, d: SymbolicHeap,
+              above: tuple[SymbolicHeap, _HeapState | None] | None = None) -> _HeapState:
+        """``d``'s check state. ``above`` is ``(parent, its state)`` when
+        ``unfold_at`` made ``d`` from ``parent``, and ``d``'s state extends
+        the parent's unless a sort clash ruled the parent out; otherwise
+        ``d`` begins with the query's conjuncts."""
+        parent, up = above or (None, None)
+        if up is None or up.walked is None:
             if self.prefix_walk is None:
                 self.prefix_walk = self._walk({}, F.UnionFind(), (), self.query_pure)
-            above, walked, atoms, pure = None, self.prefix_walk, 0, self.prefix
+            up, walked, atoms, pure = None, self.prefix_walk, 0, self.prefix
         else:
-            walked, atoms, pure = above.walked, len(parent.atoms) - 1, len(parent.pure)
+            walked, atoms, pure = up.walked, len(parent.atoms) - 1, len(parent.pure)
         try:
             walked = self._walk(dict(walked[0]), walked[1].copy(),
                                 [a for a in d.atoms[atoms:] if isinstance(a, PointsTo)],
@@ -677,19 +639,19 @@ class _QueryMemo:
         except F.SortError:
             return _HeapState(None, [])
         heads = [p.var for p in d.points_tos()]
-        if above is None:
-            found = [_propagated(lits, sorts, None, heads, self) for lits in self.cubes(d.pure)]
+        if up is None:
+            found = [_propagated(lits, sorts, None, heads) for lits in _nnf_cubes(d.pure)]
         else:
             # A child's cubes are each parent cube followed by each body cube
-            # (_conjoin is parent-major).
-            body = self.cubes(d.pure[pure:])
+            # (_nnf_cubes is parent-major).
+            body = _nnf_cubes(d.pure[pure:])
             keep = [cube is not None and all(_kind(sorts, v) == kind
                                              for v, kind in cube.kinds.items())
-                    for cube in above.cubes]
-            whole = None if all(keep) else self.cubes(d.pure)
-            found = [_propagated(new, sorts, None, heads, self, cube) if kept else
-                     _propagated(whole[i * len(body) + j], sorts, None, heads, self)
-                     for i, (cube, kept) in enumerate(zip(above.cubes, keep))
+                    for cube in up.cubes]
+            whole = None if all(keep) else _nnf_cubes(d.pure)
+            found = [_propagated(new, sorts, None, heads, cube) if kept else
+                     _propagated(whole[i * len(body) + j], sorts, None, heads)
+                     for i, (cube, kept) in enumerate(zip(up.cubes, keep))
                      for j, new in enumerate(body)]
         return _HeapState(walked, [result and result[0] for result in found])
 
@@ -707,10 +669,8 @@ def _open_heap(d: SymbolicHeap) -> SymbolicHeap:
 
 def _try_base(d: SymbolicHeap, defs: SpecFile, param_sorts: dict, budget: Budget,
               stats: SolverStats, extra_sorts: dict[str, str],
-              universe_hint: list[str], deadline: float,
-              memo: _QueryMemo | None = None) -> tuple[SymbolicModel | None, bool]:
+              universe_hint: list[str], deadline: float) -> tuple[SymbolicModel | None, bool]:
     """Solve one base heap. Returns (model, bounded_flag)."""
-    memo = memo or _QueryMemo()
     opened = _open_heap(d)
     try:
         sorts = F.heap_sorts(opened, defs, param_sorts, seed=extra_sorts)
@@ -719,9 +679,8 @@ def _try_base(d: SymbolicHeap, defs: SpecFile, param_sorts: dict, budget: Budget
     heads = [p.var for p in opened.points_tos()]
     order = list(dict.fromkeys([*_heap_var_order(opened), *universe_hint]))
     bounded = False
-    for cube in memo.cubes(opened.pure):
-        solution, independent = pure_solve(cube, sorts, budget, order, stats, deadline,
-                                           heads, memo)
+    for cube in _nnf_cubes(opened.pure):
+        solution, independent = pure_solve(cube, sorts, budget, order, stats, deadline, heads)
         if solution is not None:
             return _assemble_model(opened, solution, sorts, order), False
         if not independent:
@@ -778,16 +737,15 @@ def _assemble_model(opened: SymbolicHeap, solution: PureSolution,
     return SymbolicModel(heap, dict(sorts))
 
 
-def _pure_contradictory(d: SymbolicHeap, defs: SpecFile, param_sorts: dict,
-                        memo: _QueryMemo | None = None) -> bool:
+def _pure_contradictory(d: SymbolicHeap, defs: SpecFile, param_sorts: dict) -> bool:
     """Domain-independent contradiction check for a frontier heap: whether
     a sort clash rules ``d`` out, or ``_propagated`` fails on every DNF cube
     of ``d``'s pure part, with ``d``'s points-to heads marked in the alias
     classes as in base-heap solving. No integer search is run: one that
     failed would only say the finite domain is too small, which does not
-    make the heap contradictory. Without ``memo`` it is a query of its own."""
-    state = (memo or _QueryMemo(defs, param_sorts)).state(d)
-    return all(cube is None for cube in state.cubes)
+    make the heap contradictory. It derives everything from scratch, which
+    ``sat``'s checks, each extending its parent's state, must match."""
+    return _QueryMemo(defs, param_sorts).state(d).contradictory
 
 
 def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatResult:
@@ -802,18 +760,18 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
     then its inductive ones, and checks each heap when it reaches it, just
     before solving or unfolding it: one whose pure part is already
     contradictory is dropped, so the children left behind by an early
-    answer are never checked. That check (``_pure_contradictory``) is
-    base-heap solving's own per-cube check of the marked alias classes and
-    the integer bounds, without the integer search. The query itself is
-    checked only when it is inductive and ``max_depth`` is 0.
-    ``stats.rounds`` is the last round in which a heap passed the check.
-    ``budget.time_limit`` bounds the whole query, the integer search
-    included; past it the answer is UNKNOWN. Every check and base heap
-    reads its cubes and linear forms through one ``_QueryMemo``, made here
-    and dropped on return. Each heap that ``unfold_at`` makes is checked by
-    extending the check state of the heap it came from, which the memo
-    keeps until the last of those children has been checked (see the
-    module notes).
+    answer are never checked. That check (``_QueryMemo.state``, as
+    ``_pure_contradictory`` makes it from scratch) is base-heap solving's
+    own per-cube check of the marked alias classes and the integer bounds,
+    without the integer search. The query itself is checked only when it is
+    inductive and ``max_depth`` is 0. ``stats.rounds`` is the last round in
+    which a heap passed the check. ``budget.time_limit`` bounds the whole
+    query, the integer search included; past it the answer is UNKNOWN.
+    Each frontier entry is a heap and its parent with the parent's check
+    state (both None for the query), which the heap's check extends; an
+    unchecked query gets a state when it is unfolded. Entries are popped
+    as they are processed, so a state goes once the last of its heap's
+    children has been checked (see the module notes).
     """
     budget = budget or Budget()
     stats = SolverStats()
@@ -823,34 +781,37 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
     universe = _heap_var_order(opened_query)
     query_sorts = F.heap_sorts(opened_query, defs, param_sorts)
     memo = _QueryMemo(defs, param_sorts, d.pure)
-    current, round_no = [d], 0
-    while current:
-        children = []
-        for h in sorted(current, key=lambda h: not h.is_base()):
+    todo, round_no = [(d, (None, None))], 0
+    while todo:
+        # Popped from the end: base heaps first, then inductive ones, each
+        # in the order unfold_at made them.
+        todo, children = sorted(reversed(todo), key=lambda entry: entry[0].is_base()), []
+        while todo:
+            h, above = todo.pop()
             if time.monotonic() > deadline:
                 return SatResult("unknown", None, stats)
-            base, last = h.is_base(), round_no == budget.max_depth
-            if (round_no > 0 or (last and not base)) \
-                    and _pure_contradictory(h, defs, param_sorts, memo):
-                continue
+            base, last, state = h.is_base(), round_no == budget.max_depth, None
+            if round_no > 0 or (last and not base):
+                state = memo.state(h, above)
+                if state.contradictory:
+                    continue
             stats.rounds = round_no
             if not base:
                 if last:
                     return SatResult("unknown", None, stats)
                 first = next(i for i, a in enumerate(h.atoms) if isinstance(a, F.PredInst))
-                kids = unfold_at(h, first, defs)
-                memo.adopt(h, kids)
-                children += kids
+                link = (h, state or memo.state(h))  # an unchecked query's state
+                children += [(kid, link) for kid in unfold_at(h, first, defs)]
                 continue
             try:
                 model, bounded = _try_base(h, defs, param_sorts, budget, stats,
-                                           query_sorts, universe, deadline, memo)
+                                           query_sorts, universe, deadline)
             except Timeout:
                 return SatResult("unknown", None, stats)
             if model is not None:
                 return SatResult("sat", model, stats)
             stats.bounded = stats.bounded or bounded
-        current, round_no = children, round_no + 1
+        todo, round_no = children, round_no + 1
     return SatResult("unsat", None, stats)
 
 

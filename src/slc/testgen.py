@@ -6,10 +6,10 @@ fully-initialized concrete input from each model. Inputs are heap graphs
 plus scalar bindings; no field is ever left uninitialized, so emitted
 tests run as-is.
 
-The dual of generation lives here too: ``eval_pred`` decides whether a
-concrete input satisfies an inductive predicate instance by exact
-footprint matching (``emp`` demands emptiness, a points-to consumes one
-object, ``*`` splits disjointly), and ``oracle_enumerate`` brute-forces
+The dual of generation lives here too: ``heap_satisfies`` decides whether
+a concrete input satisfies a symbolic heap by exact footprint matching
+(``emp`` demands emptiness, a points-to consumes one object, ``*`` splits
+disjointly), and ``oracle_enumerate`` brute-forces
 all small candidate inputs. Together they are the ground truth the
 solver and the generator are tested against.
 """
@@ -294,12 +294,12 @@ def _match_atoms(atoms, i, fp, env, store, defs, counter, depth,
     pred = defs.preds.get(atom.pred)
     if pred is None or len(pred.params) != len(atom.args):
         return
+    binding = dict(zip(pred.params, atom.args))
     for disjunct in pred.body.disjuncts:
-        renames = {v: Var(f"{v}#{next(counter)}") for v in disjunct.exists}
-        body = SymbolicHeap((), F.subst_spatial(disjunct.atoms, renames),
-                            F.subst_pure(disjunct.pure, renames))
+        renaming = {**binding, **{v: Var(f"{v}#{next(counter)}") for v in disjunct.exists}}
         try:
-            body = F.substitute(body, dict(zip(pred.params, atom.args)))
+            body = SymbolicHeap((), F.subst_spatial(disjunct.atoms, renaming),
+                                F.subst_pure(disjunct.pure, renaming))
         except F.SubstitutionError:
             continue
         for fp2, env2 in _match_atoms(body.atoms, 0, fp, env, store, defs,
@@ -357,21 +357,6 @@ def _satisfy_pure(parts, env, store, candidates) -> Iterator[dict]:
     del env[var]
 
 
-def eval_pred(test: TestInput, inst: PredInst, defs: SpecFile,
-              env: Mapping[str, object] | None = None) -> bool:
-    """Does the whole input heap satisfy this predicate instance?
-
-    Instance arguments are evaluated under the input's bindings (plus
-    ``env`` overrides); argument variables without a binding are treated
-    as existential ghosts.
-    """
-    scope = dict(test.bindings)
-    if env:
-        scope.update(env)
-    d = SymbolicHeap((), (inst,), ())
-    return heap_satisfies(test.objects, scope, d, defs)
-
-
 def input_satisfies(test: TestInput, formula: Formula, defs: SpecFile) -> bool:
     """Validity of an input against a precondition formula; precondition
     variables that are not entry parameters act as existential ghosts."""
@@ -388,7 +373,7 @@ def input_satisfies(test: TestInput, formula: Formula, defs: SpecFile) -> bool:
 
 class GenStats:
     def __init__(self):
-        self.solver_calls = self.unknown_skipped = self.unsat_skipped = 0
+        self.solver_calls = self.unknown_skipped = 0
         self.unfold_rounds = self.pure_nodes = 0
 
 
@@ -416,8 +401,6 @@ def gen_from_spec(g: Sequence[SymbolicHeap], n: int, defs: SpecFile,
                                       provenance=f"spec:d{n}:h{i}"))
         elif result.decision == "unknown":
             stats.unknown_skipped += 1
-        else:
-            stats.unsat_skipped += 1
     return tests
 
 

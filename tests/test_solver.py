@@ -6,6 +6,7 @@ import random
 import re
 import time
 import weakref
+from types import SimpleNamespace
 
 import pytest
 
@@ -175,11 +176,10 @@ pred chain(x) == (emp & x = null) \\/ (exists v, n . x -> N(v, n) * chain(n)) ;
 """
 
 
-def saturate_definition(d, defs, param_sorts, memo=None):
+def saturate_definition(d, defs, param_sorts):
     """The frontier check as saturate and _propagated define it: saturate's
     pairwise disequalities join the pure part, no head is marked, and every
-    DNF cube fails. It derives everything from scratch, so it ignores a
-    query's memo."""
+    DNF cube fails. It derives everything from scratch."""
     additions = saturate(d)
     if additions is None:
         return True
@@ -207,15 +207,24 @@ def record_checks(monkeypatch):
     """Every heap that sat checks, with the check's verdict and the
     saturate/_propagated definition's."""
     checks = []
-    check = S._pure_contradictory
+    check = S._QueryMemo.state
 
-    def recorded(d, defs, param_sorts, memo=None):
-        verdict = check(d, defs, param_sorts, memo)
-        checks.append((F.print_heap(d), verdict, saturate_definition(d, defs, param_sorts)))
-        return verdict
+    def recorded(memo, d, above=None):
+        state = check(memo, d, above)
+        # sat checks with the frontier entry's link; the state it makes to
+        # unfold an unchecked query has none.
+        if above is not None:
+            checks.append((F.print_heap(d), state.contradictory,
+                           saturate_definition(d, memo.defs, memo.param_sorts)))
+        return state
 
-    monkeypatch.setattr(S, "_pure_contradictory", recorded)
+    monkeypatch.setattr(S._QueryMemo, "state", recorded)
     return checks
+
+
+def definition_state(memo, d, above=None):
+    """A check state that carries only saturate_definition's verdict."""
+    return SimpleNamespace(contradictory=saturate_definition(d, memo.defs, memo.param_sorts))
 
 
 def run_benchmark(name, out_dir, **overrides):
@@ -227,9 +236,9 @@ def run_benchmark(name, out_dir, **overrides):
                  out_dir=out_dir, **settings)
 
 
-# The frontier check is incremental: through sat's per-query memo, each
-# heap that unfold_at makes extends the check state of the heap it came
-# from, and starts a cube from scratch where that would not be exact.
+# The frontier check is incremental: each heap that unfold_at makes from a
+# checked heap extends the check state its frontier entry carries, and
+# starts a cube from scratch where that would not be exact.
 # These tests hold that check to the from-scratch definition on the same
 # inputs.
 
@@ -282,7 +291,7 @@ def test_incremental_frontier_check_falls_back(query, monkeypatch):
     results = []
     for mode in ("check", "definition"):
         if mode == "definition":
-            monkeypatch.setattr(S, "_pure_contradictory", saturate_definition)
+            monkeypatch.setattr(S._QueryMemo, "state", definition_state)
         F.reset_names()
         result = sat(d, spec, Budget(max_depth=3))
         results.append((result.decision, str(result.model), result.stats))
@@ -365,13 +374,13 @@ def record_uses(monkeypatch):
     """Per sat query: its decision and the heaps it checked, solved and
     unfolded, in order, as ("passed" | "used", heap) events."""
     queries, events = [], []
-    check, try_base, unfold, solve = S._pure_contradictory, S._try_base, S.unfold_at, S.sat
+    check, try_base, unfold, solve = S._QueryMemo.state, S._try_base, S.unfold_at, S.sat
 
-    def checked(d, *args):
-        verdict = check(d, *args)
-        if not verdict:
+    def checked(memo, d, *args):
+        state = check(memo, d, *args)
+        if not state.contradictory:
             events.append(("passed", d))
-        return verdict
+        return state
 
     def used(call):
         def wrapped(d, *args):
@@ -385,7 +394,7 @@ def record_uses(monkeypatch):
         events.clear()
         return result
 
-    monkeypatch.setattr(S, "_pure_contradictory", checked)
+    monkeypatch.setattr(S._QueryMemo, "state", checked)
     monkeypatch.setattr(S, "_try_base", used(try_base))
     monkeypatch.setattr(S, "unfold_at", used(unfold))
     monkeypatch.setattr(S, "sat", query)
@@ -410,11 +419,10 @@ def test_every_heap_that_passes_the_check_is_solved_or_unfolded(monkeypatch, tmp
 
 
 def pairwise_try_base(d, defs, param_sorts, budget, stats, extra_sorts, universe_hint,
-                      deadline, memo=None):
+                      deadline):
     """_try_base as it was when separation reached the pure solver as
     saturate's pairwise disequalities, with no head marked: a reference
-    for base-heap solving over marked alias classes, derived from scratch
-    without the query's memo."""
+    for base-heap solving over marked alias classes."""
     opened = S._open_heap(d)
     additions = saturate(opened)
     if additions is None:
@@ -501,19 +509,17 @@ def test_marked_classes_match_pairwise_disequalities_on_random_heaps(monkeypatch
 
 
 def compare_query_memo(monkeypatch):
-    """sat with its per-query memo against sat with a fresh memo for every
-    frontier check and every base heap, which derives each heap's cubes,
-    linear forms and sorts from scratch."""
-    check, try_base = S._pure_contradictory, S._try_base
+    """sat with each check extending the state its frontier entry carries
+    against sat with a fresh memo for every frontier check, which derives
+    each heap's cubes, linear forms and sorts from scratch, as
+    _pure_contradictory does."""
+    memo_class = S._QueryMemo
 
-    def scratch_check(d, defs, param_sorts, memo):
-        return check(d, defs, param_sorts)
+    class ScratchMemo(memo_class):
+        def state(self, d, above=None):
+            return memo_class(self.defs, self.param_sorts).state(d)
 
-    def scratch_try_base(*args):
-        return try_base(*args[:-1])
-
-    return compare_sat(monkeypatch, {"_pure_contradictory": scratch_check,
-                                     "_try_base": scratch_try_base})
+    return compare_sat(monkeypatch, {"_QueryMemo": ScratchMemo})
 
 
 @pytest.mark.parametrize("name", ["sll", "dll", "stack", "bst", "tll", "sortedlist",
@@ -577,10 +583,8 @@ def test_query_memo_lives_for_one_query(monkeypatch):
         memos.clear()
         result = S.sat(query, spec, Budget(max_depth=4))
         assert result.decision == ("sat" if query is ints else "unsat")
-        # One memo per query, threaded through every check and base heap.
+        # One memo per query, through which every check goes.
         assert len(memos) == 1 and memos[0].prefix == len(query.pure)
-        for conjunct, cubes in memos[0].tables[S._nnf_cubes].values():
-            assert cubes == S._nnf_cubes(conjunct)
         # Nothing keeps the memo once sat has returned.
         memo = weakref.ref(memos.pop())
         gc.collect()
@@ -598,8 +602,8 @@ def test_query_memo_keeps_a_heap_state_only_until_its_children_are_checked(monke
     # A heap's check state lives while one of its children waits for its
     # check, and no longer: no state of a finished round stays reachable.
     spec = F.parse_spec(CHAIN)
-    unfold, check, build = S.unfold_at, S._pure_contradictory, S._QueryMemo._made
-    made, waiting, rounds = {}, {}, {}  # all keyed by id(heap)
+    unfold, check = S.unfold_at, S._QueryMemo.state
+    made, waiting, rounds, last = {}, {}, {}, []  # all keyed by id(heap)
 
     def unfolded(h, i, defs):
         children = unfold(h, i, defs)
@@ -608,27 +612,25 @@ def test_query_memo_keeps_a_heap_state_only_until_its_children_are_checked(monke
         waiting[id(h)] = {id(child) for child in children}
         return children
 
-    def built(memo, d, *args):
-        state = build(memo, d, *args)
-        made[id(d)] = (d, weakref.ref(state))
-        return state
-
-    def checked(d, *args):
-        for children in waiting.values():
-            children.discard(id(d))
-        verdict = check(d, *args)
+    def checked(memo, d, *args):
+        # Taken as the next check begins, once sat has popped d's entry and
+        # dropped the one it processed before.
         gc.collect()
         live = {key for key, (_, state) in made.items() if state() is not None}
         # The last check's state, and those of heaps with an unchecked child.
-        assert live <= {id(d)} | {key for key, children in waiting.items() if children}
-        assert all(rounds.get(key, 0) >= rounds[id(d)] - 1 for key in live)
-        return verdict
+        assert live <= set(last[-1:]) | {key for key, children in waiting.items() if children}
+        assert all(rounds.get(key, 0) >= rounds.get(id(d), 0) - 1 for key in live)
+        for children in waiting.values():
+            children.discard(id(d))
+        state = check(memo, d, *args)
+        made[id(d)] = (d, weakref.ref(state))
+        last.append(id(d))
+        return state
 
     monkeypatch.setattr(S, "unfold_at", unfolded)
-    monkeypatch.setattr(S, "_pure_contradictory", checked)
-    monkeypatch.setattr(S._QueryMemo, "_made", built)
+    monkeypatch.setattr(S._QueryMemo, "state", checked)
     for text in ["chain(p) * chain(q) & p != q & 3 <= a", "chain(p) * chain(q) & a = 200"]:
-        for table in (made, waiting, rounds):
+        for table in (made, waiting, rounds, last):
             table.clear()
         result = sat(heap(text), spec, Budget(max_depth=4))
         assert max(rounds.values()) >= 3 and len(made) > 5
@@ -646,16 +648,19 @@ def test_child_check_is_exact_when_the_unfolded_instance_sorted_a_variable(monke
     params = F.infer_sorts(spec)
     query = heap("p -> N(a, p) * loose(q) * same(c, q) & a <= b & q = r & q != r & c <= a")
     assert S._pure_contradictory(query, spec, params)
-    checks = []
-    check = S._pure_contradictory
+    checked = []
+    check = S._QueryMemo.state
 
-    def recorded(d, defs, param_sorts, memo=None):
-        verdict = check(d, defs, param_sorts, memo)
-        checks.append((F.print_heap(d), verdict, check(d, defs, param_sorts)))
-        return verdict
+    def recorded(memo, d, above=None):
+        state = check(memo, d, above)
+        checked.append((d, state.contradictory))
+        return state
 
-    monkeypatch.setattr(S, "_pure_contradictory", recorded)
+    monkeypatch.setattr(S._QueryMemo, "state", recorded)
     sat(query, spec, Budget(max_depth=4))
+    monkeypatch.undo()  # _pure_contradictory makes its state through the same method
+    checks = [(F.print_heap(d), verdict, S._pure_contradictory(d, spec, params))
+              for d, verdict in checked]
     assert [c for c in checks if c[1] != c[2]] == []
     emp_child = "p -> N(a, p) * same(c, q) & a <= b & q = r & q != r & c <= a"
     assert (emp_child, False, False) in checks
@@ -687,18 +692,18 @@ def cube_summary(result, heads):
 
 
 def compare_carried_state(monkeypatch):
-    """Check every heap state the memo makes by extending a parent's
+    """Check every heap state that sat makes by extending a parent's
     against _propagated from scratch on each of the heap's DNF cubes; the
     list returned collects the cubes checked."""
-    made, extended = S._QueryMemo._made, []
+    made, extended = S._QueryMemo.state, []
 
-    def built(memo, d, parent, above):
-        state = made(memo, d, parent, above)
-        if above is None or not state.cubes:
+    def built(memo, d, above=None):
+        state = made(memo, d, above)
+        if above is None or above[1] is None or not state.cubes:
             return state
         sorts = F.heap_sorts(d, memo.defs, memo.param_sorts)
         heads = [p.var for p in d.points_tos()]
-        for cube, lits in zip(state.cubes, memo.cubes(d.pure), strict=True):
+        for cube, lits in zip(state.cubes, S._nnf_cubes(d.pure), strict=True):
             got = cube_summary(cube and (cube,), heads)
             want = cube_summary(S._propagated(lits, sorts, None, heads), heads)
             if want is not None and want[-1] is None:  # capped from scratch
@@ -707,7 +712,7 @@ def compare_carried_state(monkeypatch):
             extended.append(cube)
         return state
 
-    monkeypatch.setattr(S._QueryMemo, "_made", built)
+    monkeypatch.setattr(S._QueryMemo, "state", built)
     return extended
 
 
@@ -769,7 +774,7 @@ def test_contradiction_from_a_carried_fixpoint_is_confirmed_from_scratch():
         lits("x1 + 1 <= z & z + 1 <= x1 & 0 <= z")
     parent, _, _ = S._propagated(chain, {}, None, ())
     scratch = S._propagated(chain + body, {}, None, ())
-    child = S._propagated(body, {}, None, (), None, parent)
+    child = S._propagated(body, {}, None, (), parent)
     assert scratch is not None and scratch[0].bounds is None
     assert child is not None and child[0].bounds is None
     carried = {**parent.bounds, "z": S._TOP}
@@ -812,9 +817,9 @@ def test_child_cube_merges_and_propagates_only_its_body(monkeypatch, tmp_path):
         work["runs"].append((start, len(steps)))
         return result
 
-    def extended(lits, sorts, universe, heads, memo=None, parent=None):
+    def extended(lits, sorts, universe, heads, parent=None):
         work.update(merges=0, runs=[])
-        result = propagated(lits, sorts, universe, heads, memo, parent)
+        result = propagated(lits, sorts, universe, heads, parent)
         if parent is not None and parent.bounds is not None and result is not None:
             cube, scratch = result[0], []
             locs, ints = S._split_cube(lits, sorts)

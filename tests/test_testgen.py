@@ -10,8 +10,8 @@ from slc.testgen import (
     Addr,
     GenStats,
     HeapObject,
-    eval_pred,
     gen_from_spec,
+    heap_satisfies,
     input_satisfies,
     oracle_enumerate,
     to_unit_test,
@@ -90,7 +90,9 @@ def test_unreachable_objects_dropped(bst_spec):
     assert len(test.objects) == 1
 
 
-# ------------------------------------------------------------- eval_pred
+# ------------------------------------------------------- heap_satisfies
+
+BST = F.SymbolicHeap((), (PredInst("bst", (Var("this_root"), Var("minE"), Var("maxE"))),), ())
 
 
 def tree_input(spec, *nodes, root=None, x=0):
@@ -109,30 +111,26 @@ def tree_input(spec, *nodes, root=None, x=0):
 
 def test_eval_pred_empty_store(bst_spec):
     test = tree_input(bst_spec)
-    assert eval_pred(test, PredInst("bst", (Var("this_root"), Var("minE"),
-                                            Var("maxE"))), bst_spec)
+    assert heap_satisfies(test.objects, test.bindings, BST, bst_spec)
 
 
 def test_eval_pred_rejects_unordered_tree(bst_spec):
     test = tree_input(bst_spec, (1, 0, 2, None), (2, 5, None, None), root=1)
-    inst = PredInst("bst", (Var("this_root"), Var("minE"), Var("maxE")))
-    assert not eval_pred(test, inst, bst_spec)
+    assert not heap_satisfies(test.objects, test.bindings, BST, bst_spec)
     ordered = tree_input(bst_spec, (1, 0, 2, None), (2, -5, None, None), root=1)
-    assert eval_pred(ordered, inst, bst_spec)
+    assert heap_satisfies(ordered.objects, ordered.bindings, BST, bst_spec)
 
 
 def test_eval_pred_rejects_cycle(bst_spec):
     test = tree_input(bst_spec, (1, 0, 1, None), root=1)
-    inst = PredInst("bst", (Var("this_root"), Var("minE"), Var("maxE")))
-    assert not eval_pred(test, inst, bst_spec)
+    assert not heap_satisfies(test.objects, test.bindings, BST, bst_spec)
 
 
 def test_eval_pred_demands_exact_footprint(bst_spec):
     # A store with a disconnected extra object does not satisfy emp-rooted
     # disjuncts: the whole heap is the footprint.
     test = tree_input(bst_spec, (1, 0, None, None), root=None)
-    inst = PredInst("bst", (Var("this_root"), Var("minE"), Var("maxE")))
-    assert not eval_pred(test, inst, bst_spec)
+    assert not heap_satisfies(test.objects, test.bindings, BST, bst_spec)
 
 
 def test_input_satisfies_searches_ghost_witnesses(bst_spec, bst_pre):

@@ -234,6 +234,7 @@ class SpecFile:
         self.datas: dict[str, DataDef] = {}
         self.preds: dict[str, PredDef] = {}
         self.preconditions: dict[str, Formula] = {}
+        self.compiled = None  # the solver's compiled predicate bodies, made on first use
 
 
 # =====================================================================
@@ -382,9 +383,11 @@ def subst_term(term: ArithTerm, binding: Mapping[str, ArithTerm]) -> ArithTerm:
 def subst_pure(pure: PureFormula | Conjunction,
                binding: Mapping[str, ArithTerm]) -> PureFormula | Conjunction:
     if isinstance(pure, tuple):
-        return tuple(subst_pure(c, binding) for c in pure)
+        return tuple([subst_pure(c, binding) for c in pure])
     if isinstance(pure, Atom):
-        return Atom(pure.op, subst_term(pure.left, binding), subst_term(pure.right, binding))
+        left, right = [binding.get(t.name, t) if t.__class__ is Var else subst_term(t, binding)
+                       for t in (pure.left, pure.right)]
+        return Atom(pure.op, left, right)
     if isinstance(pure, Not):
         return Not(subst_pure(pure.inner, binding))
     if isinstance(pure, And):
@@ -394,19 +397,21 @@ def subst_pure(pure: PureFormula | Conjunction,
 
 def subst_spatial(atoms: tuple[SpatialAtom, ...],
                   binding: Mapping[str, ArithTerm]) -> tuple[SpatialAtom, ...]:
-    def sub_atom(atom: SpatialAtom) -> SpatialAtom:
-        args = tuple(subst_term(a, binding) for a in atom.args)
-        if isinstance(atom, PointsTo):
-            head = binding.get(atom.var)
-            if head is None:
-                return PointsTo(atom.var, atom.type_name, args)
-            if not isinstance(head, Var):
-                raise SubstitutionError(
-                    f"points-to head {atom.var} substituted by non-variable term")
-            return PointsTo(head.name, atom.type_name, args)
-        return PredInst(atom.pred, args)
-
-    return tuple(sub_atom(a) for a in atoms)
+    out: list[SpatialAtom] = []
+    for atom in atoms:
+        args = tuple([binding.get(a.name, a) if a.__class__ is Var else subst_term(a, binding)
+                      for a in atom.args])
+        if atom.__class__ is PredInst:
+            out.append(PredInst(atom.pred, args))
+            continue
+        head = binding.get(atom.var)
+        if head is None:
+            out.append(PointsTo(atom.var, atom.type_name, args))
+        elif head.__class__ is Var:
+            out.append(PointsTo(head.name, atom.type_name, args))
+        else:
+            raise SubstitutionError(f"points-to head {atom.var} substituted by non-variable term")
+    return tuple(out)
 
 
 def freshen_heap(d: SymbolicHeap) -> SymbolicHeap:
@@ -921,15 +926,21 @@ class UnionFind:
                 self.parent[ra] = rb
 
 
+def join_sorts(have: Sort | None, sort: Sort, where: str = "heap", var: str = "") -> Sort:
+    """The join of ``have`` (None: no sort yet) and ``sort``; a clash of the
+    uses of ``var`` raises SortError."""
+    if have is None or have == _KIND.get(sort, "nullref"):
+        return sort
+    if have == sort or sort == _KIND.get(have, "nullref"):
+        return have
+    raise SortError(f"{where}: variable {var} used both as {have} and as {sort}")
+
+
 def _use(env: dict[str, Sort], var: str, sort: Sort, where: str) -> None:
     """Join ``sort`` into the sort of ``var`` in ``env``."""
     have = env.get(var)
-    if have == sort:
-        return
-    if have is None or have == _KIND.get(sort, "nullref"):
-        env[var] = sort
-    elif sort != _KIND.get(have, "nullref"):
-        raise SortError(f"{where}: variable {var} used both as {have} and as {sort}")
+    if have != sort:
+        env[var] = join_sorts(have, sort, where, var)
 
 
 def _term_sort(term: ArithTerm) -> Sort | None:
@@ -937,15 +948,17 @@ def _term_sort(term: ArithTerm) -> Sort | None:
     return {Var: None, Null: "nullref", Const: "scalar"}.get(type(term), "int")
 
 
-def _constrain(env: dict[str, Sort], term: ArithTerm, sort: Sort, where: str) -> None:
-    """Use ``term`` in a position of sort ``sort``."""
+def _term_facts(term: ArithTerm, sort: Sort, where: str, out: list) -> None:
+    """Append to ``out`` the (variable, sort, where) uses that putting
+    ``term`` in a position of sort ``sort`` makes; raise when the term's
+    shape clashes with it."""
     if isinstance(term, Var):
-        _use(env, term.name, sort, where)
+        out.append((term.name, sort, where))
     elif isinstance(term, (Scale, Add, Neg)):
         if sort not in ("int", "scalar"):
             raise SortError(f"{where}: arithmetic term in non-int position")
         for sub in ([term.term] if not isinstance(term, Add) else [term.left, term.right]):
-            _constrain(env, sub, "int", where)
+            _term_facts(sub, "int", where, out)
     elif isinstance(term, Null):
         if sort in _SCALAR_SORTS:
             raise SortError(f"{where}: null in scalar position")
@@ -953,21 +966,24 @@ def _constrain(env: dict[str, Sort], term: ArithTerm, sort: Sort, where: str) ->
         raise SortError(f"{where}: integer constant in reference position")
 
 
-def _sort_walk(env: dict[str, Sort], classes: UnionFind, d: SymbolicHeap, spec: SpecFile,
-               param_sorts: Mapping[str, tuple[Sort | None, ...]], where: str) -> None:
-    """Join into ``env`` the sorts of the positions ``d``'s variables
-    occupy, and merge in ``classes`` the two sides of every equality of
-    variables, both at any depth under ``!`` and ``&``."""
-    for atom in d.atoms:
+def sort_facts(atoms: Iterable[SpatialAtom], pure: Conjunction, spec: SpecFile,
+               param_sorts: Mapping[str, tuple[Sort | None, ...]], where: str = "heap",
+               ) -> tuple[list[tuple[str, Sort, str]], list[tuple[str, str]]]:
+    """The sort facts of ``atoms`` and ``pure``: the (variable, sort, where)
+    uses of the positions their variables occupy, in order, and the pairs
+    of variables they equate, both at any depth under ``!`` and ``&``."""
+    uses: list[tuple[str, Sort, str]] = []
+    merges: list[tuple[str, str]] = []
+    for atom in atoms:
         if isinstance(atom, PointsTo):
-            _use(env, atom.var, atom.type_name, where)
+            uses.append((atom.var, atom.type_name, where))
             for (fname, ftype), arg in zip(spec.datas[atom.type_name].fields, atom.args):
-                _constrain(env, arg, ftype, f"{where}.{fname}")
+                _term_facts(arg, ftype, f"{where}.{fname}", uses)
         else:
             for sort, arg in zip(param_sorts.get(atom.pred, ()), atom.args):
                 if sort is not None:
-                    _constrain(env, arg, sort, where)
-    stack = list(d.pure)
+                    _term_facts(arg, sort, where, uses)
+    stack = list(pure)
     while stack:
         c = stack.pop()
         if isinstance(c, Not):
@@ -975,14 +991,27 @@ def _sort_walk(env: dict[str, Sort], classes: UnionFind, d: SymbolicHeap, spec: 
         elif isinstance(c, And):
             stack += (c.left, c.right)
         elif isinstance(c, Atom) and c.op == "<=":
-            _constrain(env, c.left, "int", where)
-            _constrain(env, c.right, "int", where)
+            _term_facts(c.left, "int", where, uses)
+            _term_facts(c.right, "int", where, uses)
         elif isinstance(c, Atom) and isinstance(c.left, Var) and isinstance(c.right, Var):
-            classes.union(c.left.name, c.right.name)
+            merges.append((c.left.name, c.right.name))
         elif isinstance(c, Atom):
             ls, rs = _term_sort(c.left), _term_sort(c.right)
-            _constrain(env, c.left, rs or ls, where)
-            _constrain(env, c.right, ls or rs, where)
+            _term_facts(c.left, rs or ls, where, uses)
+            _term_facts(c.right, ls or rs, where, uses)
+    return uses, merges
+
+
+def _sort_walk(env: dict[str, Sort], classes: UnionFind, d: SymbolicHeap, spec: SpecFile,
+               param_sorts: Mapping[str, tuple[Sort | None, ...]], where: str) -> None:
+    """Join into ``env`` the sorts of the positions ``d``'s variables
+    occupy, and merge in ``classes`` the two sides of every equality of
+    variables (``sort_facts``)."""
+    uses, merges = sort_facts(d.atoms, d.pure, spec, param_sorts, where)
+    for var, sort, at in uses:
+        _use(env, var, sort, at)
+    for a, b in merges:
+        classes.union(a, b)
 
 
 def _class_sorts(env: dict[str, Sort], classes: UnionFind, where: str) -> dict[str, Sort]:

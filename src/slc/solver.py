@@ -13,29 +13,43 @@ interval propagation followed by backtracking search over a finite
 domain. The frontier check of ``sat`` is the same per-cube check without
 the integer search.
 
-One query checks each heap once, by extending its parent's check state.
-A heap's state is the sort-walk state of its points-to atoms and pure
-part, and per cube each variable's kind (unsorted, location or integer),
-the alias classes, the disequalities, the linear forms and, if
-propagation reached its fixpoint, the bounds. ``sat``'s frontier carries
-each heap that ``unfold_at`` made with its parent and the parent's state,
-so a state lives until the last of its children has been checked. A child
-is its parent minus the instance plus the body, its conjuncts the
-parent's followed by the body's, so it extends the parent's walk by the
-body and then its own instances for its sorts, and each child cube shares
-its parent cube's state, copying what the body adds to: it splits and
-merges only the body's literals, checks the marks and disequalities over
-the merged classes, and propagates from the parent's fixpoint, starting
-from the body's linear forms. The query, and a child of a sort clash,
-begin with the sort walk of the query's conjuncts, made once. A cube
-starts from scratch when its parent cube was contradictory or a variable
-changed kind (dropping the instance can unsort one), and from fresh
-bounds when its parent's stopped at the round cap. This is exact: sort
-joins do not depend on order, literals split by their variables' kinds,
-and merging gives the partition from scratch (only base heaps, solved
-from scratch, read representatives). Narrowing is monotone, so a
-converged run from a parent's fixpoint reaches the fixpoint from scratch;
-a contradiction or a cap met that way is confirmed from fresh bounds.
+One query checks each heap once, by extending its parent's check state,
+and a child's check costs its body, not its heap. Each predicate disjunct
+is compiled once per spec and argument shape (``_Spec``, kept on the
+``SpecFile``, made at first use): its sort uses and equalities over its
+own names, less the unfolded instance's own uses of its arguments, and
+its DNF cubes, each literal with its variables, the shape of its sides and
+its linear form; null and constant arguments are put in first. A heap's
+state is its sort classes (``_Sorts``: a union-find, and per class the
+join of its sorts and the count of each sort its members' positions give
+it, so that dropping the instance takes that instance's uses out again),
+and per cube each variable's kind (unsorted, location or integer), the
+alias classes, the disequalities, the linear forms and, if propagation
+reached its fixpoint, the bounds. ``sat``'s frontier carries each heap
+that ``unfold_at`` made with its parent, the parent's state, the instance
+and the compiled body, so a state lives until the last of its children has
+been checked. A child is its parent minus the instance plus the body, its
+conjuncts the parent's followed by the body's. Its sort classes add the
+body's renamed uses to the classes they touch and merge those its
+equalities join; only the classes of the instance's arguments can change
+kind, since every other variable the body names is a fresh binder. Each
+child cube shares its parent cube's state, copying what the body adds
+to: it merges the body's split and linearised literals, checks the marks
+and disequalities over the merged classes, and propagates from the
+parent's fixpoint, starting from the body's linear forms. The query, a
+child of a sort clash and a child whose instance has an argument other
+than a variable, null or a constant begin with the sort classes of the
+query's conjuncts, made once. A contradictory parent cube stays so when
+no kind changed and a sort or location clash ruled it out; a cube starts
+from scratch when propagation ruled its parent cube out or a variable
+changed kind (dropping the instance can unsort one), and from fresh bounds
+when its parent's stopped at the round cap. This is exact: sort joins do
+not depend on order, literals split by their variables' kinds, a clash of
+sorts or marks only grows with the literals, and merging gives the
+partition from scratch (only base heaps, solved from scratch, read
+representatives). Narrowing is monotone, so a converged run from a
+parent's fixpoint reaches the fixpoint from scratch; a contradiction or a
+cap met that way is confirmed from fresh bounds.
 
 The solver trades the completeness of a full decision procedure for
 bounded search: outside its budgets it answers UNKNOWN, which for a test
@@ -77,7 +91,6 @@ from .formulas import (
     SymbolicHeap,
     Var,
 )
-from .unfold import unfold_at
 from .value import Value, setfield
 
 _SCALARS = ("int", "bool")
@@ -172,31 +185,31 @@ def _kind(sorts: dict[str, str], v: str) -> bool | None:
     return None if sort is None else sort not in _SCALARS
 
 
-def _term_is_loc(term: ArithTerm, sorts: dict[str, str]) -> bool | None:
+def _side(term: ArithTerm) -> str | tuple[str, ...]:
+    """A literal side's shape: a variable's name, ``NULL_KEY`` for null, or
+    the variables of any other term (none for a constant)."""
     if isinstance(term, Var):
-        return _kind(sorts, term.name)
-    if isinstance(term, Null):
-        return True
-    if any(sorts.get(v, "int") not in _SCALARS for v in F.term_vars(term)):
-        raise F.SortError("arithmetic over reference values")
-    return False
+        return term.name
+    return NULL_KEY if isinstance(term, Null) else tuple(_term_var_order(term))
 
 
-def _split_cube(cube: list[Lit], sorts: dict[str, str]) -> tuple[list[Lit], list[Lit]]:
-    locs: list[Lit] = []
-    ints: list[Lit] = []
-    for lit in cube:
-        lk = _term_is_loc(lit.left, sorts)
-        rk = _term_is_loc(lit.right, sorts)
-        lk, rk = (rk if lk is None else lk), (lk if rk is None else rk)
-        if lk or rk:
-            if lit.op == "le" or not (isinstance(lit.left, (Var, Null))
-                                      and isinstance(lit.right, (Var, Null))):
-                raise F.SortError("arithmetic over reference values")
-            locs.append(lit)
+def _is_loc(op: str, sides: tuple, sorts) -> bool:
+    """Whether a literal ``op`` over ``sides`` (``_side``s) is a location
+    literal under ``sorts``: null or a location on either side. Raises
+    SortError when it puts a location in arithmetic or an inequality."""
+    kinds = []
+    for side in sides:
+        if side.__class__ is str:
+            kinds.append(side == NULL_KEY or _kind(sorts, side))
+        elif any(sorts.get(v, "int") not in _SCALARS for v in side):
+            raise F.SortError("arithmetic over reference values")
         else:
-            ints.append(lit)
-    return locs, ints
+            kinds.append(False)
+    if not (kinds[0] or kinds[1]):
+        return False
+    if op == "le" or not (sides[0].__class__ is str and sides[1].__class__ is str):
+        raise F.SortError("arithmetic over reference values")
+    return True
 
 
 # =====================================================================
@@ -501,7 +514,7 @@ def pure_solve(cube: list[Lit], sorts: dict[str, str], budget: Budget | None = N
     """
     budget = budget or Budget()
     stats = stats if stats is not None else SolverStats()
-    propagated = _propagated(cube, sorts, universe, heads)
+    propagated, _ = _checked(cube, sorts, heads, None, universe)
     if propagated is None:
         return None, True
     state, loc_solution, bounds = propagated
@@ -518,8 +531,9 @@ class _Cube(NamedTuple):
     """A cube's check state, which an extending cube shares and copies where
     its literals add to it: each variable's kind (``_kind``) in first-
     occurrence order, the alias classes, the disequalities' class keys, the
-    integer linear forms with each variable's forms, and the bounds if they
-    are a fixpoint (None when the round cap stopped propagation)."""
+    integer linear forms with each variable's forms, the bounds if they
+    are a fixpoint (None when the round cap stopped propagation), and the
+    roots of null's and the points-to heads' classes."""
 
     kinds: dict[str, bool | None]
     uf: F.UnionFind
@@ -527,56 +541,95 @@ class _Cube(NamedTuple):
     lins: list[_Lin]
     uses: dict[str, tuple[int, ...]]
     bounds: dict[str, tuple] | None
+    marked: set[str]
 
 
-def _propagated(lits: list[Lit], sorts: dict[str, str], universe: Sequence[str] | None,
-                heads: Sequence[str], parent: _Cube | None = None,
-                ) -> tuple[_Cube, LocSolution, dict[str, tuple]] | None:
+class _Prepared(NamedTuple):
+    """A cube's literals split and linearised: their variables in order,
+    the class keys of the location (dis)equalities, the linear forms."""
+
+    order: list[str]
+    eqs: list[tuple[str, str]]
+    pairs: list[tuple[str, str]]
+    lins: list[_Lin]
+
+
+def _prepared(lits: list[Lit], sorts) -> _Prepared:
+    """``lits`` split under ``sorts`` and linearised; raises SortError."""
+    eqs, pairs, lins = [], [], []
+    for lit in lits:
+        sides = (_side(lit.left), _side(lit.right))
+        if _is_loc(lit.op, sides, sorts):
+            (eqs if lit.op == "eq" else pairs).append(sides)
+        else:
+            lins.append(_lin_of(lit))
+    return _Prepared([v for lit in lits for v in _lit_vars(lit)], eqs, pairs, lins)
+
+
+def _checked(lits: list[Lit] | _Prepared, sorts, heads: Sequence[str],
+             parent: _Cube | None = None, universe: Sequence[str] | None = None,
+             ) -> tuple[tuple[_Cube, LocSolution, dict[str, tuple]] | None, bool]:
     """The steps of ``pure_solve`` before the integer search, on the cube
-    ``parent``'s literals (none by default) followed by ``lits``, with the
-    variables of ``universe`` leading and null and the points-to ``heads``
-    marked: the cube's ``_Cube``, alias classes and propagated integer
-    bounds, or None when no integer domain satisfies it (a sort clash, a
-    location clash, or empty bounds). ``parent`` must give its variables
-    the kinds ``sorts`` gives them, so that its literals split the same
-    way. Only ``lits`` are split and merged, and propagation starts from
-    ``parent``'s fixpoint and ``lits``' linear forms, so the verdict, the
-    classes (not their representatives) and any fixpoint are the ones from
-    scratch (see the module notes)."""
+    ``parent``'s literals (none by default) followed by ``lits`` (split
+    here under ``sorts`` unless ``_Prepared``), with the variables of
+    ``universe`` leading and null and the points-to ``heads`` marked: the
+    cube's ``_Cube``, alias classes and propagated integer bounds, or None
+    when no integer domain satisfies it; and whether a None is a sort or
+    location clash, which every cube that extends this one under the same
+    kinds keeps. See ``_extended``."""
     try:
-        locs, ints = _split_cube(lits, sorts)
+        result = _extended(lits if isinstance(lits, _Prepared) else _prepared(lits, sorts),
+                           sorts, universe, heads, parent)
     except F.SortError:
-        return None
-    kinds, uf, diseqs, lins, uses, bounds = parent or _Cube({}, alias_classes(()), [], [], {}, {})
-    new = {v: _kind(sorts, v) for v in (*(universe or ()), *(
-        v for lit in lits for v in _lit_vars(lit))) if v not in kinds}
+        return None, True
+    return result or None, result is False
+
+
+def _extended(lits: _Prepared, sorts, universe: Sequence[str] | None, heads: Sequence[str],
+              parent: _Cube | None = None) -> tuple[_Cube, LocSolution, dict[str, tuple]] | None:
+    """``_checked`` on literals already split and linearised: None when
+    propagation empties a bound, False on a location clash. ``parent`` must
+    give its variables the kinds ``sorts`` gives them, so that its literals
+    split the same way, and its heads must lead ``heads``. Only ``lits`` are merged; unless they merge
+    classes, only the new heads and disequalities are checked against the
+    parent's marks. Propagation starts from ``parent``'s fixpoint and
+    ``lits``' linear forms, so the verdict, the classes (not their
+    representatives) and any fixpoint are the ones from scratch (see the
+    module notes). The alias classes returned are those of a cube made from
+    scratch (``parent`` None), which base-heap solving reads."""
+    kinds, uf, diseqs, lins, uses, bounds, marked = \
+        parent or _Cube({}, alias_classes(()), [], [], {}, {}, set())
+    new = {v: _kind(sorts, v) for v in (*(universe or ()), *lits.order) if v not in kinds}
     kinds = {**kinds, **new} if new else kinds
-    eqs = [l for l in locs if l.op == "eq"]
-    pairs = [(_loc_key(l.left), _loc_key(l.right)) for l in locs if l.op != "eq"]
+    pairs = lits.pairs
     names = [v for v, k in new.items() if k]
-    if eqs or any(n not in uf.parent for n in (*names, *heads, *(n for p in pairs for n in p))):
+    if lits.eqs or any(n not in uf.parent
+                       for n in (*names, *heads, *(n for p in pairs for n in p))):
         uf = uf.copy()
         for name in names:
             uf.find(name)
-        for l in eqs:
-            merge_alias(uf, l.left, l.right)
-    marked = {uf.find(name) for name in (NULL_KEY, *heads)}
+        for a, b in lits.eqs:
+            uf.union(a, b)
+    if parent is None or lits.eqs:
+        marked, check = {uf.find(name) for name in (NULL_KEY, *heads)}, diseqs + pairs
+    else:  # the parent's classes, marks and disequalities stand
+        marked, check = marked | {uf.find(h) for h in heads[len(marked) - 1:]}, pairs
     if len(marked) <= len(heads):
-        return None
+        return False
     diseqs = diseqs + pairs if pairs else diseqs
-    roots = [(uf.find(a), uf.find(b)) for a, b in diseqs]
+    roots = [(uf.find(a), uf.find(b)) for a, b in check]
     if any(a == b for a, b in roots):
-        return None
+        return False
     start, fresh = len(lins), [v for v, k in new.items() if not k]
-    if ints:
-        lins = lins + [_lin_of(l) for l in ints]
+    if lits.lins:
+        lins = lins + lits.lins
         uses = dict(uses)
         for i in range(start, len(lins)):
             for v, _ in lins[i].coeffs:
                 uses[v] = uses.get(v, ()) + (i,)
     converged = None
     if bounds is not None:
-        if ints or fresh:
+        if lits.lins or fresh:
             bounds = {**bounds, **dict.fromkeys(fresh, _TOP)}
         converged = _propagate(lins, uses, bounds, range(start, len(lins)))
     if converged is not True and start:  # confirmed, or the parent was capped
@@ -584,17 +637,244 @@ def _propagated(lits: list[Lit], sorts: dict[str, str], universe: Sequence[str] 
         converged = _propagate(lins, uses, bounds)
     if converged is False:
         return None
-    return (_Cube(kinds, uf, diseqs, lins, uses, bounds if converged else None),
+    return (_Cube(kinds, uf, diseqs, lins, uses, bounds if converged else None, marked),
             LocSolution(uf, marked, roots), bounds)
 
 
-class _HeapState:
-    """A checked heap: the sort-walk state of its points-to atoms and pure
-    part (None after a sort clash), and each cube's ``_Cube`` under the
-    heap's sorts (None when the cube is contradictory)."""
+# =====================================================================
+# Compiled predicate bodies and the per-heap check state
+# =====================================================================
 
-    def __init__(self, walked: tuple[dict, F.UnionFind] | None, cubes: list[_Cube | None]):
-        self.walked, self.cubes = walked, cubes
+
+def _class(counts: dict[str, int], delta: dict[str, int]) -> tuple | None:
+    """A ``_Sorts`` class whose sort ``counts`` get ``delta`` added: the join
+    of the sorts left and their counts, or None when none is left."""
+    counts = dict(counts)
+    for sort, n in delta.items():
+        counts[sort] = counts.get(sort, 0) + n
+        if not counts[sort]:
+            del counts[sort]
+    joined = None
+    for sort in counts:
+        joined = F.join_sorts(joined, sort)
+    return (joined, counts) if counts else None
+
+
+def _kind_of(entry: tuple | None) -> bool | None:
+    """The kind (``_kind``) of a ``_Sorts`` class."""
+    return None if entry is None else entry[0] not in F._SCALAR_SORTS
+
+
+_NO_CLASS = (None, {})
+
+
+class _Sorts:
+    """A heap's sort classes, as ``F.heap_sorts`` finds them: the union-find
+    of its variable equalities (a variable in none is a class of its own)
+    and, per class, the join of its sorts and the count of each sort its
+    members' positions give it (None for a class with none), so that
+    dropping an instance can take its uses out again. ``get`` reads it as
+    ``heap_sorts``' dict."""
+
+    def __init__(self, uf: F.UnionFind, classes: dict[str, tuple | None]):
+        self.uf, self.classes = uf, classes
+
+    def root(self, v: str) -> str:
+        return self.uf.find(v) if v in self.uf.parent else v
+
+    def get(self, v: str, default: str | None = None) -> str | None:
+        sort = (self.classes.get(self.root(v)) or (default,))[0]
+        return "int" if sort == "scalar" else sort
+
+    def extended(self, changes: Iterable[tuple[str, dict[str, int]]],
+                 merges: Iterable[tuple[str, str]] = (), old: Iterable[str] = (),
+                 new: Iterable[tuple[str, tuple]] = ()) -> tuple[_Sorts, bool]:
+        """This table with the classes ``new`` of new variables, each
+        (variable, sort counts) of ``changes`` added to the counts of the
+        variable's class (a negative count takes uses out), and then the
+        classes of each pair in ``merges`` merged; and whether the class of a
+        variable in ``old`` changed kind. Copies only what it changes; raises
+        SortError on a clash."""
+        uf, classes = self.uf, dict(self.classes)
+        before = {r: _kind_of(classes.get(r)) for r in map(self.root, old)}
+        classes.update(new)
+        for v, delta in changes:  # before any merge, so the roots are this table's
+            r = self.root(v)
+            classes[r] = _class((classes.get(r) or _NO_CLASS)[1], delta)
+        for a, b in merges:
+            ra, rb = (uf.find(x) if x in uf.parent else x for x in (a, b))
+            if ra != rb:
+                uf = uf.copy() if uf is self.uf else uf
+                uf.union(ra, rb)
+                keep, gone = (ra, rb) if uf.find(ra) == ra else (rb, ra)
+                classes[keep] = _class((classes.get(keep) or _NO_CLASS)[1],
+                                       (classes.pop(gone, None) or _NO_CLASS)[1])
+        table = _Sorts(uf, classes)
+        return table, any(_kind_of(classes.get(table.root(r))) != kind
+                          for r, kind in before.items())
+
+
+def _counts(uses: list[tuple[str, str, str]]) -> dict[str, dict[str, int]]:
+    """``F.sort_facts``' uses as each variable's count per sort."""
+    counts: dict[str, dict[str, int]] = {}
+    for v, sort, _ in uses:
+        sorts = counts.setdefault(v, {})
+        sorts[sort] = sorts.get(sort, 0) + 1
+    return counts
+
+
+class _Literal:
+    """A literal of a compiled body: its relation, its variables in order,
+    its sides' shapes (``_side``) and its linear form (None when it has
+    none)."""
+
+    __slots__ = ("op", "vars", "sides", "lin")
+
+    def __init__(self, lit: Lit):
+        self.op, self.vars = lit.op, _lit_vars(lit)
+        self.sides = (_side(lit.left), _side(lit.right))
+        try:
+            self.lin = _lin_of(lit)
+        except F.SortError:
+            self.lin = None
+
+
+class _Body:
+    """One predicate disjunct, compiled once per spec and argument shape: a
+    shape binds each parameter to a variable, to null or a constant, or to
+    any other term (then the body is ``general``). ``unfold_at`` renames
+    the disjunct's atoms and conjuncts. The check compiles it with the null
+    and constant arguments put in, unless it is general (a general child is
+    checked from scratch): over the disjunct's own names, the sort uses it
+    gives each binder and each parameter left, less the unfolded instance's
+    own (None when the arguments make a sort clash), the pairs its
+    equalities merge, the parameters whose classes those touch, and its DNF
+    cubes of ``_Literal``s. An instance renames the names to variables."""
+
+    def __init__(self, pred: F.PredDef, disjunct: SymbolicHeap, shape: tuple,
+                 defs: SpecFile, param_sorts: dict):
+        self.params, self.exists = pred.params, disjunct.exists
+        self.atoms, self.pure = disjunct.atoms, disjunct.pure
+        self.vars = [(i, p) for i, (p, a) in enumerate(zip(pred.params, shape)) if a is None]
+        # A binder that shadows a parameter makes the disjunct general too.
+        self.general = False in shape or not set(disjunct.exists).isdisjoint(pred.params)
+        self.uses = None
+        if self.general:
+            return
+        bound = {p: a for p, a in zip(pred.params, shape) if a is not None}
+        pure = F.subst_pure(disjunct.pure, bound)
+        self.cubes = [[_Literal(lit) for lit in cube] for cube in _nnf_cubes(pure)]
+        try:
+            uses, self.merges = F.sort_facts(F.subst_spatial(disjunct.atoms, bound), pure, defs,
+                                             param_sorts)
+        except F.SortError:
+            return
+        uses = _counts(uses)
+        for i, p in self.vars:
+            sort = param_sorts[pred.name][i]
+            if sort is not None:  # the instance's own use of its argument goes
+                counts = uses[p] = dict(uses.get(p, {}))
+                counts[sort] = counts.get(sort, 0) - 1
+        self.uses = [(v, {sort: n for sort, n in counts.items() if n})
+                     for v, counts in uses.items()
+                     if v not in self.exists and any(counts.values())]
+        self.binders = [(v, _class({}, counts)) for v, counts in uses.items() if v in self.exists]
+        touched = {v for pair in self.merges for v in pair} | {v for v, _ in self.uses}
+        self.touched = [p for _, p in self.vars if p in touched]
+
+    def names(self, args: tuple[ArithTerm, ...], fresh: Sequence[str]) -> dict[str, str]:
+        """The renaming of an instance with arguments ``args`` whose binders
+        got the names ``fresh``."""
+        names = {p: args[i].name for i, p in self.vars}
+        names.update(zip(self.exists, fresh))
+        return names
+
+    def cube(self, at: int, names: dict[str, str], sorts: _Sorts) -> _Prepared:
+        """The instance's cube ``at`` as ``_prepared`` makes it from the
+        renamed literals; raises SortError."""
+        order, eqs, pairs, lins = [], [], [], []
+        for t in self.cubes[at]:
+            order += [names[v] for v in t.vars]
+            sides = tuple([side if side == NULL_KEY else names[side] if side.__class__ is str
+                           else tuple([names[v] for v in side]) for side in t.sides])
+            if _is_loc(t.op, sides, sorts):
+                (eqs if t.op == "eq" else pairs).append(sides)
+            elif t.lin is None:
+                raise F.SortError("null inside an arithmetic constraint")
+            else:
+                coeffs: dict[str, int] = {}
+                for v, k in t.lin.coeffs:
+                    coeffs[names[v]] = coeffs.get(names[v], 0) + k
+                lins.append(_Lin(tuple(sorted((v, k) for v, k in coeffs.items() if k)),
+                                 t.lin.const, t.lin.rel))
+        return _Prepared(order, eqs, pairs, lins)
+
+
+class _Spec:
+    """A spec compiled for the solver, once, on first use: the predicates'
+    parameter sorts and, per predicate and argument shape, the ``_Body``s
+    an instance unfolds to."""
+
+    def __init__(self, defs: SpecFile):
+        self.defs, self.param_sorts = defs, F.infer_sorts(defs)
+        self.shapes: dict[tuple, list[_Body]] = {}
+
+    def bodies(self, inst: F.PredInst) -> list[_Body]:
+        """The disjuncts ``inst`` unfolds to: a disjunct whose points-to
+        head is a parameter (not a binder of the same name) bound to a term
+        other than a variable (null, say) has no model, so it is left out."""
+        shape = tuple([None if a.__class__ is Var else a if a.__class__ in (Null, Const)
+                       else False for a in inst.args])
+        found = self.shapes.get((inst.pred, shape))
+        if found is None:
+            pred = self.defs.preds[inst.pred]
+            found = self.shapes[inst.pred, shape] = [
+                _Body(pred, d, shape, self.defs, self.param_sorts) for d in pred.body.disjuncts
+                if all(shape[pred.params.index(p.var)] is None for p in d.points_tos()
+                       if p.var in pred.params and p.var not in d.exists)]
+        return found
+
+
+def _compiled(defs: SpecFile) -> _Spec:
+    if defs.compiled is None:
+        defs.compiled = _Spec(defs)
+    return defs.compiled
+
+
+def unfold_at(d: SymbolicHeap, inst_index: int, defs: SpecFile) -> list[SymbolicHeap]:
+    """Unfold the instance at position ``inst_index`` of ``d``'s atom list.
+
+    Each child is the separating conjunction of the context (``d`` without
+    the instance) and one body: the context's atoms, conjuncts and binders
+    come first, the body's after them. One substitution maps each parameter
+    to its argument and each binder to a globally fresh name (taken in
+    binder order), which can neither clash with nor capture another name.
+    A disjunct that binds a points-to head to null or another non-variable
+    term has no model and yields no child (``_Spec.bodies``).
+    """
+    inst = d.atoms[inst_index]
+    if not isinstance(inst, F.PredInst):
+        raise ValueError(f"atom {inst_index} is not a predicate instance")
+    context = d.atoms[:inst_index] + d.atoms[inst_index + 1:]
+    out: list[SymbolicHeap] = []
+    for body in _compiled(defs).bodies(inst):
+        fresh = tuple([F.fresh_var(v) for v in body.exists])
+        renaming = dict(zip(body.params, inst.args))
+        renaming.update(zip(body.exists, map(Var, fresh)))
+        out.append(SymbolicHeap(d.exists + fresh,
+                                context + F.subst_spatial(body.atoms, renaming),
+                                d.pure + F.subst_pure(body.pure, renaming)))
+    return out
+
+
+class _HeapState:
+    """A checked heap: its sort classes (None after a sort clash), and each
+    cube's ``_Cube`` under them (None when the cube is contradictory) with
+    whether that None is a sort or location clash (``_checked``)."""
+
+    def __init__(self, sorts: _Sorts | None, checked: list[tuple]):
+        self.sorts = sorts
+        self.cubes, self.settled = [c and c[0] for c, _ in checked], [s for _, s in checked]
 
     @property
     def contradictory(self) -> bool:
@@ -602,58 +882,73 @@ class _HeapState:
 
 
 class _QueryMemo:
-    """One ``sat`` query's sort walk of its own conjuncts, made on first
+    """One ``sat`` query's sort classes of its own conjuncts, made on first
     use, and the check of each of its heaps (see the module notes)."""
 
     def __init__(self, defs: SpecFile | None = None, param_sorts: dict | None = None,
                  query_pure: F.Conjunction = ()):
         self.defs, self.param_sorts = defs, param_sorts
         self.query_pure, self.prefix = query_pure, len(query_pure)
-        self.prefix_walk: tuple[dict, F.UnionFind] | None = None
+        self.prefix_sorts: _Sorts | None = None
 
-    def _walk(self, env: dict, classes: F.UnionFind, atoms, pure) -> tuple[dict, F.UnionFind]:
-        F._sort_walk(env, classes, SymbolicHeap((), tuple(atoms), tuple(pure)), self.defs,
-                     self.param_sorts, "heap")
-        return env, classes
+    def _sorts(self, base: _Sorts, atoms, pure) -> _Sorts:
+        uses, merges = F.sort_facts(atoms, pure, self.defs, self.param_sorts)
+        return base.extended(_counts(uses).items(), merges)[0]
 
-    def state(self, d: SymbolicHeap,
-              above: tuple[SymbolicHeap, _HeapState | None] | None = None) -> _HeapState:
-        """``d``'s check state. ``above`` is ``(parent, its state)`` when
-        ``unfold_at`` made ``d`` from ``parent``, and ``d``'s state extends
-        the parent's unless a sort clash ruled the parent out; otherwise
-        ``d`` begins with the query's conjuncts."""
-        parent, up = above or (None, None)
-        if up is None or up.walked is None:
-            if self.prefix_walk is None:
-                self.prefix_walk = self._walk({}, F.UnionFind(), (), self.query_pure)
-            up, walked, atoms, pure = None, self.prefix_walk, 0, self.prefix
-        else:
-            walked, atoms, pure = up.walked, len(parent.atoms) - 1, len(parent.pure)
+    def state(self, d: SymbolicHeap, above: tuple | None = None) -> _HeapState:
+        """``d``'s check state. ``above`` is ``(parent, its state, the
+        instance unfolded, its _Body)`` when ``unfold_at`` made ``d`` from
+        ``parent``. Then ``d``'s state extends the parent's with the body's
+        renamed sort uses and cubes only, unless a sort clash ruled the
+        parent out or the body is general; otherwise ``d`` begins with the
+        query's conjuncts (see the module notes)."""
+        parent, up, inst, body = above or (None, None, None, None)
+        heads = [p.var for p in d.points_tos()]
+        if up is None or up.sorts is None or body.general:
+            try:
+                if self.prefix_sorts is None:
+                    self.prefix_sorts = self._sorts(_Sorts(F.UnionFind(), {}), (),
+                                                    self.query_pure)
+                sorts = self._sorts(self.prefix_sorts, d.atoms, d.pure[self.prefix:])
+            except F.SortError:
+                return _HeapState(None, [])
+            return _HeapState(sorts, [_checked(lits, sorts, heads) for lits in _nnf_cubes(d.pure)])
+        if body.uses is None:
+            return _HeapState(None, [])
+        names = body.names(inst.args, d.exists[len(parent.exists):])
         try:
-            walked = self._walk(dict(walked[0]), walked[1].copy(),
-                                [a for a in d.atoms[atoms:] if isinstance(a, PointsTo)],
-                                d.pure[pure:])
-            # Instances merge no classes, and _class_sorts only compresses paths.
-            sorts = F._class_sorts(*self._walk(dict(walked[0]), walked[1], d.instances(), ()),
-                                   "heap")
+            # Only the classes of the parameters' arguments can change kind;
+            # the binders are new.
+            sorts, changed = up.sorts.extended(
+                [(names[v], counts) for v, counts in body.uses],
+                [(names[a], names[b]) for a, b in body.merges], [names[p] for p in body.touched],
+                [(names[v], entry) for v, entry in body.binders])
         except F.SortError:
             return _HeapState(None, [])
-        heads = [p.var for p in d.points_tos()]
-        if up is None:
-            found = [_propagated(lits, sorts, None, heads) for lits in _nnf_cubes(d.pure)]
-        else:
-            # A child's cubes are each parent cube followed by each body cube
-            # (_nnf_cubes is parent-major).
-            body = _nnf_cubes(d.pure[pure:])
-            keep = [cube is not None and all(_kind(sorts, v) == kind
-                                             for v, kind in cube.kinds.items())
-                    for cube in up.cubes]
-            whole = None if all(keep) else _nnf_cubes(d.pure)
-            found = [_propagated(new, sorts, None, heads, cube) if kept else
-                     _propagated(whole[i * len(body) + j], sorts, None, heads)
-                     for i, (cube, kept) in enumerate(zip(up.cubes, keep))
-                     for j, new in enumerate(body)]
-        return _HeapState(walked, [result and result[0] for result in found])
+        new = []
+        for at in range(len(body.cubes)):
+            try:
+                new.append(body.cube(at, names, sorts))
+            except F.SortError:
+                new.append(None)
+        # A child's cubes are each parent cube followed by each body cube
+        # (_nnf_cubes is parent-major). Under unchanged kinds a parent
+        # cube's clash stays, and the cube is extended; a cube with a
+        # variable whose kind changed, or that propagation ruled out, is
+        # checked from scratch.
+        found, whole = [], None
+        for i, (cube, settled) in enumerate(zip(up.cubes, up.settled)):
+            scratch = (cube is None and not settled) or changed and (cube is None or any(
+                _kind(sorts, v) != kind for v, kind in cube.kinds.items()))
+            for j, lits in enumerate(new):
+                if scratch:
+                    whole = whole or _nnf_cubes(d.pure)
+                    found.append(_checked(whole[i * len(new) + j], sorts, heads))
+                elif cube is None or lits is None:
+                    found.append((None, True))
+                else:
+                    found.append(_checked(lits, sorts, heads, cube))
+        return _HeapState(sorts, found)
 
 
 # =====================================================================
@@ -739,7 +1034,7 @@ def _assemble_model(opened: SymbolicHeap, solution: PureSolution,
 
 def _pure_contradictory(d: SymbolicHeap, defs: SpecFile, param_sorts: dict) -> bool:
     """Domain-independent contradiction check for a frontier heap: whether
-    a sort clash rules ``d`` out, or ``_propagated`` fails on every DNF cube
+    a sort clash rules ``d`` out, or ``_checked`` fails on every DNF cube
     of ``d``'s pure part, with ``d``'s points-to heads marked in the alias
     classes as in base-heap solving. No integer search is run: one that
     failed would only say the finite domain is too small, which does not
@@ -768,31 +1063,34 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
     which a heap passed the check. ``budget.time_limit`` bounds the whole
     query, the integer search included; past it the answer is UNKNOWN.
     Each frontier entry is a heap and its parent with the parent's check
-    state (both None for the query), which the heap's check extends; an
-    unchecked query gets a state when it is unfolded. Entries are popped
-    as they are processed, so a state goes once the last of its heap's
-    children has been checked (see the module notes).
+    state, the instance unfolded and its compiled body (all None for the
+    query), which the heap's check extends; an unchecked query gets a state
+    when it is unfolded. Entries are popped as they are processed, so a
+    state goes once the last of its heap's children has been checked (see
+    the module notes). The parameter sorts come from the spec's compiled
+    form, made at the first query on it.
     """
     budget = budget or Budget()
     stats = SolverStats()
     deadline = time.monotonic() + budget.time_limit
-    param_sorts = F.infer_sorts(defs)
+    spec = _compiled(defs)
+    param_sorts = spec.param_sorts
     opened_query = _open_heap(d)
     universe = _heap_var_order(opened_query)
     query_sorts = F.heap_sorts(opened_query, defs, param_sorts)
     memo = _QueryMemo(defs, param_sorts, d.pure)
-    todo, round_no = [(d, (None, None))], 0
+    todo, round_no = [(d, (None, None, None), None)], 0
     while todo:
         # Popped from the end: base heaps first, then inductive ones, each
         # in the order unfold_at made them.
         todo, children = sorted(reversed(todo), key=lambda entry: entry[0].is_base()), []
         while todo:
-            h, above = todo.pop()
+            h, link, body = todo.pop()
             if time.monotonic() > deadline:
                 return SatResult("unknown", None, stats)
             base, last, state = h.is_base(), round_no == budget.max_depth, None
             if round_no > 0 or (last and not base):
-                state = memo.state(h, above)
+                state = memo.state(h, (*link, body))
                 if state.contradictory:
                     continue
             stats.rounds = round_no
@@ -800,8 +1098,9 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
                 if last:
                     return SatResult("unknown", None, stats)
                 first = next(i for i, a in enumerate(h.atoms) if isinstance(a, F.PredInst))
-                link = (h, state or memo.state(h))  # an unchecked query's state
-                children += [(kid, link) for kid in unfold_at(h, first, defs)]
+                link = (h, state or memo.state(h), h.atoms[first])  # an unchecked query's state
+                children += [(kid, link, body) for kid, body in
+                             zip(unfold_at(h, first, defs), spec.bodies(h.atoms[first]))]
                 continue
             try:
                 model, bounded = _try_base(h, defs, param_sorts, budget, stats,

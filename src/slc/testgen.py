@@ -9,8 +9,10 @@ tests run as-is.
 The dual of generation lives here too: ``heap_satisfies`` decides whether
 a concrete input satisfies a symbolic heap by exact footprint matching
 (``emp`` demands emptiness, a points-to consumes one object, ``*`` splits
-disjointly), and ``oracle_enumerate`` brute-forces
-all small candidate inputs. Together they are the ground truth the
+disjointly). The oracle brute-forces all small candidate inputs:
+``oracle_sat`` decides whether a heap has a concrete model within bounds
+(criterion 6's entry point) and ``oracle_enumerate`` lists the inputs that
+satisfy one predicate instance. Together they are the ground truth the
 solver and the generator are tested against.
 """
 

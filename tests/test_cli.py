@@ -117,6 +117,22 @@ def test_untyped_non_null_reference_gets_its_declared_type(tmp_path, capsys):
     assert payload["tests"] == {"emitted": 2, "valid": 1}
 
 
+def test_null_argument_at_a_points_to_head_runs(tmp_path, capsys):
+    # sll(null) binds the head of sll's cell disjunct to null; that
+    # disjunct has no model and is left out, so only emp seeds the run.
+    spec = tmp_path / "null.sl"
+    spec.write_text(corpus_path("sll.sl").read_text().replace(
+        "pre contains == sll(root) ;", "pre f == sll(null) ;"))
+    prog = tmp_path / "null.ir"
+    prog.write_text("proc f(a: int) { 0: if a = 0 then goto 1 else goto 1 }")
+    code = main(["--spec", str(spec), "--program", str(prog), "--entry", "f",
+                 "--report", "json"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["tests"]["emitted"] > 0
+    assert payload["tests"]["valid"] == payload["tests"]["emitted"]
+
+
 @pytest.mark.parametrize("limit, stopped_by, other", [
     (["--timeout", "0"], "timeout", "node budget"),
     (["--max-nodes", "1"], "node budget", "timeout"),

@@ -145,7 +145,7 @@ def test_alias_classes_unrelated():
 
 
 def test_alias_classes_keep_earliest_added_representative():
-    # The representative picks the model in _propagated, so it must not
+    # The representative picks the model in _checked, so it must not
     # depend on the direction of an equality.
     for eq in ("y = x", "x = y"):
         uf = S.alias_classes(S.pure_equalities(heap(f"emp & {eq}").pure), ["x", "y"])
@@ -177,7 +177,7 @@ pred chain(x) == (emp & x = null) \\/ (exists v, n . x -> N(v, n) * chain(n)) ;
 
 
 def saturate_definition(d, defs, param_sorts):
-    """The frontier check as saturate and _propagated define it: saturate's
+    """The frontier check as saturate and _checked define it: saturate's
     pairwise disequalities join the pure part, no head is marked, and every
     DNF cube fails. It derives everything from scratch."""
     additions = saturate(d)
@@ -185,7 +185,7 @@ def saturate_definition(d, defs, param_sorts):
         return True
     sorts = F.heap_sorts(d, defs, param_sorts)
     pure = F.conj([d.pure, *additions])
-    return all(S._propagated(cube, sorts, None, ()) is None for cube in S._nnf_cubes(pure))
+    return all(S._checked(cube, sorts, ())[0] is None for cube in S._nnf_cubes(pure))
 
 
 def _random_heap_text(rng):
@@ -205,7 +205,7 @@ def _random_heap_text(rng):
 
 def record_checks(monkeypatch):
     """Every heap that sat checks, with the check's verdict and the
-    saturate/_propagated definition's."""
+    saturate/_checked definition's."""
     checks = []
     check = S._QueryMemo.state
 
@@ -667,7 +667,7 @@ def test_child_check_is_exact_when_the_unfolded_instance_sorted_a_variable(monke
 
 
 # Each extended cube carries its parent cube's alias classes and integer
-# fixpoint. These tests hold that state to _propagated from scratch, and
+# fixpoint. These tests hold that state to _checked from scratch, and
 # count the work a child's cube does.
 
 
@@ -693,9 +693,9 @@ def cube_summary(result, heads):
 
 def compare_carried_state(monkeypatch):
     """Check every heap state that sat makes by extending a parent's
-    against _propagated from scratch on each of the heap's DNF cubes; the
+    against _checked from scratch on each of the heap's DNF cubes; the
     list returned collects the cubes checked."""
-    made, extended = S._QueryMemo.state, []
+    made, reference, extended = S._QueryMemo.state, S._checked, []
 
     def built(memo, d, above=None):
         state = made(memo, d, above)
@@ -705,7 +705,7 @@ def compare_carried_state(monkeypatch):
         heads = [p.var for p in d.points_tos()]
         for cube, lits in zip(state.cubes, S._nnf_cubes(d.pure), strict=True):
             got = cube_summary(cube and (cube,), heads)
-            want = cube_summary(S._propagated(lits, sorts, None, heads), heads)
+            want = cube_summary(reference(lits, sorts, heads)[0], heads)
             if want is not None and want[-1] is None:  # capped from scratch
                 got, want = got[:-1], want[:-1]
             assert got == want, F.print_heap(d)
@@ -747,8 +747,8 @@ def test_capped_propagation_keeps_the_scratch_verdicts(monkeypatch):
     spec = F.parse_spec(CHAIN)
     query = heap("chain(p) & 0 <= x & x <= 1000 & x + 1 <= y & y + 1 <= x")
     [lits] = S._nnf_cubes(query.pure)
-    cube, _, bounds = S._propagated(lits, F.heap_sorts(query, spec, F.infer_sorts(spec)),
-                                    None, ())
+    (cube, _, bounds), _ = S._checked(lits, F.heap_sorts(query, spec, F.infer_sorts(spec)),
+                                      ())
     assert bounds["x"] == (32, 970) and cube.bounds is None
     checks, extended = record_checks(monkeypatch), compare_carried_state(monkeypatch)
     result = sat(query, spec, Budget(max_depth=3))
@@ -758,6 +758,28 @@ def test_capped_propagation_keeps_the_scratch_verdicts(monkeypatch):
     stats = result.stats
     assert (result.decision, result.model, stats.rounds, stats.pure_nodes, stats.bounded) \
         == ("unknown", None, 3, 3, True)
+
+
+def test_cube_ruled_out_by_propagation_is_checked_again_from_scratch(monkeypatch):
+    # The query's first cube, x <= 0 & 1 <= x, fails propagation, which is
+    # not carried: each child checks that cube's extension from scratch. Its
+    # second cube, y = 1, is extended.
+    spec = F.parse_spec(CHAIN)
+    query = heap("chain(p) & !(!(x <= 0 & 1 <= x) & y != 1)")
+    extended, scratch, check = compare_carried_state(monkeypatch), [], S._checked
+
+    def checked(lits, sorts, heads, parent=None, universe=None):
+        if universe is None:  # a frontier check, not base-heap solving
+            scratch.append(isinstance(lits, list))
+        return check(lits, sorts, heads, parent, universe)
+
+    monkeypatch.setattr(S, "_checked", checked)
+    result = sat(query, spec, Budget(max_depth=2))
+    assert result.is_sat and result.stats.rounds == 1
+    # The query's two cubes, then the base child's: it is checked and
+    # solved before its sibling.
+    assert scratch == [True, True, True, False]
+    assert extended[0] is None and extended[1] is not None and len(extended) == 2
 
 
 def test_contradiction_from_a_carried_fixpoint_is_confirmed_from_scratch():
@@ -772,9 +794,9 @@ def test_contradiction_from_a_carried_fixpoint_is_confirmed_from_scratch():
 
     chain, body = lits("x1 <= x2 & x2 <= x3 & x3 <= x4 & x4 <= 104"), \
         lits("x1 + 1 <= z & z + 1 <= x1 & 0 <= z")
-    parent, _, _ = S._propagated(chain, {}, None, ())
-    scratch = S._propagated(chain + body, {}, None, ())
-    child = S._propagated(body, {}, None, (), parent)
+    (parent, _, _), _ = S._checked(chain, {}, ())
+    scratch, _ = S._checked(chain + body, {}, ())
+    child, _ = S._checked(body, {}, (), parent)
     assert scratch is not None and scratch[0].bounds is None
     assert child is not None and child[0].bounds is None
     carried = {**parent.bounds, "z": S._TOP}
@@ -802,14 +824,14 @@ class Visits(list):
 
 
 def test_child_cube_merges_and_propagates_only_its_body(monkeypatch, tmp_path):
-    # Counted per extended cube: merge_alias calls, and each propagation
+    # Counted per extended cube: alias-class unions, and each propagation
     # run's start and narrowing steps (one per linear form it runs).
-    propagated, merge, propagate = S._propagated, S.merge_alias, S._propagate
-    work, cubes = {}, []
+    extend, union, propagate = S._extended, F.UnionFind.union, S._propagate
+    work, cubes = {"merges": 0, "runs": []}, []
 
-    def merged(*args):
+    def merged(uf, a, b):
         work["merges"] += 1
-        return merge(*args)
+        return union(uf, a, b)
 
     def narrowed(lins, uses, bounds, start=None, trail=None):
         steps = []
@@ -819,19 +841,19 @@ def test_child_cube_merges_and_propagates_only_its_body(monkeypatch, tmp_path):
 
     def extended(lits, sorts, universe, heads, parent=None):
         work.update(merges=0, runs=[])
-        result = propagated(lits, sorts, universe, heads, parent)
-        if parent is not None and parent.bounds is not None and result is not None:
+        result = extend(lits, sorts, universe, heads, parent)
+        if parent is not None and parent.bounds is not None and result:
             cube, scratch = result[0], []
-            locs, ints = S._split_cube(lits, sorts)
             propagate(Visits(cube.lins, scratch), cube.uses,
                       {v: S._TOP for v, k in cube.kinds.items() if not k})
-            cubes.append((work["merges"], sum(l.op == "eq" for l in locs), work["runs"],
-                          range(len(parent.lins), len(parent.lins) + len(ints)), len(scratch)))
+            cubes.append((work["merges"], len(lits.eqs), work["runs"],
+                          range(len(parent.lins), len(parent.lins) + len(lits.lins)),
+                          len(scratch)))
         return result
 
-    monkeypatch.setattr(S, "merge_alias", merged)
+    monkeypatch.setattr(F.UnionFind, "union", merged)
     monkeypatch.setattr(S, "_propagate", narrowed)
-    monkeypatch.setattr(S, "_propagated", extended)
+    monkeypatch.setattr(S, "_extended", extended)
     run_benchmark("bst", tmp_path)
     assert len(cubes) > 300
     for merges, body_eqs, runs, body, scratch_steps in cubes:
@@ -839,6 +861,211 @@ def test_child_cube_merges_and_propagates_only_its_body(monkeypatch, tmp_path):
         [(start, steps)] = runs
         assert start == body and steps <= scratch_steps
     assert sum(c[-1] for c in cubes) > 5 * sum(c[2][0][1] for c in cubes)
+
+
+@pytest.mark.parametrize("name", ["bst", "tll-generate"])
+def test_child_check_costs_its_body(name, monkeypatch, tmp_path):
+    # Per check of a child whose parent has a state: the sort steps (class
+    # joins and sort reads) stay within a bound set by its body, and no
+    # cube is derived from a formula. Each predicate disjunct's cubes and
+    # linear forms are derived once per argument shape, when the spec is
+    # compiled.
+    counts, rows, compiled = {}, [], []
+    for function in ("_nnf_cubes", "_lin_of"):
+        monkeypatch.setattr(S, function, counted(getattr(S, function), function, counts))
+    monkeypatch.setattr(F, "join_sorts", counted(F.join_sorts, "join_sorts", counts))
+    monkeypatch.setattr(S._Sorts, "get", counted(S._Sorts.get, "get", counts))
+    check, body = S._QueryMemo.state, S._Body.__init__
+
+    def checked(memo, d, above=None):
+        before = dict(counts)
+        state = check(memo, d, above)
+        if above is not None and above[1] is not None and above[1].sorts is not None:
+            work = {k: n - before.get(k, 0) for k, n in counts.items()}
+            disjunct = above[3]
+            size = len(disjunct.atoms) + len(disjunct.pure) + len(disjunct.params)
+            rows.append((len(d.atoms) + len(d.pure), size, work))
+        return state
+
+    def compiling(self, pred, disjunct, *args):
+        before = counts.get("_nnf_cubes", 0)
+        body(self, pred, disjunct, *args)
+        compiled.append(counts.get("_nnf_cubes", 0) > before)
+
+    monkeypatch.setattr(S._QueryMemo, "state", checked)
+    monkeypatch.setattr(S._Body, "__init__", compiling)
+    if name == "tll-generate":
+        run_benchmark("tll", tmp_path, spec_only=True, unfold_depth=4)
+    else:
+        run_benchmark(name, tmp_path)
+    assert len(rows) > 500 and max(heap for heap, _, _ in rows) > 15
+    for heap, size, work in rows:
+        assert work.get("_nnf_cubes", 0) == work.get("_lin_of", 0) == 0
+        assert work.get("join_sorts", 0) <= size and work.get("get", 0) <= 2 * size
+    assert compiled and all(compiled)
+    assert len(compiled) <= 8  # two disjuncts, at most two shapes each
+
+
+def counted(function, key, counts):
+    """``function``, counting its calls in ``counts[key]``."""
+    def wrapped(*args, **kwargs):
+        counts[key] = counts.get(key, 0) + 1
+        return function(*args, **kwargs)
+    return wrapped
+
+
+# Random specs: the seeded generator below makes predicate definitions, not
+# only heaps. The incremental check must match its references on them.
+
+
+def random_spec_text(rng):
+    """Two predicates over N, each a base disjunct and one or two
+    recursive ones whose binders v, n hold a cell of x0 and an instance
+    whose arguments mix n, the parameters (more often the one in the same
+    position), v, null, a constant and v + 1, with random literals between
+    parameters, binders, null and 0. So a parameter may be sorted only by
+    an instance, and an equality may join two unsorted variables."""
+    arity = {"p": rng.randrange(1, 4), "q": rng.randrange(1, 4)}
+    lines = ["data N { int v; N next; }"]
+    for name, n in arity.items():
+        params = [f"x{i}" for i in range(n)]
+        bodies = []
+        for k in range(rng.randrange(2, 4)):
+            binders = ["v", "n"] if k else []
+            atoms = ["x0 -> N(v, n)"] if k else []
+            if k:
+                callee = rng.choice(sorted(arity))
+                args = ["n"] + [rng.choice([f"x{j}" if j < n else "n", *params, "n", "v",
+                                            "null", "3", "v + 1"])
+                                for j in range(1, arity[callee])]
+                atoms.append(f"{callee}({', '.join(args)})")
+            pure = []
+            for _ in range(rng.randrange(0, 3)):
+                a = rng.choice(params + binders)
+                b = rng.choice(params + binders + ["null", "0"])
+                pure.append(rng.choice([f"{a} = {b}", f"{a} != {b}", f"{a} <= {b}",
+                                        f"{a} < {b} + 1"]))
+            body = (" * ".join(atoms) or "emp") + " & " + (" & ".join(pure) or "true")
+            bodies.append(f"(exists v, n . {body})" if k else f"({body})")
+        lines.append(f"pred {name}({', '.join(params)}) == " + " \\/ ".join(bodies) + " ;")
+    return "\n".join(lines)
+
+
+def random_specs_and_queries():
+    """40 seeded random specs that parse (ill-sorted ones are redrawn),
+    with 10 random queries each: instances whose arguments are variables,
+    null, a constant or a + 1, under random literals."""
+    rng, out = random.Random(3), []
+    while len(out) < 40:
+        try:
+            spec = F.parse_spec(random_spec_text(rng))
+        except (F.SpecError, F.SortError):
+            continue
+        queries = []
+        names, args = ["a", "b", "c"], ["a", "b", "c", "null", "1", "a + 1"]
+        for _ in range(10):
+            preds = [rng.choice(sorted(spec.preds)) for _ in range(rng.randrange(1, 3))]
+            atoms = [f"{pred}({', '.join(rng.choice(args) for _ in spec.preds[pred].params)})"
+                     for pred in preds]
+            lits = [rng.choice([f"{x} = {y}", f"{x} != {y}", f"{x} <= 2", f"{x} = null"])
+                    for x, y in ((rng.choice(names), rng.choice(names))
+                                 for _ in range(rng.randrange(0, 3)))]
+            queries.append(heap(" * ".join(atoms) + " & " + (" & ".join(lits) or "true")))
+        out.append((spec, queries))
+    return out
+
+
+def run_random_specs():
+    decisions = set()
+    for spec, queries in random_specs_and_queries():
+        for d in queries:
+            try:
+                decisions.add(S.sat(d, spec, Budget(max_depth=3)).decision)
+            except F.SortError:
+                decisions.add("SortError")
+    return decisions
+
+
+def test_random_specs_cover_the_shapes_they_are_for():
+    texts, only_instance, unsorted_eq = [], 0, 0
+    for spec, queries in random_specs_and_queries():
+        sorts = F.infer_sorts(spec)
+        for pred in spec.preds.values():
+            for d in pred.body.disjuncts:
+                texts.append(F.print_heap(d))
+                placed = {v for c in d.pure for v in F.pure_vars(c)} | {
+                    p.var for p in d.points_tos()} | {
+                    v for p in d.points_tos() for a in p.args for v in F.term_vars(a)}
+                given = [(s, a.name) for i in d.instances()
+                         for s, a in zip(sorts[i.pred], i.args) if isinstance(a, Var)]
+                only_instance += any(s and v in pred.params and v not in placed
+                                     for s, v in given)
+                unsorted = {p for p, s in zip(pred.params, sorts[pred.name]) if s is None}
+                unsorted_eq += any(isinstance(c, Atom) and c.op == "=" and c.left != c.right
+                                   and {F.print_term(c.left), F.print_term(c.right)} <= unsorted
+                                   for c in d.pure)
+        texts += [F.print_heap(d) for d in queries]
+    for shape in [r"\(n, null", r"\(n, 3", r"\(n, v \+ 1", r"exists", r"\w\(null",
+                  r"\(a \+ 1"]:
+        assert any(re.search(shape, text) for text in texts), shape
+    # A parameter sorted only by an instance it is passed to, and an
+    # equality between two parameters that nothing sorts.
+    assert only_instance >= 5 and unsorted_eq >= 2
+
+
+def test_query_memo_matches_scratch_on_random_specs(monkeypatch):
+    pairs = compare_query_memo(monkeypatch)
+    assert run_random_specs() >= {"sat", "unsat", "SortError"}
+    assert len(pairs) > 100 and [p for p in pairs if p[1] != p[2]] == []
+
+
+def test_carried_cube_state_matches_scratch_on_random_specs(monkeypatch):
+    extended = compare_carried_state(monkeypatch)
+    run_random_specs()
+    assert sum(cube is not None for cube in extended) > 200
+
+
+def test_frontier_check_matches_saturate_definition_on_random_specs(monkeypatch):
+    checks = record_checks(monkeypatch)
+    run_random_specs()
+    assert sum(verdict for _, verdict, _ in checks) > 20
+    assert [c for c in checks if c[1] != c[2]] == []
+
+
+def test_binder_that_shadows_a_parameter_is_checked_from_scratch(monkeypatch):
+    # In shadow's second disjunct x is the binder, not the parameter, so its
+    # child leaves a unsorted, and a = b is an integer literal there.
+    spec = F.parse_spec(CHAIN + """
+    pred shadow(x) == (emp & x = null) \\/ (exists x . x -> N(1, null) * chain(x)) ;
+    """)
+    pairs, extended = compare_query_memo(monkeypatch), compare_carried_state(monkeypatch)
+    for text in ["shadow(a) * chain(c) & a = b", "shadow(a) & a != null", "shadow(a) & 1 <= b"]:
+        S.sat(heap(text), spec, Budget(max_depth=3))
+    assert len(pairs) == 3 and [p for p in pairs if p[1] != p[2]] == []
+
+
+def test_null_points_to_head_leaves_the_disjunct_out():
+    # sll(null) cannot unfold to a cell headed by null; its emp disjunct
+    # is a model, as the oracle finds too.
+    spec = F.parse_spec(corpus_path("sll.sl").read_text())
+    d = heap("sll(null) & true")
+    assert [F.print_heap(kid) for kid in S.unfold_at(d, 0, spec)] == ["emp & null = null"]
+    result = sat(d, spec)
+    assert result.is_sat and model_check(result.model, d, spec)
+    assert T.oracle_sat(d, spec, 2, range(-2, 3))
+    # One shape, two disjuncts: the one with a variable head stays.
+    assert len(S.unfold_at(heap("sll(p) & true"), 0, spec)) == 2
+    # A head named like a parameter but bound by the disjunct is a fresh
+    # cell, whatever the argument: that disjunct stays and has a model (y
+    # roots the cell, so that the oracle enumerates stores that hold it).
+    spec = F.parse_spec(CHAIN + """
+    pred shadow(x, y) == (emp & x != x) \\/ (exists x . x -> N(1, null) & x = y) ;
+    """)
+    d = heap("shadow(null, p) & true")
+    assert len(S.unfold_at(d, 0, spec)) == 2
+    result = sat(d, spec)
+    assert result.is_sat and model_check(result.model, d, spec)
+    assert T.oracle_sat(d, spec, 2, range(-2, 3))
 
 
 # ------------------------------------------------------------------ sat

@@ -1003,15 +1003,18 @@ def sort_facts(atoms: Iterable[SpatialAtom], pure: Conjunction, spec: SpecFile,
 
 
 def _sort_walk(env: dict[str, Sort], classes: UnionFind, d: SymbolicHeap, spec: SpecFile,
-               param_sorts: Mapping[str, tuple[Sort | None, ...]], where: str) -> None:
+               param_sorts: Mapping[str, tuple[Sort | None, ...]], where: str,
+               keys: Mapping[str, str] | None = None) -> None:
     """Join into ``env`` the sorts of the positions ``d``'s variables
     occupy, and merge in ``classes`` the two sides of every equality of
-    variables (``sort_facts``)."""
+    variables (``sort_facts``), each variable under its name in ``keys``
+    (default: its own name)."""
+    key = (keys or {}).get
     uses, merges = sort_facts(d.atoms, d.pure, spec, param_sorts, where)
     for var, sort, at in uses:
-        _use(env, var, sort, at)
+        _use(env, key(var, var), sort, at)
     for a, b in merges:
-        classes.union(a, b)
+        classes.union(key(a, a), key(b, b))
 
 
 def _class_sorts(env: dict[str, Sort], classes: UnionFind, where: str) -> dict[str, Sort]:
@@ -1031,7 +1034,10 @@ def _class_sorts(env: dict[str, Sort], classes: UnionFind, where: str) -> dict[s
 def infer_sorts(spec: SpecFile) -> dict[str, tuple[Sort | None, ...]]:
     """Parameter sorts of every predicate. Each predicate's disjuncts are
     walked into one set of sort classes, given the parameter sorts found so
-    far, until no parameter sort changes."""
+    far, until no parameter sort changes. The parameters are shared by all
+    disjuncts; the binders of disjunct ``i`` are keyed ``x@i``, which no
+    parsed name can be, so that a binder named like a parameter never joins
+    its class."""
     param_sorts: dict[str, tuple[Sort | None, ...]] = {
         name: (None,) * len(p.params) for name, p in spec.preds.items()}
     while True:
@@ -1040,7 +1046,8 @@ def infer_sorts(spec: SpecFile) -> dict[str, tuple[Sort | None, ...]]:
             env: dict[str, Sort] = {}
             classes = UnionFind()
             for i, d in enumerate(pred.body.disjuncts):
-                _sort_walk(env, classes, d, spec, param_sorts, f"pred {name}[{i}]")
+                _sort_walk(env, classes, d, spec, param_sorts, f"pred {name}[{i}]",
+                           {v: f"{v}@{i}" for v in d.exists})
             sorts = _class_sorts(env, classes, f"pred {name}")
             param_sorts[name] = tuple(sorts.get(p) or old
                                       for p, old in zip(pred.params, param_sorts[name]))
@@ -1049,13 +1056,12 @@ def infer_sorts(spec: SpecFile) -> dict[str, tuple[Sort | None, ...]]:
 
 
 def heap_sorts(d: SymbolicHeap, spec: SpecFile,
-               param_sorts: dict[str, tuple[Sort | None, ...]],
-               seed: Mapping[str, Sort] | None = None) -> dict[str, Sort]:
-    """Sorts for every variable of one heap and of ``seed``, given the
-    predicates' parameter sorts (``infer_sorts(spec)``), from one walk of
-    the heap, so they do not depend on the order of atoms or conjuncts.
-    Unconstrained variables stay absent; solvers treat them as ints."""
-    env = dict(seed or {})
+               param_sorts: dict[str, tuple[Sort | None, ...]]) -> dict[str, Sort]:
+    """Sorts for every variable of one heap, given the predicates'
+    parameter sorts (``infer_sorts(spec)``), from one walk of the heap, so
+    they do not depend on the order of atoms or conjuncts. Unconstrained
+    variables stay absent; solvers treat them as ints."""
+    env: dict[str, Sort] = {}
     classes = UnionFind()
     _sort_walk(env, classes, d, spec, param_sorts, "heap")
     return _class_sorts(env, classes, "heap")

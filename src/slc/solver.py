@@ -11,7 +11,7 @@ its own abstract address, and every other class is null unless a
 disequality with a null class forbids it. Integer variables are solved by
 interval propagation followed by backtracking search over a finite
 domain. The frontier check of ``sat`` is the same per-cube check without
-the integer search.
+the integer search, and a base heap is solved from its own check.
 
 One query checks each heap once, by extending its parent's check state,
 and a child's check costs its body, not its heap. Each predicate disjunct
@@ -23,9 +23,9 @@ its linear form; null and constant arguments are put in first. A heap's
 state is its sort classes (``_Sorts``: a union-find, and per class the
 join of its sorts and the count of each sort its members' positions give
 it, so that dropping the instance takes that instance's uses out again),
-and per cube each variable's kind (unsorted, location or integer), the
-alias classes, the disequalities, the linear forms and, if propagation
-reached its fixpoint, the bounds. ``sat``'s frontier carries each heap
+and per cube each variable's kind (location or integer), the alias
+classes, the disequalities, the linear forms and, if propagation reached
+its fixpoint, the bounds. ``sat``'s frontier carries each heap
 that ``unfold_at`` made with its parent, the parent's state, the instance
 and the compiled body, so a state lives until the last of its children has
 been checked. A child is its parent minus the instance plus the body, its
@@ -46,10 +46,23 @@ changed kind (dropping the instance can unsort one), and from fresh bounds
 when its parent's stopped at the round cap. This is exact: sort joins do
 not depend on order, literals split by their variables' kinds, a clash of
 sorts or marks only grows with the literals, and merging gives the
-partition from scratch (only base heaps, solved from scratch, read
-representatives). Narrowing is monotone, so a converged run from a
-parent's fixpoint reaches the fixpoint from scratch; a contradiction or a
-cap met that way is confirmed from fresh bounds.
+partition from scratch (no reader depends on its representatives).
+Narrowing is monotone, so a converged run from a parent's fixpoint reaches
+the fixpoint from scratch; a contradiction or a cap met that way is
+confirmed from fresh bounds.
+
+A base heap, the query included, is solved from its state (``_try_base``).
+The query's sorts join its sort classes, one use each, so that a variable
+keeps the sort that an unfolded instance gave it. Each live cube is
+extended with no literals and the variables it lacks of the universe, the
+heap's own followed by the query's; the integer search runs over the
+universe's integers in universe order, from the cube's bounds, and the
+model reads the cube's alias classes in that order. Only when the query's
+sorts move a variable between locations and integers is a cube checked
+from scratch, under the joined sorts, as the frontier does when a kind
+changes: a live cube that has the variable, whose literals now split
+otherwise, and every contradictory one, since propagation's round cap
+grows with the number of integer variables.
 
 The solver trades the completeness of a full decision procedure for
 bounded search: outside its budgets it answers UNKNOWN, which for a test
@@ -179,10 +192,9 @@ def _nnf_cubes(pure: PureFormula | F.Conjunction, positive: bool = True) -> list
     return cubes
 
 
-def _kind(sorts: dict[str, str], v: str) -> bool | None:
-    """Whether ``v`` is a location under ``sorts``; None when it is unsorted."""
-    sort = sorts.get(v)
-    return None if sort is None else sort not in _SCALARS
+def _kind(sorts: dict[str, str], v: str) -> bool:
+    """Whether ``v`` is a location under ``sorts`` (an unsorted one is not)."""
+    return sorts.get(v, "int") not in _SCALARS
 
 
 def _side(term: ArithTerm) -> str | tuple[str, ...]:
@@ -201,7 +213,7 @@ def _is_loc(op: str, sides: tuple, sorts) -> bool:
     for side in sides:
         if side.__class__ is str:
             kinds.append(side == NULL_KEY or _kind(sorts, side))
-        elif any(sorts.get(v, "int") not in _SCALARS for v in side):
+        elif any(_kind(sorts, v) for v in side):
             raise F.SortError("arithmetic over reference values")
         else:
             kinds.append(False)
@@ -248,27 +260,6 @@ def alias_classes(eqs: Iterable[tuple[ArithTerm, ArithTerm]],
 def pure_equalities(pure: F.Conjunction) -> list[tuple[ArithTerm, ArithTerm]]:
     return [(c.left, c.right) for c in pure
             if isinstance(c, Atom) and c.op == "="]
-
-
-class LocSolution:
-    """The alias classes of one cube's location literals."""
-
-    def __init__(self, uf: F.UnionFind, marked: set[str], diseqs: list[tuple[str, str]]):
-        self.uf = uf
-        self.marked = marked  # roots of null and of every points-to head
-        self.diseqs = diseqs  # the roots each disequality keeps apart
-
-    def null_roots(self) -> set[str]:
-        """The classes a model makes null: null's own, and every unmarked
-        class that no disequality keeps apart from an earlier null one, in
-        the order the classes were added."""
-        null_roots = {self.uf.find(NULL_KEY)}
-        for r in dict.fromkeys([self.uf.find(name) for name in self.uf.parent]):
-            if r not in self.marked and not any(
-                    (x == r and y in null_roots) or (y == r and x in null_roots)
-                    for x, y in self.diseqs):
-                null_roots.add(r)
-        return null_roots
 
 
 # =====================================================================
@@ -477,13 +468,8 @@ def _search_ints(lins: list[_Lin], uses: dict, order: list[str], sorts: dict[str
 
 
 # =====================================================================
-# Pure solving
+# Cube checks
 # =====================================================================
-
-
-class PureSolution:
-    def __init__(self, scalars: dict[str, int | bool], locs: LocSolution):
-        self.scalars, self.locs = scalars, locs
 
 
 def _lit_vars(lit: Lit) -> list[str]:
@@ -500,33 +486,6 @@ def _term_var_order(term: ArithTerm) -> list[str]:
     return []
 
 
-def pure_solve(cube: list[Lit], sorts: dict[str, str], budget: Budget | None = None,
-               universe: list[str] | None = None, stats: SolverStats | None = None,
-               deadline: float | None = None,
-               heads: Sequence[str] = ()) -> tuple[PureSolution | None, bool]:
-    """Solve one cube, a conjunction of literals, in a heap whose points-to
-    heads are ``heads``.
-
-    Returns ``(solution, domain_independent)``: on success the second
-    component is meaningless; on failure it reports whether unsatisfiability
-    was proven without appealing to the finite integer domain. Raises
-    Timeout when the integer search runs past ``deadline``.
-    """
-    budget = budget or Budget()
-    stats = stats if stats is not None else SolverStats()
-    propagated, _ = _checked(cube, sorts, heads, None, universe)
-    if propagated is None:
-        return None, True
-    state, loc_solution, bounds = propagated
-    int_vars = list(bounds)
-    values = _search_ints(state.lins, state.uses, int_vars, sorts, bounds, budget, stats,
-                          deadline)
-    if values is None:
-        return None, False
-    scalars = {v: bool(values[v]) if sorts.get(v) == "bool" else values[v] for v in int_vars}
-    return PureSolution(scalars, loc_solution), False
-
-
 class _Cube(NamedTuple):
     """A cube's check state, which an extending cube shares and copies where
     its literals add to it: each variable's kind (``_kind``) in first-
@@ -535,7 +494,7 @@ class _Cube(NamedTuple):
     are a fixpoint (None when the round cap stopped propagation), and the
     roots of null's and the points-to heads' classes."""
 
-    kinds: dict[str, bool | None]
+    kinds: dict[str, bool]
     uf: F.UnionFind
     diseqs: list[tuple[str, str]]
     lins: list[_Lin]
@@ -568,15 +527,16 @@ def _prepared(lits: list[Lit], sorts) -> _Prepared:
 
 def _checked(lits: list[Lit] | _Prepared, sorts, heads: Sequence[str],
              parent: _Cube | None = None, universe: Sequence[str] | None = None,
-             ) -> tuple[tuple[_Cube, LocSolution, dict[str, tuple]] | None, bool]:
-    """The steps of ``pure_solve`` before the integer search, on the cube
-    ``parent``'s literals (none by default) followed by ``lits`` (split
-    here under ``sorts`` unless ``_Prepared``), with the variables of
-    ``universe`` leading and null and the points-to ``heads`` marked: the
-    cube's ``_Cube``, alias classes and propagated integer bounds, or None
-    when no integer domain satisfies it; and whether a None is a sort or
-    location clash, which every cube that extends this one under the same
-    kinds keeps. See ``_extended``."""
+             ) -> tuple[tuple[_Cube, dict[str, tuple]] | None, bool]:
+    """The check of the cube ``parent``'s literals (none by default)
+    followed by ``lits`` (split here under ``sorts`` unless ``_Prepared``),
+    with the variables of ``universe`` leading and null and the points-to
+    ``heads`` marked: the cube's ``_Cube`` and propagated integer bounds,
+    which the integer search starts from, or None when no integer domain
+    satisfies it; and whether a None is a sort or location clash, which
+    every cube that extends this one under the same kinds keeps. Base-heap
+    solving extends a heap's cube with no literals and the universe. See
+    ``_extended``."""
     try:
         result = _extended(lits if isinstance(lits, _Prepared) else _prepared(lits, sorts),
                            sorts, universe, heads, parent)
@@ -586,17 +546,16 @@ def _checked(lits: list[Lit] | _Prepared, sorts, heads: Sequence[str],
 
 
 def _extended(lits: _Prepared, sorts, universe: Sequence[str] | None, heads: Sequence[str],
-              parent: _Cube | None = None) -> tuple[_Cube, LocSolution, dict[str, tuple]] | None:
+              parent: _Cube | None = None) -> tuple[_Cube, dict[str, tuple]] | None:
     """``_checked`` on literals already split and linearised: None when
     propagation empties a bound, False on a location clash. ``parent`` must
-    give its variables the kinds ``sorts`` gives them, so that its literals
-    split the same way, and its heads must lead ``heads``. Only ``lits`` are merged; unless they merge
-    classes, only the new heads and disequalities are checked against the
-    parent's marks. Propagation starts from ``parent``'s fixpoint and
-    ``lits``' linear forms, so the verdict, the classes (not their
-    representatives) and any fixpoint are the ones from scratch (see the
-    module notes). The alias classes returned are those of a cube made from
-    scratch (``parent`` None), which base-heap solving reads."""
+    split its variables between locations and integers as ``sorts`` does,
+    so that its literals split the same way, and its heads must lead
+    ``heads``. Only ``lits`` are merged; unless they merge classes, only the
+    new heads and disequalities are checked against the parent's marks.
+    Propagation starts from ``parent``'s fixpoint and ``lits``' linear
+    forms, so the verdict, the classes (not their representatives) and any
+    fixpoint are the ones from scratch (see the module notes)."""
     kinds, uf, diseqs, lins, uses, bounds, marked = \
         parent or _Cube({}, alias_classes(()), [], [], {}, {}, set())
     new = {v: _kind(sorts, v) for v in (*(universe or ()), *lits.order) if v not in kinds}
@@ -617,8 +576,7 @@ def _extended(lits: _Prepared, sorts, universe: Sequence[str] | None, heads: Seq
     if len(marked) <= len(heads):
         return False
     diseqs = diseqs + pairs if pairs else diseqs
-    roots = [(uf.find(a), uf.find(b)) for a, b in check]
-    if any(a == b for a, b in roots):
+    if any(uf.find(a) == uf.find(b) for a, b in check):
         return False
     start, fresh = len(lins), [v for v, k in new.items() if not k]
     if lits.lins:
@@ -637,8 +595,7 @@ def _extended(lits: _Prepared, sorts, universe: Sequence[str] | None, heads: Seq
         converged = _propagate(lins, uses, bounds)
     if converged is False:
         return None
-    return (_Cube(kinds, uf, diseqs, lins, uses, bounds if converged else None, marked),
-            LocSolution(uf, marked, roots), bounds)
+    return _Cube(kinds, uf, diseqs, lins, uses, bounds if converged else None, marked), bounds
 
 
 # =====================================================================
@@ -658,11 +615,6 @@ def _class(counts: dict[str, int], delta: dict[str, int]) -> tuple | None:
     for sort in counts:
         joined = F.join_sorts(joined, sort)
     return (joined, counts) if counts else None
-
-
-def _kind_of(entry: tuple | None) -> bool | None:
-    """The kind (``_kind``) of a ``_Sorts`` class."""
-    return None if entry is None else entry[0] not in F._SCALAR_SORTS
 
 
 _NO_CLASS = (None, {})
@@ -696,7 +648,7 @@ class _Sorts:
         variable in ``old`` changed kind. Copies only what it changes; raises
         SortError on a clash."""
         uf, classes = self.uf, dict(self.classes)
-        before = {r: _kind_of(classes.get(r)) for r in map(self.root, old)}
+        before = {r: _kind(self, r) for r in map(self.root, old)}
         classes.update(new)
         for v, delta in changes:  # before any merge, so the roots are this table's
             r = self.root(v)
@@ -710,8 +662,7 @@ class _Sorts:
                 classes[keep] = _class((classes.get(keep) or _NO_CLASS)[1],
                                        (classes.pop(gone, None) or _NO_CLASS)[1])
         table = _Sorts(uf, classes)
-        return table, any(_kind_of(classes.get(table.root(r))) != kind
-                          for r, kind in before.items())
+        return table, any(_kind(table, r) != kind for r, kind in before.items())
 
 
 def _counts(uses: list[tuple[str, str, str]]) -> dict[str, dict[str, int]]:
@@ -956,30 +907,39 @@ class _QueryMemo:
 # =====================================================================
 
 
-def _open_heap(d: SymbolicHeap) -> SymbolicHeap:
-    """Drop the existential binder. A name is either bound or free in one
-    heap, so the opened variables cannot clash with free ones."""
-    return SymbolicHeap((), d.atoms, d.pure) if d.exists else d
-
-
-def _try_base(d: SymbolicHeap, defs: SpecFile, param_sorts: dict, budget: Budget,
-              stats: SolverStats, extra_sorts: dict[str, str],
-              universe_hint: list[str], deadline: float) -> tuple[SymbolicModel | None, bool]:
-    """Solve one base heap. Returns (model, bounded_flag)."""
-    opened = _open_heap(d)
+def _try_base(d: SymbolicHeap, state: _HeapState, query_sorts: dict[str, str],
+              universe: list[str], budget: Budget, stats: SolverStats,
+              deadline: float) -> tuple[SymbolicModel | None, bool]:
+    """Solve the base heap ``d`` from its check ``state``, with the sorts
+    ``query_sorts`` joined in: the model of its first cube that has one,
+    and whether only the integer domain ruled its cubes out. Each live cube
+    is extended with the variables of ``universe`` it lacks (``d``'s own
+    lead, then the query's), and its integers are searched in that order. A
+    cube is checked from scratch when the query's sorts move one of its
+    variables between locations and integers, and a contradictory one when
+    they move any (see the module notes)."""
     try:
-        sorts = F.heap_sorts(opened, defs, param_sorts, seed=extra_sorts)
+        sorts, moved = state.sorts.extended(
+            [(v, {sort: 1}) for v, sort in query_sorts.items()], old=query_sorts)
     except F.SortError:
         return None, False
-    heads = [p.var for p in opened.points_tos()]
-    order = list(dict.fromkeys([*_heap_var_order(opened), *universe_hint]))
-    bounded = False
-    for cube in _nnf_cubes(opened.pure):
-        solution, independent = pure_solve(cube, sorts, budget, order, stats, deadline, heads)
-        if solution is not None:
-            return _assemble_model(opened, solution, sorts, order), False
-        if not independent:
-            bounded = True
+    universe = list(dict.fromkeys([*_heap_var_order(d), *universe]))
+    heads, whole, bounded = [p.var for p in d.points_tos()], None, False
+    for at, cube in enumerate(state.cubes):
+        if moved and (cube is None or any(_kind(sorts, v) != kind
+                                          for v, kind in cube.kinds.items())):
+            whole = whole or _nnf_cubes(d.pure)
+            checked, _ = _checked(whole[at], sorts, heads, None, universe)
+        else:
+            checked = cube and _checked((), sorts, heads, cube, universe)[0]
+        if checked is None:
+            continue
+        cube, bounds = checked
+        values = _search_ints(cube.lins, cube.uses, [v for v in universe if not cube.kinds[v]],
+                              sorts, dict(bounds), budget, stats, deadline)
+        if values is not None:
+            return _assemble_model(d, cube, values, sorts, universe), False
+        bounded = True
     return None, bounded
 
 
@@ -1004,18 +964,27 @@ def _heap_var_order(d: SymbolicHeap) -> list[str]:
     return list(dict.fromkeys(names))
 
 
-def _assemble_model(opened: SymbolicHeap, solution: PureSolution,
-                    sorts: dict[str, str], universe: list[str]) -> SymbolicModel:
-    pts = opened.points_tos()
-    uf, null_roots = solution.locs.uf, solution.locs.null_roots()
+def _assemble_model(d: SymbolicHeap, cube: _Cube, values: dict[str, int], sorts,
+                    universe: list[str]) -> SymbolicModel:
+    """The model of ``d`` in which the integers take ``values`` and the
+    location classes are ``cube``'s, read in ``universe`` order: null's
+    class, and every unmarked class that no disequality keeps apart from an
+    earlier null one, is null; any other class aliases its points-to head,
+    or else its first member."""
+    uf, pts = cube.uf, d.points_tos()
+    apart = [(uf.find(a), uf.find(b)) for a, b in cube.diseqs]
+    null_roots = {uf.find(NULL_KEY)}
+    for r in dict.fromkeys([uf.find(v) for v in universe if v not in values]):
+        if r not in cube.marked and not any(
+                (x == r and y in null_roots) or (y == r and x in null_roots) for x, y in apart):
+            null_roots.add(r)
     target: dict[str, str] = {}  # class representative -> the member others alias
     for p in pts:
         target.setdefault(uf.find(p.var), p.var)
     parts: list[PureFormula] = []
     for v in universe:
-        if v in solution.scalars:
-            value = solution.scalars[v]
-            parts.append(Atom("=", Var(v), Const(int(value))))
+        if v in values:
+            parts.append(Atom("=", Var(v), Const(values[v])))
             continue
         rep = uf.find(v)
         if rep in null_roots:
@@ -1029,18 +998,8 @@ def _assemble_model(opened: SymbolicHeap, solution: PureSolution,
             target[rep] = v
             parts.append(Atom("=", Var(v), Var(v)))
     heap = SymbolicHeap((), tuple(pts), tuple(parts))
-    return SymbolicModel(heap, dict(sorts))
-
-
-def _pure_contradictory(d: SymbolicHeap, defs: SpecFile, param_sorts: dict) -> bool:
-    """Domain-independent contradiction check for a frontier heap: whether
-    a sort clash rules ``d`` out, or ``_checked`` fails on every DNF cube
-    of ``d``'s pure part, with ``d``'s points-to heads marked in the alias
-    classes as in base-heap solving. No integer search is run: one that
-    failed would only say the finite domain is too small, which does not
-    make the heap contradictory. It derives everything from scratch, which
-    ``sat``'s checks, each extending its parent's state, must match."""
-    return _QueryMemo(defs, param_sorts).state(d).contradictory
+    return SymbolicModel(heap, {v: sort for v in universe
+                                if (sort := sorts.get(v)) is not None})
 
 
 def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatResult:
@@ -1055,13 +1014,13 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
     then its inductive ones, and checks each heap when it reaches it, just
     before solving or unfolding it: one whose pure part is already
     contradictory is dropped, so the children left behind by an early
-    answer are never checked. That check (``_QueryMemo.state``, as
-    ``_pure_contradictory`` makes it from scratch) is base-heap solving's
-    own per-cube check of the marked alias classes and the integer bounds,
-    without the integer search. The query itself is checked only when it is
-    inductive and ``max_depth`` is 0. ``stats.rounds`` is the last round in
-    which a heap passed the check. ``budget.time_limit`` bounds the whole
-    query, the integer search included; past it the answer is UNKNOWN.
+    answer are never checked. That check (``_QueryMemo.state``) is the
+    per-cube check of the marked alias classes and the integer bounds,
+    without the integer search, and a base heap is solved from it
+    (``_try_base``). The query itself is checked unless it is inductive and
+    ``max_depth`` is above 0. ``stats.rounds`` is the last round in which a
+    heap passed the check. ``budget.time_limit`` bounds the whole query,
+    the integer search included; past it the answer is UNKNOWN.
     Each frontier entry is a heap and its parent with the parent's check
     state, the instance unfolded and its compiled body (all None for the
     query), which the heap's check extends; an unchecked query gets a state
@@ -1075,9 +1034,8 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
     deadline = time.monotonic() + budget.time_limit
     spec = _compiled(defs)
     param_sorts = spec.param_sorts
-    opened_query = _open_heap(d)
-    universe = _heap_var_order(opened_query)
-    query_sorts = F.heap_sorts(opened_query, defs, param_sorts)
+    universe = _heap_var_order(d)
+    query_sorts = F.heap_sorts(d, defs, param_sorts)
     memo = _QueryMemo(defs, param_sorts, d.pure)
     todo, round_no = [(d, (None, None, None), None)], 0
     while todo:
@@ -1089,7 +1047,7 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
             if time.monotonic() > deadline:
                 return SatResult("unknown", None, stats)
             base, last, state = h.is_base(), round_no == budget.max_depth, None
-            if round_no > 0 or (last and not base):
+            if round_no or base or last:
                 state = memo.state(h, (*link, body))
                 if state.contradictory:
                     continue
@@ -1103,8 +1061,8 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
                              zip(unfold_at(h, first, defs), spec.bodies(h.atoms[first]))]
                 continue
             try:
-                model, bounded = _try_base(h, defs, param_sorts, budget, stats,
-                                           query_sorts, universe, deadline)
+                model, bounded = _try_base(h, state, query_sorts, universe, budget, stats,
+                                           deadline)
             except Timeout:
                 return SatResult("unknown", None, stats)
             if model is not None:

@@ -368,3 +368,12 @@ def test_sort_clash_rejected():
     """
     with pytest.raises(F.SortError):
         F.parse_spec(text)
+
+
+def test_binder_named_like_a_parameter_is_sorted_apart():
+    # Each disjunct's binders have classes of their own: the cell bound as
+    # x sorts y, not the parameter x.
+    text = ("data N { int v; N next; }\n"
+            "pred shadow(x, y) == %s \\/ (exists x . x -> N(1, null) & x = y) ;")
+    assert F.infer_sorts(F.parse_spec(text % "(emp & x = 3)"))["shadow"] == ("int", "N")
+    assert F.infer_sorts(F.parse_spec(text % "(emp & x != x)"))["shadow"] == (None, "N")

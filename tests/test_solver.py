@@ -15,7 +15,7 @@ from slc import solver as S
 from slc import testgen as T
 from slc.cli import BENCHMARKS, corpus_path, run_pipeline
 from slc.formulas import Atom, Const, Not, Null, Var
-from slc.solver import Budget, model_check, pure_solve, sat
+from slc.solver import Budget, model_check, sat
 
 
 def heap(text):
@@ -23,6 +23,11 @@ def heap(text):
 
 
 EMPTY_SPEC = F.SpecFile()
+
+
+def contradictory(d, defs):
+    """The frontier check of ``d``, made from scratch."""
+    return S._QueryMemo(defs, F.infer_sorts(defs)).state(d).contradictory
 
 
 # ----------------------------------------------------------- separation
@@ -54,45 +59,50 @@ def test_saturate_adds_separation_facts():
 
 def test_saturate_head_equal_null_contradicts():
     d = F.parse_heap("x -> C(a) & x = null")
-    assert S._pure_contradictory(d, SEPARATION, F.infer_sorts(SEPARATION))
+    assert contradictory(d, SEPARATION)
     assert sat(d, SEPARATION).decision == "unsat"
 
 
 def test_saturate_aliased_heads_contradict():
     d = F.parse_heap("x -> C(a) * y -> C(b) & x = y")
-    assert S._pure_contradictory(d, SEPARATION, F.infer_sorts(SEPARATION))
+    assert contradictory(d, SEPARATION)
     assert sat(d, SEPARATION).decision == "unsat"
 
 
-# ------------------------------------------------------------ pure_solve
+# ---------------------------------------------------------- pure solving
+
+
+def solved(text, spec=EMPTY_SPEC):
+    """sat on one base heap: its decision, the model's variable values (None
+    without a model) and its statistics."""
+    result = sat(heap(text), spec)
+    values = result.model and S.concretize_model(result.model, spec)[1]
+    return result.decision, values, result.stats
 
 
 def test_pure_solve_interval_witness():
-    (cube,) = S._nnf_cubes(F.parse_heap("emp & minE < elt & maxE > elt").pure)
-    solution, _ = pure_solve(cube, {}, Budget(), ["elt", "minE", "maxE"])
-    values = solution.scalars
-    assert values["minE"] < values["elt"] < values["maxE"]
+    decision, values, _ = solved("emp & minE < elt & maxE > elt")
+    assert decision == "sat" and values["minE"] < values["elt"] < values["maxE"]
     assert values["elt"] == 0 and values["minE"] == -1 and values["maxE"] == 1
 
 
 def test_pure_solve_loc_contradiction():
-    (cube,) = S._nnf_cubes(F.parse_heap("emp & x = y & !(x = y)").pure)
-    solution, independent = pure_solve(cube, {"x": "C", "y": "C"}, Budget())
-    assert solution is None
-    assert independent
+    # x != null makes x and y locations, so x = y & !(x = y) is a location
+    # clash, found without the integer search.
+    decision, _, stats = solved("emp & x = y & !(x = y) & x != null")
+    assert decision == "unsat"
+    assert stats.pure_nodes == 0 and not stats.bounded
 
 
 def test_pure_solve_direct_binding():
-    (cube,) = S._nnf_cubes(F.parse_heap("emp & v = 5").pure)
-    solution, _ = pure_solve(cube, {}, Budget())
-    assert solution.scalars["v"] == 5
+    decision, values, _ = solved("emp & v = 5")
+    assert decision == "sat" and values["v"] == 5
 
 
 def test_pure_solve_unsat_outside_domain_is_bounded():
-    (cube,) = S._nnf_cubes(F.parse_heap("emp & 100 <= x").pure)
-    solution, independent = pure_solve(cube, {}, Budget())
-    assert solution is None
-    assert not independent  # only the domain bound rules it out
+    decision, _, stats = solved("emp & 100 <= x")
+    assert decision == "unsat"
+    assert stats.bounded  # only the domain bound rules it out
 
 
 def test_value_order_is_sorted_by_magnitude_negative_first():
@@ -107,16 +117,14 @@ def test_value_order_is_lazy_on_a_wide_domain():
 
 
 def test_pure_solve_propagation_proves_independent_unsat():
-    (cube,) = S._nnf_cubes(F.parse_heap("emp & x <= 3 & 6 <= x").pure)
-    solution, independent = pure_solve(cube, {}, Budget())
-    assert solution is None
-    assert independent
+    decision, _, stats = solved("emp & x <= 3 & 6 <= x")
+    assert decision == "unsat"
+    assert stats.pure_nodes == 0 and not stats.bounded
 
 
 def test_pure_solve_smallest_witness_ties_negative():
-    (cube,) = S._nnf_cubes(F.parse_heap("emp & !(x = 0)").pure)
-    solution, _ = pure_solve(cube, {}, Budget())
-    assert solution.scalars["x"] == -1
+    decision, values, _ = solved("emp & !(x = 0)")
+    assert decision == "sat" and values["x"] == -1
 
 
 # --------------------------------------------------------- alias_classes
@@ -145,8 +153,7 @@ def test_alias_classes_unrelated():
 
 
 def test_alias_classes_keep_earliest_added_representative():
-    # The representative picks the model in _checked, so it must not
-    # depend on the direction of an equality.
+    # The representative must not depend on the direction of an equality.
     for eq in ("y = x", "x = y"):
         uf = S.alias_classes(S.pure_equalities(heap(f"emp & {eq}").pure), ["x", "y"])
         assert uf.find("y") == "x"
@@ -159,15 +166,14 @@ def test_alias_classes_keep_earliest_added_representative():
 
 def test_frontier_contradiction_is_domain_independent():
     spec = F.parse_spec("data C { int v; }\npred p(x) == emp & x = null ;")
-    params = F.infer_sorts(spec)
-    assert S._pure_contradictory(heap("x -> C(a) * y -> C(b) * p(x) & x = y"), spec, params)
-    assert S._pure_contradictory(heap("p(y) & x <= 0 & 1 <= x"), spec, params)
+    assert contradictory(heap("x -> C(a) * y -> C(b) * p(x) & x = y"), spec)
+    assert contradictory(heap("p(y) & x <= 0 & 1 <= x"), spec)
     # Outside Budget()'s int domain (int_max 63), yet not contradictory:
     # pruning it would turn a domain limit into a verdict.
     assert Budget().int_max < 100
-    assert not S._pure_contradictory(heap("p(y) & x = 100"), spec, params)
+    assert not contradictory(heap("p(y) & x = 100"), spec)
     # Propagation pins x to 3, and the disequality over it fails.
-    assert S._pure_contradictory(heap("p(y) & x = 3 & x != 3"), spec, params)
+    assert contradictory(heap("p(y) & x = 3 & x != 3"), spec)
 
 
 CHAIN = """
@@ -222,9 +228,14 @@ def record_checks(monkeypatch):
     return checks
 
 
+CHECK = S._QueryMemo.state  # the check itself, which tests replace by wrappers
+
+
 def definition_state(memo, d, above=None):
-    """A check state that carries only saturate_definition's verdict."""
-    return SimpleNamespace(contradictory=saturate_definition(d, memo.defs, memo.param_sorts))
+    """A check state made from scratch whose verdict is saturate_definition's."""
+    state = CHECK(S._QueryMemo(memo.defs, memo.param_sorts), d)
+    return SimpleNamespace(contradictory=saturate_definition(d, memo.defs, memo.param_sorts),
+                           sorts=state.sorts, cubes=state.cubes)
 
 
 def run_benchmark(name, out_dir, **overrides):
@@ -307,9 +318,8 @@ def eager_sat(d, defs, budget):
     stats = S.SolverStats()
     deadline = time.monotonic() + budget.time_limit
     param_sorts = F.infer_sorts(defs)
-    opened_query = S._open_heap(d)
-    universe = S._heap_var_order(opened_query)
-    query_sorts = F.heap_sorts(opened_query, defs, param_sorts)
+    universe = S._heap_var_order(d)
+    query_sorts = F.heap_sorts(d, defs, param_sorts)
     current = [d]
     for round_no in range(budget.max_depth + 1):
         stats.rounds = round_no
@@ -318,9 +328,12 @@ def eager_sat(d, defs, budget):
         for h in bases:
             if time.monotonic() > deadline:
                 return S.SatResult("unknown", None, stats)
+            state = S._QueryMemo(defs, param_sorts).state(h)
+            if state.contradictory:
+                continue
             try:
-                model, bounded = S._try_base(h, defs, param_sorts, budget, stats,
-                                             query_sorts, universe, deadline)
+                model, bounded = S._try_base(h, state, query_sorts, universe, budget, stats,
+                                             deadline)
             except S.Timeout:
                 return S.SatResult("unknown", None, stats)
             if model is not None:
@@ -329,8 +342,7 @@ def eager_sat(d, defs, budget):
         if not inductive:
             return S.SatResult("unsat", None, stats)
         if round_no == budget.max_depth:
-            if round_no > 0 or time.monotonic() > deadline \
-                    or not S._pure_contradictory(d, defs, param_sorts):
+            if round_no > 0 or time.monotonic() > deadline or not contradictory(d, defs):
                 return S.SatResult("unknown", None, stats)
             return S.SatResult("unsat", None, stats)
         current = []
@@ -339,7 +351,7 @@ def eager_sat(d, defs, budget):
                 return S.SatResult("unknown", None, stats)
             first = next(i for i, a in enumerate(h.atoms) if isinstance(a, F.PredInst))
             current.extend(child for child in S.unfold_at(h, first, defs)
-                           if not S._pure_contradictory(child, defs, param_sorts))
+                           if not contradictory(child, defs))
         if not current:
             return S.SatResult("unsat", None, stats)
     return S.SatResult("unknown", None, stats)
@@ -418,31 +430,57 @@ def test_every_heap_that_passes_the_check_is_solved_or_unfolded(monkeypatch, tmp
                 assert events[at + 1] == ("used", d)
 
 
-def pairwise_try_base(d, defs, param_sorts, budget, stats, extra_sorts, universe_hint,
-                      deadline):
+def scratch_try_base(d, defs, query_sorts, universe, budget, stats, deadline,
+                     pairwise=False):
+    """_try_base from scratch: ``d``'s sorts walked from the query's, and
+    each DNF cube of its pure part checked by _checked with no parent and
+    searched by _search_ints. With ``pairwise``, separation reaches the
+    cubes as saturate's pairwise disequalities and no head is marked."""
+    heads, pure = [p.var for p in d.points_tos()], d.pure
+    if pairwise:
+        additions = saturate(d)
+        if additions is None:
+            return None, False
+        heads, pure = [], pure + tuple(additions)
+    env, classes = dict(query_sorts), F.UnionFind()
+    try:
+        F._sort_walk(env, classes, d, defs, S._compiled(defs).param_sorts, "heap")
+        sorts = F._class_sorts(env, classes, "heap")
+    except F.SortError:
+        return None, False
+    order = list(dict.fromkeys([*S._heap_var_order(d), *universe]))
+    bounded = False
+    for lits in S._nnf_cubes(pure):
+        checked, _ = S._checked(lits, sorts, heads, None, order)
+        if checked is None:
+            continue
+        cube, bounds = checked
+        values = S._search_ints(cube.lins, cube.uses, [v for v in order if not cube.kinds[v]],
+                                sorts, bounds, budget, stats, deadline)
+        if values is not None:
+            return S._assemble_model(d, cube, values, sorts, order), False
+        bounded = True
+    return None, bounded
+
+
+def pairwise_try_base(d, defs, state, *args):
     """_try_base as it was when separation reached the pure solver as
     saturate's pairwise disequalities, with no head marked: a reference
     for base-heap solving over marked alias classes."""
-    opened = S._open_heap(d)
-    additions = saturate(opened)
-    if additions is None:
-        return None, False
-    try:
-        sorts = F.heap_sorts(opened, defs, param_sorts, seed=extra_sorts)
-    except F.SortError:
-        return None, False
-    order = S._heap_var_order(opened)
-    for v in universe_hint:
-        if v not in order:
-            order.append(v)
-    bounded = False
-    for cube in S._nnf_cubes(opened.pure + tuple(additions)):
-        solution, independent = pure_solve(cube, sorts, budget, order, stats, deadline)
-        if solution is not None:
-            return S._assemble_model(opened, solution, sorts, order), False
-        if not independent:
-            bounded = True
-    return None, bounded
+    return scratch_try_base(d, defs, *args, pairwise=True)
+
+
+def with_spec(monkeypatch, reference):
+    """``reference`` as a stand-in for _try_base, given the spec of the sat
+    query it solves for."""
+    specs, solve = [], S.sat
+
+    def query(d, defs, *args):
+        specs.append(defs)
+        return solve(d, defs, *args)
+
+    monkeypatch.setattr(S, "sat", query)
+    return lambda d, *args: reference(d, specs[-1], *args)
 
 
 def compare_sat(monkeypatch, reference):
@@ -481,7 +519,7 @@ def compare_sat(monkeypatch, reference):
 
 def compare_base_solving(monkeypatch):
     """sat with _try_base against sat with pairwise_try_base."""
-    return compare_sat(monkeypatch, {"_try_base": pairwise_try_base})
+    return compare_sat(monkeypatch, {"_try_base": with_spec(monkeypatch, pairwise_try_base)})
 
 
 @pytest.mark.parametrize("name", ["sll", "dll", "stack", "bst", "tll", "sortedlist"])
@@ -505,6 +543,99 @@ def test_marked_classes_match_pairwise_disequalities_on_random_heaps(monkeypatch
     assert [p for p in pairs if p[1] != p[2]] == []
 
 
+def compare_try_base(monkeypatch):
+    """Hold every _try_base call to scratch_try_base on the same heap: per
+    call, the heap, both outcomes (model, its sorts, bounded, pure_nodes)
+    and the work _try_base did itself: its calls to F.heap_sorts,
+    F.sort_facts and _nnf_cubes, and its cubes checked from scratch."""
+    rows, counts, check, solve = [], {}, S._checked, S._try_base
+    for owner, name in [(F, "heap_sorts"), (F, "sort_facts"), (S, "_nnf_cubes")]:
+        monkeypatch.setattr(owner, name, counted(getattr(owner, name), name, counts))
+
+    def checked(lits, sorts, heads, parent=None, universe=None):
+        if parent is None:
+            counts["scratch"] = counts.get("scratch", 0) + 1
+        return check(lits, sorts, heads, parent, universe)
+
+    def outcome(result, stats):
+        model, bounded = result
+        return (model and F.print_heap(model.heap), model and model.sorts, bounded,
+                stats.pure_nodes)
+
+    def compared(d, defs, state, query_sorts, universe, budget, stats, deadline):
+        want_stats, got_stats = S.SolverStats(), S.SolverStats()
+        want = scratch_try_base(d, defs, query_sorts, universe, budget, want_stats, deadline)
+        before = dict(counts)
+        got = solve(d, state, query_sorts, universe, budget, got_stats, deadline)
+        work = {key: n - before.get(key, 0) for key, n in counts.items()}
+        rows.append((F.print_heap(d), outcome(got, got_stats), outcome(want, want_stats), work))
+        stats.pure_nodes += got_stats.pure_nodes
+        return got
+
+    monkeypatch.setattr(S, "_checked", checked)
+    monkeypatch.setattr(S, "_try_base", with_spec(monkeypatch, compared))
+    return rows
+
+
+def assert_solved_from_check(rows):
+    """Every row's outcomes agree, and _try_base walked no sorts and made
+    the heap's cubes only when it checked one of them from scratch."""
+    assert [row[:3] for row in rows if row[1] != row[2]] == []
+    for text, _, _, work in rows:
+        assert work.get("heap_sorts", 0) == work.get("sort_facts", 0) == 0, text
+        assert bool(work.get("_nnf_cubes")) == bool(work.get("scratch")), text
+
+
+@pytest.mark.parametrize("name", ["sll", "dll", "stack", "bst", "tll", "sortedlist",
+                                  "tll-generate"])
+def test_base_heap_solved_from_its_check_matches_scratch_on_corpus(name, monkeypatch, tmp_path):
+    rows = compare_try_base(monkeypatch)
+    if name == "tll-generate":
+        run_benchmark("tll", tmp_path, spec_only=True, unfold_depth=4)
+    else:
+        run_benchmark(name, tmp_path)
+    assert any(outcome[0] for _, outcome, _, _ in rows)
+    assert_solved_from_check(rows)
+
+
+def test_base_heap_solved_from_its_check_matches_scratch_on_random_heaps(monkeypatch):
+    spec = F.parse_spec(LOOSE)
+    rows = compare_try_base(monkeypatch)
+    for d in loose_random_heaps():
+        try:
+            S.sat(d, spec, Budget(max_depth=4))
+        except F.SortError:
+            continue
+    run_random_specs()
+    assert sum(outcome[0] is not None for _, outcome, _, _ in rows) > 300
+    assert sum(outcome[2] for _, outcome, _, _ in rows) > 10
+    assert sum(work.get("scratch", 0) for _, _, _, work in rows) > 0
+    assert_solved_from_check(rows)
+
+
+def test_query_sorts_that_move_a_variable_check_its_cube_from_scratch():
+    # p(a, b) sorts a as N, and a = c joins c to it. The emp disjunct's
+    # child no longer sorts a or c, so its check splits a = c as an integer
+    # equality; under the query's sorts it is a location one, and the cube
+    # is checked again from scratch: a and c are null, not 0.
+    spec = F.parse_spec("data N { int v; N next; }\n"
+                        "pred p(x, y) == (emp & y = null) \\/ "
+                        "(exists u . x -> N(1, u) * p(u, y)) ;")
+    d = heap("p(a, b) & a = c")
+    result = sat(d, spec)
+    assert result.is_sat and model_check(result.model, d, spec)
+    assert str(result.model) == "emp & a = null & c = null & b = null"
+    assert result.model.sorts == {"a": "N", "b": "nullref", "c": "N"}
+    # The round cap grows with the integer variables. With a, c, e, f and g
+    # integers, propagation refutes the first cube within it; with them
+    # locations it stops at the cap, and the integer search runs. So a cube
+    # that the heap's check ruled out is checked again too.
+    d = heap("p(a, b) & a = c & c = e & e = f & f = g"
+             " & !(!(0 <= x & x <= 78 & x + 1 <= y & y + 1 <= x) & !(z = 1))")
+    result = sat(d, spec, Budget(max_depth=2))
+    assert result.is_sat and (result.stats.pure_nodes, result.stats.bounded) == (5, False)
+
+
 # ------------------------------------------------------------ query memo
 
 
@@ -512,7 +643,7 @@ def compare_query_memo(monkeypatch):
     """sat with each check extending the state its frontier entry carries
     against sat with a fresh memo for every frontier check, which derives
     each heap's cubes, linear forms and sorts from scratch, as
-    _pure_contradictory does."""
+    contradictory does."""
     memo_class = S._QueryMemo
 
     class ScratchMemo(memo_class):
@@ -548,16 +679,16 @@ def test_query_memo_matches_scratch_on_random_heaps(monkeypatch):
 
 
 def test_unchecked_base_query_walks_its_pure_part_once(monkeypatch):
-    # The query's sorts and the base heap's own, with the query's sorts as
-    # seed; the memo walks the query's conjuncts only once a check needs it.
+    # Once for the query's sorts and once for its check's sort classes;
+    # solving the base query reads the check's classes and walks nothing.
     walks = []
-    walk = F._sort_walk
+    walk = F.sort_facts
 
-    def recorded(env, classes, d, *args):
-        walks.append(d.pure)
-        return walk(env, classes, d, *args)
+    def recorded(atoms, pure, *args):
+        walks.append(pure)
+        return walk(atoms, pure, *args)
 
-    monkeypatch.setattr(F, "_sort_walk", recorded)
+    monkeypatch.setattr(F, "sort_facts", recorded)
     query = heap("x -> N(a, null) & a = 1 & x != null")
     assert sat(query, F.parse_spec(CHAIN)).is_sat
     assert sum(pure is query.pure for pure in walks) == 2
@@ -645,9 +776,8 @@ def test_child_check_is_exact_when_the_unfolded_instance_sorted_a_variable(monke
     # unsorted and both literals are integer ones: the child is checked from
     # scratch, not given its parent's verdict.
     spec = F.parse_spec(LOOSE)
-    params = F.infer_sorts(spec)
     query = heap("p -> N(a, p) * loose(q) * same(c, q) & a <= b & q = r & q != r & c <= a")
-    assert S._pure_contradictory(query, spec, params)
+    assert contradictory(query, spec)
     checked = []
     check = S._QueryMemo.state
 
@@ -658,9 +788,8 @@ def test_child_check_is_exact_when_the_unfolded_instance_sorted_a_variable(monke
 
     monkeypatch.setattr(S._QueryMemo, "state", recorded)
     sat(query, spec, Budget(max_depth=4))
-    monkeypatch.undo()  # _pure_contradictory makes its state through the same method
-    checks = [(F.print_heap(d), verdict, S._pure_contradictory(d, spec, params))
-              for d, verdict in checked]
+    monkeypatch.undo()  # contradictory makes its state through the same method
+    checks = [(F.print_heap(d), verdict, contradictory(d, spec)) for d, verdict in checked]
     assert [c for c in checks if c[1] != c[2]] == []
     emp_child = "p -> N(a, p) * same(c, q) & a <= b & q = r & q != r & c <= a"
     assert (emp_child, False, False) in checks
@@ -747,8 +876,7 @@ def test_capped_propagation_keeps_the_scratch_verdicts(monkeypatch):
     spec = F.parse_spec(CHAIN)
     query = heap("chain(p) & 0 <= x & x <= 1000 & x + 1 <= y & y + 1 <= x")
     [lits] = S._nnf_cubes(query.pure)
-    (cube, _, bounds), _ = S._checked(lits, F.heap_sorts(query, spec, F.infer_sorts(spec)),
-                                      ())
+    (cube, bounds), _ = S._checked(lits, F.heap_sorts(query, spec, F.infer_sorts(spec)), ())
     assert bounds["x"] == (32, 970) and cube.bounds is None
     checks, extended = record_checks(monkeypatch), compare_carried_state(monkeypatch)
     result = sat(query, spec, Budget(max_depth=3))
@@ -794,7 +922,7 @@ def test_contradiction_from_a_carried_fixpoint_is_confirmed_from_scratch():
 
     chain, body = lits("x1 <= x2 & x2 <= x3 & x3 <= x4 & x4 <= 104"), \
         lits("x1 + 1 <= z & z + 1 <= x1 & 0 <= z")
-    (parent, _, _), _ = S._checked(chain, {}, ())
+    (parent, _), _ = S._checked(chain, {}, ())
     scratch, _ = S._checked(chain + body, {}, ())
     child, _ = S._checked(body, {}, (), parent)
     assert scratch is not None and scratch[0].bounds is None
@@ -846,7 +974,7 @@ def test_child_cube_merges_and_propagates_only_its_body(monkeypatch, tmp_path):
             cube, scratch = result[0], []
             propagate(Visits(cube.lins, scratch), cube.uses,
                       {v: S._TOP for v, k in cube.kinds.items() if not k})
-            cubes.append((work["merges"], len(lits.eqs), work["runs"],
+            cubes.append((work["merges"], len(lits.eqs), list(work["runs"]),
                           range(len(parent.lins), len(parent.lins) + len(lits.lins)),
                           len(scratch)))
         return result
@@ -1066,6 +1194,19 @@ def test_null_points_to_head_leaves_the_disjunct_out():
     result = sat(d, spec)
     assert result.is_sat and model_check(result.model, d, spec)
     assert T.oracle_sat(d, spec, 2, range(-2, 3))
+
+
+def test_binder_named_like_a_parameter_leaves_its_sort_alone():
+    # The binder x of shadow's second disjunct is a cell; the parameter x is
+    # unsorted, so 3 is a fine argument, and both the solver and the oracle
+    # find the cell that y points to.
+    spec = F.parse_spec(CHAIN + """
+    pred shadow(x, y) == (emp & x != x) \\/ (exists x . x -> N(1, null) & x = y) ;
+    """)
+    d = heap("shadow(3, p) & true")
+    result = sat(d, spec)
+    assert result.is_sat and model_check(result.model, d, spec)
+    assert T.oracle_sat(d, spec, 3, range(-2, 3))
 
 
 # ------------------------------------------------------------------ sat

@@ -18,7 +18,7 @@ Design notes:
   step: ``(k1 & p1) * (k2 & p2)`` is the concatenation of the atom and
   conjunct tuples, and ``(ex w . D1) * (ex v . D2)`` concatenates the
   binders once ``v`` is fresh, which freshening before substitution
-  guarantees (see ``unfold.unfold_at``).
+  guarantees (see ``solver.unfold_at``).
 * The pure fragment is kept minimal: atoms are ``=`` and ``<=`` only, and
   the surface comparisons ``<``, ``>``, ``>=``, ``!=`` are desugared at
   parse time (``a < b`` becomes ``!(b <= a)`` and so on). Printing re-sugars
@@ -33,7 +33,6 @@ Design notes:
 
 from __future__ import annotations
 
-import itertools
 import threading
 from typing import Iterable, Mapping, Union
 
@@ -298,42 +297,55 @@ def reset_names() -> None:
 # =====================================================================
 
 
-def term_vars(term: ArithTerm) -> set[str]:
+def term_vars(term: ArithTerm) -> list[str]:
+    """The variables of ``term`` left to right, repeats kept."""
     if isinstance(term, Var):
-        return {term.name}
-    if isinstance(term, Scale):
+        return [term.name]
+    if isinstance(term, (Scale, Neg)):
         return term_vars(term.term)
     if isinstance(term, Add):
-        return term_vars(term.left) | term_vars(term.right)
-    if isinstance(term, Neg):
-        return term_vars(term.term)
-    return set()
+        return term_vars(term.left) + term_vars(term.right)
+    return []
 
 
-def pure_vars(pure: PureFormula) -> set[str]:
-    if isinstance(pure, Atom):
-        return term_vars(pure.left) | term_vars(pure.right)
-    if isinstance(pure, Not):
-        return pure_vars(pure.inner)
-    if isinstance(pure, And):
-        return pure_vars(pure.left) | pure_vars(pure.right)
-    return set()
-
-
-def heap_vars(d: SymbolicHeap) -> set[str]:
-    out: set[str] = set()
-    for atom in d.atoms:
+def _var_walk(pures: Iterable[PureFormula], atoms: Iterable[SpatialAtom] = ()) -> list[str]:
+    """The variables of ``pures`` and then of ``atoms``, left to right,
+    repeats kept: each atom's left side before its right, each
+    conjunction's left part before its right, each points-to head before
+    its arguments."""
+    names: list[str] = []
+    stack = list(pures)[::-1]
+    while stack:
+        p = stack.pop()
+        if isinstance(p, Atom):
+            names += term_vars(p.left)
+            names += term_vars(p.right)
+        elif isinstance(p, Not):
+            stack.append(p.inner)
+        elif isinstance(p, And):
+            stack.append(p.right)
+            stack.append(p.left)
+    for atom in atoms:
         if isinstance(atom, PointsTo):
-            out.add(atom.var)
+            names.append(atom.var)
         for arg in atom.args:
-            out |= term_vars(arg)
-    for c in d.pure:
-        out |= pure_vars(c)
-    return out
+            names += term_vars(arg)
+    return names
+
+
+def pure_vars(pure: PureFormula) -> list[str]:
+    """The variables of ``pure``, each once, in first-occurrence order."""
+    return list(dict.fromkeys(_var_walk((pure,))))
+
+
+def heap_vars(d: SymbolicHeap) -> list[str]:
+    """The variables of ``d``, binders included, each once, in first-
+    occurrence order: its conjuncts' before its atoms' (``_var_walk``)."""
+    return list(dict.fromkeys(_var_walk(d.pure, d.atoms)))
 
 
 def free_vars(d: SymbolicHeap) -> set[str]:
-    return heap_vars(d) - set(d.exists)
+    return set(heap_vars(d)).difference(d.exists)
 
 
 UNDEFINED = object()  # the value of a term that has none; see eval_ground
@@ -466,31 +478,9 @@ def canonical_heap(d: SymbolicHeap) -> SymbolicHeap:
     atoms = sorted(pts, key=atom_key) + sorted(insts, key=atom_key)
 
     renames: dict[str, Var] = {}
-    counter = itertools.count()
-
-    def visit(term: ArithTerm) -> None:
-        # A loop, not recursion: a closure that calls itself is a reference
-        # cycle, which would keep each call's renames for the cyclic collector.
-        stack = [term]
-        while stack:
-            t = stack.pop()
-            if isinstance(t, Var) and t.name in bound and t.name not in renames:
-                renames[t.name] = Var(f".b{next(counter)}")
-            elif isinstance(t, (Scale, Neg)):
-                stack.append(t.term)
-            elif isinstance(t, Add):
-                stack.append(t.right)
-                stack.append(t.left)
-
-    for atom in atoms:
-        if isinstance(atom, PointsTo):
-            visit(Var(atom.var))
-        for arg in atom.args:
-            visit(arg)
-    for c in d.pure:
-        for v in sorted(pure_vars(c)):
-            if v in bound and v not in renames:
-                renames[v] = Var(f".b{next(counter)}")
+    for v in _var_walk((), atoms) + [v for c in d.pure for v in sorted(pure_vars(c))]:
+        if v in bound and v not in renames:
+            renames[v] = Var(f".b{len(renames)}")
 
     return SymbolicHeap(tuple(r.name for r in renames.values()),
                         subst_spatial(atoms, renames),
@@ -833,7 +823,7 @@ def validate_spec(spec: SpecFile) -> None:
     def check_heap(d: SymbolicHeap, where: str) -> None:
         if len(set(d.exists)) != len(d.exists):
             raise SpecError(f"{where}: duplicate bound variable")
-        unused = set(d.exists) - heap_vars(d)
+        unused = set(d.exists).difference(heap_vars(d))
         if unused:
             raise SpecError(f"{where}: bound variables never used: {sorted(unused)}")
         for atom in d.atoms:

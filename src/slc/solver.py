@@ -39,30 +39,31 @@ and disequalities over the merged classes, and propagates from the
 parent's fixpoint, starting from the body's linear forms. The query, a
 child of a sort clash and a child whose instance has an argument other
 than a variable, null or a constant begin with the sort classes of the
-query's conjuncts, made once. A contradictory parent cube stays so when
-no kind changed and a sort or location clash ruled it out; a cube starts
-from scratch when propagation ruled its parent cube out or a variable
-changed kind (dropping the instance can unsort one), and from fresh bounds
-when its parent's stopped at the round cap. This is exact: sort joins do
-not depend on order, literals split by their variables' kinds, a clash of
-sorts or marks only grows with the literals, and merging gives the
-partition from scratch (no reader depends on its representatives).
-Narrowing is monotone, so a converged run from a parent's fixpoint reaches
-the fixpoint from scratch; a contradiction or a cap met that way is
-confirmed from fresh bounds.
+query's conjuncts, made once.
 
-A base heap, the query included, is solved from its state (``_try_base``).
-The query's sorts join its sort classes, one use each, so that a variable
-keeps the sort that an unfolded instance gave it. Each live cube is
-extended with no literals and the variables it lacks of the universe, the
-heap's own followed by the query's; the integer search runs over the
+A base heap, the query included, is solved from its state (``_try_base``)
+as a child whose body adds no literals. The query's sorts join its sort
+classes, one use each, so that a variable keeps the sort that an unfolded
+instance gave it, and the variables of the universe, the heap's own
+followed by the query's, lead each cube. The integer search runs over the
 universe's integers in universe order, from the cube's bounds, and the
-model reads the cube's alias classes in that order. Only when the query's
-sorts move a variable between locations and integers is a cube checked
-from scratch, under the joined sorts, as the frontier does when a kind
-changes: a live cube that has the variable, whose literals now split
-otherwise, and every contradictory one, since propagation's round cap
-grows with the number of integer variables.
+model reads the cube's alias classes in that order.
+
+Children and base heaps extend their parent's cubes by one rule
+(``_extend``). A live cube is extended, and checked from scratch instead
+when one of its variables changed kind (dropping the instance can unsort
+one, the query's sorts can sort one). A cube that propagation ruled out is
+checked from scratch, since propagation's round cap grows with the integer
+variables. A sort or location clash stays, unless a class left the
+locations. A live cube is propagated from fresh bounds when its parent's
+stopped at the round cap. This is exact: sort joins do not depend on
+order, literals split by their variables' kinds, a variable that joins the
+locations only turns integer literals into location literals or sort
+clashes, a clash of sorts or marks only grows with the literals, and
+merging gives the partition from scratch (no reader depends on its
+representatives). Narrowing is monotone, so a converged run from a
+parent's fixpoint reaches the fixpoint from scratch; a contradiction or a
+cap met that way is confirmed from fresh bounds.
 
 The solver trades the completeness of a full decision procedure for
 bounded search: outside its budgets it answers UNKNOWN, which for a test
@@ -202,7 +203,7 @@ def _side(term: ArithTerm) -> str | tuple[str, ...]:
     the variables of any other term (none for a constant)."""
     if isinstance(term, Var):
         return term.name
-    return NULL_KEY if isinstance(term, Null) else tuple(_term_var_order(term))
+    return NULL_KEY if isinstance(term, Null) else tuple(F.term_vars(term))
 
 
 def _is_loc(op: str, sides: tuple, sorts) -> bool:
@@ -231,27 +232,18 @@ def _is_loc(op: str, sides: tuple, sorts) -> bool:
 NULL_KEY = "\x00null"
 
 
-def _loc_key(term: ArithTerm) -> str:
-    return NULL_KEY if isinstance(term, Null) else term.name
-
-
 def merge_alias(uf: F.UnionFind, left: ArithTerm, right: ArithTerm) -> None:
     """Merge the classes of an equality between variables or null; an
     equality with any other term says nothing about aliasing."""
     if isinstance(left, (Var, Null)) and isinstance(right, (Var, Null)):
-        uf.union(_loc_key(left), _loc_key(right))
+        uf.union(_side(left), _side(right))
 
 
-def alias_classes(eqs: Iterable[tuple[ArithTerm, ArithTerm]],
-                  names: Iterable[str] = ()) -> F.UnionFind:
-    """Alias classes of the equalities ``eqs`` (pairs of terms).
-
-    Null and then ``names`` are added before any merge, so each class is
-    represented by its earliest-added member.
-    """
+def alias_classes(eqs: Iterable[tuple[ArithTerm, ArithTerm]]) -> F.UnionFind:
+    """Alias classes of the equalities ``eqs`` (pairs of terms). Null is
+    added first, so it represents its class."""
     uf = F.UnionFind()
-    for name in (NULL_KEY, *names):
-        uf.find(name)
+    uf.find(NULL_KEY)
     for left, right in eqs:
         merge_alias(uf, left, right)
     return uf
@@ -472,20 +464,6 @@ def _search_ints(lins: list[_Lin], uses: dict, order: list[str], sorts: dict[str
 # =====================================================================
 
 
-def _lit_vars(lit: Lit) -> list[str]:
-    return _term_var_order(lit.left) + _term_var_order(lit.right)
-
-
-def _term_var_order(term: ArithTerm) -> list[str]:
-    if isinstance(term, Var):
-        return [term.name]
-    if isinstance(term, (Scale, Neg)):
-        return _term_var_order(term.term)
-    if isinstance(term, Add):
-        return _term_var_order(term.left) + _term_var_order(term.right)
-    return []
-
-
 class _Cube(NamedTuple):
     """A cube's check state, which an extending cube shares and copies where
     its literals add to it: each variable's kind (``_kind``) in first-
@@ -513,16 +491,34 @@ class _Prepared(NamedTuple):
     lins: list[_Lin]
 
 
+def _split(literals: Sequence[_Literal], names: dict[str, str], sorts) -> _Prepared:
+    """``literals`` with their variables renamed by ``names``, split under
+    ``sorts`` and linearised; raises SortError."""
+    order, eqs, pairs, lins = [], [], [], []
+    for t in literals:
+        order += [names[v] for v in t.vars]
+        sides = tuple([side if side == NULL_KEY else names[side] if side.__class__ is str
+                       else tuple([names[v] for v in side]) for side in t.sides])
+        if _is_loc(t.op, sides, sorts):
+            (eqs if t.op == "eq" else pairs).append(sides)
+        elif t.lin is None:
+            raise F.SortError("null inside an arithmetic constraint")
+        else:
+            coeffs: dict[str, int] = {}
+            for v, k in t.lin.coeffs:
+                coeffs[names[v]] = coeffs.get(names[v], 0) + k
+            lins.append(_Lin(tuple(sorted((v, k) for v, k in coeffs.items() if k)),
+                             t.lin.const, t.lin.rel))
+    return _Prepared(order, eqs, pairs, lins)
+
+
 def _prepared(lits: list[Lit], sorts) -> _Prepared:
     """``lits`` split under ``sorts`` and linearised; raises SortError."""
-    eqs, pairs, lins = [], [], []
-    for lit in lits:
-        sides = (_side(lit.left), _side(lit.right))
-        if _is_loc(lit.op, sides, sorts):
-            (eqs if lit.op == "eq" else pairs).append(sides)
-        else:
-            lins.append(_lin_of(lit))
-    return _Prepared([v for lit in lits for v in _lit_vars(lit)], eqs, pairs, lins)
+    literals = [_Literal(lit) for lit in lits]
+    return _split(literals, {v: v for t in literals for v in t.vars}, sorts)
+
+
+_NO_LITERALS = _Prepared([], [], [], [])
 
 
 def _checked(lits: list[Lit] | _Prepared, sorts, heads: Sequence[str],
@@ -534,9 +530,8 @@ def _checked(lits: list[Lit] | _Prepared, sorts, heads: Sequence[str],
     ``heads`` marked: the cube's ``_Cube`` and propagated integer bounds,
     which the integer search starts from, or None when no integer domain
     satisfies it; and whether a None is a sort or location clash, which
-    every cube that extends this one under the same kinds keeps. Base-heap
-    solving extends a heap's cube with no literals and the universe. See
-    ``_extended``."""
+    every cube that extends this one keeps unless a class leaves the
+    locations (``_extend``). See ``_extended``."""
     try:
         result = _extended(lits if isinstance(lits, _Prepared) else _prepared(lits, sorts),
                            sorts, universe, heads, parent)
@@ -621,12 +616,13 @@ _NO_CLASS = (None, {})
 
 
 class _Sorts:
-    """A heap's sort classes, as ``F.heap_sorts`` finds them: the union-find
-    of its variable equalities (a variable in none is a class of its own)
-    and, per class, the join of its sorts and the count of each sort its
-    members' positions give it (None for a class with none), so that
-    dropping an instance can take its uses out again. ``get`` reads it as
-    ``heap_sorts``' dict."""
+    """A heap's sort classes: the union-find of its variable equalities (a
+    variable in none is a class of its own) and, per class, the join of its
+    sorts and the count of each sort its members' positions give it (None
+    for a class with none), so that dropping an instance can take its uses
+    out again. A heap's check holds the classes ``F.heap_sorts`` finds;
+    base-heap solving adds one use of each of the query's sorts. ``get``
+    reads a table as ``heap_sorts``' dict."""
 
     def __init__(self, uf: F.UnionFind, classes: dict[str, tuple | None]):
         self.uf, self.classes = uf, classes
@@ -640,12 +636,13 @@ class _Sorts:
 
     def extended(self, changes: Iterable[tuple[str, dict[str, int]]],
                  merges: Iterable[tuple[str, str]] = (), old: Iterable[str] = (),
-                 new: Iterable[tuple[str, tuple]] = ()) -> tuple[_Sorts, bool]:
+                 new: Iterable[tuple[str, tuple]] = ()) -> tuple[_Sorts, tuple[bool, bool]]:
         """This table with the classes ``new`` of new variables, each
         (variable, sort counts) of ``changes`` added to the counts of the
         variable's class (a negative count takes uses out), and then the
         classes of each pair in ``merges`` merged; and whether the class of a
-        variable in ``old`` changed kind. Copies only what it changes; raises
+        variable in ``old`` changed kind, and whether one left the locations
+        (``_extend``'s ``moved``). Copies only what it changes; raises
         SortError on a clash."""
         uf, classes = self.uf, dict(self.classes)
         before = {r: _kind(self, r) for r in map(self.root, old)}
@@ -662,7 +659,8 @@ class _Sorts:
                 classes[keep] = _class((classes.get(keep) or _NO_CLASS)[1],
                                        (classes.pop(gone, None) or _NO_CLASS)[1])
         table = _Sorts(uf, classes)
-        return table, any(_kind(table, r) != kind for r, kind in before.items())
+        after = [(kind, _kind(table, r)) for r, kind in before.items()]
+        return table, (any(k != now for k, now in after), any(k and not now for k, now in after))
 
 
 def _counts(uses: list[tuple[str, str, str]]) -> dict[str, dict[str, int]]:
@@ -675,14 +673,14 @@ def _counts(uses: list[tuple[str, str, str]]) -> dict[str, dict[str, int]]:
 
 
 class _Literal:
-    """A literal of a compiled body: its relation, its variables in order,
-    its sides' shapes (``_side``) and its linear form (None when it has
-    none)."""
+    """A literal as ``_split`` reads it: its relation, its variables in
+    order, its sides' shapes (``_side``) and its linear form (None when it
+    has none)."""
 
     __slots__ = ("op", "vars", "sides", "lin")
 
     def __init__(self, lit: Lit):
-        self.op, self.vars = lit.op, _lit_vars(lit)
+        self.op, self.vars = lit.op, F.term_vars(lit.left) + F.term_vars(lit.right)
         self.sides = (_side(lit.left), _side(lit.right))
         try:
             self.lin = _lin_of(lit)
@@ -739,26 +737,6 @@ class _Body:
         names = {p: args[i].name for i, p in self.vars}
         names.update(zip(self.exists, fresh))
         return names
-
-    def cube(self, at: int, names: dict[str, str], sorts: _Sorts) -> _Prepared:
-        """The instance's cube ``at`` as ``_prepared`` makes it from the
-        renamed literals; raises SortError."""
-        order, eqs, pairs, lins = [], [], [], []
-        for t in self.cubes[at]:
-            order += [names[v] for v in t.vars]
-            sides = tuple([side if side == NULL_KEY else names[side] if side.__class__ is str
-                           else tuple([names[v] for v in side]) for side in t.sides])
-            if _is_loc(t.op, sides, sorts):
-                (eqs if t.op == "eq" else pairs).append(sides)
-            elif t.lin is None:
-                raise F.SortError("null inside an arithmetic constraint")
-            else:
-                coeffs: dict[str, int] = {}
-                for v, k in t.lin.coeffs:
-                    coeffs[names[v]] = coeffs.get(names[v], 0) + k
-                lins.append(_Lin(tuple(sorted((v, k) for v, k in coeffs.items() if k)),
-                                 t.lin.const, t.lin.rel))
-        return _Prepared(order, eqs, pairs, lins)
 
 
 class _Spec:
@@ -854,7 +832,6 @@ class _QueryMemo:
         parent out or the body is general; otherwise ``d`` begins with the
         query's conjuncts (see the module notes)."""
         parent, up, inst, body = above or (None, None, None, None)
-        heads = [p.var for p in d.points_tos()]
         if up is None or up.sorts is None or body.general:
             try:
                 if self.prefix_sorts is None:
@@ -863,6 +840,7 @@ class _QueryMemo:
                 sorts = self._sorts(self.prefix_sorts, d.atoms, d.pure[self.prefix:])
             except F.SortError:
                 return _HeapState(None, [])
+            heads = [p.var for p in d.points_tos()]
             return _HeapState(sorts, [_checked(lits, sorts, heads) for lits in _nnf_cubes(d.pure)])
         if body.uses is None:
             return _HeapState(None, [])
@@ -870,36 +848,47 @@ class _QueryMemo:
         try:
             # Only the classes of the parameters' arguments can change kind;
             # the binders are new.
-            sorts, changed = up.sorts.extended(
+            sorts, moved = up.sorts.extended(
                 [(names[v], counts) for v, counts in body.uses],
                 [(names[a], names[b]) for a, b in body.merges], [names[p] for p in body.touched],
                 [(names[v], entry) for v, entry in body.binders])
         except F.SortError:
             return _HeapState(None, [])
         new = []
-        for at in range(len(body.cubes)):
+        for cube in body.cubes:
             try:
-                new.append(body.cube(at, names, sorts))
+                new.append(_split(cube, names, sorts))
             except F.SortError:
                 new.append(None)
-        # A child's cubes are each parent cube followed by each body cube
-        # (_nnf_cubes is parent-major). Under unchanged kinds a parent
-        # cube's clash stays, and the cube is extended; a cube with a
-        # variable whose kind changed, or that propagation ruled out, is
-        # checked from scratch.
-        found, whole = [], None
-        for i, (cube, settled) in enumerate(zip(up.cubes, up.settled)):
-            scratch = (cube is None and not settled) or changed and (cube is None or any(
-                _kind(sorts, v) != kind for v, kind in cube.kinds.items()))
-            for j, lits in enumerate(new):
-                if scratch:
-                    whole = whole or _nnf_cubes(d.pure)
-                    found.append(_checked(whole[i * len(new) + j], sorts, heads))
-                elif cube is None or lits is None:
-                    found.append((None, True))
-                else:
-                    found.append(_checked(lits, sorts, heads, cube))
-        return _HeapState(sorts, found)
+        return _HeapState(sorts, list(_extend(d, up, sorts, moved, new)))
+
+
+def _extend(d: SymbolicHeap, up: _HeapState, sorts: _Sorts, moved: tuple[bool, bool],
+            bodies: Sequence[_Prepared | None], universe: Sequence[str] | None = None):
+    """The checks (``_checked``) of ``d``'s cubes, one at a time: each cube
+    of ``up``, the check of ``d``'s parent, followed by each of ``bodies``
+    (None for one that is a sort clash), as ``_nnf_cubes`` orders them, under
+    ``sorts``, with the variables of ``universe`` leading. ``moved`` says
+    whether a class changed kind between ``up``'s sorts and ``sorts``, and
+    whether one left the locations. A live cube is extended, unless one of
+    its variables changed kind; a cube that propagation ruled out, or whose
+    sort or location clash a class leaving the locations may undo, is
+    checked from scratch; any other clash stays (see the module notes)."""
+    heads, whole = [p.var for p in d.points_tos()], None
+    changed, left = moved
+    for i, (cube, settled) in enumerate(zip(up.cubes, up.settled)):
+        if cube is None:
+            scratch = not settled or left
+        else:
+            scratch = changed and any(_kind(sorts, v) != kind for v, kind in cube.kinds.items())
+        for j, lits in enumerate(bodies):
+            if scratch:
+                whole = whole or _nnf_cubes(d.pure)
+                yield _checked(whole[i * len(bodies) + j], sorts, heads, None, universe)
+            elif cube is None or lits is None:
+                yield None, True
+            else:
+                yield _checked(lits, sorts, heads, cube, universe)
 
 
 # =====================================================================
@@ -912,26 +901,18 @@ def _try_base(d: SymbolicHeap, state: _HeapState, query_sorts: dict[str, str],
               deadline: float) -> tuple[SymbolicModel | None, bool]:
     """Solve the base heap ``d`` from its check ``state``, with the sorts
     ``query_sorts`` joined in: the model of its first cube that has one,
-    and whether only the integer domain ruled its cubes out. Each live cube
-    is extended with the variables of ``universe`` it lacks (``d``'s own
-    lead, then the query's), and its integers are searched in that order. A
-    cube is checked from scratch when the query's sorts move one of its
-    variables between locations and integers, and a contradictory one when
-    they move any (see the module notes)."""
+    and whether only the integer domain ruled its cubes out. Each cube is
+    ``state``'s extended by no literals (``_extend``), with the variables of
+    ``universe`` leading (``d``'s own, then the query's), and its integers
+    are searched in that order."""
     try:
         sorts, moved = state.sorts.extended(
             [(v, {sort: 1}) for v, sort in query_sorts.items()], old=query_sorts)
     except F.SortError:
         return None, False
-    universe = list(dict.fromkeys([*_heap_var_order(d), *universe]))
-    heads, whole, bounded = [p.var for p in d.points_tos()], None, False
-    for at, cube in enumerate(state.cubes):
-        if moved and (cube is None or any(_kind(sorts, v) != kind
-                                          for v, kind in cube.kinds.items())):
-            whole = whole or _nnf_cubes(d.pure)
-            checked, _ = _checked(whole[at], sorts, heads, None, universe)
-        else:
-            checked = cube and _checked((), sorts, heads, cube, universe)[0]
+    universe = list(dict.fromkeys([*F.heap_vars(d), *universe]))
+    bounded = False
+    for checked, _ in _extend(d, state, sorts, moved, [_NO_LITERALS], universe):
         if checked is None:
             continue
         cube, bounds = checked
@@ -941,27 +922,6 @@ def _try_base(d: SymbolicHeap, state: _HeapState, query_sorts: dict[str, str],
             return _assemble_model(d, cube, values, sorts, universe), False
         bounded = True
     return None, bounded
-
-
-def _heap_var_order(d: SymbolicHeap) -> list[str]:
-    names: list[str] = []
-    for c in d.pure:
-        stack = [c]
-        while stack:
-            p = stack.pop()
-            if isinstance(p, Atom):
-                names += _term_var_order(p.left) + _term_var_order(p.right)
-            elif isinstance(p, Not):
-                stack.append(p.inner)
-            elif isinstance(p, F.And):
-                stack.append(p.right)
-                stack.append(p.left)
-    for atom in d.atoms:
-        if isinstance(atom, PointsTo):
-            names.append(atom.var)
-        for a in atom.args:
-            names += _term_var_order(a)
-    return list(dict.fromkeys(names))
 
 
 def _assemble_model(d: SymbolicHeap, cube: _Cube, values: dict[str, int], sorts,
@@ -1034,7 +994,7 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
     deadline = time.monotonic() + budget.time_limit
     spec = _compiled(defs)
     param_sorts = spec.param_sorts
-    universe = _heap_var_order(d)
+    universe = F.heap_vars(d)
     query_sorts = F.heap_sorts(d, defs, param_sorts)
     memo = _QueryMemo(defs, param_sorts, d.pure)
     todo, round_no = [(d, (None, None, None), None)], 0

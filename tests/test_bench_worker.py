@@ -1,0 +1,29 @@
+"""The benchmark's worker (bench/worker.py) runs a pass on the package.
+
+The worker reads names of the package (``unfold.unfold_closure``, the
+pipeline result's report and elaborated program, ``solver.sat``'s stats),
+checks each operation's output, and, when traced, holds the counters the
+pass reports to the tracer's. A refactor that breaks any of that fails
+here rather than in a benchmark run.
+"""
+
+import json
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+WORKER = Path(__file__).resolve().parent.parent / "bench" / "worker.py"
+
+
+@pytest.mark.parametrize("workload", ["bst-explore", "lists-explore", "tll-generate"])
+def test_traced_worker_pass_has_no_problems(workload, tmp_path):
+    run = subprocess.run([sys.executable, "-B", str(WORKER), str(time.monotonic()), workload,
+                          "1", "1", str(tmp_path)],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    record = json.loads(run.stdout.splitlines()[-1])
+    assert record["problems"] == []
+    assert record["ops"] and [op for op in record["ops"] if op["errors"]] == []

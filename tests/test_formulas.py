@@ -155,6 +155,15 @@ def test_free_vars_empty_heap():
     assert F.free_vars(heap("emp & true")) == set()
 
 
+def test_variable_order():
+    # term_vars keeps repeats; heap_vars takes each name once, the conjuncts'
+    # before the atoms', each head before its arguments, binders included.
+    assert F.term_vars(Add(Var("x"), Var("x"))) == ["x", "x"]
+    d = heap("exists u . p(w, u) * t -> C(s, t) & z = y & !(a + b <= a & y = c)")
+    assert F.pure_vars(d.pure[1]) == ["a", "b", "y", "c"]
+    assert F.heap_vars(d) == ["z", "y", "a", "b", "c", "w", "u", "t", "s"]
+
+
 def test_fresh_var_distinct():
     a, b = F.fresh_var("v"), F.fresh_var("v")
     assert a != b
@@ -247,7 +256,7 @@ def test_substitution_free_var_homomorphism():
         out = subst(d, {v: t})
         expected = set(F.free_vars(d))
         if v in expected:
-            expected = (expected - {v}) | F.term_vars(t)
+            expected = (expected - {v}) | set(F.term_vars(t))
         assert F.free_vars(out) == expected
 
 
@@ -325,7 +334,7 @@ def test_normalize_output_is_grammar_conformant():
                     if isinstance(a, PredInst) for child in unfold_at(h, i, spec)]
         for out in frontier:
             assert len(set(out.exists)) == len(out.exists)
-            assert set(out.exists) <= F.heap_vars(out)
+            assert set(out.exists) <= set(F.heap_vars(out))
             assert all(isinstance(a, (F.PointsTo, PredInst)) for a in out.atoms)
             assert all(not isinstance(c, (F.And, F.TruePure)) for c in out.pure)
             assert F.parse_heap(F.print_heap(out)) == out

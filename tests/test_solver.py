@@ -153,12 +153,14 @@ def test_alias_classes_unrelated():
 
 
 def test_alias_classes_keep_earliest_added_representative():
-    # The representative must not depend on the direction of an equality.
+    # The representative must not depend on the direction of an equality:
+    # null is added first, and then each name where an equality first has it.
     for eq in ("y = x", "x = y"):
-        uf = S.alias_classes(S.pure_equalities(heap(f"emp & {eq}").pure), ["x", "y"])
+        uf = S.alias_classes(S.pure_equalities(heap(f"emp & x = z & {eq}").pure))
         assert uf.find("y") == "x"
-    uf = S.alias_classes(S.pure_equalities(heap("emp & y = null").pure), ["y"])
-    assert uf.find("y") == S.NULL_KEY
+    for eq in ("y = null", "null = y"):
+        uf = S.alias_classes(S.pure_equalities(heap(f"emp & {eq}").pure))
+        assert uf.find("y") == S.NULL_KEY
 
 
 # ------------------------------------------------------ frontier pruning
@@ -235,7 +237,7 @@ def definition_state(memo, d, above=None):
     """A check state made from scratch whose verdict is saturate_definition's."""
     state = CHECK(S._QueryMemo(memo.defs, memo.param_sorts), d)
     return SimpleNamespace(contradictory=saturate_definition(d, memo.defs, memo.param_sorts),
-                           sorts=state.sorts, cubes=state.cubes)
+                           sorts=state.sorts, cubes=state.cubes, settled=state.settled)
 
 
 def run_benchmark(name, out_dir, **overrides):
@@ -318,7 +320,7 @@ def eager_sat(d, defs, budget):
     stats = S.SolverStats()
     deadline = time.monotonic() + budget.time_limit
     param_sorts = F.infer_sorts(defs)
-    universe = S._heap_var_order(d)
+    universe = F.heap_vars(d)
     query_sorts = F.heap_sorts(d, defs, param_sorts)
     current = [d]
     for round_no in range(budget.max_depth + 1):
@@ -448,7 +450,7 @@ def scratch_try_base(d, defs, query_sorts, universe, budget, stats, deadline,
         sorts = F._class_sorts(env, classes, "heap")
     except F.SortError:
         return None, False
-    order = list(dict.fromkeys([*S._heap_var_order(d), *universe]))
+    order = list(dict.fromkeys([*F.heap_vars(d), *universe]))
     bounded = False
     for lits in S._nnf_cubes(pure):
         checked, _ = S._checked(lits, sorts, heads, None, order)
@@ -613,14 +615,17 @@ def test_base_heap_solved_from_its_check_matches_scratch_on_random_heaps(monkeyp
     assert_solved_from_check(rows)
 
 
+MOVING = F.parse_spec("data N { int v; N next; }\n"
+                      "pred p(x, y) == (emp & y = null) \\/ "
+                      "(exists u . x -> N(1, u) * p(u, y)) ;")
+
+
 def test_query_sorts_that_move_a_variable_check_its_cube_from_scratch():
     # p(a, b) sorts a as N, and a = c joins c to it. The emp disjunct's
     # child no longer sorts a or c, so its check splits a = c as an integer
     # equality; under the query's sorts it is a location one, and the cube
     # is checked again from scratch: a and c are null, not 0.
-    spec = F.parse_spec("data N { int v; N next; }\n"
-                        "pred p(x, y) == (emp & y = null) \\/ "
-                        "(exists u . x -> N(1, u) * p(u, y)) ;")
+    spec = MOVING
     d = heap("p(a, b) & a = c")
     result = sat(d, spec)
     assert result.is_sat and model_check(result.model, d, spec)
@@ -634,6 +639,28 @@ def test_query_sorts_that_move_a_variable_check_its_cube_from_scratch():
              " & !(!(0 <= x & x <= 78 & x + 1 <= y & y + 1 <= x) & !(z = 1))")
     result = sat(d, spec, Budget(max_depth=2))
     assert result.is_sat and (result.stats.pure_nodes, result.stats.bounded) == (5, False)
+
+
+def test_query_sorts_that_only_add_locations_keep_a_clash(monkeypatch):
+    # The base child's cubes are a = c & b = null & b != null, a location
+    # clash, and a = c & c = a, live. The query's sorts move a and c into
+    # the locations, which only adds location literals, so the clash stays;
+    # only the live cube, whose literals now split otherwise, is checked
+    # again from scratch.
+    scratch, check = [], S._checked
+
+    def checked(lits, sorts, heads, parent=None, universe=None):
+        if parent is None and universe is not None:  # from scratch, at base
+            scratch.append(lits)
+        return check(lits, sorts, heads, parent, universe)
+
+    monkeypatch.setattr(S, "_checked", checked)
+    d = heap("p(a, b) & a = c & !(!(b = null & b != null) & !(c = a))")
+    result = sat(d, MOVING)
+    assert result.is_sat and model_check(result.model, d, MOVING)
+    assert str(result.model) == "emp & a = null & c = null & b = null"
+    assert result.stats.pure_nodes == 1
+    assert len(scratch) == 1
 
 
 # ------------------------------------------------------------ query memo
@@ -1490,7 +1517,7 @@ def test_sat_models_pass_model_check_on_random_heaps():
             # with the sort of its model value (N for a bare reference).
             sorts = result.model.sorts
             params = [(v, {"nullref": "N"}.get(sorts.get(v, "int"), sorts.get(v, "int")))
-                      for v in S._heap_var_order(d)]
+                      for v in F.heap_vars(d)]
             test = T.to_unit_test(result.model, params, spec)
             # An input fails the query only where the model leaves a class
             # dangling (a self-alias): to_unit_test puts an object there,

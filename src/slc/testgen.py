@@ -9,11 +9,21 @@ tests run as-is.
 The dual of generation lives here too: ``heap_satisfies`` decides whether
 a concrete input satisfies a symbolic heap by exact footprint matching
 (``emp`` demands emptiness, a points-to consumes one object, ``*`` splits
-disjointly). The oracle brute-forces all small candidate inputs:
-``oracle_sat`` decides whether a heap has a concrete model within bounds
-(criterion 6's entry point) and ``oracle_enumerate`` lists the inputs that
-satisfy one predicate instance. Together they are the ground truth the
-solver and the generator are tested against.
+disjointly). A ``<=`` with a null or address side is ill-sorted: it has
+no truth value, also under ``!``, and the assignment being tried is no
+model (``sat`` reads such a heap as a sort clash). The oracle brute-forces
+all small candidate inputs: ``oracle_sat`` decides whether a heap has a
+concrete model within bounds (criterion 6's entry point) and
+``oracle_enumerate`` lists the inputs that satisfy one predicate instance.
+Together they are the ground truth the solver and the generator are tested
+against.
+
+The oracle enumerates shapes first and scalars second (``_enum_stores``):
+a backtracking walk wires every reference field of up to ``max_objects``
+objects, and each shape then gets every combination of its scalar fields.
+A query is prepared once, its binders renamed and its candidates listed,
+and each store is one ``heap_satisfies`` call that reuses the predicate
+bodies the stores before it renamed.
 """
 
 from __future__ import annotations
@@ -151,26 +161,32 @@ def _values_equal(a, b) -> bool:
     return a == b
 
 
-def _eval_pure_ground(pure, env: Mapping[str, object]) -> bool | None:
-    """Three-valued: None when a term has no value (see ``eval_ground``)."""
+# The value of a pure formula in which a ``<=`` has a null or address side.
+_ILL_SORTED = "ill-sorted"
+
+
+def _eval_pure_ground(pure, env: Mapping[str, object]) -> bool | None | str:
+    """Three-valued: None when a term has no value yet (see
+    ``eval_ground``). ``_ILL_SORTED`` overrides both truth values."""
     if isinstance(pure, F.TruePure):
         return True
     if isinstance(pure, Atom):
         left = eval_ground(pure.left, env)
         right = eval_ground(pure.right, env)
+        if pure.op == "=":
+            return None if left is UNDEFINED or right is UNDEFINED else _values_equal(left, right)
+        if left is None or right is None or isinstance(left, Addr) or isinstance(right, Addr):
+            return _ILL_SORTED
         if left is UNDEFINED or right is UNDEFINED:
             return None
-        if pure.op == "=":
-            return _values_equal(left, right)
-        if isinstance(left, Addr) or isinstance(right, Addr) or \
-                left is None or right is None:
-            return False
         return left <= right
     if isinstance(pure, F.Not):
         inner = _eval_pure_ground(pure.inner, env)
-        return None if inner is None else not inner
+        return inner if inner is None or inner is _ILL_SORTED else not inner
     left = _eval_pure_ground(pure.left, env)
     right = _eval_pure_ground(pure.right, env)
+    if left is _ILL_SORTED or right is _ILL_SORTED:
+        return _ILL_SORTED
     if left is False or right is False:
         return False
     if left is None or right is None:
@@ -224,35 +240,64 @@ def _term_consts(term: ArithTerm) -> list[int]:
 
 def heap_satisfies(store: Mapping[Addr, HeapObject], env: Mapping[str, object],
                    d: SymbolicHeap, defs: SpecFile,
-                   int_candidates: Sequence[int] | None = None) -> bool:
+                   int_candidates: Sequence[int] | None = None,
+                   bodies: dict | None = None) -> bool:
     """Does (store, env) satisfy ``d`` with the store as exact footprint?
 
     Variables of ``d`` missing from ``env`` (its existentials, plus any
     free variables the caller left out) are witnessed by bounded search:
     reference candidates are the store's addresses plus null, integer
     candidates default to the values present in the problem and their
-    neighbours.
+    neighbours. ``bodies`` keeps the renamed predicate bodies
+    (``_unfolding``) for later calls on the same spec, under each
+    unfolding's number and instance (by identity: the instances come from
+    ``d`` and from the kept bodies). The oracle passes one table per query,
+    so each store reuses the bodies the stores before it renamed.
     """
     if int_candidates is None:
         int_candidates = _int_candidates(store, env, d, defs)
-    counter = itertools.count()
-    binders = {v: f"{v}#{next(counter)}" for v in d.exists}
-    renames = {v: Var(n) for v, n in binders.items()}
-    atoms = F.subst_spatial(d.atoms, renames)
-    pure = F.subst_pure(d.pure, renames)
-    fp = frozenset(store.keys())
+    candidates = list(int_candidates)
+    if d.exists:
+        d = _opened(d)
     limit = 2 * len(store) + 16
-    for leftover, env2 in _match_atoms(atoms, 0, fp, dict(env), store,
-                                       defs, counter, limit, list(int_candidates)):
+    for leftover, env2 in _match_atoms(d.atoms, 0, frozenset(store), dict(env), store, defs,
+                                       (itertools.count(), {} if bodies is None else bodies),
+                                       limit, candidates):
         if leftover:
             continue
-        for _ in _satisfy_pure(pure, env2, store, list(int_candidates)):
+        for _ in _satisfy_pure(d.pure, env2, store, candidates):
             return True
     return False
 
 
-def _match_atoms(atoms, i, fp, env, store, defs, counter, depth,
+def _opened(d: SymbolicHeap) -> SymbolicHeap:
+    """``d`` with its binders renamed ``v#`` and dropped, so that no
+    variable of the caller's environment binds them. ``_unfolding`` names
+    predicate binders ``v#0``, ``v#1``, ...: the two never meet."""
+    renames = {v: Var(f"{v}#") for v in d.exists}
+    return SymbolicHeap((), F.subst_spatial(d.atoms, renames),
+                        F.subst_pure(d.pure, renames))
+
+
+def _unfolding(pred: F.PredDef, k: int, args: tuple, n: int) -> SymbolicHeap | None:
+    """Disjunct ``k`` of ``pred`` with ``args`` put in and its binders
+    renamed ``v#n``; None where a points-to head would become a
+    non-variable. It depends on nothing else, so one store's match and the
+    next share it."""
+    disjunct = pred.body.disjuncts[k]
+    renaming = {**dict(zip(pred.params, args)),
+                **{v: Var(f"{v}#{n}") for v in disjunct.exists}}
+    try:
+        return SymbolicHeap((), F.subst_spatial(disjunct.atoms, renaming),
+                            F.subst_pure(disjunct.pure, renaming))
+    except F.SubstitutionError:
+        return None
+
+
+def _match_atoms(atoms, i, fp, env, store, defs, names, depth,
                  candidates) -> Iterator[tuple[frozenset, dict]]:
+    """Match ``atoms[i:]`` on the footprint ``fp``. ``names`` is the call's
+    counter of unfoldings and the table of their bodies."""
     if depth < 0:
         return
     if i == len(atoms):
@@ -289,26 +334,32 @@ def _match_atoms(atoms, i, fp, env, store, defs, counter, depth,
                     break
             if ok:
                 yield from _match_atoms(atoms, i + 1, fp - {addr}, env2, store,
-                                        defs, counter, depth, candidates)
+                                        defs, names, depth, candidates)
         return
     # Predicate instance: try each disjunct of the definition on a
     # sub-footprint, propagating bindings outward.
     pred = defs.preds.get(atom.pred)
     if pred is None or len(pred.params) != len(atom.args):
         return
-    binding = dict(zip(pred.params, atom.args))
-    for disjunct in pred.body.disjuncts:
-        renaming = {**binding, **{v: Var(f"{v}#{next(counter)}") for v in disjunct.exists}}
-        try:
-            body = SymbolicHeap((), F.subst_spatial(disjunct.atoms, renaming),
-                                F.subst_pure(disjunct.pure, renaming))
-        except F.SubstitutionError:
+    counter, bodies = names
+    n = next(counter)
+    for seen, unfolded in bodies.setdefault(n, []):
+        if seen is atom:
+            break
+    else:
+        unfolded = []
+        bodies[n].append((atom, unfolded))
+    for k in range(len(pred.body.disjuncts)):
+        if k == len(unfolded):  # renamed when first reached
+            unfolded.append(_unfolding(pred, k, atom.args, n))
+        body = unfolded[k]
+        if body is None:
             continue
         for fp2, env2 in _match_atoms(body.atoms, 0, fp, env, store, defs,
-                                      counter, depth - 1, candidates):
+                                      names, depth - 1, candidates):
             for env3 in _satisfy_pure(body.pure, env2, store, candidates):
                 yield from _match_atoms(atoms, i + 1, fp2, env3, store, defs,
-                                        counter, depth, candidates)
+                                        names, depth, candidates)
 
 
 def _satisfy_pure(parts, env, store, candidates) -> Iterator[dict]:
@@ -325,7 +376,7 @@ def _satisfy_pure(parts, env, store, candidates) -> Iterator[dict]:
             if value is True:
                 progress = True
                 continue
-            if value is False:
+            if value is False or value is _ILL_SORTED:
                 return
             if isinstance(p, Atom) and p.op == "=":
                 lv = eval_ground(p.left, env)
@@ -432,62 +483,56 @@ def _relevant_types(defs: SpecFile, seeds: Iterable[str]) -> list[str]:
 def _enum_stores(defs: SpecFile, root_sorts: Sequence[str], max_objects: int,
                  scalar_domain: Sequence[int]) -> Iterator[tuple[dict, list]]:
     """All connected stores grown from the given roots, with scalar fields
-    over the domain. Yields (store, root value per root sort)."""
+    over the domain. Yields (store, root value per root sort).
 
-    def grow(shape: list[str], wiring: dict, pending: list, roots: list,
-             root_idx: int) -> Iterator[tuple[list[str], dict, list]]:
-        if root_idx < len(root_sorts):
-            sort = root_sorts[root_idx]
-            yield from grow(shape, {**wiring}, list(pending), roots + [None], root_idx + 1)
-            for i, t in enumerate(shape):
-                if t == sort:
-                    yield from grow(shape, {**wiring}, list(pending),
-                                    roots + [i], root_idx + 1)
-            if len(shape) < max_objects:
-                new_idx = len(shape)
-                shape2 = shape + [sort]
-                pend2 = pending + [(new_idx, f, ft)
-                                   for f, ft in defs.datas[sort].fields
-                                   if ft in defs.datas]
-                yield from grow(shape2, {**wiring}, pend2, roots + [new_idx],
-                                root_idx + 1)
-            return
-        if not pending:
-            yield shape, wiring, roots
-            return
-        (obj, fname, ftype), rest = pending[0], pending[1:]
-        yield from grow(shape, {**wiring, (obj, fname): None}, rest, roots, root_idx)
-        for i, t in enumerate(shape):
-            if t == ftype:
-                yield from grow(shape, {**wiring, (obj, fname): i}, rest, roots, root_idx)
-        if len(shape) < max_objects:
-            new_idx = len(shape)
-            shape2 = shape + [ftype]
-            pend2 = rest + [(new_idx, f, ft) for f, ft in defs.datas[ftype].fields
-                            if ft in defs.datas]
-            yield from grow(shape2, {**wiring, (obj, fname): new_idx}, pend2,
-                            roots, root_idx)
+    Shapes come first. One backtracking walk fills each root, then each
+    reference field in the order its object joined the shape, with null,
+    each object of its type already in the shape, or one new object. Each
+    shape's addresses and reference fields are made once; each combination
+    of its scalar fields then gets fresh objects and field dicts."""
+    objects: list[tuple[Addr, str, dict]] = []  # (address, type, reference fields)
+    pending: list[tuple[dict, str, str]] = []   # (its object's fields, name, type)
+    roots: list[Addr | None] = []
 
-    for shape, wiring, roots in grow([], {}, [], [], 0):
-        scalar_slots = [(i, fname, ftype) for i, t in enumerate(shape)
-                        for fname, ftype in defs.datas[t].fields
-                        if ftype in ("int", "bool")]
-        domains = [([False, True] if ftype == "bool" else list(scalar_domain))
-                   for _, _, ftype in scalar_slots]
-        for combo in itertools.product(*domains):
-            addrs = [Addr(i + 1, t) for i, t in enumerate(shape)]
-            store: dict[Addr, HeapObject] = {}
-            for i, t in enumerate(shape):
-                fields: dict[str, object] = {}
-                for fname, ftype in defs.datas[t].fields:
-                    if ftype in defs.datas:
-                        tgt = wiring[(i, fname)]
-                        fields[fname] = None if tgt is None else addrs[tgt]
-                for (j, fname, _), value in zip(scalar_slots, combo):
-                    if j == i:
-                        fields[fname] = value
-                store[addrs[i]] = HeapObject(addrs[i], t, fields)
-            yield store, [None if r is None else addrs[r] for r in roots]
+    def grow(pos: int) -> Iterator[None]:
+        filled = len(roots) == len(root_sorts)
+        if filled and pos == len(pending):
+            yield
+            return
+        sort = pending[pos][2] if filled else root_sorts[len(roots)]
+        size, waiting = len(objects), len(pending)
+        targets = [None, *(addr for addr, t, _ in objects if t == sort)]
+        if size < max_objects:
+            targets.append(Addr(size + 1, sort))
+        for target in targets:
+            if target is not None and target.ident > size:  # a new object
+                refs: dict = {}
+                objects.append((target, sort, refs))
+                pending.extend((refs, f, ft) for f, ft in defs.datas[sort].fields
+                               if ft in defs.datas)
+            if filled:
+                fields, name, _ = pending[pos]
+                fields[name] = target
+                yield from grow(pos + 1)
+            else:
+                roots.append(target)
+                yield from grow(pos)
+                roots.pop()
+        del objects[size:], pending[waiting:]
+
+    domains = {"int": list(scalar_domain), "bool": [False, True]}
+    scalars = {}  # type -> every assignment of its scalar fields
+    for t, data in defs.datas.items():
+        names = [(f, domains[ft]) for f, ft in data.fields if ft in domains]
+        scalars[t] = [tuple(zip([f for f, _ in names], combo))
+                      for combo in itertools.product(*(dom for _, dom in names))]
+    for _ in grow(0):
+        at = list(roots)
+        for combo in itertools.product(*(scalars[t] for _, t, _ in objects)):
+            store = {}
+            for (addr, t, refs), assigned in zip(objects, combo):
+                store[addr] = HeapObject(addr, t, {**refs, **dict(assigned)})
+            yield store, at
 
 
 def oracle_enumerate(defs: SpecFile, inst: PredInst, max_objects: int,
@@ -502,19 +547,21 @@ def oracle_enumerate(defs: SpecFile, inst: PredInst, max_objects: int,
         raise KeyError(inst.pred)
     ref_args = [(i, a.name) for i, (a, s) in enumerate(zip(inst.args, sorts))
                 if isinstance(a, Var) and s in defs.datas]
+    d, candidates, bodies = SymbolicHeap((), (inst,), ()), list(scalar_domain), {}
     out: list[TestInput] = []
     for store, roots in _enum_stores(defs, [sorts[i] for i, _ in ref_args],
                                      max_objects, scalar_domain):
         env = {name: roots[k] for k, (_, name) in enumerate(ref_args)}
-        d = SymbolicHeap((), (inst,), ())
-        if heap_satisfies(store, env, d, defs, int_candidates=list(scalar_domain)):
+        if heap_satisfies(store, env, d, defs, candidates, bodies):
             out.append(TestInput(store, dict(env), provenance="oracle"))
     return out
 
 
 def oracle_sat(d: SymbolicHeap, defs: SpecFile, max_objects: int,
                scalar_domain: Sequence[int]) -> bool:
-    """Existence of a concrete model of ``d`` within the given bounds."""
+    """Existence of a concrete model of ``d`` within the given bounds. The
+    query is opened, and its candidate list and body table made, once;
+    each store is one ``heap_satisfies`` call."""
     if max_objects > 4:
         raise OracleBudgetError("oracle limited to at most 4 objects")
     sorts = F.heap_sorts(d, defs, F.infer_sorts(defs))
@@ -524,10 +571,11 @@ def oracle_sat(d: SymbolicHeap, defs: SpecFile, max_objects: int,
     types = _relevant_types(defs, seed_types)
     if not types and not d.points_tos():
         return heap_satisfies({}, {}, d, defs, int_candidates=list(scalar_domain))
+    opened, candidates, bodies = _opened(d), list(scalar_domain), {}
     for store, roots in _enum_stores(defs, [sorts[v] for v in ref_vars],
                                      max_objects, scalar_domain):
         env = dict(zip(ref_vars, roots))
-        if heap_satisfies(store, env, d, defs, int_candidates=list(scalar_domain)):
+        if heap_satisfies(store, env, opened, defs, candidates, bodies):
             return True
     return False
 

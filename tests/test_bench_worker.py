@@ -18,7 +18,15 @@ import pytest
 WORKER = Path(__file__).resolve().parent.parent / "bench" / "worker.py"
 
 
-@pytest.mark.parametrize("workload", ["bst-explore", "lists-explore", "tll-generate"])
+# Work counters a pass must repeat: the oracle visits the same stores in
+# the same order however cheap each store is made.
+PINNED_COUNTERS = {
+    "oracle-check": {"testgen.oracle_stores": 164879, "testgen.oracle_queries": 5},
+}
+
+
+@pytest.mark.parametrize("workload",
+                         ["bst-explore", "lists-explore", "tll-generate", "oracle-check"])
 def test_traced_worker_pass_has_no_problems(workload, tmp_path):
     run = subprocess.run([sys.executable, "-B", str(WORKER), str(time.monotonic()), workload,
                           "1", "1", str(tmp_path)],
@@ -27,3 +35,5 @@ def test_traced_worker_pass_has_no_problems(workload, tmp_path):
     record = json.loads(run.stdout.splitlines()[-1])
     assert record["problems"] == []
     assert record["ops"] and [op for op in record["ops"] if op["errors"]] == []
+    pinned = PINNED_COUNTERS.get(workload, {})
+    assert {key: record["counters"].get(key) for key in pinned} == pinned

@@ -1548,3 +1548,17 @@ def test_solver_unsat_never_contradicts_oracle():
             assert not within, text
         if result.is_sat:
             assert within, text
+
+
+def test_oracle_reads_an_ill_sorted_comparison_as_no_model():
+    # same(c, p) equates the integer c with the location p, so every
+    # unfolding is a sort clash for sat; the oracle binds c to null, and
+    # b <= c then has no truth value, also under the negation.
+    spec = F.parse_spec(LOOSE)
+    d = heap("loose(p) * loose(p) * same(c, p) & p = r & !(r = p & b <= c) & !(r != null)")
+    assert sat(d, spec).decision == "unsat"
+    assert not T.oracle_sat(d, spec, 2, range(-2, 3))
+    env = {"p": None, "r": None, "c": None}
+    assert not T.heap_satisfies({}, env, heap("emp & !(b <= c)"), spec)
+    assert not T.heap_satisfies({}, env, heap("emp & !(r = p & b <= c)"), spec)
+    assert T.heap_satisfies({}, {**env, "c": 1}, heap("emp & !(r = p & b <= c)"), spec)

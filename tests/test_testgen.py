@@ -1,5 +1,7 @@
 """Input construction, predicate evaluation, generation, and the oracle."""
 
+import hashlib
+
 import pytest
 
 from slc import formulas as F
@@ -170,12 +172,15 @@ def test_gen_unsatisfiable_yields_nothing(bst_spec):
 
 
 def test_oracle_bst_one_object(bst_spec):
+    # minE < elt < maxE over [-1, 0, 1] leaves element 0 only: element -1
+    # needs minE <= -2 and element 1 needs maxE >= 2. A null bound makes the
+    # comparison ill-sorted, which is no model.
     inst = PredInst("bst", (Var("root"), Var("minE"), Var("maxE")))
     found = oracle_enumerate(bst_spec, inst, 1, [-1, 0, 1])
     shapes = sorted((len(t.objects),
                      tuple(sorted(o.fields["element"] for o in t.objects.values())))
                     for t in found)
-    assert shapes == [(0, ()), (1, (-1,)), (1, (0,)), (1, (1,))]
+    assert shapes == [(0, ()), (1, (0,))]
 
 
 def test_oracle_unsatisfiable_body():
@@ -194,6 +199,69 @@ def test_oracle_sll_three_lengths():
     """)
     found = oracle_enumerate(spec, PredInst("sll", (Var("root"),)), 2, [0])
     assert sorted(len(t.objects) for t in found) == [0, 1, 2]
+
+
+STORE_SPECS = {
+    "sll": "data SNode { int element; SNode next; }",
+    "dll": "data DNode { int v; DNode next; DNode prev; }",
+    "mixed": "data B { bool flag; C link; int v; } data C { B back; bool on; }",
+}
+
+
+@pytest.mark.parametrize("spec, roots, max_objects, domain, count, digest", [
+    ("sll", ("SNode",), 1, (-1, 0, 1), 7, "33be0ff300eef0bb"),
+    ("sll", ("SNode",), 3, (0, 1), 49, "3f79fb40f1bfce86"),
+    ("dll", ("DNode", "DNode"), 2, (0, 1), 889, "918c1d7a2fbe1231"),
+    ("mixed", ("B", "C"), 3, (0,), 133, "5bdebfac2b2def39"),
+])
+def test_enum_stores_sequence_is_pinned(spec, roots, max_objects, domain, count, digest):
+    # The oracle's store count is a work counter, so the enumeration must
+    # yield the same stores, field order included, in the same order.
+    h, n = hashlib.sha256(), 0
+    for store, root_values in T._enum_stores(F.parse_spec(STORE_SPECS[spec]), list(roots),
+                                             max_objects, list(domain)):
+        n += 1
+        line = ";".join(f"{a!r}={o.addr!r}:{o.type_name}{list(o.fields.items())!r}"
+                        for a, o in store.items())
+        h.update(f"{line}|{root_values!r}\n".encode())
+    assert (n, h.hexdigest()[:16]) == (count, digest)
+
+
+def test_enumerated_stores_do_not_share_field_dicts():
+    spec = F.parse_spec(STORE_SPECS["dll"])
+    stores = [store for store, _ in T._enum_stores(spec, ["DNode"], 2, [0, 1])]
+    dicts = [obj.fields for store in stores for obj in store.values()]
+    assert len(stores) == 189 and len({id(d) for d in dicts}) == len(dicts)
+
+
+def test_shared_body_table_gives_the_answers_of_fresh_calls(bst_spec):
+    # The oracle passes one table of renamed bodies to every store's call.
+    # The n-th unfolding is bst(q, ...) on one store and a subtree of p on
+    # another, so the table must tell the instances apart.
+    d = F.parse_heap("bst(p, lo, hi) * bst(q, lo, hi) & lo = -2 & hi = 2")
+    shared, answers = {}, []
+    for store, (p, q) in T._enum_stores(bst_spec, ["BinaryNode"] * 2, 2, [-1, 0, 1]):
+        env = {"p": p, "q": q}
+        alone = heap_satisfies(store, env, d, bst_spec, [-2, -1, 0, 1, 2])
+        answers.append(alone)
+        assert heap_satisfies(store, env, d, bst_spec, [-2, -1, 0, 1, 2], shared) == alone
+    assert (len(answers), sum(answers)) == (1981, 28)
+
+
+def test_oracle_query_binders_are_not_captured_by_predicate_binders():
+    # The query's binders v, n are chain's binders too. Were the query's
+    # renamed v and n named like chain's renamed ones, the first unfolding
+    # of chain(n) would be bound to the query's cell and find no model.
+    spec = F.parse_spec("""
+    data N { int v; N next; }
+    pred chain(x) == (emp & x = null) \\/ (exists v, n . x -> N(v, n) * chain(n)) ;
+    """)
+    d = F.parse_heap("exists v, n . p -> N(v, n) * chain(n) & v = 2 & n != null")
+    assert T.oracle_sat(d, spec, 2, range(-1, 3))
+    a1, a2 = Addr(1, "N"), Addr(2, "N")
+    store = {a1: HeapObject(a1, "N", {"v": 2, "next": a2}),
+             a2: HeapObject(a2, "N", {"v": 0, "next": None})}
+    assert heap_satisfies(store, {"p": a1}, d, spec)
 
 
 def test_oracle_budget_guard(bst_spec):

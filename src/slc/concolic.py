@@ -80,7 +80,7 @@ from .ir import (
     wrap32,
 )
 from .testgen import Addr, TestInput
-from .unfold import unfold_at
+from .solver import unfold_at
 from .value import Value, setfield
 
 # =====================================================================

@@ -24,9 +24,13 @@ Design notes:
   parse time (``a < b`` becomes ``!(b <= a)`` and so on). Printing re-sugars
   the two negated shapes so round-trips stay readable.
 * Variables are untyped in assertions; ``infer_sorts`` and ``heap_sorts``
-  recover int/bool/record sorts by unification: a union-find merges the
-  two sides of every variable equality, each class has one sort joined
-  from the positions its members occupy, and a clash is a ``SortError``.
+  recover int/bool/record sorts by unification, in one ``SortTable``: a
+  union-find merges the two sides of every variable equality, each class
+  counts the sorts of the positions its members occupy and has their join
+  as its sort, and a clash is a ``SortError`` that names the position of
+  the use or the class that makes it. The solver's check extends the same
+  table one predicate body at a time, and the counts let it take an
+  unfolded instance's uses out again.
 * AST nodes are immutable values (``value.Value``) and may be shared
   freely.
 """
@@ -233,7 +237,8 @@ class SpecFile:
         self.datas: dict[str, DataDef] = {}
         self.preds: dict[str, PredDef] = {}
         self.preconditions: dict[str, Formula] = {}
-        self.compiled = None  # the solver's compiled predicate bodies, made on first use
+        self.param_sorts: dict[str, tuple[str | None, ...]] = {}  # infer_sorts', when validated
+        self.compiled: dict = {}  # the solver's compiled predicate bodies, made on first use
 
 
 # =====================================================================
@@ -860,7 +865,7 @@ def validate_spec(spec: SpecFile) -> None:
     for name, formula in spec.preconditions.items():
         for i, d in enumerate(formula.disjuncts):
             check_heap(d, f"pre {name} disjunct {i}")
-    infer_sorts(spec)
+    spec.param_sorts = infer_sorts(spec)
 
 
 # =====================================================================
@@ -926,13 +931,6 @@ def join_sorts(have: Sort | None, sort: Sort, where: str = "heap", var: str = ""
     raise SortError(f"{where}: variable {var} used both as {have} and as {sort}")
 
 
-def _use(env: dict[str, Sort], var: str, sort: Sort, where: str) -> None:
-    """Join ``sort`` into the sort of ``var`` in ``env``."""
-    have = env.get(var)
-    if have != sort:
-        env[var] = join_sorts(have, sort, where, var)
-
-
 def _term_sort(term: ArithTerm) -> Sort | None:
     """The sort a term has by its shape alone; None for a variable."""
     return {Var: None, Null: "nullref", Const: "scalar"}.get(type(term), "int")
@@ -992,66 +990,137 @@ def sort_facts(atoms: Iterable[SpatialAtom], pure: Conjunction, spec: SpecFile,
     return uses, merges
 
 
-def _sort_walk(env: dict[str, Sort], classes: UnionFind, d: SymbolicHeap, spec: SpecFile,
-               param_sorts: Mapping[str, tuple[Sort | None, ...]], where: str,
-               keys: Mapping[str, str] | None = None) -> None:
-    """Join into ``env`` the sorts of the positions ``d``'s variables
-    occupy, and merge in ``classes`` the two sides of every equality of
-    variables (``sort_facts``), each variable under its name in ``keys``
-    (default: its own name)."""
-    key = (keys or {}).get
-    uses, merges = sort_facts(d.atoms, d.pure, spec, param_sorts, where)
-    for var, sort, at in uses:
-        _use(env, key(var, var), sort, at)
-    for a, b in merges:
-        classes.union(key(a, a), key(b, b))
+def sort_class(counts: dict[Sort, int], delta: dict[Sort, int]) -> tuple | None:
+    """A ``SortTable`` class whose sort ``counts`` get ``delta`` added: the
+    join of the sorts left and their counts, or None when none is left."""
+    counts = dict(counts)
+    for sort, n in delta.items():
+        counts[sort] = counts.get(sort, 0) + n
+        if not counts[sort]:
+            del counts[sort]
+    joined = None
+    for sort in counts:
+        joined = join_sorts(joined, sort)
+    return (joined, counts) if counts else None
 
 
-def _class_sorts(env: dict[str, Sort], classes: UnionFind, where: str) -> dict[str, Sort]:
-    """Each variable's sort: the join of the sorts in its class, with
-    'scalar' read as int. A variable whose class has none is absent."""
-    roots = {v: classes.find(v) for v in classes.parent}
-    joined: dict[str, Sort] = {}
-    for v, root in roots.items():
-        if v in env:
-            _use(joined, root, env[v], where)
-    for v, root in roots.items():
-        if root in joined:
-            env[v] = joined[root]
-    return {v: "int" if sort == "scalar" else sort for v, sort in env.items()}
+def sort_counts(uses: Iterable[tuple[str, Sort, str]]) -> dict[str, dict[Sort, int]]:
+    """``sort_facts``' uses as each variable's count per sort."""
+    counts: dict[str, dict[Sort, int]] = {}
+    for v, sort, _ in uses:
+        sorts = counts.setdefault(v, {})
+        sorts[sort] = sorts.get(sort, 0) + 1
+    return counts
+
+
+def is_location(sorts, v: str) -> bool:
+    """Whether ``v`` is a location under ``sorts`` (an unsorted one is not)."""
+    return sorts.get(v, "int") not in ("int", "bool")
+
+
+_NO_CLASS = (None, {})
+
+
+class SortTable:
+    """Sort classes: the union-find of the variable equalities (a variable
+    in none is a class of its own) and, per class, the join of its sorts
+    and the count of each sort its members' positions give it (None for a
+    class with none), so that dropping a predicate instance can take its
+    uses out again. ``heap_sorts`` and ``infer_sorts`` build one from
+    ``sort_facts``; the solver's check extends its parent's. ``get`` reads
+    a table as ``heap_sorts``' dict."""
+
+    def __init__(self, uf: UnionFind, classes: dict[str, tuple | None]):
+        self.uf, self.classes = uf, classes
+
+    def root(self, v: str) -> str:
+        return self.uf.find(v) if v in self.uf.parent else v
+
+    def get(self, v: str, default: Sort | None = None) -> Sort | None:
+        sort = (self.classes.get(self.root(v)) or (default,))[0]
+        return "int" if sort == "scalar" else sort
+
+    def extended(self, changes: Iterable[tuple[str, dict[Sort, int]]],
+                 merges: Iterable[tuple[str, str]] = (), old: Iterable[str] = (),
+                 new: Iterable[tuple[str, tuple]] = ()) -> tuple[SortTable, tuple[bool, bool]]:
+        """This table with the classes ``new`` of new variables, each
+        (variable, sort counts) of ``changes`` added to the counts of the
+        variable's class (a negative count takes uses out), and then the
+        classes of each pair in ``merges`` merged; and whether the class of a
+        variable in ``old`` changed kind (``is_location``), and whether one
+        left the locations. Copies only what it changes; raises SortError on
+        a clash, naming no position."""
+        uf, classes = self.uf, dict(self.classes)
+        before = {r: is_location(self, r) for r in map(self.root, old)}
+        classes.update(new)
+        for v, delta in changes:  # before any merge, so the roots are this table's
+            r = self.root(v)
+            classes[r] = sort_class((classes.get(r) or _NO_CLASS)[1], delta)
+        for a, b in merges:
+            ra, rb = (uf.find(x) if x in uf.parent else x for x in (a, b))
+            if ra != rb:
+                uf = uf.copy() if uf is self.uf else uf
+                uf.union(ra, rb)
+                keep, gone = (ra, rb) if uf.find(ra) == ra else (rb, ra)
+                classes[keep] = sort_class((classes.get(keep) or _NO_CLASS)[1],
+                                           (classes.pop(gone, None) or _NO_CLASS)[1])
+        table = SortTable(uf, classes)
+        after = [(kind, is_location(table, r)) for r, kind in before.items()]
+        return table, (any(k != now for k, now in after), any(k and not now for k, now in after))
+
+
+def _sort_table(uses: list[tuple[str, Sort, str]], merges: list[tuple[str, str]],
+                where: str) -> SortTable:
+    """The sort table of ``sort_facts``' ``uses`` and ``merges``. A clash
+    raises SortError named as a walk in order meets it: the first use
+    whose sort clashes with its variable's earlier ones, at that use's
+    position, else the class whose members' sorts clash, under its
+    representative, at ``where``."""
+    try:
+        return SortTable(UnionFind(), {}).extended(sort_counts(uses).items(), merges)[0]
+    except SortError:  # named by the walk below, which meets the same clash
+        env: dict[str, Sort] = {}
+        for var, sort, at in uses:
+            env[var] = join_sorts(env.get(var), sort, at, var)
+        classes, joined = UnionFind(), {}
+        for a, b in merges:
+            classes.union(a, b)
+        for v in [v for v in classes.parent if v in env]:
+            root = classes.find(v)
+            joined[root] = join_sorts(joined.get(root), env[v], where, root)
+        raise
 
 
 def infer_sorts(spec: SpecFile) -> dict[str, tuple[Sort | None, ...]]:
     """Parameter sorts of every predicate. Each predicate's disjuncts are
-    walked into one set of sort classes, given the parameter sorts found so
-    far, until no parameter sort changes. The parameters are shared by all
-    disjuncts; the binders of disjunct ``i`` are keyed ``x@i``, which no
-    parsed name can be, so that a binder named like a parameter never joins
-    its class."""
+    read into one sort table, given the parameter sorts found so far, until
+    no parameter sort changes. The parameters are shared by all disjuncts;
+    the binders of disjunct ``i`` are keyed ``x@i``, which no parsed name
+    can be, so that a binder named like a parameter never joins its class.
+    ``validate_spec`` keeps the result as the spec's ``param_sorts``."""
     param_sorts: dict[str, tuple[Sort | None, ...]] = {
         name: (None,) * len(p.params) for name, p in spec.preds.items()}
     while True:
         before = dict(param_sorts)
         for name, pred in spec.preds.items():
-            env: dict[str, Sort] = {}
-            classes = UnionFind()
+            uses, merges = [], []
             for i, d in enumerate(pred.body.disjuncts):
-                _sort_walk(env, classes, d, spec, param_sorts, f"pred {name}[{i}]",
-                           {v: f"{v}@{i}" for v in d.exists})
-            sorts = _class_sorts(env, classes, f"pred {name}")
-            param_sorts[name] = tuple(sorts.get(p) or old
+                key = {v: f"{v}@{i}" for v in d.exists}.get
+                more, equal = sort_facts(d.atoms, d.pure, spec, param_sorts, f"pred {name}[{i}]")
+                uses += [(key(v, v), sort, at) for v, sort, at in more]
+                merges += [(key(a, a), key(b, b)) for a, b in equal]
+            table = _sort_table(uses, merges, f"pred {name}")
+            param_sorts[name] = tuple(table.get(p) or old
                                       for p, old in zip(pred.params, param_sorts[name]))
         if param_sorts == before:
             return param_sorts
 
 
 def heap_sorts(d: SymbolicHeap, spec: SpecFile,
-               param_sorts: dict[str, tuple[Sort | None, ...]]) -> dict[str, Sort]:
+               param_sorts: Mapping[str, tuple[Sort | None, ...]]) -> dict[str, Sort]:
     """Sorts for every variable of one heap, given the predicates'
-    parameter sorts (``infer_sorts(spec)``), from one walk of the heap, so
-    they do not depend on the order of atoms or conjuncts. Unconstrained
-    variables stay absent; solvers treat them as ints."""
-    env: dict[str, Sort] = {}
-    classes = UnionFind()
-    _sort_walk(env, classes, d, spec, param_sorts, "heap")
-    return _class_sorts(env, classes, "heap")
+    parameter sorts (the spec's ``param_sorts``), from one sort table of the
+    heap, so they do not depend on the order of atoms or conjuncts.
+    Unconstrained variables stay absent; solvers treat them as ints."""
+    table = _sort_table(*sort_facts(d.atoms, d.pure, spec, param_sorts), "heap")
+    return {v: sort for v in heap_vars(d) if (sort := table.get(v)) is not None}

@@ -15,29 +15,28 @@ the integer search, and a base heap is solved from its own check.
 
 One query checks each heap once, by extending its parent's check state,
 and a child's check costs its body, not its heap. Each predicate disjunct
-is compiled once per spec and argument shape (``_Spec``, kept on the
+is compiled once per spec and argument shape (``_bodies``, kept on the
 ``SpecFile``, made at first use): its sort uses and equalities over its
 own names, less the unfolded instance's own uses of its arguments, and
 its DNF cubes, each literal with its variables, the shape of its sides and
 its linear form; null and constant arguments are put in first. A heap's
-state is its sort classes (``_Sorts``: a union-find, and per class the
-join of its sorts and the count of each sort its members' positions give
-it, so that dropping the instance takes that instance's uses out again),
-and per cube each variable's kind (location or integer), the alias
-classes, the disequalities, the linear forms and, if propagation reached
-its fixpoint, the bounds. ``sat``'s frontier carries each heap
-that ``unfold_at`` made with its parent, the parent's state, the instance
-and the compiled body, so a state lives until the last of its children has
-been checked. A child is its parent minus the instance plus the body, its
-conjuncts the parent's followed by the body's. Its sort classes add the
-body's renamed uses to the classes they touch and merge those its
-equalities join; only the classes of the instance's arguments can change
-kind, since every other variable the body names is a fresh binder. Each
-child cube shares its parent cube's state, copying what the body adds
-to: it merges the body's split and linearised literals, checks the marks
-and disequalities over the merged classes, and propagates from the
-parent's fixpoint, starting from the body's linear forms. The query, a
-child of a sort clash and a child whose instance has an argument other
+state is its ``F.SortTable``, the sort table ``F.heap_sorts`` and
+``F.infer_sorts`` also build, whose sort counts let the instance's uses be
+taken out again; and per cube each variable's kind (``F.is_location``),
+the alias classes, the disequalities, the linear forms and, if
+propagation reached its fixpoint, the bounds. ``sat``'s frontier carries
+each heap that ``unfold_at`` made with its parent, the parent's state, the
+instance and the compiled body, so a state lives until the last of its
+children has been checked. A child is its parent minus the instance plus
+the body, its conjuncts the parent's followed by the body's. Its sort
+classes add the body's renamed uses to the classes they touch and merge
+those its equalities join; only the classes of the instance's arguments
+can change kind, since every other variable the body names is a fresh
+binder. Each child cube shares its parent cube's state, copying what the
+body adds to: it merges the body's split and linearised literals, checks
+the marks and disequalities over the merged classes, and propagates from
+the parent's fixpoint, starting from the body's linear forms. The query,
+a child of a sort clash and a child whose instance has an argument other
 than a variable, null or a constant begin with the sort classes of the
 query's conjuncts, made once.
 
@@ -104,11 +103,9 @@ from .formulas import (
     SpecFile,
     SymbolicHeap,
     Var,
+    is_location,
 )
 from .value import Value, setfield
-
-_SCALARS = ("int", "bool")
-
 
 class Budget:
     def __init__(self, max_depth: int = 6, time_limit: float = 10.0,
@@ -193,11 +190,6 @@ def _nnf_cubes(pure: PureFormula | F.Conjunction, positive: bool = True) -> list
     return cubes
 
 
-def _kind(sorts: dict[str, str], v: str) -> bool:
-    """Whether ``v`` is a location under ``sorts`` (an unsorted one is not)."""
-    return sorts.get(v, "int") not in _SCALARS
-
-
 def _side(term: ArithTerm) -> str | tuple[str, ...]:
     """A literal side's shape: a variable's name, ``NULL_KEY`` for null, or
     the variables of any other term (none for a constant)."""
@@ -213,8 +205,8 @@ def _is_loc(op: str, sides: tuple, sorts) -> bool:
     kinds = []
     for side in sides:
         if side.__class__ is str:
-            kinds.append(side == NULL_KEY or _kind(sorts, side))
-        elif any(_kind(sorts, v) for v in side):
+            kinds.append(side == NULL_KEY or is_location(sorts, side))
+        elif any(is_location(sorts, v) for v in side):
             raise F.SortError("arithmetic over reference values")
         else:
             kinds.append(False)
@@ -491,31 +483,36 @@ class _Prepared(NamedTuple):
     lins: list[_Lin]
 
 
-def _split(literals: Sequence[_Literal], names: dict[str, str], sorts) -> _Prepared:
-    """``literals`` with their variables renamed by ``names``, split under
-    ``sorts`` and linearised; raises SortError."""
+def _split(literals: Sequence[_Literal], names: dict[str, str] | None, sorts) -> _Prepared:
+    """``literals`` with their variables renamed by ``names`` (None: kept
+    as they are), split under ``sorts`` and linearised; raises SortError."""
     order, eqs, pairs, lins = [], [], [], []
     for t in literals:
-        order += [names[v] for v in t.vars]
-        sides = tuple([side if side == NULL_KEY else names[side] if side.__class__ is str
-                       else tuple([names[v] for v in side]) for side in t.sides])
+        sides, lin = t.sides, t.lin
+        if names is None:
+            order += t.vars
+        else:
+            order += [names[v] for v in t.vars]
+            sides = tuple([side if side == NULL_KEY else names[side] if side.__class__ is str
+                           else tuple([names[v] for v in side]) for side in sides])
         if _is_loc(t.op, sides, sorts):
             (eqs if t.op == "eq" else pairs).append(sides)
-        elif t.lin is None:
+        elif lin is None:
             raise F.SortError("null inside an arithmetic constraint")
+        elif names is None:
+            lins.append(lin)
         else:
             coeffs: dict[str, int] = {}
-            for v, k in t.lin.coeffs:
+            for v, k in lin.coeffs:
                 coeffs[names[v]] = coeffs.get(names[v], 0) + k
             lins.append(_Lin(tuple(sorted((v, k) for v, k in coeffs.items() if k)),
-                             t.lin.const, t.lin.rel))
+                             lin.const, lin.rel))
     return _Prepared(order, eqs, pairs, lins)
 
 
 def _prepared(lits: list[Lit], sorts) -> _Prepared:
     """``lits`` split under ``sorts`` and linearised; raises SortError."""
-    literals = [_Literal(lit) for lit in lits]
-    return _split(literals, {v: v for t in literals for v in t.vars}, sorts)
+    return _split([_Literal(lit) for lit in lits], None, sorts)
 
 
 _NO_LITERALS = _Prepared([], [], [], [])
@@ -553,7 +550,7 @@ def _extended(lits: _Prepared, sorts, universe: Sequence[str] | None, heads: Seq
     fixpoint are the ones from scratch (see the module notes)."""
     kinds, uf, diseqs, lins, uses, bounds, marked = \
         parent or _Cube({}, alias_classes(()), [], [], {}, {}, set())
-    new = {v: _kind(sorts, v) for v in (*(universe or ()), *lits.order) if v not in kinds}
+    new = {v: is_location(sorts, v) for v in (*(universe or ()), *lits.order) if v not in kinds}
     kinds = {**kinds, **new} if new else kinds
     pairs = lits.pairs
     names = [v for v, k in new.items() if k]
@@ -598,80 +595,6 @@ def _extended(lits: _Prepared, sorts, universe: Sequence[str] | None, heads: Seq
 # =====================================================================
 
 
-def _class(counts: dict[str, int], delta: dict[str, int]) -> tuple | None:
-    """A ``_Sorts`` class whose sort ``counts`` get ``delta`` added: the join
-    of the sorts left and their counts, or None when none is left."""
-    counts = dict(counts)
-    for sort, n in delta.items():
-        counts[sort] = counts.get(sort, 0) + n
-        if not counts[sort]:
-            del counts[sort]
-    joined = None
-    for sort in counts:
-        joined = F.join_sorts(joined, sort)
-    return (joined, counts) if counts else None
-
-
-_NO_CLASS = (None, {})
-
-
-class _Sorts:
-    """A heap's sort classes: the union-find of its variable equalities (a
-    variable in none is a class of its own) and, per class, the join of its
-    sorts and the count of each sort its members' positions give it (None
-    for a class with none), so that dropping an instance can take its uses
-    out again. A heap's check holds the classes ``F.heap_sorts`` finds;
-    base-heap solving adds one use of each of the query's sorts. ``get``
-    reads a table as ``heap_sorts``' dict."""
-
-    def __init__(self, uf: F.UnionFind, classes: dict[str, tuple | None]):
-        self.uf, self.classes = uf, classes
-
-    def root(self, v: str) -> str:
-        return self.uf.find(v) if v in self.uf.parent else v
-
-    def get(self, v: str, default: str | None = None) -> str | None:
-        sort = (self.classes.get(self.root(v)) or (default,))[0]
-        return "int" if sort == "scalar" else sort
-
-    def extended(self, changes: Iterable[tuple[str, dict[str, int]]],
-                 merges: Iterable[tuple[str, str]] = (), old: Iterable[str] = (),
-                 new: Iterable[tuple[str, tuple]] = ()) -> tuple[_Sorts, tuple[bool, bool]]:
-        """This table with the classes ``new`` of new variables, each
-        (variable, sort counts) of ``changes`` added to the counts of the
-        variable's class (a negative count takes uses out), and then the
-        classes of each pair in ``merges`` merged; and whether the class of a
-        variable in ``old`` changed kind, and whether one left the locations
-        (``_extend``'s ``moved``). Copies only what it changes; raises
-        SortError on a clash."""
-        uf, classes = self.uf, dict(self.classes)
-        before = {r: _kind(self, r) for r in map(self.root, old)}
-        classes.update(new)
-        for v, delta in changes:  # before any merge, so the roots are this table's
-            r = self.root(v)
-            classes[r] = _class((classes.get(r) or _NO_CLASS)[1], delta)
-        for a, b in merges:
-            ra, rb = (uf.find(x) if x in uf.parent else x for x in (a, b))
-            if ra != rb:
-                uf = uf.copy() if uf is self.uf else uf
-                uf.union(ra, rb)
-                keep, gone = (ra, rb) if uf.find(ra) == ra else (rb, ra)
-                classes[keep] = _class((classes.get(keep) or _NO_CLASS)[1],
-                                       (classes.pop(gone, None) or _NO_CLASS)[1])
-        table = _Sorts(uf, classes)
-        after = [(kind, _kind(table, r)) for r, kind in before.items()]
-        return table, (any(k != now for k, now in after), any(k and not now for k, now in after))
-
-
-def _counts(uses: list[tuple[str, str, str]]) -> dict[str, dict[str, int]]:
-    """``F.sort_facts``' uses as each variable's count per sort."""
-    counts: dict[str, dict[str, int]] = {}
-    for v, sort, _ in uses:
-        sorts = counts.setdefault(v, {})
-        sorts[sort] = sorts.get(sort, 0) + 1
-    return counts
-
-
 class _Literal:
     """A literal as ``_split`` reads it: its relation, its variables in
     order, its sides' shapes (``_side``) and its linear form (None when it
@@ -700,8 +623,7 @@ class _Body:
     equalities merge, the parameters whose classes those touch, and its DNF
     cubes of ``_Literal``s. An instance renames the names to variables."""
 
-    def __init__(self, pred: F.PredDef, disjunct: SymbolicHeap, shape: tuple,
-                 defs: SpecFile, param_sorts: dict):
+    def __init__(self, pred: F.PredDef, disjunct: SymbolicHeap, shape: tuple, defs: SpecFile):
         self.params, self.exists = pred.params, disjunct.exists
         self.atoms, self.pure = disjunct.atoms, disjunct.pure
         self.vars = [(i, p) for i, (p, a) in enumerate(zip(pred.params, shape)) if a is None]
@@ -715,19 +637,20 @@ class _Body:
         self.cubes = [[_Literal(lit) for lit in cube] for cube in _nnf_cubes(pure)]
         try:
             uses, self.merges = F.sort_facts(F.subst_spatial(disjunct.atoms, bound), pure, defs,
-                                             param_sorts)
+                                             defs.param_sorts)
         except F.SortError:
             return
-        uses = _counts(uses)
+        uses = F.sort_counts(uses)
         for i, p in self.vars:
-            sort = param_sorts[pred.name][i]
+            sort = defs.param_sorts[pred.name][i]
             if sort is not None:  # the instance's own use of its argument goes
                 counts = uses[p] = dict(uses.get(p, {}))
                 counts[sort] = counts.get(sort, 0) - 1
         self.uses = [(v, {sort: n for sort, n in counts.items() if n})
                      for v, counts in uses.items()
                      if v not in self.exists and any(counts.values())]
-        self.binders = [(v, _class({}, counts)) for v, counts in uses.items() if v in self.exists]
+        self.binders = [(v, F.sort_class({}, counts)) for v, counts in uses.items()
+                        if v in self.exists]
         touched = {v for pair in self.merges for v in pair} | {v for v, _ in self.uses}
         self.touched = [p for _, p in self.vars if p in touched]
 
@@ -739,35 +662,21 @@ class _Body:
         return names
 
 
-class _Spec:
-    """A spec compiled for the solver, once, on first use: the predicates'
-    parameter sorts and, per predicate and argument shape, the ``_Body``s
-    an instance unfolds to."""
-
-    def __init__(self, defs: SpecFile):
-        self.defs, self.param_sorts = defs, F.infer_sorts(defs)
-        self.shapes: dict[tuple, list[_Body]] = {}
-
-    def bodies(self, inst: F.PredInst) -> list[_Body]:
-        """The disjuncts ``inst`` unfolds to: a disjunct whose points-to
-        head is a parameter (not a binder of the same name) bound to a term
-        other than a variable (null, say) has no model, so it is left out."""
-        shape = tuple([None if a.__class__ is Var else a if a.__class__ in (Null, Const)
-                       else False for a in inst.args])
-        found = self.shapes.get((inst.pred, shape))
-        if found is None:
-            pred = self.defs.preds[inst.pred]
-            found = self.shapes[inst.pred, shape] = [
-                _Body(pred, d, shape, self.defs, self.param_sorts) for d in pred.body.disjuncts
-                if all(shape[pred.params.index(p.var)] is None for p in d.points_tos()
-                       if p.var in pred.params and p.var not in d.exists)]
-        return found
-
-
-def _compiled(defs: SpecFile) -> _Spec:
-    if defs.compiled is None:
-        defs.compiled = _Spec(defs)
-    return defs.compiled
+def _bodies(defs: SpecFile, inst: F.PredInst) -> list[_Body]:
+    """The ``_Body``s ``inst`` unfolds to, compiled once per spec, predicate
+    and argument shape and kept on the spec: a disjunct whose points-to
+    head is a parameter (not a binder of the same name) bound to a term
+    other than a variable (null, say) has no model, so it is left out."""
+    shape = tuple([None if a.__class__ is Var else a if a.__class__ in (Null, Const)
+                   else False for a in inst.args])
+    found = defs.compiled.get((inst.pred, shape))
+    if found is None:
+        pred = defs.preds[inst.pred]
+        found = defs.compiled[inst.pred, shape] = [
+            _Body(pred, d, shape, defs) for d in pred.body.disjuncts
+            if all(shape[pred.params.index(p.var)] is None for p in d.points_tos()
+                   if p.var in pred.params and p.var not in d.exists)]
+    return found
 
 
 def unfold_at(d: SymbolicHeap, inst_index: int, defs: SpecFile) -> list[SymbolicHeap]:
@@ -779,14 +688,14 @@ def unfold_at(d: SymbolicHeap, inst_index: int, defs: SpecFile) -> list[Symbolic
     to its argument and each binder to a globally fresh name (taken in
     binder order), which can neither clash with nor capture another name.
     A disjunct that binds a points-to head to null or another non-variable
-    term has no model and yields no child (``_Spec.bodies``).
+    term has no model and yields no child (``_bodies``).
     """
     inst = d.atoms[inst_index]
     if not isinstance(inst, F.PredInst):
         raise ValueError(f"atom {inst_index} is not a predicate instance")
     context = d.atoms[:inst_index] + d.atoms[inst_index + 1:]
     out: list[SymbolicHeap] = []
-    for body in _compiled(defs).bodies(inst):
+    for body in _bodies(defs, inst):
         fresh = tuple([F.fresh_var(v) for v in body.exists])
         renaming = dict(zip(body.params, inst.args))
         renaming.update(zip(body.exists, map(Var, fresh)))
@@ -801,7 +710,7 @@ class _HeapState:
     cube's ``_Cube`` under them (None when the cube is contradictory) with
     whether that None is a sort or location clash (``_checked``)."""
 
-    def __init__(self, sorts: _Sorts | None, checked: list[tuple]):
+    def __init__(self, sorts: F.SortTable | None, checked: list[tuple]):
         self.sorts = sorts
         self.cubes, self.settled = [c and c[0] for c, _ in checked], [s for _, s in checked]
 
@@ -818,11 +727,11 @@ class _QueryMemo:
                  query_pure: F.Conjunction = ()):
         self.defs, self.param_sorts = defs, param_sorts
         self.query_pure, self.prefix = query_pure, len(query_pure)
-        self.prefix_sorts: _Sorts | None = None
+        self.prefix_sorts: F.SortTable | None = None
 
-    def _sorts(self, base: _Sorts, atoms, pure) -> _Sorts:
+    def _sorts(self, base: F.SortTable, atoms, pure) -> F.SortTable:
         uses, merges = F.sort_facts(atoms, pure, self.defs, self.param_sorts)
-        return base.extended(_counts(uses).items(), merges)[0]
+        return base.extended(F.sort_counts(uses).items(), merges)[0]
 
     def state(self, d: SymbolicHeap, above: tuple | None = None) -> _HeapState:
         """``d``'s check state. ``above`` is ``(parent, its state, the
@@ -835,7 +744,7 @@ class _QueryMemo:
         if up is None or up.sorts is None or body.general:
             try:
                 if self.prefix_sorts is None:
-                    self.prefix_sorts = self._sorts(_Sorts(F.UnionFind(), {}), (),
+                    self.prefix_sorts = self._sorts(F.SortTable(F.UnionFind(), {}), (),
                                                     self.query_pure)
                 sorts = self._sorts(self.prefix_sorts, d.atoms, d.pure[self.prefix:])
             except F.SortError:
@@ -863,7 +772,7 @@ class _QueryMemo:
         return _HeapState(sorts, list(_extend(d, up, sorts, moved, new)))
 
 
-def _extend(d: SymbolicHeap, up: _HeapState, sorts: _Sorts, moved: tuple[bool, bool],
+def _extend(d: SymbolicHeap, up: _HeapState, sorts: F.SortTable, moved: tuple[bool, bool],
             bodies: Sequence[_Prepared | None], universe: Sequence[str] | None = None):
     """The checks (``_checked``) of ``d``'s cubes, one at a time: each cube
     of ``up``, the check of ``d``'s parent, followed by each of ``bodies``
@@ -880,7 +789,7 @@ def _extend(d: SymbolicHeap, up: _HeapState, sorts: _Sorts, moved: tuple[bool, b
         if cube is None:
             scratch = not settled or left
         else:
-            scratch = changed and any(_kind(sorts, v) != kind for v, kind in cube.kinds.items())
+            scratch = changed and any(is_location(sorts, v) != k for v, k in cube.kinds.items())
         for j, lits in enumerate(bodies):
             if scratch:
                 whole = whole or _nnf_cubes(d.pure)
@@ -981,22 +890,24 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
     ``max_depth`` is above 0. ``stats.rounds`` is the last round in which a
     heap passed the check. ``budget.time_limit`` bounds the whole query,
     the integer search included; past it the answer is UNKNOWN.
-    Each frontier entry is a heap and its parent with the parent's check
-    state, the instance unfolded and its compiled body (all None for the
-    query), which the heap's check extends; an unchecked query gets a state
-    when it is unfolded. Entries are popped as they are processed, so a
-    state goes once the last of its heap's children has been checked (see
-    the module notes). The parameter sorts come from the spec's compiled
-    form, made at the first query on it.
+    The query's state is made first, and the query's sorts are read from
+    its sort table. Each frontier entry is a heap and its parent with the
+    parent's check state, the instance unfolded and its compiled body (all
+    None for the query), which the heap's check extends. Entries are popped
+    as they are processed, so a state goes once the last of its heap's
+    children has been checked (see the module notes). The parameter sorts
+    are the spec's, inferred when it was validated.
     """
     budget = budget or Budget()
     stats = SolverStats()
     deadline = time.monotonic() + budget.time_limit
-    spec = _compiled(defs)
-    param_sorts = spec.param_sorts
+    param_sorts = defs.param_sorts
     universe = F.heap_vars(d)
-    query_sorts = F.heap_sorts(d, defs, param_sorts)
     memo = _QueryMemo(defs, param_sorts, d.pure)
+    state = memo.state(d)  # round 0 checks or unfolds the query from it
+    if state.sorts is None:
+        F.heap_sorts(d, defs, param_sorts)  # raises the query's sort clash, named
+    query_sorts = {v: sort for v in universe if (sort := state.sorts.get(v)) is not None}
     todo, round_no = [(d, (None, None, None), None)], 0
     while todo:
         # Popped from the end: base heaps first, then inductive ones, each
@@ -1006,19 +917,19 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
             h, link, body = todo.pop()
             if time.monotonic() > deadline:
                 return SatResult("unknown", None, stats)
-            base, last, state = h.is_base(), round_no == budget.max_depth, None
-            if round_no or base or last:
+            base, last = h.is_base(), round_no == budget.max_depth
+            if round_no:
                 state = memo.state(h, (*link, body))
-                if state.contradictory:
-                    continue
+            if (round_no or base or last) and state.contradictory:
+                continue
             stats.rounds = round_no
             if not base:
                 if last:
                     return SatResult("unknown", None, stats)
                 first = next(i for i, a in enumerate(h.atoms) if isinstance(a, F.PredInst))
-                link = (h, state or memo.state(h), h.atoms[first])  # an unchecked query's state
+                link = (h, state, h.atoms[first])
                 children += [(kid, link, body) for kid, body in
-                             zip(unfold_at(h, first, defs), spec.bodies(h.atoms[first]))]
+                             zip(unfold_at(h, first, defs), _bodies(defs, h.atoms[first]))]
                 continue
             try:
                 model, bounded = _try_base(h, state, query_sorts, universe, budget, stats,

@@ -48,9 +48,10 @@ from .formulas import (
     SymbolicHeap,
     UNDEFINED,
     Var,
+    dedup_heaps,
     eval_ground,
 )
-from .unfold import unfold_round
+from .solver import unfold_at
 from .value import Value, setfield
 
 # =====================================================================
@@ -424,6 +425,19 @@ def input_satisfies(test: TestInput, formula: Formula, defs: SpecFile) -> bool:
 # =====================================================================
 
 
+def unfold_round(heaps: list[SymbolicHeap], defs: SpecFile) -> list[SymbolicHeap]:
+    """One generation round: base heaps carry forward, the rest unfold
+    every instance independently; alpha-equivalent results are dropped."""
+    out: list[SymbolicHeap] = []
+    for d in heaps:
+        if d.is_base():
+            out.append(d)
+        for i, a in enumerate(d.atoms):
+            if isinstance(a, PredInst):
+                out.extend(unfold_at(d, i, defs))
+    return dedup_heaps(out)
+
+
 class GenStats:
     def __init__(self):
         self.solver_calls = self.unknown_skipped = 0
@@ -542,7 +556,7 @@ def oracle_enumerate(defs: SpecFile, inst: PredInst, max_objects: int,
     arguments of the instance act as existential ghosts."""
     if max_objects > 4:
         raise OracleBudgetError("oracle limited to at most 4 objects")
-    sorts = F.infer_sorts(defs).get(inst.pred)
+    sorts = defs.param_sorts.get(inst.pred)
     if sorts is None:
         raise KeyError(inst.pred)
     ref_args = [(i, a.name) for i, (a, s) in enumerate(zip(inst.args, sorts))
@@ -564,7 +578,7 @@ def oracle_sat(d: SymbolicHeap, defs: SpecFile, max_objects: int,
     each store is one ``heap_satisfies`` call."""
     if max_objects > 4:
         raise OracleBudgetError("oracle limited to at most 4 objects")
-    sorts = F.heap_sorts(d, defs, F.infer_sorts(defs))
+    sorts = F.heap_sorts(d, defs, defs.param_sorts)
     free = sorted(F.free_vars(d))
     ref_vars = [v for v in free if sorts.get(v) in defs.datas]
     seed_types = [sorts[v] for v in ref_vars] + [p.type_name for p in d.points_tos()]

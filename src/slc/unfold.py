@@ -1,31 +1,15 @@
-"""Predicate unfolding.
+"""Predicate unfolding, cumulatively.
 
-Unfolding replaces one inductive predicate instance by its definition body
-with the actual arguments substituted for the parameters, yielding one
-symbolic heap per disjunct of the definition. Unfolding a whole heap takes
-the union over its instances; a base heap (no instances) passes through
-unchanged. Every output heap entails its input, so models found below are
-models of the original formula. ``unfold_at`` lives in ``solver``, next to
-the compiled predicate bodies it instantiates.
+``unfold_at`` (in ``solver``, next to the compiled predicate bodies it
+instantiates) replaces one predicate instance by its definition's
+disjuncts, and ``testgen.unfold_round`` unfolds every instance of a heap
+set once. ``unfold_closure`` collects the heaps of several rounds.
 """
 
 from __future__ import annotations
 
-from .formulas import PredInst, SpecFile, SymbolicHeap, dedup_heaps
-from .solver import unfold_at
-
-
-def unfold_round(heaps: list[SymbolicHeap], defs: SpecFile) -> list[SymbolicHeap]:
-    """One generation round: base heaps carry forward, the rest unfold
-    every instance independently; alpha-equivalent results are dropped."""
-    out: list[SymbolicHeap] = []
-    for d in heaps:
-        if d.is_base():
-            out.append(d)
-        for i, a in enumerate(d.atoms):
-            if isinstance(a, PredInst):
-                out.extend(unfold_at(d, i, defs))
-    return dedup_heaps(out)
+from .formulas import SpecFile, SymbolicHeap, dedup_heaps
+from .testgen import unfold_round
 
 
 def unfold_closure(initial: list[SymbolicHeap], n: int, defs: SpecFile) -> list[SymbolicHeap]:

@@ -7,6 +7,8 @@ import random
 import pytest
 
 from slc import formulas as F
+from slc import solver as S
+from slc import testgen as T
 from slc.formulas import (
     Add,
     Atom,
@@ -20,7 +22,7 @@ from slc.formulas import (
     Var,
 )
 from slc.lexer import ParseError
-from slc.unfold import unfold_at
+from slc.solver import unfold_at
 
 
 def heap(text):
@@ -377,6 +379,54 @@ def test_sort_clash_rejected():
     """
     with pytest.raises(F.SortError):
         F.parse_spec(text)
+
+
+CLASH_DATA = "data N { int v; N next; }\ndata M { int w; M next; }\n"
+
+
+@pytest.mark.parametrize("pred, message", [
+    ("pred p(x) == (emp & x = null) \\/ (exists n . x -> N(x, n) * p(n)) ;",
+     "pred p[1].v: variable x used both as N and as int"),
+    ("pred q(x, y) == (emp & x = y & y = null) \\/ (exists n . x -> N(y, n) * q(n, y)) ;",
+     "pred q[1].v: variable y used both as nullref and as int"),
+    ("pred r(x) == (emp & x = null) \\/ (exists n, m . x -> N(0, n) * m -> M(0, null) & n = m) ;",
+     "pred r: variable n@1 used both as N and as M"),
+])
+def test_sort_clash_names_its_position(pred, message):
+    # A clash between two uses of a variable names the disjunct and field
+    # of the use that makes it; a clash between the members of a class
+    # names the predicate and the class's representative.
+    with pytest.raises(F.SortError) as error:
+        F.parse_spec(CLASH_DATA + pred)
+    assert str(error.value) == message
+
+
+@pytest.mark.parametrize("query, message", [
+    ("x -> N(x, n) & true", "heap.v: variable x used both as N and as int"),
+    ("x -> N(1, n) * m -> M(1, null) & n = m", "heap: variable n used both as N and as M"),
+])
+def test_heap_sort_clash_names_its_position(query, message):
+    spec = F.parse_spec(CLASH_DATA)
+    with pytest.raises(F.SortError) as error:
+        F.heap_sorts(heap(query), spec, spec.param_sorts)
+    assert str(error.value) == message
+    with pytest.raises(F.SortError) as error:
+        S.sat(heap(query), spec)
+    assert str(error.value) == message
+
+
+def test_parameter_sorts_inferred_once_per_spec(monkeypatch):
+    # validate_spec keeps the parameter sorts on the spec; the solver and
+    # the oracle read them there.
+    calls = []
+    infer = F.infer_sorts
+    monkeypatch.setattr(F, "infer_sorts", lambda spec: calls.append(spec) or infer(spec))
+    spec = F.parse_spec(CLASH_DATA + "pred ls(x) == (emp & x = null) \\/ "
+                                     "(exists v, n . x -> N(v, n) * ls(n)) ;")
+    query = heap("ls(p) & true")
+    assert S.sat(query, spec).is_sat and S.sat(query, spec).is_sat
+    assert T.oracle_sat(query, spec, 1, [0])
+    assert calls == [spec]
 
 
 def test_binder_named_like_a_parameter_is_sorted_apart():

@@ -432,6 +432,27 @@ def test_every_heap_that_passes_the_check_is_solved_or_unfolded(monkeypatch, tmp
                 assert events[at + 1] == ("used", d)
 
 
+def walked_sorts(d, defs, query_sorts):
+    """The sorts of ``d``'s variables, from ``query_sorts``, as a sort walk
+    without counts finds them: each variable's sort joined from
+    ``query_sorts`` and the uses F.sort_facts lists, then each class of the
+    equalities joined from its members'. A reference for F.SortTable."""
+    env, classes = dict(query_sorts), F.UnionFind()
+    uses, merges = F.sort_facts(d.atoms, d.pure, defs, defs.param_sorts)
+    for var, sort, at in uses:
+        env[var] = F.join_sorts(env.get(var), sort, at, var)
+    for a, b in merges:
+        classes.union(a, b)
+    joined = {}
+    for v in [v for v in classes.parent if v in env]:
+        root = classes.find(v)
+        joined[root] = F.join_sorts(joined.get(root), env[v], "heap", root)
+    for v in list(classes.parent):
+        if (root := classes.find(v)) in joined:
+            env[v] = joined[root]
+    return {v: "int" if sort == "scalar" else sort for v, sort in env.items()}
+
+
 def scratch_try_base(d, defs, query_sorts, universe, budget, stats, deadline,
                      pairwise=False):
     """_try_base from scratch: ``d``'s sorts walked from the query's, and
@@ -444,10 +465,8 @@ def scratch_try_base(d, defs, query_sorts, universe, budget, stats, deadline,
         if additions is None:
             return None, False
         heads, pure = [], pure + tuple(additions)
-    env, classes = dict(query_sorts), F.UnionFind()
     try:
-        F._sort_walk(env, classes, d, defs, S._compiled(defs).param_sorts, "heap")
-        sorts = F._class_sorts(env, classes, "heap")
+        sorts = walked_sorts(d, defs, query_sorts)
     except F.SortError:
         return None, False
     order = list(dict.fromkeys([*F.heap_vars(d), *universe]))
@@ -706,8 +725,9 @@ def test_query_memo_matches_scratch_on_random_heaps(monkeypatch):
 
 
 def test_unchecked_base_query_walks_its_pure_part_once(monkeypatch):
-    # Once for the query's sorts and once for its check's sort classes;
-    # solving the base query reads the check's classes and walks nothing.
+    # Once, for its check's sort classes, which also give the query's
+    # sorts; solving the base query reads the check's classes and walks
+    # nothing.
     walks = []
     walk = F.sort_facts
 
@@ -718,7 +738,7 @@ def test_unchecked_base_query_walks_its_pure_part_once(monkeypatch):
     monkeypatch.setattr(F, "sort_facts", recorded)
     query = heap("x -> N(a, null) & a = 1 & x != null")
     assert sat(query, F.parse_spec(CHAIN)).is_sat
-    assert sum(pure is query.pure for pure in walks) == 2
+    assert sum(pure is query.pure for pure in walks) == 1
 
 
 def test_query_memo_lives_for_one_query(monkeypatch):
@@ -1029,7 +1049,7 @@ def test_child_check_costs_its_body(name, monkeypatch, tmp_path):
     for function in ("_nnf_cubes", "_lin_of"):
         monkeypatch.setattr(S, function, counted(getattr(S, function), function, counts))
     monkeypatch.setattr(F, "join_sorts", counted(F.join_sorts, "join_sorts", counts))
-    monkeypatch.setattr(S._Sorts, "get", counted(S._Sorts.get, "get", counts))
+    monkeypatch.setattr(F.SortTable, "get", counted(F.SortTable.get, "get", counts))
     check, body = S._QueryMemo.state, S._Body.__init__
 
     def checked(memo, d, above=None):

@@ -4,7 +4,9 @@ import pytest
 
 from slc import formulas as F
 from slc import solver as S
-from slc.unfold import unfold_at, unfold_closure, unfold_round
+from slc.solver import unfold_at
+from slc.testgen import unfold_round
+from slc.unfold import unfold_closure
 
 # The six depth-2 unfoldings of bst(this_root, minE, maxE), written out.
 ITEM = {

@@ -33,6 +33,7 @@ import os
 import re
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import concolic as C
@@ -275,6 +276,25 @@ def suite_json_payload(tests, spec_path: str, program_path: str, entry: str) -> 
     }
 
 
+def json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for payloads of dicts with string
+    keys, lists, tuples, strings, numbers, booleans and None, without the
+    pure-Python encoder that ``indent`` selects."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:  # the artifacts' commonest value after strings
+        return "null"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{inner}{encode_basestring_ascii(key)}: {json_text(item, inner)}"
+                 for key, item in value.items()]
+        return "{" + ",".join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [inner + json_text(item, inner) for item in value]
+        return "[" + ",".join(items) + indent + "]" if items else "[]"
+    return json.dumps(value)  # a number or a bool; TypeError for anything else
+
+
 def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
@@ -354,9 +374,8 @@ def run_pipeline(spec_path: Path, program_path: Path, entry: str, *,
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         suite = suite_json_payload(tests, str(spec_path), str(program_path), entry)
-        _write_atomic(out_dir / "suite.json", json.dumps(suite, indent=2) + "\n")
-        _write_atomic(out_dir / "coverage.json",
-                      json.dumps(coverage_json_payload(report), indent=2) + "\n")
+        _write_atomic(out_dir / "suite.json", json_text(suite) + "\n")
+        _write_atomic(out_dir / "coverage.json", json_text(coverage_json_payload(report)) + "\n")
         _write_atomic(out_dir / "coverage.txt", render_coverage_text(report))
         _write_atomic(out_dir / "tree.dot", result.tree.to_dot())
     return PipelineResult(tests, report, result.tree, result.stats.stopped_by)
@@ -449,7 +468,7 @@ def main(argv=None) -> int:
     if args.report == "json":
         payload = coverage_json_payload(report)
         payload["wall_seconds"] = {k: round(v, 3) for k, v in report.wall.items()}
-        print(json.dumps(payload, indent=2))
+        print(json_text(payload))
     else:
         sys.stdout.write(render_coverage_text(report))
         for phase, seconds in report.wall.items():

@@ -1,17 +1,18 @@
 """Bounded satisfiability for symbolic heaps, with model extraction.
 
-``sat`` runs an iterative-deepening search: predicate instances are
-unfolded breadth-first up to a depth budget, and every fully-base heap
-reached is closed by a two-sorted ground solver, one DNF cube at a time.
-Location variables are solved by union-find over the equalities, with
-null and every points-to head marked: separation makes the heads non-null
-and pairwise distinct, so a cube in which two marks share a class, or a
-disequality joins a class to itself, has no model. Each head's class gets
-its own abstract address, and every other class is null unless a
-disequality with a null class forbids it. Integer variables are solved by
-interval propagation followed by backtracking search over a finite
-domain. The frontier check of ``sat`` is the same per-cube check without
-the integer search, and a base heap is solved from its own check.
+``sat`` runs a best-first search: predicate instances are unfolded up to
+a depth budget, the heaps that can be base soonest first, and every
+fully-base heap reached is closed by a two-sorted ground solver, one DNF
+cube at a time. Location variables are solved by union-find over the
+equalities, with null and every points-to head marked: separation makes
+the heads non-null and pairwise distinct, so a cube in which two marks
+share a class, or a disequality joins a class to itself, has no model.
+Each head's class gets its own abstract address, and every other class
+is null unless a disequality with a null class forbids it. Integer
+variables are solved by interval propagation followed by backtracking
+search over a finite domain. The frontier check of ``sat`` is the same
+per-cube check without the integer search, and a base heap is solved
+from its own check.
 
 One query checks each heap once, by extending its parent's check state,
 and a child's check costs its body, not its heap. Each predicate disjunct
@@ -86,6 +87,7 @@ from __future__ import annotations
 
 import time
 from bisect import insort
+from heapq import heappop, heappush
 from typing import Iterable, NamedTuple, Sequence
 
 from . import formulas as F
@@ -801,7 +803,7 @@ def _extend(d: SymbolicHeap, up: _HeapState, sorts: F.SortTable, moved: tuple[bo
 
 
 # =====================================================================
-# sat: iterative-deepening satisfiability
+# sat: best-first satisfiability
 # =====================================================================
 
 
@@ -874,72 +876,69 @@ def _assemble_model(d: SymbolicHeap, cube: _Cube, values: dict[str, int], sorts,
 def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatResult:
     """Satisfiability of one symbolic heap under the given budget.
 
-    Search strategy: iterative deepening where each round replaces the
-    first remaining predicate instance of every frontier heap by its
-    definition disjuncts (base cases first, so small models surface
-    first). Expanding instances one at a time reaches every combination
-    of disjunct choices without the duplication that expanding all
-    instances per round would create. A round takes its base heaps first,
-    then its inductive ones, and checks each heap when it reaches it, just
-    before solving or unfolding it: one whose pure part is already
-    contradictory is dropped, so the children left behind by an early
-    answer are never checked. That check (``_QueryMemo.state``) is the
-    per-cube check of the marked alias classes and the integer bounds,
-    without the integer search, and a base heap is solved from it
-    (``_try_base``). The query itself is checked unless it is inductive and
-    ``max_depth`` is above 0. ``stats.rounds`` is the last round in which a
-    heap passed the check. ``budget.time_limit`` bounds the whole query,
-    the integer search included; past it the answer is UNKNOWN.
-    The query's state is made first, and the query's sorts are read from
-    its sort table. Each frontier entry is a heap and its parent with the
-    parent's check state, the instance unfolded and its compiled body (all
-    None for the query), which the heap's check extends. Entries are popped
-    as they are processed, so a state goes once the last of its heap's
-    children has been checked (see the module notes). The parameter sorts
-    are the spec's, inferred when it was validated.
+    Search strategy: each unfolding replaces a heap's first predicate
+    instance by its definition disjuncts, which reaches every combination
+    of disjunct choices without duplicates. A heap at round j has a path,
+    the ``_bodies`` index taken at each unfolding, and the frontier is a
+    priority queue keyed by (j + the heap's instances, path): an unfolding
+    takes out one instance, so the heap is base no earlier than that round,
+    and a child's key is above its parent's. So base heaps come off in
+    (round, path) order, as in the breadth-first loop that takes each
+    round's base heaps, then its inductive ones, in path order; every heap
+    taken before the answer is one that loop checks too, and the decision,
+    the first model (up to fresh-binder numbering) and the statistics are
+    the same, but no heap keyed past the answer is unfolded. Each heap is
+    checked as it comes off (``_QueryMemo.state``: the per-cube check of
+    the marked alias classes and the integer bounds, without the integer
+    search) and dropped if contradictory; a base heap is solved from its
+    check (``_try_base``). The query is checked unless it is inductive and
+    ``max_depth`` is above 0. An inductive heap at round ``max_depth`` that
+    passes the check answers UNKNOWN, as does any query past
+    ``budget.time_limit``, the integer search included. ``stats.rounds`` is
+    the deepest round in which a heap passed the check. A frontier entry
+    carries its heap's parent with the parent's check state, the instance
+    unfolded and its compiled body (all None for the query), which the
+    heap's check extends, so a state goes once its heap's last child has
+    been checked.
     """
     budget = budget or Budget()
     stats = SolverStats()
     deadline = time.monotonic() + budget.time_limit
-    param_sorts = defs.param_sorts
     universe = F.heap_vars(d)
-    memo = _QueryMemo(defs, param_sorts, d.pure)
+    memo = _QueryMemo(defs, defs.param_sorts, d.pure)
     state = memo.state(d)  # round 0 checks or unfolds the query from it
     if state.sorts is None:
-        F.heap_sorts(d, defs, param_sorts)  # raises the query's sort clash, named
+        F.heap_sorts(d, defs, defs.param_sorts)  # raises the query's sort clash, named
     query_sorts = {v: sort for v in universe if (sort := state.sorts.get(v)) is not None}
-    todo, round_no = [(d, (None, None, None), None)], 0
+    # Entries are (key, heap, link, body); paths are unique, so no keys tie.
+    todo = [((len(d.instances()), ()), d, (None, None, None), None)]
     while todo:
-        # Popped from the end: base heaps first, then inductive ones, each
-        # in the order unfold_at made them.
-        todo, children = sorted(reversed(todo), key=lambda entry: entry[0].is_base()), []
-        while todo:
-            h, link, body = todo.pop()
-            if time.monotonic() > deadline:
+        (_, path), h, link, body = heappop(todo)
+        if time.monotonic() > deadline:
+            return SatResult("unknown", None, stats)
+        base, last = h.is_base(), len(path) == budget.max_depth
+        if path:
+            state = memo.state(h, (*link, body))
+        if (path or base or last) and state.contradictory:
+            continue
+        stats.rounds = max(stats.rounds, len(path))
+        if not base:
+            if last:
                 return SatResult("unknown", None, stats)
-            base, last = h.is_base(), round_no == budget.max_depth
-            if round_no:
-                state = memo.state(h, (*link, body))
-            if (round_no or base or last) and state.contradictory:
-                continue
-            stats.rounds = round_no
-            if not base:
-                if last:
-                    return SatResult("unknown", None, stats)
-                first = next(i for i, a in enumerate(h.atoms) if isinstance(a, F.PredInst))
-                link = (h, state, h.atoms[first])
-                children += [(kid, link, body) for kid, body in
-                             zip(unfold_at(h, first, defs), _bodies(defs, h.atoms[first]))]
-                continue
-            try:
-                model, bounded = _try_base(h, state, query_sorts, universe, budget, stats,
-                                           deadline)
-            except Timeout:
-                return SatResult("unknown", None, stats)
-            if model is not None:
-                return SatResult("sat", model, stats)
-            stats.bounded = stats.bounded or bounded
-        todo, round_no = children, round_no + 1
+            first = next(i for i, a in enumerate(h.atoms) if isinstance(a, F.PredInst))
+            link = (h, state, h.atoms[first])
+            kids = zip(unfold_at(h, first, defs), _bodies(defs, h.atoms[first]))
+            for i, (kid, body) in enumerate(kids):
+                key = (len(path) + len(kid.instances()) + 1, (*path, i))
+                heappush(todo, (key, kid, link, body))
+            continue
+        try:
+            model, bounded = _try_base(h, state, query_sorts, universe, budget, stats, deadline)
+        except Timeout:
+            return SatResult("unknown", None, stats)
+        if model is not None:
+            return SatResult("sat", model, stats)
+        stats.bounded = stats.bounded or bounded
     return SatResult("unsat", None, stats)
 
 

@@ -1,6 +1,7 @@
 """Front-end pipeline, coverage measurement, artifact emission."""
 
 import json
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from slc import testgen as T
 from slc.cli import (
     BENCHMARKS,
     corpus_path,
+    json_text,
     load_annotations,
     main,
     measure_coverage,
@@ -232,3 +234,50 @@ def test_rerun_byte_identical(tmp_path):
     for name in ("suite.json", "coverage.json", "coverage.txt", "tree.dot"):
         assert (tmp_path / "one" / name).read_bytes() == \
             (tmp_path / "two" / name).read_bytes(), name
+
+
+def random_text(rng):
+    return "".join(rng.choice(["a", "Z", " ", '"', "\\", "\n", "\x00", "\x7f", "\u00e9",
+                               "\u2603", "\U0001f600", "/"]) for _ in range(rng.randrange(6)))
+
+
+def random_payload(rng, depth=0):
+    """A seeded JSON payload: nested dicts, lists and tuples, empty ones
+    among them, over strings with non-ASCII, escaped and astral characters,
+    ints, floats (non-finite ones too), bools and None."""
+    kind = rng.randrange(9 if depth < 4 else 6)
+    if kind == 0:
+        return random_text(rng)
+    if kind == 1:
+        return rng.choice([0, -1, 7, 2 ** 70, -(2 ** 40)])
+    if kind == 2:
+        return rng.choice([0.0, -0.0, 0.1, 1e300, -2.5e-8, 100.0, 33.33, rng.random(),
+                           float("nan"), float("inf"), -float("inf")])
+    if kind in (3, 4, 5):
+        return [True, False, None][kind - 3]
+    items = [random_payload(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 6:
+        return items
+    if kind == 7:
+        return tuple(items)
+    return {random_text(rng) + str(i): item for i, item in enumerate(items)}
+
+
+def test_json_text_matches_json_dumps_with_indent():
+    rng, kinds = random.Random(7), set()
+    for _ in range(2000):
+        payload = random_payload(rng)
+        kinds.add(type(payload))
+        assert json_text(payload) == json.dumps(payload, indent=2)
+    assert kinds >= {dict, list, tuple, str, int, float, bool, type(None)}
+    for payload in [{}, [], (), {"a": {}, "b": [[], {}]}, [True, 1, False, 0, 1.0]]:
+        assert json_text(payload) == json.dumps(payload, indent=2)
+    with pytest.raises(TypeError):
+        json_text({"a": object()})
+
+
+def test_artifacts_are_json_dumps_with_indent(tmp_path):
+    run_bench("tll", tmp_path, spec_only=True, unfold_depth=4)
+    for name in ("suite.json", "coverage.json"):
+        text = (tmp_path / "out" / name).read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"

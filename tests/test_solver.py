@@ -265,11 +265,11 @@ def test_incremental_frontier_check_matches_scratch_on_corpus(name, monkeypatch,
 
 
 def test_frontier_check_matches_saturate_definition(monkeypatch, tmp_path):
-    # Spec-only generation at a deeper unfolding and the gated bst run
+    # Spec-only generation at a deeper unfolding and a longer bst run
     # reach the most heaps between them.
     checks = record_checks(monkeypatch)
-    run_benchmark("tll", tmp_path / "tll", spec_only=True, unfold_depth=4)
-    run_benchmark("bst", tmp_path / "bst")
+    run_benchmark("tll", tmp_path / "tll", spec_only=True, unfold_depth=5)
+    run_benchmark("bst", tmp_path / "bst", max_nodes=1500)
     assert len(checks) > 1000
     assert [c for c in checks if c[1] != c[2]] == []
 
@@ -384,6 +384,114 @@ def test_lazy_frontier_check_matches_eager_loop(max_depth):
     assert decisions >= {"unsat", "sat" if max_depth else "unknown"}
 
 
+def bfs_sat(d, defs, budget=None):
+    """sat's loop as it was when it unfolded every live heap of a round
+    before it took the next round: a reference for the best-first
+    frontier, which must give the same decision, statistics and model, up
+    to the numbers of fresh binders."""
+    budget = budget or Budget()
+    stats = S.SolverStats()
+    deadline = time.monotonic() + budget.time_limit
+    universe = F.heap_vars(d)
+    memo = S._QueryMemo(defs, defs.param_sorts, d.pure)
+    state = memo.state(d)
+    if state.sorts is None:
+        F.heap_sorts(d, defs, defs.param_sorts)
+    query_sorts = {v: sort for v in universe if (sort := state.sorts.get(v)) is not None}
+    todo, round_no = [(d, (None, None, None), None)], 0
+    while todo:
+        # Popped from the end: base heaps first, then inductive ones, each
+        # in the order unfold_at made them.
+        todo, children = sorted(reversed(todo), key=lambda entry: entry[0].is_base()), []
+        while todo:
+            h, link, body = todo.pop()
+            if time.monotonic() > deadline:
+                return S.SatResult("unknown", None, stats)
+            base, last = h.is_base(), round_no == budget.max_depth
+            if round_no:
+                state = memo.state(h, (*link, body))
+            if (round_no or base or last) and state.contradictory:
+                continue
+            stats.rounds = round_no
+            if not base:
+                if last:
+                    return S.SatResult("unknown", None, stats)
+                first = next(i for i, a in enumerate(h.atoms) if isinstance(a, F.PredInst))
+                link = (h, state, h.atoms[first])
+                children += [(kid, link, body) for kid, body in
+                             zip(S.unfold_at(h, first, defs), S._bodies(defs, h.atoms[first]))]
+                continue
+            try:
+                model, bounded = S._try_base(h, state, query_sorts, universe, budget, stats,
+                                             deadline)
+            except S.Timeout:
+                return S.SatResult("unknown", None, stats)
+            if model is not None:
+                return S.SatResult("sat", model, stats)
+            stats.bounded = stats.bounded or bounded
+        todo, round_no = children, round_no + 1
+    return S.SatResult("unsat", None, stats)
+
+
+def numbered_outcome(solve, d, spec, budget):
+    """A sat outcome whose model names each fresh binder by the order in
+    which it first occurs in the model, so that two models equal up to a
+    renaming of fresh binders read the same."""
+    try:
+        result = solve(d, spec, budget)
+    except F.SortError as error:
+        return "SortError", str(error)
+    model, named = result.model, None
+    if model is not None:
+        own = set(F.heap_vars(d))
+        fresh = [v for v in F.heap_vars(model.heap) if v not in own]
+        names = {v: Var(f"_{i}") for i, v in enumerate(fresh)}
+        heap = F.SymbolicHeap((), F.subst_spatial(model.heap.atoms, names),
+                              F.subst_pure(model.heap.pure, names))
+        named = F.print_heap(heap), {names.get(v, Var(v)).name: s for v, s in model.sorts.items()}
+    stats = result.stats
+    return result.decision, named, stats.rounds, stats.pure_nodes, stats.bounded
+
+
+def test_best_first_frontier_matches_breadth_first_loop():
+    runs = [(spec, d, depth) for spec, queries in random_specs_and_queries()
+            for d in queries for depth in (2, 4, 6)]
+    rng, chain = random.Random(24), F.parse_spec(CHAIN)
+    runs += [(chain, F.parse_heap(_random_heap_text(rng)), depth)
+             for _ in range(400) for depth in (1, 3, 5)]
+    decisions = {}
+    for spec, d, depth in runs:
+        got = numbered_outcome(sat, d, spec, Budget(max_depth=depth))
+        assert got == numbered_outcome(bfs_sat, d, spec, Budget(max_depth=depth)), \
+            (F.print_heap(d), depth)
+        decisions[got[0]] = decisions.get(got[0], 0) + 1
+    assert min(decisions[key] for key in ("sat", "unsat", "unknown")) > 100
+
+
+def test_tll_generation_unfolds_once_per_round(monkeypatch, tmp_path):
+    # Best-first, each sat call of tll's spec-only generation unfolds one
+    # heap per round on its way to its first base heap with a model.
+    rows, unfold, solve = [], S.unfold_at, S.sat
+    calls = []
+
+    def unfolded(*args):
+        calls.append(1)
+        return unfold(*args)
+
+    def query(*args):
+        calls.clear()
+        result = solve(*args)
+        rows.append((len(calls), result.stats.rounds, result.decision))
+        return result
+
+    monkeypatch.setattr(S, "unfold_at", unfolded)
+    monkeypatch.setattr(S, "sat", query)
+    run_benchmark("tll", tmp_path, spec_only=True, unfold_depth=4)
+    assert len(rows) == 58 and {decision for _, _, decision in rows} == {"sat"}
+    assert [row for row in rows if row[0] != row[1]] == []
+    assert sum(unfolds for unfolds, _, _ in rows) == 200
+
+
 def record_uses(monkeypatch):
     """Per sat query: its decision and the heaps it checked, solved and
     unfolded, in order, as ("passed" | "used", heap) events."""
@@ -419,8 +527,8 @@ def test_every_heap_that_passes_the_check_is_solved_or_unfolded(monkeypatch, tmp
     # The only heap a query may check and leave is the inductive one that
     # makes its last round answer unknown.
     queries = record_uses(monkeypatch)
-    run_benchmark("tll", tmp_path / "tll", spec_only=True, unfold_depth=4)
-    run_benchmark("bst", tmp_path / "bst")
+    run_benchmark("tll", tmp_path / "tll", spec_only=True, unfold_depth=5)
+    run_benchmark("bst", tmp_path / "bst", max_nodes=1500)
     assert sum(kind == "passed" for _, events in queries for kind, _ in events) > 1000
     for decision, events in queries:
         for at, (kind, d) in enumerate(events):
@@ -777,8 +885,9 @@ def test_query_memo_lives_for_one_query(monkeypatch):
 
 
 def test_query_memo_keeps_a_heap_state_only_until_its_children_are_checked(monkeypatch):
-    # A heap's check state lives while one of its children waits for its
-    # check, and no longer: no state of a finished round stays reachable.
+    # A heap's check state lives while one of its children waits on the
+    # frontier for its check, and no longer: besides the last check's
+    # state, each live state has a child of its own on the frontier.
     spec = F.parse_spec(CHAIN)
     unfold, check = S.unfold_at, S._QueryMemo.state
     made, waiting, rounds, last = {}, {}, {}, []  # all keyed by id(heap)
@@ -797,7 +906,9 @@ def test_query_memo_keeps_a_heap_state_only_until_its_children_are_checked(monke
         live = {key for key, (_, state) in made.items() if state() is not None}
         # The last check's state, and those of heaps with an unchecked child.
         assert live <= set(last[-1:]) | {key for key, children in waiting.items() if children}
-        assert all(rounds.get(key, 0) >= rounds.get(id(d), 0) - 1 for key in live)
+        # The frontier's entries not yet checked, d's among them.
+        frontier = {child for children in waiting.values() for child in children}
+        assert len(live) <= len(frontier) + 1
         for children in waiting.values():
             children.discard(id(d))
         state = check(memo, d, *args)
@@ -807,7 +918,8 @@ def test_query_memo_keeps_a_heap_state_only_until_its_children_are_checked(monke
 
     monkeypatch.setattr(S, "unfold_at", unfolded)
     monkeypatch.setattr(S._QueryMemo, "state", checked)
-    for text in ["chain(p) * chain(q) & p != q & 3 <= a", "chain(p) * chain(q) & a = 200"]:
+    for text in ["chain(p) * chain(q) & p != null & q != null & 3 <= a",
+                 "chain(p) * chain(q) & a = 200"]:
         for table in (made, waiting, rounds, last):
             table.clear()
         result = sat(heap(text), spec, Budget(max_depth=4))
@@ -1029,7 +1141,7 @@ def test_child_cube_merges_and_propagates_only_its_body(monkeypatch, tmp_path):
     monkeypatch.setattr(F.UnionFind, "union", merged)
     monkeypatch.setattr(S, "_propagate", narrowed)
     monkeypatch.setattr(S, "_extended", extended)
-    run_benchmark("bst", tmp_path)
+    run_benchmark("bst", tmp_path, max_nodes=1500)
     assert len(cubes) > 300
     for merges, body_eqs, runs, body, scratch_steps in cubes:
         assert merges == body_eqs
@@ -1070,9 +1182,9 @@ def test_child_check_costs_its_body(name, monkeypatch, tmp_path):
     monkeypatch.setattr(S._QueryMemo, "state", checked)
     monkeypatch.setattr(S._Body, "__init__", compiling)
     if name == "tll-generate":
-        run_benchmark("tll", tmp_path, spec_only=True, unfold_depth=4)
+        run_benchmark("tll", tmp_path, spec_only=True, unfold_depth=5)
     else:
-        run_benchmark(name, tmp_path)
+        run_benchmark(name, tmp_path, unfold_depth=4, max_nodes=1500)
     assert len(rows) > 500 and max(heap for heap, _, _ in rows) > 15
     for heap, size, work in rows:
         assert work.get("_nnf_cubes", 0) == work.get("_lin_of", 0) == 0

@@ -24,6 +24,17 @@ the resulting heaps on demand, one per pull; ``preprocess`` is the same
 heaps as a list. The output heaps under-approximate the input condition,
 so any model of one drives execution down the intended path.
 
+Each heap state of field elimination (``_Elimination``) costs only its own
+reads. The path condition is compiled once per ``field_free_heaps`` call
+(``_Path``): an atom without a field access gets its conjunct and its alias
+equality there, shared by every state. A read finds its base's alias root
+once and scans only its field's slot heads, kept in slot order, then the
+predicate instances' arguments. An unfolded child is built from its
+parent's state and resumes at the read that needed the unfold. It starts
+over from the first atom when its body repeats a slot or could change an
+earlier read; only a read whose alias class grew since the parent's check
+is checked again.
+
 ``explore`` repeatedly picks the shallowest unexplored node and pulls its
 heaps one at a time: it solves each, builds a new input from the model
 and runs it, and stops pulling once the run flips the node's flag. A node
@@ -36,7 +47,6 @@ integer domain (``SolverStats.bounded``), or when a model missed the node.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import time
 from typing import Callable, Iterator, Sequence, Union
@@ -307,78 +317,134 @@ def _slots(atoms: Sequence, defs: SpecFile) -> list[tuple[tuple[str, str], Arith
             for (fname, _), arg in zip(defs.datas[p.type_name].fields, p.args)]
 
 
-class _Elimination:
-    """Field elimination over the heap ``d`` after its first ``done`` path
-    condition atoms: the points-to slot of each (head, field) pair, the
-    alias classes, the conjuncts those atoms resolved to, and each field
-    read among them as ``(base var, field, slot chosen)``."""
+def _has_field(e: Expr) -> bool:
+    if isinstance(e, EField):
+        return True
+    if isinstance(e, EBin):
+        return _has_field(e.left) or _has_field(e.right)
+    return isinstance(e, EUn) and _has_field(e.operand)
 
-    def __init__(self, d: SymbolicHeap, atoms: Sequence[PCAtom], defs: SpecFile):
-        self.d = d
-        self.slot_map = dict(_slots(d.atoms, defs))
-        self.uf = S.alias_classes(S.pure_equalities(d.pure))
+
+def _alias_pair(e: Expr) -> tuple[ArithTerm, ArithTerm] | None:
+    """The sides of ``e`` when it equates two variables or null."""
+    if isinstance(e, EBin) and e.op == "=" and isinstance(e.left, (EVar, ENull)) \
+            and isinstance(e.right, (EVar, ENull)):
+        return _expr_to_term(e.left), _expr_to_term(e.right)
+    return None
+
+
+class _Path:
+    """A path condition's atoms, compiled once for every heap state: each
+    atom without a field access has its conjunct (or, outside the solvable
+    fragment, the ``ConversionError`` message) in ``conjuncts``, where an
+    atom with one has None; ``equalities`` are the alias equalities among
+    the field-free atoms."""
+
+    def __init__(self, atoms: Sequence[PCAtom]):
+        self.atoms = atoms
+        self.conjuncts: list[PureFormula | str | None] = []
+        self.equalities: list[tuple[ArithTerm, ArithTerm]] = []
         for atom in atoms:
-            if isinstance(atom, PCExpr):
-                self.absorb(atom.expr)
-        self.pure: list[PureFormula] = []
-        self.reads: list[tuple[str, str, tuple[str, str]]] = []
-        self.done = 0
+            if isinstance(atom, PCAssign) or _has_field(atom.expr):
+                self.conjuncts.append(None)
+                continue
+            try:
+                self.conjuncts.append(expr_to_pure(atom.expr))
+            except ConversionError as err:
+                self.conjuncts.append(str(err))
+            pair = _alias_pair(atom.expr)
+            if pair:
+                self.equalities.append(pair)
+
+
+class _Elimination:
+    """Field elimination over the heap ``d`` after its first ``done`` atoms
+    of ``path``, whose field-free atoms every state shares compiled. The
+    state holds the heads of each field's points-to slots in slot order
+    (``heads``), each slot's current value (``slots``; a field write
+    overrides it), the alias classes, the conjuncts those atoms resolved
+    to, and each field read among them as ``(base var, field, slot
+    chosen)``. ``grown`` names the classes merged since the reads were last
+    checked: by an equality absorbed from a resolved read here, or by the
+    unfolded body's equalities in ``resumed``."""
+
+    def __init__(self, d: SymbolicHeap, path: _Path, heads: dict[str, tuple[str, ...]],
+                 slots: dict[tuple[str, str], ArithTerm], uf: F.UnionFind,
+                 pure: list[PureFormula], reads: list[tuple[str, str, tuple[str, str]]],
+                 done: int):
+        self.d, self.path, self.heads, self.slots, self.uf = d, path, heads, slots, uf
+        self.pure, self.reads, self.done = pure, reads, done
+        self.grown: list[str] = []
+
+    @classmethod
+    def start(cls, d: SymbolicHeap, path: _Path, defs: SpecFile) -> "_Elimination":
+        """The state before the first atom: the alias classes of ``d``'s
+        equalities and of the path's field-free ones."""
+        uf = S.alias_classes(S.pure_equalities(d.pure) + path.equalities)
+        state = cls(d, path, {}, {}, uf, [], [], 0)
+        state._add_slots(_slots(d.atoms, defs))
+        return state
+
+    def _add_slots(self, slots: list[tuple[tuple[str, str], ArithTerm]]) -> None:
+        for key, arg in slots:
+            self.heads[key[1]] = self.heads.get(key[1], ()) + (key[0],)
+            self.slots[key] = arg
 
     def resumed(self, child: SymbolicHeap, defs: SpecFile) -> "_Elimination | None":
         """This state carried into ``child``, which ``unfold_at`` made from
         ``d``: the body's points-to slots go after the context's and its
-        pure equalities join the alias classes. None when the body could
-        change a resolved read (its base now entailed null or first aliased
-        to another slot) or has a slot that is already there."""
-        new = copy.copy(self)
-        new.d, new.slot_map, new.uf = child, dict(self.slot_map), self.uf.copy()
-        new.pure, new.reads = list(self.pure), list(self.reads)
-        for left, right in S.pure_equalities(child.pure[len(self.d.pure):]):
-            S.merge_alias(new.uf, left, right)
+        pure equalities join the alias classes. None when the body has a
+        slot that is already there, or could change a resolved read: its
+        base now entailed null or first aliased to another slot. Only a read
+        whose class grew since this state's reads were checked can change."""
         body = _slots(child.atoms[len(self.d.atoms) - 1:], defs)
-        if any(key in new.slot_map for key, _ in body) or any(
-                new.aliased(var, S.NULL_KEY) or new._first_slot(var, fname) != key
-                for var, fname, key in new.reads):
+        if any(key in self.slots for key, _ in body):
             return None
-        new.slot_map.update(body)
+        new = _Elimination(child, self.path, dict(self.heads), dict(self.slots),
+                           self.uf.copy(), list(self.pure), list(self.reads), self.done)
+        grown = list(self.grown)
+        for left, right in S.pure_equalities(child.pure[len(self.d.pure):]):
+            if root := S.merge_alias(new.uf, left, right):
+                grown.append(root)
+        find = new.uf.find
+        dirty = {find(name) for name in grown}
+        for var, fieldname, key in self.reads:
+            root = find(var)
+            if root in dirty and (root == S.NULL_KEY or new._first_slot(root, fieldname) != key):
+                return None
+        new._add_slots(body)
         return new
 
-    def absorb(self, e: Expr) -> None:
-        """Record an equality learned while resolving a conjunct (a field
-        read rewritten to its slot name turns into a variable equality)."""
-        if isinstance(e, EBin) and e.op == "=" and isinstance(e.left, (EVar, ENull)) \
-                and isinstance(e.right, (EVar, ENull)):
-            S.merge_alias(self.uf, _expr_to_term(e.left), _expr_to_term(e.right))
-
-    def aliased(self, a: str, b: str) -> bool:
-        return self.uf.find(a) == self.uf.find(b)
-
-    def _first_slot(self, var: str, fieldname: str) -> tuple[str, str] | None:
-        root, find = self.uf.find(var), self.uf.find
-        return next((key for key in self.slot_map
-                     if key[1] == fieldname and find(key[0]) == root), None)
+    def _first_slot(self, root: str, fieldname: str) -> tuple[str, str] | None:
+        find = self.uf.find
+        for head in self.heads.get(fieldname, ()):
+            if find(head) == root:
+                return head, fieldname
+        return None
 
     def _slot(self, var: str, fieldname: str, reads: list) -> tuple[str, str]:
         """The points-to slot that ``var.fieldname`` denotes, recorded in
         ``reads``; raise when there is none (null base, unfolding needed,
         or no information)."""
-        if self.aliased(var, S.NULL_KEY):
+        find = self.uf.find
+        root = find(var)
+        if root == S.NULL_KEY:  # null is added first, so it is its class's root
             raise _Discard()
-        key = self._first_slot(var, fieldname)
+        key = self._first_slot(root, fieldname)
         if key is None:
             for idx, atom in enumerate(self.d.atoms):
-                if isinstance(atom, PredInst) and any(
-                        isinstance(arg, Var) and self.aliased(arg.name, var)
-                        for arg in atom.args):
-                    raise _NeedUnfold(idx)
+                if isinstance(atom, PredInst):
+                    for arg in atom.args:
+                        if isinstance(arg, Var) and find(arg.name) == root:
+                            raise _NeedUnfold(idx)
             raise _Discard()
         reads.append((var, fieldname, key))
         return key
 
     def _resolved(self, e: Expr, reads: list) -> Expr:
-        """``e`` with every field access rewritten via the slot map."""
+        """``e`` with every field access rewritten via the slot values."""
         if isinstance(e, EField):
-            return _term_to_expr(self.slot_map[self._slot(e.var, e.fieldname, reads)])
+            return _term_to_expr(self.slots[self._slot(e.var, e.fieldname, reads)])
         if isinstance(e, EBin):
             return EBin(e.op, self._resolved(e.left, reads), self._resolved(e.right, reads))
         if isinstance(e, EUn):
@@ -386,36 +452,46 @@ class _Elimination:
         return e
 
     def resolve(self, atom: PCAtom) -> None:
-        """Resolve the next atom into a conjunct. The state is left as it
-        was when a read raises."""
-        reads: list = []
-        resolved = self._resolved(atom.expr, reads)
-        if isinstance(atom, PCAssign):
-            key = self._slot(atom.var, atom.fieldname, reads)
-            fresh = F.fresh_var(atom.fieldname)
-            self.slot_map[key] = Var(fresh)  # overrides the original slot name
-            self.pure.append(Atom("=", Var(fresh), _expr_to_term(resolved)))
-            resolved = EBin("=", EVar(fresh), resolved)
-        else:
-            self.pure.append(expr_to_pure(resolved))
-        self.absorb(resolved)
-        self.reads += reads
+        """Resolve the next atom into a conjunct; a field-free one takes
+        its compiled conjunct. The state is left as it was when a read
+        raises."""
+        conjunct = self.path.conjuncts[self.done]
+        if isinstance(conjunct, str):
+            raise ConversionError(conjunct)
+        if conjunct is None:
+            reads: list = []
+            resolved = self._resolved(atom.expr, reads)
+            if isinstance(atom, PCAssign):
+                key = self._slot(atom.var, atom.fieldname, reads)
+                fresh = F.fresh_var(atom.fieldname)
+                self.slots[key] = Var(fresh)  # overrides the original slot value
+                conjunct = Atom("=", Var(fresh), _expr_to_term(resolved))
+                resolved = EBin("=", EVar(fresh), resolved)
+            else:
+                conjunct = expr_to_pure(resolved)
+            # A read rewritten to its slot value can equate two variables.
+            pair = _alias_pair(resolved)
+            if pair and (root := S.merge_alias(self.uf, *pair)):
+                self.grown.append(root)
+            self.reads += reads
+        self.pure.append(conjunct)
         self.done += 1
 
 
-def _preprocess_heap(d: SymbolicHeap, atoms: Sequence[PCAtom], defs: SpecFile,
+def _preprocess_heap(d: SymbolicHeap, path: _Path, defs: SpecFile,
                      budget: int, drops: list[str],
                      state: _Elimination | None = None) -> Iterator[SymbolicHeap]:
-    """The field-free heaps of ``d`` under ``atoms``, depth-first, from
-    ``state`` (which has resolved a prefix of ``atoms`` over ``d``) or else
+    """The field-free heaps of ``d`` under ``path``, depth-first, from
+    ``state`` (which has resolved a prefix of the atoms over ``d``) or else
     from the first atom. When a read in atom i needs an unfold, each child
-    of ``unfold_at`` resumes at atom i from a copy of the state; when the
-    child's body could change a read of atoms before i, the child starts
-    over from the first atom instead. Both yield the same heaps, up to the
-    names of fresh slot variables."""
-    state = state or _Elimination(d, atoms, defs)
+    of ``unfold_at`` resumes at atom i from a state built from this one;
+    when the child's body repeats a slot or could change a read of atoms
+    before i (``resumed``), the child starts over from the first atom
+    instead. Both yield the same heaps, up to the names of fresh slot
+    variables."""
+    state = state or _Elimination.start(d, path, defs)
     try:
-        for atom in atoms[state.done:]:
+        for atom in path.atoms[state.done:]:
             state.resolve(atom)
     except _Discard:
         return
@@ -431,7 +507,7 @@ def _preprocess_heap(d: SymbolicHeap, atoms: Sequence[PCAtom], defs: SpecFile,
         drops.append("unfolding budget exhausted in preprocess")
         return
     for unfolded in unfold_at(d, index, defs):
-        yield from _preprocess_heap(unfolded, atoms, defs, budget - 1, drops,
+        yield from _preprocess_heap(unfolded, path, defs, budget - 1, drops,
                                     state.resumed(unfolded, defs))
 
 
@@ -444,9 +520,11 @@ def field_free_heaps(delta: PathCondition, defs: SpecFile, unfold_budget: int,
     described by nothing in the heap is discarded without a trace. A heap
     unfolded for a field read resumes at the atom of that read; it starts
     over from the first atom only when the unfolding could change an
-    earlier read (see ``_preprocess_heap``)."""
+    earlier read (see ``_preprocess_heap``). The path's atoms are compiled
+    once, for all of its heaps."""
+    path = _Path(delta.atoms)
     for d in delta.heaps:
-        yield from _preprocess_heap(d, delta.atoms, defs, unfold_budget, drops)
+        yield from _preprocess_heap(d, path, defs, unfold_budget, drops)
 
 
 def preprocess(delta: PathCondition, defs: SpecFile,

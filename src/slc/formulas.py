@@ -911,14 +911,17 @@ class UnionFind:
         other.parent, other.index = dict(self.parent), dict(self.index)
         return other
 
-    def union(self, a: str, b: str) -> None:
+    def union(self, a: str, b: str) -> str | None:
+        """Merge the classes of ``a`` and ``b``; the merged class's
+        representative, or None when they were one class already."""
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # Deterministic: keep the earlier-added name as representative.
-            if self.index[ra] <= self.index[rb]:
-                self.parent[rb] = ra
-            else:
-                self.parent[ra] = rb
+        if ra == rb:
+            return None
+        # Deterministic: keep the earlier-added name as representative.
+        if self.index[ra] > self.index[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return ra
 
 
 def join_sorts(have: Sort | None, sort: Sort, where: str = "heap", var: str = "") -> Sort:

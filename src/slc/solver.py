@@ -226,11 +226,13 @@ def _is_loc(op: str, sides: tuple, sorts) -> bool:
 NULL_KEY = "\x00null"
 
 
-def merge_alias(uf: F.UnionFind, left: ArithTerm, right: ArithTerm) -> None:
+def merge_alias(uf: F.UnionFind, left: ArithTerm, right: ArithTerm) -> str | None:
     """Merge the classes of an equality between variables or null; an
-    equality with any other term says nothing about aliasing."""
+    equality with any other term says nothing about aliasing. The merged
+    class's representative, or None when no two classes became one."""
     if isinstance(left, (Var, Null)) and isinstance(right, (Var, Null)):
-        uf.union(_side(left), _side(right))
+        return uf.union(_side(left), _side(right))
+    return None
 
 
 def alias_classes(eqs: Iterable[tuple[ArithTerm, ArithTerm]]) -> F.UnionFind:

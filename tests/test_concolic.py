@@ -665,6 +665,20 @@ def test_resuming_cuts_atom_resolutions_on_tll(monkeypatch, tmp_path):
     assert resumed <= 2000 and count[0] > 4 * resumed
 
 
+def record_carried(monkeypatch):
+    """Whether each unfolded child of field elimination resumed (True) or
+    started over (False), in order."""
+    carried, resumed = [], C._Elimination.resumed
+
+    def recorded(self, child, defs):
+        state = resumed(self, child, defs)
+        carried.append(state is not None)
+        return state
+
+    monkeypatch.setattr(C._Elimination, "resumed", recorded)
+    return carried
+
+
 RESTART_SPEC = """
 data N { int val; N next; }
 pred nulls(y, x) == (exists w . y -> N(w, null) & x = null) \\/ (exists w . y -> N(w, null)) ;
@@ -685,18 +699,72 @@ def test_unfold_that_changes_a_resolved_read_restarts(heap, first_read, expected
     pc = PathCondition((F.parse_heap(heap),), ())
     pc = pc.conjoin(EBin("=", first_read, EConst(2)))
     pc = pc.conjoin(EBin("=", EField("y" if base == "x" else "c", "val"), EConst(3)))
-    carried = []
-    resumed = C._Elimination.resumed
-
-    def recorded(self, child, defs):
-        state = resumed(self, child, defs)
-        carried.append(state is not None)
-        return state
-
-    monkeypatch.setattr(C._Elimination, "resumed", recorded)
+    carried = record_carried(monkeypatch)
     got = heaps_and_drops(pc, spec, 6)
     # The first child starts over, the second resumes.
     assert carried == [False, True]
     assert len(got[0]) == expected
     force_restart(monkeypatch)
     assert got == heaps_and_drops(pc, spec, 6)
+
+
+@pytest.mark.parametrize("heap, carried_expected", [
+    # p's slot comes before h's: once a.next = h resolves to p = h, the
+    # read h.val would choose p's slot, so both children start over.
+    ("p -> N(1, null) * h -> N(2, null) * a -> N(3, p) * nulls(y, x)", [False, False]),
+    # p's slot comes after h's: the class of h grew, yet h.val keeps its slot.
+    ("h -> N(2, null) * p -> N(1, null) * a -> N(3, p) * nulls(y, x)", [True, True]),
+])
+def test_read_whose_class_grew_by_an_absorbed_equality_is_rechecked(heap, carried_expected,
+                                                                   monkeypatch):
+    spec = F.parse_spec(RESTART_SPEC)
+    pc = PathCondition((F.parse_heap(heap),), ())
+    pc = pc.conjoin(EBin("=", EField("h", "val"), EConst(2)))
+    pc = pc.conjoin(EBin("=", EField("a", "next"), EVar("h")))  # resolves to p = h
+    pc = pc.conjoin(EBin("=", EField("y", "val"), EConst(3)))  # needs nulls(y, x) unfolded
+    carried = record_carried(monkeypatch)
+    got = heaps_and_drops(pc, spec, 6)
+    assert carried == carried_expected
+    assert len(got[0]) == 2 and got[1] == []
+    force_restart(monkeypatch)
+    assert got == heaps_and_drops(pc, spec, 6)
+
+
+@pytest.mark.parametrize("heap, drops", [
+    # Each child of nulls(y, x) reaches the nonlinear atom and drops there.
+    ("a -> N(1, null) * nulls(y, x)", 2),
+    # The read's base is null, so the branch is discarded before the atom.
+    ("a -> N(1, null) & y = null", 0),
+])
+def test_field_free_atom_outside_the_fragment_drops_where_it_is_reached(heap, drops,
+                                                                        monkeypatch):
+    spec = F.parse_spec(RESTART_SPEC)
+    pc = PathCondition((F.parse_heap(heap),), ())
+    pc = pc.conjoin(EBin("=", EField("a", "val"), EConst(1)))
+    pc = pc.conjoin(EBin("=", EField("y", "val"), EConst(3)))
+    pc = pc.conjoin(EBin("=", EBin("*", EVar("x"), EVar("z")), EConst(2)))
+    reasons = []
+    assert list(C.field_free_heaps(pc, spec, 6, reasons)) == []
+    assert reasons == ["nonlinear product: x * z"] * drops
+    got = heaps_and_drops(pc, spec, 6)
+    force_restart(monkeypatch)
+    assert got == heaps_and_drops(pc, spec, 6)
+
+
+# Field-elimination states (``_preprocess_heap`` calls) of each gated run,
+# a work count that a change to field elimination must not raise.
+PREPROCESS_HEAP_CALLS = {"sll": 122, "dll": 0, "stack": 0, "bst": 149, "tll": 589,
+                         "sortedlist": 30}
+
+
+@pytest.mark.parametrize("name", list(BENCHMARKS))
+def test_field_elimination_states_per_gated_run(name, monkeypatch, tmp_path):
+    preprocess_heap, count = C._preprocess_heap, [0]
+
+    def counted(*args):
+        count[0] += 1
+        return preprocess_heap(*args)
+
+    monkeypatch.setattr(C, "_preprocess_heap", counted)
+    gated_run(name, tmp_path)
+    assert count[0] == PREPROCESS_HEAP_CALLS[name]

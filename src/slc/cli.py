@@ -122,9 +122,6 @@ class CoverageReport:
             return 100.0
         return 100.0 * self.feasible_covered / len(feasible)
 
-    def uncovered_feasible(self) -> list[tuple[str, int, str]]:
-        return [b for b in self.feasible() if not self.branches[b]]
-
 
 def measure_coverage(tree: C.ConstraintTree, log, *,
                      annotations: set[tuple[str, int, str]] | None = None,
@@ -396,6 +393,18 @@ def _parse_domain(text: str) -> tuple[int, int]:
     return low, high
 
 
+def _at_least_zero(kind: type):
+    """``kind`` as an argparse type that rejects a negative value (or NaN),
+    which would lift the budget it sets."""
+    def parse(text: str):
+        value = kind(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"{text!r}: must be 0 or more")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def _attach_negative_values(argv: list[str]) -> list[str]:
     """argparse takes a value such as ``-200:200`` for an unknown option, so
     ``--int-domain -200:200`` would lack its argument; attach such a value
@@ -419,17 +428,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--spec", required=True, help="specification file (.sl)")
     parser.add_argument("--program", required=True, help="program file (.ir)")
     parser.add_argument("--entry", required=True, help="entry procedure name")
-    parser.add_argument("--unfold-depth", type=int, default=1, metavar="N",
+    parser.add_argument("--unfold-depth", type=_at_least_zero(int), default=1,
+                        metavar="N",
                         help="precondition unfolding depth (default 1)")
     parser.add_argument("--spec-only", action="store_true",
                         help="stop after specification-based generation")
-    parser.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
+    parser.add_argument("--timeout", type=_at_least_zero(float), default=None,
+                        metavar="SECONDS",
                         help="wall-clock limit for exploration")
-    parser.add_argument("--solver-depth", type=int, default=6, metavar="N",
+    parser.add_argument("--solver-depth", type=_at_least_zero(int), default=6,
+                        metavar="N",
                         help="solver unfolding depth limit (default 6)")
     parser.add_argument("--int-domain", type=_parse_domain, default=(-64, 63),
                         metavar="LO:HI", help="integer witness domain (default -64:63)")
-    parser.add_argument("--max-nodes", type=int, default=10_000, metavar="N",
+    parser.add_argument("--max-nodes", type=_at_least_zero(int), default=10_000,
+                        metavar="N",
                         help="constraint tree node budget")
     parser.add_argument("--seed-defaults", action="store_true",
                         help="add an all-defaults seed input")

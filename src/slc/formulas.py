@@ -26,11 +26,12 @@ Design notes:
 * Variables are untyped in assertions; ``infer_sorts`` and ``heap_sorts``
   recover int/bool/record sorts by unification, in one ``SortTable``: a
   union-find merges the two sides of every variable equality, each class
-  counts the sorts of the positions its members occupy and has their join
-  as its sort, and a clash is a ``SortError`` that names the position of
-  the use or the class that makes it. The solver's check extends the same
-  table one predicate body at a time, and the counts let it take an
-  unfolded instance's uses out again.
+  has the join of the sorts of its members' positions as its sort, and a
+  clash is a ``SortError`` that names the position of the use or the class
+  that makes it. The solver's check extends the same table one predicate
+  body at a time and takes no use out, so a class's sort only grows: an
+  unfolded instance's arguments keep their parameter sorts, which
+  ``infer_sorts`` joins over every disjunct.
 * AST nodes are immutable values (``value.Value``) and may be shared
   freely.
 """
@@ -993,83 +994,51 @@ def sort_facts(atoms: Iterable[SpatialAtom], pure: Conjunction, spec: SpecFile,
     return uses, merges
 
 
-def sort_class(counts: dict[Sort, int], delta: dict[Sort, int]) -> tuple | None:
-    """A ``SortTable`` class whose sort ``counts`` get ``delta`` added: the
-    join of the sorts left and their counts, or None when none is left."""
-    counts = dict(counts)
-    for sort, n in delta.items():
-        counts[sort] = counts.get(sort, 0) + n
-        if not counts[sort]:
-            del counts[sort]
-    joined = None
-    for sort in counts:
-        joined = join_sorts(joined, sort)
-    return (joined, counts) if counts else None
-
-
-def sort_counts(uses: Iterable[tuple[str, Sort, str]]) -> dict[str, dict[Sort, int]]:
-    """``sort_facts``' uses as each variable's count per sort."""
-    counts: dict[str, dict[Sort, int]] = {}
-    for v, sort, _ in uses:
-        sorts = counts.setdefault(v, {})
-        sorts[sort] = sorts.get(sort, 0) + 1
-    return counts
-
-
 def is_location(sorts, v: str) -> bool:
     """Whether ``v`` is a location under ``sorts`` (an unsorted one is not)."""
     return sorts.get(v, "int") not in ("int", "bool")
 
 
-_NO_CLASS = (None, {})
-
-
 class SortTable:
     """Sort classes: the union-find of the variable equalities (a variable
-    in none is a class of its own) and, per class, the join of its sorts
-    and the count of each sort its members' positions give it (None for a
-    class with none), so that dropping a predicate instance can take its
-    uses out again. ``heap_sorts`` and ``infer_sorts`` build one from
-    ``sort_facts``; the solver's check extends its parent's. ``get`` reads
-    a table as ``heap_sorts``' dict."""
+    in none is a class of its own) and the join of each class's sorts (none
+    for a class whose members' positions give it none). ``heap_sorts`` and
+    ``infer_sorts`` build one from ``sort_facts``; the solver's check
+    extends its parent's, so a class's sort only grows. ``get`` reads a
+    table as ``heap_sorts``' dict."""
 
-    def __init__(self, uf: UnionFind, classes: dict[str, tuple | None]):
-        self.uf, self.classes = uf, classes
+    def __init__(self, uf: UnionFind | None = None, classes: dict[str, Sort] | None = None):
+        self.uf, self.classes = uf or UnionFind(), classes or {}
 
     def root(self, v: str) -> str:
         return self.uf.find(v) if v in self.uf.parent else v
 
     def get(self, v: str, default: Sort | None = None) -> Sort | None:
-        sort = (self.classes.get(self.root(v)) or (default,))[0]
+        sort = self.classes.get(self.root(v), default)
         return "int" if sort == "scalar" else sort
 
-    def extended(self, changes: Iterable[tuple[str, dict[Sort, int]]],
-                 merges: Iterable[tuple[str, str]] = (), old: Iterable[str] = (),
-                 new: Iterable[tuple[str, tuple]] = ()) -> tuple[SortTable, tuple[bool, bool]]:
-        """This table with the classes ``new`` of new variables, each
-        (variable, sort counts) of ``changes`` added to the counts of the
-        variable's class (a negative count takes uses out), and then the
-        classes of each pair in ``merges`` merged; and whether the class of a
-        variable in ``old`` changed kind (``is_location``), and whether one
-        left the locations. Copies only what it changes; raises SortError on
-        a clash, naming no position."""
+    def extended(self, uses: Iterable[tuple], merges: Iterable[tuple[str, str]] = (),
+                 old: Iterable[str] = ()) -> tuple[SortTable, bool]:
+        """This table with the sort of each (variable, sort, ...) of ``uses``
+        joined into its variable's class, and then the classes of each pair
+        in ``merges`` merged; and whether the class of a variable in ``old``
+        changed kind (``is_location``). Copies only what it changes; raises
+        SortError on a clash, naming no position."""
         uf, classes = self.uf, dict(self.classes)
-        before = {r: is_location(self, r) for r in map(self.root, old)}
-        classes.update(new)
-        for v, delta in changes:  # before any merge, so the roots are this table's
+        before = [(r, is_location(self, r)) for r in map(self.root, old)]
+        for v, sort, *_ in uses:  # before any merge, so the roots are this table's
             r = self.root(v)
-            classes[r] = sort_class((classes.get(r) or _NO_CLASS)[1], delta)
+            classes[r] = join_sorts(classes.get(r), sort)
         for a, b in merges:
             ra, rb = (uf.find(x) if x in uf.parent else x for x in (a, b))
             if ra != rb:
                 uf = uf.copy() if uf is self.uf else uf
-                uf.union(ra, rb)
-                keep, gone = (ra, rb) if uf.find(ra) == ra else (rb, ra)
-                classes[keep] = sort_class((classes.get(keep) or _NO_CLASS)[1],
-                                           (classes.pop(gone, None) or _NO_CLASS)[1])
+                keep = uf.union(ra, rb)
+                gone = rb if keep == ra else ra
+                if gone in classes:
+                    classes[keep] = join_sorts(classes.get(keep), classes.pop(gone))
         table = SortTable(uf, classes)
-        after = [(kind, is_location(table, r)) for r, kind in before.items()]
-        return table, (any(k != now for k, now in after), any(k and not now for k, now in after))
+        return table, any(kind != is_location(table, r) for r, kind in before)
 
 
 def _sort_table(uses: list[tuple[str, Sort, str]], merges: list[tuple[str, str]],
@@ -1080,7 +1049,7 @@ def _sort_table(uses: list[tuple[str, Sort, str]], merges: list[tuple[str, str]]
     position, else the class whose members' sorts clash, under its
     representative, at ``where``."""
     try:
-        return SortTable(UnionFind(), {}).extended(sort_counts(uses).items(), merges)[0]
+        return SortTable().extended(uses, merges)[0]
     except SortError:  # named by the walk below, which meets the same clash
         env: dict[str, Sort] = {}
         for var, sort, at in uses:

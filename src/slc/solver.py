@@ -18,52 +18,54 @@ One query checks each heap once, by extending its parent's check state,
 and a child's check costs its body, not its heap. Each predicate disjunct
 is compiled once per spec and argument shape (``_bodies``, kept on the
 ``SpecFile``, made at first use): its sort uses and equalities over its
-own names, less the unfolded instance's own uses of its arguments, and
-its DNF cubes, each literal with its variables, the shape of its sides and
-its linear form; null and constant arguments are put in first. A heap's
-state is its ``F.SortTable``, the sort table ``F.heap_sorts`` and
-``F.infer_sorts`` also build, whose sort counts let the instance's uses be
-taken out again; and per cube each variable's kind (``F.is_location``),
-the alias classes, the disequalities, the linear forms and, if
-propagation reached its fixpoint, the bounds. ``sat``'s frontier carries
-each heap that ``unfold_at`` made with its parent, the parent's state, the
-instance and the compiled body, so a state lives until the last of its
-children has been checked. A child is its parent minus the instance plus
-the body, its conjuncts the parent's followed by the body's. Its sort
-classes add the body's renamed uses to the classes they touch and merge
-those its equalities join; only the classes of the instance's arguments
-can change kind, since every other variable the body names is a fresh
-binder. Each child cube shares its parent cube's state, copying what the
-body adds to: it merges the body's split and linearised literals, checks
-the marks and disequalities over the merged classes, and propagates from
-the parent's fixpoint, starting from the body's linear forms. The query,
-a child of a sort clash and a child whose instance has an argument other
-than a variable, null or a constant begin with the sort classes of the
-query's conjuncts, made once.
+own names, and its DNF cubes, each literal with its variables, the shape
+of its sides and its linear form; null and constant arguments are put in
+first. A heap's state is its ``F.SortTable``, the sort table
+``F.heap_sorts`` and ``F.infer_sorts`` also build, and per cube each
+variable's kind (``F.is_location``), the alias classes, the
+disequalities, the linear forms and, if propagation reached its fixpoint,
+the bounds. ``sat``'s frontier carries each heap that ``unfold_at`` made
+with its parent, the parent's state, the instance and the compiled body,
+so a state lives until the last of its children has been checked. A
+child is its parent minus the instance plus the body, its conjuncts the
+parent's followed by the body's.
 
-A base heap, the query included, is solved from its state (``_try_base``)
-as a child whose body adds no literals. The query's sorts join its sort
-classes, one use each, so that a variable keeps the sort that an unfolded
-instance gave it, and the variables of the universe, the heap's own
-followed by the query's, lead each cube. The integer search runs over the
-universe's integers in universe order, from the cube's bounds, and the
-model reads the cube's alias classes in that order.
+Sorts are the spec's static types. A child's sort table is its parent's
+with the body's renamed uses joined in and the classes its equalities
+join merged; the instance's uses of its arguments stay, and they join
+every use the body makes of them, since ``infer_sorts`` joins each
+parameter's sort over all disjuncts. So a table only grows, the child of
+a sort clash is one, and a variable changes kind only when its unsorted
+class joins the locations (a body merges it into a location class, or
+equates it with a null argument). Each child cube shares its parent
+cube's state, copying what the body adds to: it merges the body's split
+and linearised literals, checks the marks and disequalities over the
+merged classes, and propagates from the parent's fixpoint, starting from
+the body's linear forms, or from fresh bounds when the round cap stopped
+the parent's or stops this run. A cube that its parent ruled out stays
+ruled out, and a live cube with a variable that changed kind is checked
+from scratch. The query, and a child of a general body (``_Body``), walk
+their new atoms and conjuncts into the table and check every cube from
+scratch. A base heap, the query included, is solved from its state
+(``_try_base``): each live cube is extended by no literals, with the
+variables of the universe, the heap's own followed by the query's,
+leading. The integer search runs over the universe's integers in
+universe order, from the cube's bounds, and the model reads the cube's
+alias classes in that order.
 
-Children and base heaps extend their parent's cubes by one rule
-(``_extend``). A live cube is extended, and checked from scratch instead
-when one of its variables changed kind (dropping the instance can unsort
-one, the query's sorts can sort one). A cube that propagation ruled out is
-checked from scratch, since propagation's round cap grows with the integer
-variables. A sort or location clash stays, unless a class left the
-locations. A live cube is propagated from fresh bounds when its parent's
-stopped at the round cap. This is exact: sort joins do not depend on
-order, literals split by their variables' kinds, a variable that joins the
-locations only turns integer literals into location literals or sort
-clashes, a clash of sorts or marks only grows with the literals, and
-merging gives the partition from scratch (no reader depends on its
-representatives). Narrowing is monotone, so a converged run from a
-parent's fixpoint reaches the fixpoint from scratch; a contradiction or a
-cap met that way is confirmed from fresh bounds.
+Against a check from scratch under the sorts of the heap and the
+instances unfolded on its path, this keeps the same live cubes, with the
+same classes and any fixpoint both reach, and may rule out more, never
+fewer: literals and sorts only grow, a variable that joins the locations
+only turns integer literals into location literals or sort clashes, a
+clash of sorts or marks only grows with the literals, and narrowing from
+a parent's fixpoint narrows from consequences of the cube, so a clash or
+an empty interval reached that way proves that the cube has no model,
+where from scratch the round cap may stop first. So no model is lost, and
+as base heaps leave the frontier in (round, path) order, the first model
+is the one the check from scratch leads to; only a heap that the check
+from scratch would leave live at the depth limit can turn an UNKNOWN
+into UNSAT.
 
 The solver trades the completeness of a full decision procedure for
 bounded search: outside its budgets it answers UNKNOWN, which for a test
@@ -462,11 +464,11 @@ def _search_ints(lins: list[_Lin], uses: dict, order: list[str], sorts: dict[str
 
 class _Cube(NamedTuple):
     """A cube's check state, which an extending cube shares and copies where
-    its literals add to it: each variable's kind (``_kind``) in first-
-    occurrence order, the alias classes, the disequalities' class keys, the
-    integer linear forms with each variable's forms, the bounds if they
-    are a fixpoint (None when the round cap stopped propagation), and the
-    roots of null's and the points-to heads' classes."""
+    its literals add to it: each variable's kind (``F.is_location``) in
+    first-occurrence order, the alias classes, the disequalities' class
+    keys, the integer linear forms with each variable's forms, the bounds if
+    they are a fixpoint (None when the round cap stopped propagation), and
+    the roots of null's and the points-to heads' classes."""
 
     kinds: dict[str, bool]
     uf: F.UnionFind
@@ -523,38 +525,33 @@ _NO_LITERALS = _Prepared([], [], [], [])
 
 
 def _checked(lits: list[Lit] | _Prepared, sorts, heads: Sequence[str],
-             parent: _Cube | None = None, universe: Sequence[str] | None = None,
-             ) -> tuple[tuple[_Cube, dict[str, tuple]] | None, bool]:
+             parent: _Cube | None = None) -> tuple[_Cube, dict[str, tuple]] | None:
     """The check of the cube ``parent``'s literals (none by default)
     followed by ``lits`` (split here under ``sorts`` unless ``_Prepared``),
-    with the variables of ``universe`` leading and null and the points-to
-    ``heads`` marked: the cube's ``_Cube`` and propagated integer bounds,
-    which the integer search starts from, or None when no integer domain
-    satisfies it; and whether a None is a sort or location clash, which
-    every cube that extends this one keeps unless a class leaves the
-    locations (``_extend``). See ``_extended``."""
+    with null and the points-to ``heads`` marked: the cube's ``_Cube`` and
+    propagated integer bounds, which the integer search starts from, or
+    None when the cube has no model: a sort or location clash, or an empty
+    interval. See ``_extended``."""
     try:
-        result = _extended(lits if isinstance(lits, _Prepared) else _prepared(lits, sorts),
-                           sorts, universe, heads, parent)
+        return _extended(lits if isinstance(lits, _Prepared) else _prepared(lits, sorts),
+                         sorts, (), heads, parent)
     except F.SortError:
-        return None, True
-    return result or None, result is False
+        return None
 
 
-def _extended(lits: _Prepared, sorts, universe: Sequence[str] | None, heads: Sequence[str],
+def _extended(lits: _Prepared, sorts, universe: Sequence[str], heads: Sequence[str],
               parent: _Cube | None = None) -> tuple[_Cube, dict[str, tuple]] | None:
-    """``_checked`` on literals already split and linearised: None when
-    propagation empties a bound, False on a location clash. ``parent`` must
-    split its variables between locations and integers as ``sorts`` does,
-    so that its literals split the same way, and its heads must lead
-    ``heads``. Only ``lits`` are merged; unless they merge classes, only the
-    new heads and disequalities are checked against the parent's marks.
-    Propagation starts from ``parent``'s fixpoint and ``lits``' linear
-    forms, so the verdict, the classes (not their representatives) and any
-    fixpoint are the ones from scratch (see the module notes)."""
+    """``_checked`` on literals already split and linearised, with the
+    variables of ``universe`` leading. ``parent`` must split its variables
+    between locations and integers as ``sorts`` does, so that its literals
+    split the same way, and its heads must lead ``heads``. Only ``lits`` are
+    merged; unless they merge classes, only the new heads and disequalities
+    are checked against the parent's marks. Propagation starts from
+    ``parent``'s fixpoint and ``lits``' linear forms, and again from fresh
+    bounds when that stops at the round cap (see the module notes)."""
     kinds, uf, diseqs, lins, uses, bounds, marked = \
         parent or _Cube({}, alias_classes(()), [], [], {}, {}, set())
-    new = {v: is_location(sorts, v) for v in (*(universe or ()), *lits.order) if v not in kinds}
+    new = {v: is_location(sorts, v) for v in (*universe, *lits.order) if v not in kinds}
     kinds = {**kinds, **new} if new else kinds
     pairs = lits.pairs
     names = [v for v, k in new.items() if k]
@@ -570,10 +567,10 @@ def _extended(lits: _Prepared, sorts, universe: Sequence[str] | None, heads: Seq
     else:  # the parent's classes, marks and disequalities stand
         marked, check = marked | {uf.find(h) for h in heads[len(marked) - 1:]}, pairs
     if len(marked) <= len(heads):
-        return False
+        return None
     diseqs = diseqs + pairs if pairs else diseqs
     if any(uf.find(a) == uf.find(b) for a, b in check):
-        return False
+        return None
     start, fresh = len(lins), [v for v, k in new.items() if not k]
     if lits.lins:
         lins = lins + lits.lins
@@ -586,7 +583,7 @@ def _extended(lits: _Prepared, sorts, universe: Sequence[str] | None, heads: Seq
         if lits.lins or fresh:
             bounds = {**bounds, **dict.fromkeys(fresh, _TOP)}
         converged = _propagate(lins, uses, bounds, range(start, len(lins)))
-    if converged is not True and start:  # confirmed, or the parent was capped
+    if converged is None and start:  # the round cap, here or in the parent
         bounds = {v: _TOP for v, k in kinds.items() if not k}
         converged = _propagate(lins, uses, bounds)
     if converged is False:
@@ -620,12 +617,12 @@ class _Body:
     shape binds each parameter to a variable, to null or a constant, or to
     any other term (then the body is ``general``). ``unfold_at`` renames
     the disjunct's atoms and conjuncts. The check compiles it with the null
-    and constant arguments put in, unless it is general (a general child is
-    checked from scratch): over the disjunct's own names, the sort uses it
-    gives each binder and each parameter left, less the unfolded instance's
-    own (None when the arguments make a sort clash), the pairs its
-    equalities merge, the parameters whose classes those touch, and its DNF
-    cubes of ``_Literal``s. An instance renames the names to variables."""
+    and constant arguments put in, unless it is general (a general child's
+    cubes are checked from scratch): over the disjunct's own names, the
+    joined sort of each variable it sorts (None when the arguments make a
+    sort clash), the pairs its equalities merge, the parameters whose
+    classes those touch, and its DNF cubes of ``_Literal``s. An instance
+    renames the names to variables."""
 
     def __init__(self, pred: F.PredDef, disjunct: SymbolicHeap, shape: tuple, defs: SpecFile):
         self.params, self.exists = pred.params, disjunct.exists
@@ -642,19 +639,9 @@ class _Body:
         try:
             uses, self.merges = F.sort_facts(F.subst_spatial(disjunct.atoms, bound), pure, defs,
                                              defs.param_sorts)
+            self.uses = list(F.SortTable().extended(uses)[0].classes.items())
         except F.SortError:
             return
-        uses = F.sort_counts(uses)
-        for i, p in self.vars:
-            sort = defs.param_sorts[pred.name][i]
-            if sort is not None:  # the instance's own use of its argument goes
-                counts = uses[p] = dict(uses.get(p, {}))
-                counts[sort] = counts.get(sort, 0) - 1
-        self.uses = [(v, {sort: n for sort, n in counts.items() if n})
-                     for v, counts in uses.items()
-                     if v not in self.exists and any(counts.values())]
-        self.binders = [(v, F.sort_class({}, counts)) for v, counts in uses.items()
-                        if v in self.exists]
         touched = {v for pair in self.merges for v in pair} | {v for v, _ in self.uses}
         self.touched = [p for _, p in self.vars if p in touched]
 
@@ -710,98 +697,80 @@ def unfold_at(d: SymbolicHeap, inst_index: int, defs: SpecFile) -> list[Symbolic
 
 
 class _HeapState:
-    """A checked heap: its sort classes (None after a sort clash), and each
-    cube's ``_Cube`` under them (None when the cube is contradictory) with
-    whether that None is a sort or location clash (``_checked``)."""
+    """A checked heap: its sort table (None after a sort clash), and each
+    cube's ``_Cube`` under it (None when the cube has no model), from the
+    cube's check (``_checked``)."""
 
-    def __init__(self, sorts: F.SortTable | None, checked: list[tuple]):
-        self.sorts = sorts
-        self.cubes, self.settled = [c and c[0] for c, _ in checked], [s for _, s in checked]
+    def __init__(self, sorts: F.SortTable | None, checked: Iterable[tuple | None]):
+        self.sorts, self.cubes = sorts, [c and c[0] for c in checked]
 
     @property
     def contradictory(self) -> bool:
         return all(cube is None for cube in self.cubes)
 
 
-class _QueryMemo:
-    """One ``sat`` query's sort classes of its own conjuncts, made on first
-    use, and the check of each of its heaps (see the module notes)."""
-
-    def __init__(self, defs: SpecFile | None = None, param_sorts: dict | None = None,
-                 query_pure: F.Conjunction = ()):
-        self.defs, self.param_sorts = defs, param_sorts
-        self.query_pure, self.prefix = query_pure, len(query_pure)
-        self.prefix_sorts: F.SortTable | None = None
-
-    def _sorts(self, base: F.SortTable, atoms, pure) -> F.SortTable:
-        uses, merges = F.sort_facts(atoms, pure, self.defs, self.param_sorts)
-        return base.extended(F.sort_counts(uses).items(), merges)[0]
-
-    def state(self, d: SymbolicHeap, above: tuple | None = None) -> _HeapState:
-        """``d``'s check state. ``above`` is ``(parent, its state, the
-        instance unfolded, its _Body)`` when ``unfold_at`` made ``d`` from
-        ``parent``. Then ``d``'s state extends the parent's with the body's
-        renamed sort uses and cubes only, unless a sort clash ruled the
-        parent out or the body is general; otherwise ``d`` begins with the
-        query's conjuncts (see the module notes)."""
-        parent, up, inst, body = above or (None, None, None, None)
-        if up is None or up.sorts is None or body.general:
-            try:
-                if self.prefix_sorts is None:
-                    self.prefix_sorts = self._sorts(F.SortTable(F.UnionFind(), {}), (),
-                                                    self.query_pure)
-                sorts = self._sorts(self.prefix_sorts, d.atoms, d.pure[self.prefix:])
-            except F.SortError:
-                return _HeapState(None, [])
-            heads = [p.var for p in d.points_tos()]
-            return _HeapState(sorts, [_checked(lits, sorts, heads) for lits in _nnf_cubes(d.pure)])
-        if body.uses is None:
-            return _HeapState(None, [])
-        names = body.names(inst.args, d.exists[len(parent.exists):])
+def _state(d: SymbolicHeap, defs: SpecFile, above: tuple | None = None) -> _HeapState:
+    """``d``'s check state. ``above`` is ``(parent, its state, the instance
+    unfolded, its _Body)`` when ``unfold_at`` made ``d`` from ``parent``.
+    Then ``d``'s sort table extends the parent's, a clash if that is one,
+    by the body's renamed uses, and ``d``'s cubes extend the parent's by the
+    body's, unless the body is general; otherwise the table adds the sort
+    facts of ``d``'s new atoms and conjuncts, and every cube of ``d`` is
+    checked from scratch (see the module notes)."""
+    parent, up, inst, body = above or (None, None, None, None)
+    if up is not None and up.sorts is None:
+        return _HeapState(None, [])
+    if up is None or body.general:
+        table, atoms, pure = F.SortTable(), d.atoms, d.pure
+        if up is not None:  # the body's atoms and conjuncts come last
+            table, atoms, pure = up.sorts, atoms[len(parent.atoms) - 1:], pure[len(parent.pure):]
         try:
-            # Only the classes of the parameters' arguments can change kind;
-            # the binders are new.
-            sorts, moved = up.sorts.extended(
-                [(names[v], counts) for v, counts in body.uses],
-                [(names[a], names[b]) for a, b in body.merges], [names[p] for p in body.touched],
-                [(names[v], entry) for v, entry in body.binders])
+            sorts = table.extended(*F.sort_facts(atoms, pure, defs, defs.param_sorts))[0]
         except F.SortError:
             return _HeapState(None, [])
-        new = []
-        for cube in body.cubes:
-            try:
-                new.append(_split(cube, names, sorts))
-            except F.SortError:
-                new.append(None)
-        return _HeapState(sorts, list(_extend(d, up, sorts, moved, new)))
+        heads = [p.var for p in d.points_tos()]
+        return _HeapState(sorts, [_checked(lits, sorts, heads) for lits in _nnf_cubes(d.pure)])
+    if body.uses is None:
+        return _HeapState(None, [])
+    names = body.names(inst.args, d.exists[len(parent.exists):])
+    try:
+        # Only the classes of the parameters' arguments can change kind; the
+        # binders are new.
+        sorts, changed = up.sorts.extended(
+            [(names[v], sort) for v, sort in body.uses],
+            [(names[a], names[b]) for a, b in body.merges], [names[p] for p in body.touched])
+    except F.SortError:
+        return _HeapState(None, [])
+    new = []
+    for cube in body.cubes:
+        try:
+            new.append(_split(cube, names, sorts))
+        except F.SortError:
+            new.append(None)
+    return _HeapState(sorts, _extend(d, up, sorts, changed, new))
 
 
-def _extend(d: SymbolicHeap, up: _HeapState, sorts: F.SortTable, moved: tuple[bool, bool],
-            bodies: Sequence[_Prepared | None], universe: Sequence[str] | None = None):
+def _extend(d: SymbolicHeap, up: _HeapState, sorts: F.SortTable, changed: bool,
+            bodies: Sequence[_Prepared | None]):
     """The checks (``_checked``) of ``d``'s cubes, one at a time: each cube
     of ``up``, the check of ``d``'s parent, followed by each of ``bodies``
     (None for one that is a sort clash), as ``_nnf_cubes`` orders them, under
-    ``sorts``, with the variables of ``universe`` leading. ``moved`` says
-    whether a class changed kind between ``up``'s sorts and ``sorts``, and
-    whether one left the locations. A live cube is extended, unless one of
-    its variables changed kind; a cube that propagation ruled out, or whose
-    sort or location clash a class leaving the locations may undo, is
-    checked from scratch; any other clash stays (see the module notes)."""
+    ``sorts``. ``changed`` says whether a class changed kind between ``up``'s
+    sorts and ``sorts``. A cube that ``up`` ruled out stays ruled out, and a
+    live one is extended, or checked from scratch when one of its variables
+    changed kind (see the module notes)."""
     heads, whole = [p.var for p in d.points_tos()], None
-    changed, left = moved
-    for i, (cube, settled) in enumerate(zip(up.cubes, up.settled)):
-        if cube is None:
-            scratch = not settled or left
-        else:
-            scratch = changed and any(is_location(sorts, v) != k for v, k in cube.kinds.items())
+    for i, cube in enumerate(up.cubes):
+        scratch = changed and cube is not None and any(
+            is_location(sorts, v) != k for v, k in cube.kinds.items())
         for j, lits in enumerate(bodies):
-            if scratch:
+            if cube is None or lits is None:
+                yield None
+            elif scratch:
                 whole = whole or _nnf_cubes(d.pure)
-                yield _checked(whole[i * len(bodies) + j], sorts, heads, None, universe)
-            elif cube is None or lits is None:
-                yield None, True
+                yield _checked(whole[i * len(bodies) + j], sorts, heads)
             else:
-                yield _checked(lits, sorts, heads, cube, universe)
+                yield _checked(lits, sorts, heads, cube)
 
 
 # =====================================================================
@@ -809,23 +778,18 @@ def _extend(d: SymbolicHeap, up: _HeapState, sorts: F.SortTable, moved: tuple[bo
 # =====================================================================
 
 
-def _try_base(d: SymbolicHeap, state: _HeapState, query_sorts: dict[str, str],
-              universe: list[str], budget: Budget, stats: SolverStats,
-              deadline: float) -> tuple[SymbolicModel | None, bool]:
-    """Solve the base heap ``d`` from its check ``state``, with the sorts
-    ``query_sorts`` joined in: the model of its first cube that has one,
-    and whether only the integer domain ruled its cubes out. Each cube is
-    ``state``'s extended by no literals (``_extend``), with the variables of
-    ``universe`` leading (``d``'s own, then the query's), and its integers
-    are searched in that order."""
-    try:
-        sorts, moved = state.sorts.extended(
-            [(v, {sort: 1}) for v, sort in query_sorts.items()], old=query_sorts)
-    except F.SortError:
-        return None, False
+def _try_base(d: SymbolicHeap, state: _HeapState, universe: list[str], budget: Budget,
+              stats: SolverStats, deadline: float) -> tuple[SymbolicModel | None, bool]:
+    """Solve the base heap ``d`` from its check ``state``: the model of its
+    first cube that has one, and whether only the integer domain ruled its
+    cubes out. Each live cube is extended by no literals, with the
+    variables of ``universe`` leading (``d``'s own, then the query's), and
+    its integers are searched in that order."""
+    sorts, heads = state.sorts, [p.var for p in d.points_tos()]
     universe = list(dict.fromkeys([*F.heap_vars(d), *universe]))
     bounded = False
-    for checked, _ in _extend(d, state, sorts, moved, [_NO_LITERALS], universe):
+    for cube in state.cubes:
+        checked = cube and _extended(_NO_LITERALS, sorts, universe, heads, cube)
         if checked is None:
             continue
         cube, bounds = checked
@@ -890,7 +854,7 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
     taken before the answer is one that loop checks too, and the decision,
     the first model (up to fresh-binder numbering) and the statistics are
     the same, but no heap keyed past the answer is unfolded. Each heap is
-    checked as it comes off (``_QueryMemo.state``: the per-cube check of
+    checked as it comes off (``_state``: the per-cube check of
     the marked alias classes and the integer bounds, without the integer
     search) and dropped if contradictory; a base heap is solved from its
     check (``_try_base``). The query is checked unless it is inductive and
@@ -907,11 +871,9 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
     stats = SolverStats()
     deadline = time.monotonic() + budget.time_limit
     universe = F.heap_vars(d)
-    memo = _QueryMemo(defs, defs.param_sorts, d.pure)
-    state = memo.state(d)  # round 0 checks or unfolds the query from it
+    state = _state(d, defs)  # round 0 checks or unfolds the query from it
     if state.sorts is None:
         F.heap_sorts(d, defs, defs.param_sorts)  # raises the query's sort clash, named
-    query_sorts = {v: sort for v in universe if (sort := state.sorts.get(v)) is not None}
     # Entries are (key, heap, link, body); paths are unique, so no keys tie.
     todo = [((len(d.instances()), ()), d, (None, None, None), None)]
     while todo:
@@ -920,7 +882,7 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
             return SatResult("unknown", None, stats)
         base, last = h.is_base(), len(path) == budget.max_depth
         if path:
-            state = memo.state(h, (*link, body))
+            state = _state(h, defs, (*link, body))
         if (path or base or last) and state.contradictory:
             continue
         stats.rounds = max(stats.rounds, len(path))
@@ -935,7 +897,7 @@ def sat(d: SymbolicHeap, defs: SpecFile, budget: Budget | None = None) -> SatRes
                 heappush(todo, (key, kid, link, body))
             continue
         try:
-            model, bounded = _try_base(h, state, query_sorts, universe, budget, stats, deadline)
+            model, bounded = _try_base(h, state, universe, budget, stats, deadline)
         except Timeout:
             return SatResult("unknown", None, stats)
         if model is not None:

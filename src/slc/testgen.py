@@ -29,7 +29,6 @@ bodies the stores before it renamed.
 from __future__ import annotations
 
 import itertools
-import random
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import formulas as F
@@ -592,28 +591,3 @@ def oracle_sat(d: SymbolicHeap, defs: SpecFile, max_objects: int,
         if heap_satisfies(store, env, opened, defs, candidates, bodies):
             return True
     return False
-
-
-# =====================================================================
-# Random-scalar baseline
-# =====================================================================
-
-
-def random_baseline(entry_params: Sequence[tuple[str, str]], count: int,
-                    int_min: int = -64, int_max: int = 63,
-                    seed: int = 0) -> list[TestInput]:
-    """Reference-typed parameters stay null; scalars are drawn uniformly.
-    The weak baseline spec-driven generation is compared against."""
-    rng = random.Random(seed)
-    out = []
-    for i in range(count):
-        bindings: dict[str, object] = {}
-        for name, ptype in entry_params:
-            if ptype == "int":
-                bindings[name] = rng.randint(int_min, int_max)
-            elif ptype == "bool":
-                bindings[name] = rng.random() < 0.5
-            else:
-                bindings[name] = None
-        out.append(TestInput({}, bindings, provenance=f"baseline:{i}"))
-    return out

@@ -126,18 +126,22 @@ PHASE_ONE_UNCOVERED = {
 }
 
 
+def uncovered_feasible(report):
+    return [b for b in report.feasible() if not report.branches[b]]
+
+
 def test_criterion_3_bst_coverage():
     with Timer(60.0) as timer:
         phase_one = run_bench("bst", spec_only=True)
-        uncovered = set(phase_one.report.uncovered_feasible())
+        uncovered = set(uncovered_feasible(phase_one.report))
         assert ("remove", 4, "then") in uncovered
         assert uncovered == PHASE_ONE_UNCOVERED
         full = run_bench("bst")
         assert full.report.feasible_percent == 100.0
-        assert full.report.uncovered_feasible() == []
+        assert uncovered_feasible(full.report) == []
         assert full.report.infeasible == {("findMin", 0, "then")}
-        assert set(phase_one.report.uncovered_feasible()) - set(
-            full.report.uncovered_feasible()) == PHASE_ONE_UNCOVERED
+        assert set(uncovered_feasible(phase_one.report)) - set(
+            uncovered_feasible(full.report)) == PHASE_ONE_UNCOVERED
     passed(3, f"phase one leaves {len(PHASE_ONE_UNCOVERED)} branches incl. the "
               f"x<element side; explore reaches 100% feasible ({timer.elapsed:.1f}s)")
 
@@ -291,7 +295,7 @@ def test_criterion_6_oracle_equivalence():
 # -----------------------------------------------------------------------
 
 
-def test_criterion_7_spec_only_beats_baseline():
+def test_criterion_7_spec_only_beats_baseline(random_baseline):
     with Timer(30.0) as timer:
         result = run_bench("sortedlist", spec_only=True)
         report = result.report
@@ -302,7 +306,7 @@ def test_criterion_7_spec_only_beats_baseline():
         program = ir.parse_program(corpus_path("sortedlist.ir").read_text(),
                                    datas=spec.datas)
         elab = ir.elaborate(program, "sumbig")
-        baseline = T.random_baseline(elab.params, 10, seed=0)
+        baseline = random_baseline(elab.params, 10, seed=0)
         base_run = C.explore(elab, spec.preconditions["sumbig"], baseline,
                              spec, spec_only=True)
         base_covered = {n.branch for n in base_run.tree.nodes

@@ -102,6 +102,22 @@ def test_int_domain_outside_int32_is_usage_error(domain, tmp_path, capsys):
     assert "exceeds 32 bits" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--unfold-depth", "--solver-depth", "--max-nodes",
+                                    "--timeout"])
+def test_negative_budget_is_usage_error(option, tmp_path, capsys):
+    # A negative --solver-depth would remove sat's depth bound, and make
+    # field elimination drop every branch; each budget rejects one.
+    spec = tmp_path / "guard.sl"
+    spec.write_text("pre f == emp & true ;\n")
+    prog = tmp_path / "guard.ir"
+    prog.write_text("proc f(x: int) { 0: if x = 100 then goto 1 else goto 2  1: v := 1 }")
+    args = ["--spec", str(spec), "--program", str(prog), "--entry", "f"]
+    assert main([*args, option, "-1"]) == 1
+    assert "'-1': must be 0 or more" in capsys.readouterr().err
+    assert main([*args, option, "nan"]) == 1
+    assert main([*args, option, "0", "--report", "json"]) in (0, 2)
+
+
 def test_untyped_non_null_reference_gets_its_declared_type(tmp_path, capsys):
     # The model sorts p only as a reference; the input builder takes its
     # type from the entry parameter instead of refusing the model.
@@ -220,7 +236,7 @@ def test_full_bst_run_feasible_coverage(tmp_path):
     result = run_bench("bst", tmp_path)
     report = result.report
     assert report.feasible_percent == 100.0
-    assert report.uncovered_feasible() == []
+    assert [b for b in report.feasible() if not report.branches[b]] == []
     assert report.infeasible == {("findMin", 0, "then")}
     assert not report.branches[("findMin", 0, "then")]
 

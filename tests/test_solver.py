@@ -1,6 +1,7 @@
 """Bounded heap satisfiability: separation, pure solving, models."""
 
 import gc
+import hashlib
 import itertools
 import random
 import re
@@ -25,9 +26,45 @@ def heap(text):
 EMPTY_SPEC = F.SpecFile()
 
 
-def contradictory(d, defs):
+STATE = S._state  # the check itself, which tests replace by wrappers
+
+
+def on_path(d, path):
+    """``d`` with the instances ``path`` added to its atoms: the instances
+    unfolded on the way from a query to ``d``, whose uses of their
+    arguments a check keeps."""
+    return F.SymbolicHeap(d.exists, d.atoms + path, d.pure)
+
+
+def scratch_state(d, defs, path=()):
+    """The check state of ``d`` made from scratch: every cube checked
+    without a parent, under the sort table of ``d`` and ``path``."""
+    return STATE(on_path(d, path), defs)
+
+
+def contradictory(d, defs, path=()):
     """The frontier check of ``d``, made from scratch."""
-    return S._QueryMemo(defs, F.infer_sorts(defs)).state(d).contradictory
+    return scratch_state(d, defs, path).contradictory
+
+
+def path_of(above):
+    """The instances unfolded on the way to the heap that ``above`` (a
+    ``_state`` argument) made, from the path its parent's state carries."""
+    return () if above is None else above[1].path + (above[2],)
+
+
+def on_check(monkeypatch, hook):
+    """Wrap S._state: each state it makes carries its heap's path (see
+    path_of), and ``hook(d, defs, above, state)`` sees it."""
+    check = S._state
+
+    def checked(d, defs, above=None):
+        state = check(d, defs, above)
+        state.path = path_of(above)
+        hook(d, defs, above, state)
+        return state
+
+    monkeypatch.setattr(S, "_state", checked)
 
 
 # ----------------------------------------------------------- separation
@@ -184,16 +221,17 @@ pred chain(x) == (emp & x = null) \\/ (exists v, n . x -> N(v, n) * chain(n)) ;
 """
 
 
-def saturate_definition(d, defs, param_sorts):
+def saturate_definition(d, defs, path=()):
     """The frontier check as saturate and _checked define it: saturate's
     pairwise disequalities join the pure part, no head is marked, and every
-    DNF cube fails. It derives everything from scratch."""
+    DNF cube fails under the sorts of ``d`` and the instances ``path``
+    unfolded on its way. It derives everything from scratch."""
     additions = saturate(d)
     if additions is None:
         return True
-    sorts = F.heap_sorts(d, defs, param_sorts)
+    sorts = F.heap_sorts(on_path(d, path), defs, defs.param_sorts)
     pure = F.conj([d.pure, *additions])
-    return all(S._checked(cube, sorts, ())[0] is None for cube in S._nnf_cubes(pure))
+    return all(S._checked(cube, sorts, ()) is None for cube in S._nnf_cubes(pure))
 
 
 def _random_heap_text(rng):
@@ -213,31 +251,27 @@ def _random_heap_text(rng):
 
 def record_checks(monkeypatch):
     """Every heap that sat checks, with the check's verdict and the
-    saturate/_checked definition's."""
+    saturate/_checked definition's over its path."""
     checks = []
-    check = S._QueryMemo.state
 
-    def recorded(memo, d, above=None):
-        state = check(memo, d, above)
+    def recorded(d, defs, above, state):
         # sat checks with the frontier entry's link; the state it makes to
         # unfold an unchecked query has none.
         if above is not None:
             checks.append((F.print_heap(d), state.contradictory,
-                           saturate_definition(d, memo.defs, memo.param_sorts)))
-        return state
+                           saturate_definition(d, defs, state.path)))
 
-    monkeypatch.setattr(S._QueryMemo, "state", recorded)
+    on_check(monkeypatch, recorded)
     return checks
 
 
-CHECK = S._QueryMemo.state  # the check itself, which tests replace by wrappers
-
-
-def definition_state(memo, d, above=None):
-    """A check state made from scratch whose verdict is saturate_definition's."""
-    state = CHECK(S._QueryMemo(memo.defs, memo.param_sorts), d)
-    return SimpleNamespace(contradictory=saturate_definition(d, memo.defs, memo.param_sorts),
-                           sorts=state.sorts, cubes=state.cubes, settled=state.settled)
+def definition_state(d, defs, above=None):
+    """A check state made from scratch over the path's sorts, whose
+    verdict is saturate_definition's."""
+    path = path_of(above)
+    state = scratch_state(d, defs, path)
+    return SimpleNamespace(contradictory=saturate_definition(d, defs, path),
+                           sorts=state.sorts, cubes=state.cubes, path=path)
 
 
 def run_benchmark(name, out_dir, **overrides):
@@ -251,9 +285,12 @@ def run_benchmark(name, out_dir, **overrides):
 
 # The frontier check is incremental: each heap that unfold_at makes from a
 # checked heap extends the check state its frontier entry carries, and
-# starts a cube from scratch where that would not be exact.
+# starts a cube from scratch where one of its variables changed kind.
 # These tests hold that check to the from-scratch definition on the same
-# inputs.
+# inputs, under the sorts of the heap and the instances unfolded on its
+# path. On them the verdicts agree. In general the check may rule out
+# more: a cube whose parent cube was ruled out stays so, where propagation
+# from scratch may stop at its round cap (see compare_carried_state).
 
 
 @pytest.mark.parametrize("name", ["sll", "dll", "stack", "bst", "tll", "sortedlist"])
@@ -288,8 +325,8 @@ def test_incremental_frontier_check_matches_scratch_on_random_heaps(monkeypatch)
 
 
 @pytest.mark.parametrize("query", [
-    "chain(p) & p = r",    # the base case sorts p and r nullref instead of N
-    "loose(a) & a != b",   # the second disjunct sorts a and b as N
+    "chain(p) & p = r",    # the base case joins nullref to the N that p and r keep
+    "loose(a) & a != b",   # the emp disjunct leaves a and b the N that loose gave
     "split(p, q) & true",  # the body !(p = q & q = null) has two cubes
     "same(a, b) & true",   # the body a = b equates two unsorted variables
 ])
@@ -304,7 +341,7 @@ def test_incremental_frontier_check_falls_back(query, monkeypatch):
     results = []
     for mode in ("check", "definition"):
         if mode == "definition":
-            monkeypatch.setattr(S._QueryMemo, "state", definition_state)
+            monkeypatch.setattr(S, "_state", definition_state)
         F.reset_names()
         result = sat(d, spec, Budget(max_depth=3))
         results.append((result.decision, str(result.model), result.stats))
@@ -319,23 +356,21 @@ def eager_sat(d, defs, budget):
     when it reaches it."""
     stats = S.SolverStats()
     deadline = time.monotonic() + budget.time_limit
-    param_sorts = F.infer_sorts(defs)
     universe = F.heap_vars(d)
-    query_sorts = F.heap_sorts(d, defs, param_sorts)
-    current = [d]
+    F.heap_sorts(d, defs, defs.param_sorts)  # raises the query's sort clash
+    current = [(d, ())]  # each heap with the instances unfolded on its path
     for round_no in range(budget.max_depth + 1):
         stats.rounds = round_no
-        bases = [h for h in current if h.is_base()]
-        inductive = [h for h in current if not h.is_base()]
-        for h in bases:
+        bases = [(h, path) for h, path in current if h.is_base()]
+        inductive = [(h, path) for h, path in current if not h.is_base()]
+        for h, path in bases:
             if time.monotonic() > deadline:
                 return S.SatResult("unknown", None, stats)
-            state = S._QueryMemo(defs, param_sorts).state(h)
+            state = scratch_state(h, defs, path)
             if state.contradictory:
                 continue
             try:
-                model, bounded = S._try_base(h, state, query_sorts, universe, budget, stats,
-                                             deadline)
+                model, bounded = S._try_base(h, state, universe, budget, stats, deadline)
             except S.Timeout:
                 return S.SatResult("unknown", None, stats)
             if model is not None:
@@ -348,12 +383,13 @@ def eager_sat(d, defs, budget):
                 return S.SatResult("unknown", None, stats)
             return S.SatResult("unsat", None, stats)
         current = []
-        for h in inductive:
+        for h, path in inductive:
             if time.monotonic() > deadline:
                 return S.SatResult("unknown", None, stats)
             first = next(i for i, a in enumerate(h.atoms) if isinstance(a, F.PredInst))
-            current.extend(child for child in S.unfold_at(h, first, defs)
-                           if not contradictory(child, defs))
+            path = path + (h.atoms[first],)
+            current.extend((child, path) for child in S.unfold_at(h, first, defs)
+                           if not contradictory(child, defs, path))
         if not current:
             return S.SatResult("unsat", None, stats)
     return S.SatResult("unknown", None, stats)
@@ -393,11 +429,9 @@ def bfs_sat(d, defs, budget=None):
     stats = S.SolverStats()
     deadline = time.monotonic() + budget.time_limit
     universe = F.heap_vars(d)
-    memo = S._QueryMemo(defs, defs.param_sorts, d.pure)
-    state = memo.state(d)
+    state = S._state(d, defs)
     if state.sorts is None:
         F.heap_sorts(d, defs, defs.param_sorts)
-    query_sorts = {v: sort for v in universe if (sort := state.sorts.get(v)) is not None}
     todo, round_no = [(d, (None, None, None), None)], 0
     while todo:
         # Popped from the end: base heaps first, then inductive ones, each
@@ -409,7 +443,7 @@ def bfs_sat(d, defs, budget=None):
                 return S.SatResult("unknown", None, stats)
             base, last = h.is_base(), round_no == budget.max_depth
             if round_no:
-                state = memo.state(h, (*link, body))
+                state = S._state(h, defs, (*link, body))
             if (round_no or base or last) and state.contradictory:
                 continue
             stats.rounds = round_no
@@ -422,8 +456,7 @@ def bfs_sat(d, defs, budget=None):
                              zip(S.unfold_at(h, first, defs), S._bodies(defs, h.atoms[first]))]
                 continue
             try:
-                model, bounded = S._try_base(h, state, query_sorts, universe, budget, stats,
-                                             deadline)
+                model, bounded = S._try_base(h, state, universe, budget, stats, deadline)
             except S.Timeout:
                 return S.SatResult("unknown", None, stats)
             if model is not None:
@@ -496,10 +529,10 @@ def record_uses(monkeypatch):
     """Per sat query: its decision and the heaps it checked, solved and
     unfolded, in order, as ("passed" | "used", heap) events."""
     queries, events = [], []
-    check, try_base, unfold, solve = S._QueryMemo.state, S._try_base, S.unfold_at, S.sat
+    check, try_base, unfold, solve = S._state, S._try_base, S.unfold_at, S.sat
 
-    def checked(memo, d, *args):
-        state = check(memo, d, *args)
+    def checked(d, *args):
+        state = check(d, *args)
         if not state.contradictory:
             events.append(("passed", d))
         return state
@@ -516,7 +549,7 @@ def record_uses(monkeypatch):
         events.clear()
         return result
 
-    monkeypatch.setattr(S._QueryMemo, "state", checked)
+    monkeypatch.setattr(S, "_state", checked)
     monkeypatch.setattr(S, "_try_base", used(try_base))
     monkeypatch.setattr(S, "unfold_at", used(unfold))
     monkeypatch.setattr(S, "sat", query)
@@ -540,12 +573,12 @@ def test_every_heap_that_passes_the_check_is_solved_or_unfolded(monkeypatch, tmp
                 assert events[at + 1] == ("used", d)
 
 
-def walked_sorts(d, defs, query_sorts):
-    """The sorts of ``d``'s variables, from ``query_sorts``, as a sort walk
-    without counts finds them: each variable's sort joined from
-    ``query_sorts`` and the uses F.sort_facts lists, then each class of the
-    equalities joined from its members'. A reference for F.SortTable."""
-    env, classes = dict(query_sorts), F.UnionFind()
+def walked_sorts(d, defs):
+    """The sorts of ``d``'s variables as a sort walk without a table finds
+    them: each variable's sort joined from the uses F.sort_facts lists, then
+    each class of the equalities joined from its members'. A reference for
+    F.SortTable."""
+    env, classes = {}, F.UnionFind()
     uses, merges = F.sort_facts(d.atoms, d.pure, defs, defs.param_sorts)
     for var, sort, at in uses:
         env[var] = F.join_sorts(env.get(var), sort, at, var)
@@ -561,10 +594,10 @@ def walked_sorts(d, defs, query_sorts):
     return {v: "int" if sort == "scalar" else sort for v, sort in env.items()}
 
 
-def scratch_try_base(d, defs, query_sorts, universe, budget, stats, deadline,
-                     pairwise=False):
-    """_try_base from scratch: ``d``'s sorts walked from the query's, and
-    each DNF cube of its pure part checked by _checked with no parent and
+def scratch_try_base(d, defs, path, universe, budget, stats, deadline, pairwise=False):
+    """_try_base from scratch: the sorts of ``d`` and of the instances
+    ``path`` unfolded on its way walked, and each DNF cube of its pure part
+    checked with no parent, the variables of ``universe`` leading, and
     searched by _search_ints. With ``pairwise``, separation reaches the
     cubes as saturate's pairwise disequalities and no head is marked."""
     heads, pure = [p.var for p in d.points_tos()], d.pure
@@ -574,13 +607,16 @@ def scratch_try_base(d, defs, query_sorts, universe, budget, stats, deadline,
             return None, False
         heads, pure = [], pure + tuple(additions)
     try:
-        sorts = walked_sorts(d, defs, query_sorts)
+        sorts = walked_sorts(on_path(d, path), defs)
     except F.SortError:
         return None, False
     order = list(dict.fromkeys([*F.heap_vars(d), *universe]))
     bounded = False
     for lits in S._nnf_cubes(pure):
-        checked, _ = S._checked(lits, sorts, heads, None, order)
+        try:
+            checked = S._extended(S._prepared(lits, sorts), sorts, order, heads)
+        except F.SortError:
+            continue
         if checked is None:
             continue
         cube, bounds = checked
@@ -596,7 +632,7 @@ def pairwise_try_base(d, defs, state, *args):
     """_try_base as it was when separation reached the pure solver as
     saturate's pairwise disequalities, with no head marked: a reference
     for base-heap solving over marked alias classes."""
-    return scratch_try_base(d, defs, *args, pairwise=True)
+    return scratch_try_base(d, defs, state.path, *args, pairwise=True)
 
 
 def with_spec(monkeypatch, reference):
@@ -648,6 +684,7 @@ def compare_sat(monkeypatch, reference):
 
 def compare_base_solving(monkeypatch):
     """sat with _try_base against sat with pairwise_try_base."""
+    on_check(monkeypatch, lambda *args: None)
     return compare_sat(monkeypatch, {"_try_base": with_spec(monkeypatch, pairwise_try_base)})
 
 
@@ -676,43 +713,38 @@ def compare_try_base(monkeypatch):
     """Hold every _try_base call to scratch_try_base on the same heap: per
     call, the heap, both outcomes (model, its sorts, bounded, pure_nodes)
     and the work _try_base did itself: its calls to F.heap_sorts,
-    F.sort_facts and _nnf_cubes, and its cubes checked from scratch."""
-    rows, counts, check, solve = [], {}, S._checked, S._try_base
-    for owner, name in [(F, "heap_sorts"), (F, "sort_facts"), (S, "_nnf_cubes")]:
+    F.sort_facts, _nnf_cubes and _checked."""
+    rows, counts, solve = [], {}, S._try_base
+    for owner, name in [(F, "heap_sorts"), (F, "sort_facts"), (S, "_nnf_cubes"),
+                        (S, "_checked")]:
         monkeypatch.setattr(owner, name, counted(getattr(owner, name), name, counts))
-
-    def checked(lits, sorts, heads, parent=None, universe=None):
-        if parent is None:
-            counts["scratch"] = counts.get("scratch", 0) + 1
-        return check(lits, sorts, heads, parent, universe)
+    on_check(monkeypatch, lambda *args: None)
 
     def outcome(result, stats):
         model, bounded = result
         return (model and F.print_heap(model.heap), model and model.sorts, bounded,
                 stats.pure_nodes)
 
-    def compared(d, defs, state, query_sorts, universe, budget, stats, deadline):
+    def compared(d, defs, state, universe, budget, stats, deadline):
         want_stats, got_stats = S.SolverStats(), S.SolverStats()
-        want = scratch_try_base(d, defs, query_sorts, universe, budget, want_stats, deadline)
+        want = scratch_try_base(d, defs, state.path, universe, budget, want_stats, deadline)
         before = dict(counts)
-        got = solve(d, state, query_sorts, universe, budget, got_stats, deadline)
+        got = solve(d, state, universe, budget, got_stats, deadline)
         work = {key: n - before.get(key, 0) for key, n in counts.items()}
         rows.append((F.print_heap(d), outcome(got, got_stats), outcome(want, want_stats), work))
         stats.pure_nodes += got_stats.pure_nodes
         return got
 
-    monkeypatch.setattr(S, "_checked", checked)
     monkeypatch.setattr(S, "_try_base", with_spec(monkeypatch, compared))
     return rows
 
 
 def assert_solved_from_check(rows):
     """Every row's outcomes agree, and _try_base walked no sorts and made
-    the heap's cubes only when it checked one of them from scratch."""
+    or checked no cube from scratch."""
     assert [row[:3] for row in rows if row[1] != row[2]] == []
     for text, _, _, work in rows:
-        assert work.get("heap_sorts", 0) == work.get("sort_facts", 0) == 0, text
-        assert bool(work.get("_nnf_cubes")) == bool(work.get("scratch")), text
+        assert not any(work.values()), text
 
 
 @pytest.mark.parametrize("name", ["sll", "dll", "stack", "bst", "tll", "sortedlist",
@@ -738,7 +770,6 @@ def test_base_heap_solved_from_its_check_matches_scratch_on_random_heaps(monkeyp
     run_random_specs()
     assert sum(outcome[0] is not None for _, outcome, _, _ in rows) > 300
     assert sum(outcome[2] for _, outcome, _, _ in rows) > 10
-    assert sum(work.get("scratch", 0) for _, _, _, work in rows) > 0
     assert_solved_from_check(rows)
 
 
@@ -747,64 +778,89 @@ MOVING = F.parse_spec("data N { int v; N next; }\n"
                       "(exists u . x -> N(1, u) * p(u, y)) ;")
 
 
-def test_query_sorts_that_move_a_variable_check_its_cube_from_scratch():
+def test_child_keeps_its_unfolded_instance_argument_sorts(monkeypatch):
     # p(a, b) sorts a as N, and a = c joins c to it. The emp disjunct's
-    # child no longer sorts a or c, so its check splits a = c as an integer
-    # equality; under the query's sorts it is a location one, and the cube
-    # is checked again from scratch: a and c are null, not 0.
-    spec = MOVING
+    # child no longer has the instance, yet keeps its uses of a and b: a
+    # and c stay N, so a = c is a location equality, and the model binds a
+    # and c to null, not 0.
+    states = []
+    on_check(monkeypatch, lambda d, defs, above, state: states.append((d, state)))
     d = heap("p(a, b) & a = c")
-    result = sat(d, spec)
-    assert result.is_sat and model_check(result.model, d, spec)
+    result = sat(d, MOVING)
+    assert result.is_sat and model_check(result.model, d, MOVING)
     assert str(result.model) == "emp & a = null & c = null & b = null"
     assert result.model.sorts == {"a": "N", "b": "nullref", "c": "N"}
-    # The round cap grows with the integer variables. With a, c, e, f and g
-    # integers, propagation refutes the first cube within it; with them
-    # locations it stops at the cap, and the integer search runs. So a cube
-    # that the heap's check ruled out is checked again too.
-    d = heap("p(a, b) & a = c & c = e & e = f & f = g"
-             " & !(!(0 <= x & x <= 78 & x + 1 <= y & y + 1 <= x) & !(z = 1))")
-    result = sat(d, spec, Budget(max_depth=2))
-    assert result.is_sat and (result.stats.pure_nodes, result.stats.bounded) == (5, False)
+    [(child, state)] = [(h, state) for h, state in states if h.is_base()]
+    assert F.print_heap(child) == "emp & a = c & b = null"
+    assert {v: state.sorts.get(v) for v in "abc"} == result.model.sorts
+    assert [dict(cube.kinds) for cube in state.cubes] == [{"a": True, "c": True, "b": True}]
+    # Without the instance, a and c would be unsorted integers.
+    assert F.heap_sorts(child, MOVING, MOVING.param_sorts) == {"b": "nullref"}
+
+
+def test_query_sorts_that_move_a_variable_check_its_cube_from_scratch(monkeypatch):
+    # c and d are unsorted in the query, so c = d & c != d is a live cube of
+    # integer literals. Unfolding same(c, q) merges c into the class that
+    # loose(q) sorts as N: c and d join the locations, the cube is checked
+    # again from scratch, and there it is a location clash.
+    spec = F.parse_spec(LOOSE)
+    scratch, check = [], S._checked
+
+    def checked(lits, sorts, heads, parent=None):
+        if parent is None:
+            scratch.append(lits)
+        return check(lits, sorts, heads, parent)
+
+    monkeypatch.setattr(S, "_checked", checked)
+    states = []
+    on_check(monkeypatch, lambda d, defs, above, state: states.append(state))
+    query = heap("same(c, q) * loose(q) & c = d & c != d")
+    result = sat(query, spec, Budget(max_depth=3))
+    assert (result.decision, result.stats.rounds) == ("unsat", 0)
+    assert len(scratch) == 2  # the query's cube, and its one child's
+    assert [state.contradictory for state in states] == [False, True]
+    assert [dict(cube.kinds) for cube in states[0].cubes] == [{"c": False, "d": False}]
 
 
 def test_query_sorts_that_only_add_locations_keep_a_clash(monkeypatch):
-    # The base child's cubes are a = c & b = null & b != null, a location
-    # clash, and a = c & c = a, live. The query's sorts move a and c into
-    # the locations, which only adds location literals, so the clash stays;
-    # only the live cube, whose literals now split otherwise, is checked
-    # again from scratch.
+    # The query's cubes are a = c & b = null & b != null, a location clash,
+    # and a = c & c = a, live. The sorts of every heap below it only add
+    # locations, so the clash stays: only the query's cubes are checked
+    # from scratch, and the base child extends the live one.
     scratch, check = [], S._checked
 
-    def checked(lits, sorts, heads, parent=None, universe=None):
-        if parent is None and universe is not None:  # from scratch, at base
+    def checked(lits, sorts, heads, parent=None):
+        if parent is None:
             scratch.append(lits)
-        return check(lits, sorts, heads, parent, universe)
+        return check(lits, sorts, heads, parent)
 
     monkeypatch.setattr(S, "_checked", checked)
+    states = []
+    on_check(monkeypatch, lambda d, defs, above, state: states.append(state.cubes))
     d = heap("p(a, b) & a = c & !(!(b = null & b != null) & !(c = a))")
     result = sat(d, MOVING)
     assert result.is_sat and model_check(result.model, d, MOVING)
     assert str(result.model) == "emp & a = null & c = null & b = null"
     assert result.stats.pure_nodes == 1
-    assert len(scratch) == 1
+    assert len(scratch) == 2
+    assert [[cube is None for cube in cubes] for cubes in states] == [[True, False]] * 2
 
 
 # ------------------------------------------------------------ query memo
 
 
+def scratch_check(d, defs, above=None):
+    """A stand-in for S._state that derives each heap's cubes, linear forms
+    and sorts from scratch, as contradictory does, over its path."""
+    state = scratch_state(d, defs, path_of(above))
+    state.path = path_of(above)
+    return state
+
+
 def compare_query_memo(monkeypatch):
     """sat with each check extending the state its frontier entry carries
-    against sat with a fresh memo for every frontier check, which derives
-    each heap's cubes, linear forms and sorts from scratch, as
-    contradictory does."""
-    memo_class = S._QueryMemo
-
-    class ScratchMemo(memo_class):
-        def state(self, d, above=None):
-            return memo_class(self.defs, self.param_sorts).state(d)
-
-    return compare_sat(monkeypatch, {"_QueryMemo": ScratchMemo})
+    against sat with every check made from scratch (scratch_check)."""
+    return compare_sat(monkeypatch, {"_state": scratch_check})
 
 
 @pytest.mark.parametrize("name", ["sll", "dll", "stack", "bst", "tll", "sortedlist",
@@ -857,24 +913,16 @@ def test_query_memo_lives_for_one_query(monkeypatch):
     ints = heap("chain(p) & x = y & 1 <= x")
     locs = heap("x -> N(a, null) * chain(y) & true")
     locs = F.SymbolicHeap(locs.exists, locs.atoms, ints.pure[:1])
-    memos = []
-
-    class Recorded(S._QueryMemo):
-        def __init__(self, *args):
-            super().__init__(*args)
-            memos.append(self)
-
-    monkeypatch.setattr(S, "_QueryMemo", Recorded)
+    states = []
+    on_check(monkeypatch, lambda d, defs, above, state: states.append(weakref.ref(state)))
     for query in [ints, locs, ints, locs]:
-        memos.clear()
+        states.clear()
         result = S.sat(query, spec, Budget(max_depth=4))
         assert result.decision == ("sat" if query is ints else "unsat")
-        # One memo per query, through which every check goes.
-        assert len(memos) == 1 and memos[0].prefix == len(query.pure)
-        # Nothing keeps the memo once sat has returned.
-        memo = weakref.ref(memos.pop())
+        # Nothing keeps a check state of the query once sat has returned.
         gc.collect()
-        assert memo() is None
+        assert len(states) > 1 and [state for state in states if state() is not None] == []
+    monkeypatch.undo()
     pairs = compare_query_memo(monkeypatch)
     for query in [ints, locs, ints, locs]:
         S.sat(query, spec, Budget(max_depth=4))
@@ -889,7 +937,7 @@ def test_query_memo_keeps_a_heap_state_only_until_its_children_are_checked(monke
     # frontier for its check, and no longer: besides the last check's
     # state, each live state has a child of its own on the frontier.
     spec = F.parse_spec(CHAIN)
-    unfold, check = S.unfold_at, S._QueryMemo.state
+    unfold, check = S.unfold_at, S._state
     made, waiting, rounds, last = {}, {}, {}, []  # all keyed by id(heap)
 
     def unfolded(h, i, defs):
@@ -899,7 +947,7 @@ def test_query_memo_keeps_a_heap_state_only_until_its_children_are_checked(monke
         waiting[id(h)] = {id(child) for child in children}
         return children
 
-    def checked(memo, d, *args):
+    def checked(d, *args):
         # Taken as the next check begins, once sat has popped d's entry and
         # dropped the one it processed before.
         gc.collect()
@@ -911,13 +959,13 @@ def test_query_memo_keeps_a_heap_state_only_until_its_children_are_checked(monke
         assert len(live) <= len(frontier) + 1
         for children in waiting.values():
             children.discard(id(d))
-        state = check(memo, d, *args)
+        state = check(d, *args)
         made[id(d)] = (d, weakref.ref(state))
         last.append(id(d))
         return state
 
     monkeypatch.setattr(S, "unfold_at", unfolded)
-    monkeypatch.setattr(S._QueryMemo, "state", checked)
+    monkeypatch.setattr(S, "_state", checked)
     for text in ["chain(p) * chain(q) & p != null & q != null & 3 <= a",
                  "chain(p) * chain(q) & a = 200"]:
         for table in (made, waiting, rounds, last):
@@ -931,27 +979,24 @@ def test_query_memo_keeps_a_heap_state_only_until_its_children_are_checked(monke
 
 def test_child_check_is_exact_when_the_unfolded_instance_sorted_a_variable(monkeypatch):
     # The query's cube is contradictory only because loose(q) sorts q as a
-    # record, so q = r & q != r is a location clash. In the emp child q is
-    # unsorted and both literals are integer ones: the child is checked from
-    # scratch, not given its parent's verdict.
+    # record, so q = r & q != r is a location clash. The emp child keeps
+    # that sort, and so the clash, as the check from scratch over the
+    # child and loose(q) finds too; over the child alone, q would be an
+    # unsorted integer and the cube live.
     spec = F.parse_spec(LOOSE)
     query = heap("p -> N(a, p) * loose(q) * same(c, q) & a <= b & q = r & q != r & c <= a")
     assert contradictory(query, spec)
     checked = []
-    check = S._QueryMemo.state
-
-    def recorded(memo, d, above=None):
-        state = check(memo, d, above)
-        checked.append((d, state.contradictory))
-        return state
-
-    monkeypatch.setattr(S._QueryMemo, "state", recorded)
-    sat(query, spec, Budget(max_depth=4))
-    monkeypatch.undo()  # contradictory makes its state through the same method
-    checks = [(F.print_heap(d), verdict, contradictory(d, spec)) for d, verdict in checked]
+    on_check(monkeypatch, lambda d, defs, above, state: checked.append(
+        (d, state.contradictory, state.path)))
+    result = sat(query, spec, Budget(max_depth=4))
+    assert (result.decision, result.stats.rounds) == ("unsat", 0)
+    checks = [(F.print_heap(d), verdict, contradictory(d, spec, path))
+              for d, verdict, path in checked]
     assert [c for c in checks if c[1] != c[2]] == []
     emp_child = "p -> N(a, p) * same(c, q) & a <= b & q = r & q != r & c <= a"
-    assert (emp_child, False, False) in checks
+    assert (emp_child, True, True) in checks
+    assert not contradictory(heap(emp_child), spec)
 
 
 # Each extended cube carries its parent cube's alias classes and integer
@@ -981,26 +1026,31 @@ def cube_summary(result, heads):
 
 def compare_carried_state(monkeypatch):
     """Check every heap state that sat makes by extending a parent's
-    against _checked from scratch on each of the heap's DNF cubes; the
-    list returned collects the cubes checked."""
-    made, reference, extended = S._QueryMemo.state, S._checked, []
+    against _checked from scratch on each of the heap's DNF cubes, under
+    the sorts of the heap and its path: wherever both keep a cube live,
+    they agree, and the state never keeps live a cube that the reference
+    rules out; it rules out one that the reference keeps live only where
+    it extends a cube that the parent ruled out. The list returned collects
+    the cubes checked."""
+    reference, extended = S._checked, []
 
-    def built(memo, d, above=None):
-        state = made(memo, d, above)
-        if above is None or above[1] is None or not state.cubes:
-            return state
-        sorts = F.heap_sorts(d, memo.defs, memo.param_sorts)
-        heads = [p.var for p in d.points_tos()]
-        for cube, lits in zip(state.cubes, S._nnf_cubes(d.pure), strict=True):
-            got = cube_summary(cube and (cube,), heads)
-            want = cube_summary(reference(lits, sorts, heads)[0], heads)
-            if want is not None and want[-1] is None:  # capped from scratch
-                got, want = got[:-1], want[:-1]
-            assert got == want, F.print_heap(d)
+    def built(d, defs, above, state):
+        if above is None or not state.cubes:
+            return
+        sorts = F.heap_sorts(on_path(d, state.path), defs, defs.param_sorts)
+        heads, up = [p.var for p in d.points_tos()], above[1].cubes
+        for i, (cube, lits) in enumerate(zip(state.cubes, S._nnf_cubes(d.pure), strict=True)):
+            want = cube_summary(reference(lits, sorts, heads), heads)
+            if cube is None:
+                assert want is None or up[i * len(up) // len(state.cubes)] is None
+            else:
+                got = cube_summary((cube,), heads)
+                if want is not None and want[-1] is None:  # capped from scratch
+                    got, want = got[:-1], want[:-1]
+                assert got == want, F.print_heap(d)
             extended.append(cube)
-        return state
 
-    monkeypatch.setattr(S._QueryMemo, "state", built)
+    on_check(monkeypatch, built)
     return extended
 
 
@@ -1035,7 +1085,7 @@ def test_capped_propagation_keeps_the_scratch_verdicts(monkeypatch):
     spec = F.parse_spec(CHAIN)
     query = heap("chain(p) & 0 <= x & x <= 1000 & x + 1 <= y & y + 1 <= x")
     [lits] = S._nnf_cubes(query.pure)
-    (cube, bounds), _ = S._checked(lits, F.heap_sorts(query, spec, F.infer_sorts(spec)), ())
+    cube, bounds = S._checked(lits, F.heap_sorts(query, spec, spec.param_sorts), ())
     assert bounds["x"] == (32, 970) and cube.bounds is None
     checks, extended = record_checks(monkeypatch), compare_carried_state(monkeypatch)
     result = sat(query, spec, Budget(max_depth=3))
@@ -1047,47 +1097,44 @@ def test_capped_propagation_keeps_the_scratch_verdicts(monkeypatch):
         == ("unknown", None, 3, 3, True)
 
 
-def test_cube_ruled_out_by_propagation_is_checked_again_from_scratch(monkeypatch):
-    # The query's first cube, x <= 0 & 1 <= x, fails propagation, which is
-    # not carried: each child checks that cube's extension from scratch. Its
-    # second cube, y = 1, is extended.
+def test_cube_ruled_out_by_propagation_stays_ruled_out(monkeypatch):
+    # The query's first cube, x <= 0 & 1 <= x, fails propagation, which
+    # proves that it has no model: each child's extension of it is ruled
+    # out unchecked. Its second cube, y = 1, is extended.
     spec = F.parse_spec(CHAIN)
     query = heap("chain(p) & !(!(x <= 0 & 1 <= x) & y != 1)")
     extended, scratch, check = compare_carried_state(monkeypatch), [], S._checked
 
-    def checked(lits, sorts, heads, parent=None, universe=None):
-        if universe is None:  # a frontier check, not base-heap solving
-            scratch.append(isinstance(lits, list))
-        return check(lits, sorts, heads, parent, universe)
+    def checked(lits, sorts, heads, parent=None):
+        scratch.append(parent is None)
+        return check(lits, sorts, heads, parent)
 
     monkeypatch.setattr(S, "_checked", checked)
     result = sat(query, spec, Budget(max_depth=2))
     assert result.is_sat and result.stats.rounds == 1
-    # The query's two cubes, then the base child's: it is checked and
-    # solved before its sibling.
-    assert scratch == [True, True, True, False]
+    # The query's two cubes, then the base child's live one: it is checked
+    # and solved before its sibling.
+    assert scratch == [True, True, False]
     assert extended[0] is None and extended[1] is not None and len(extended) == 2
 
 
-def test_contradiction_from_a_carried_fixpoint_is_confirmed_from_scratch():
+def test_contradiction_from_a_carried_fixpoint_stands():
     # From the parent's fixpoint x1 <= 104, the cycle x1 + 1 <= z & z + 1 <=
     # x1 empties x1 within the round cap. From scratch the bound needs four
     # rounds to come down the chain first, and the cap (28 rounds for five
-    # variables) stops propagation before the clash: the child keeps that
-    # verdict, not contradictory, and no bounds.
+    # variables) stops propagation before the clash, with no bounds. The
+    # parent's fixpoint follows from its literals, so the child is ruled
+    # out: the carried check rules out more than the one from scratch.
     def lits(text):
         [cube] = S._nnf_cubes(heap("emp & " + text).pure)
         return cube
 
     chain, body = lits("x1 <= x2 & x2 <= x3 & x3 <= x4 & x4 <= 104"), \
         lits("x1 + 1 <= z & z + 1 <= x1 & 0 <= z")
-    (parent, _), _ = S._checked(chain, {}, ())
-    scratch, _ = S._checked(chain + body, {}, ())
-    child, _ = S._checked(body, {}, (), parent)
+    parent, _ = S._checked(chain, {}, ())
+    scratch = S._checked(chain + body, {}, ())
     assert scratch is not None and scratch[0].bounds is None
-    assert child is not None and child[0].bounds is None
-    carried = {**parent.bounds, "z": S._TOP}
-    assert S._propagate(child[0].lins, child[0].uses, carried, range(4, 7)) is False
+    assert S._checked(body, {}, (), parent) is None
 
 
 def test_integer_search_propagates_once_before_its_first_assignment():
@@ -1162,12 +1209,12 @@ def test_child_check_costs_its_body(name, monkeypatch, tmp_path):
         monkeypatch.setattr(S, function, counted(getattr(S, function), function, counts))
     monkeypatch.setattr(F, "join_sorts", counted(F.join_sorts, "join_sorts", counts))
     monkeypatch.setattr(F.SortTable, "get", counted(F.SortTable.get, "get", counts))
-    check, body = S._QueryMemo.state, S._Body.__init__
+    check, body = S._state, S._Body.__init__
 
-    def checked(memo, d, above=None):
+    def checked(d, defs, above=None):
         before = dict(counts)
-        state = check(memo, d, above)
-        if above is not None and above[1] is not None and above[1].sorts is not None:
+        state = check(d, defs, above)
+        if above is not None and above[1].sorts is not None:
             work = {k: n - before.get(k, 0) for k, n in counts.items()}
             disjunct = above[3]
             size = len(disjunct.atoms) + len(disjunct.pure) + len(disjunct.params)
@@ -1179,7 +1226,7 @@ def test_child_check_costs_its_body(name, monkeypatch, tmp_path):
         body(self, pred, disjunct, *args)
         compiled.append(counts.get("_nnf_cubes", 0) > before)
 
-    monkeypatch.setattr(S._QueryMemo, "state", checked)
+    monkeypatch.setattr(S, "_state", checked)
     monkeypatch.setattr(S._Body, "__init__", compiling)
     if name == "tll-generate":
         run_benchmark("tll", tmp_path, spec_only=True, unfold_depth=5)
@@ -1317,6 +1364,85 @@ def test_frontier_check_matches_saturate_definition_on_random_specs(monkeypatch)
     run_random_specs()
     assert sum(verdict for _, verdict, _ in checks) > 20
     assert [c for c in checks if c[1] != c[2]] == []
+
+
+def random_query_sets():
+    """The seeded random query sets, each query with its spec and depth:
+    the LOOSE heaps, the random specs' queries, the chain heaps of
+    test_lazy_frontier_check_matches_eager_loop[4], and MOVING heaps (chain
+    heaps whose instances are p(x, y))."""
+    chain, loose = F.parse_spec(CHAIN), F.parse_spec(LOOSE)
+    rng, moving = random.Random(44), random.Random(26)
+
+    def p(m):
+        return f"p({m.group(1)}, {moving.choice(['p', 'q', 'r', 'null'])})"
+
+    return {
+        "loose": [(loose, d, 4) for d in loose_random_heaps()],
+        "specs": [(spec, d, 3) for spec, queries in random_specs_and_queries() for d in queries],
+        "chain": [(chain, heap(_random_heap_text(rng)), 4) for _ in range(500)],
+        "moving": [(MOVING, heap(re.sub(r"chain\((\w+)\)", p, _random_heap_text(moving))), 4)
+                   for _ in range(200)],
+    }
+
+
+# Per set: its query count, the digest of every query's outcome but its
+# rounds, and each query's rounds, pinned when a child's check still took
+# its unfolded instance's uses out of the sort table.
+PINNED_SAT = {
+    "loose": (600, "e3778d33156fff1d",
+            "210112122121221000221011011022121021012111012422110010221110022020100110"
+            "102122121011312112121210221110211001110220231211002121201001110022120002"
+            "101111022001012120000102121101121121011111202020112241202122200102111001"
+            "021120012011101210112012100302120021200211101111102121002100120222301012"
+            "111020023121011000200021112122110210212200010111111220101201120011012212"
+            "221221141210200101122122001212111102220101020110112121130200000022121011"
+            "022201212220211122210212201001211010211120011111212002022102211211101220"
+            "121100200100112101211021020001221021120012101212121210112120202012300111"
+            "120201111213220021000111"),
+    "specs": (400, "ed99ed17f0c10661",
+            "000100000230300300000000000030002100200200000000001110000000201112000100"
+            "000012011021000121000000000100110010111010200011002000200020000330301000"
+            "001000002002201011112002000011101010100000000012001100000010000100000000"
+            "100000001000020220200200020000012211100200011100002000000202000000000000"
+            "000010010000000000101010112000012000011001002000103000110102200003000000"
+            "0002002000021202222010221002001100102100"),
+    "chain": (500, "6b5ca1d2f9d8410f",
+            "210200020101101212102332012010102001100123012101103112210212021222122211"
+            "021112112113210110010002121121201022011200021102122021220020221121110021"
+            "222000121210120113211101114121021112100211000003010020100220122201012220"
+            "101101100122042110202111123211202010102012212110010222212010101021101100"
+            "021000100001021112221220111121110000201221111221021110120200101110221222"
+            "221101210020212212101112122213022011221322002221201020222002242211120102"
+            "20021122201102211200010010212120404120001113110211111210001012103000"),
+    "moving": (200, "1f79759fe994a699",
+            "111211100112001122100022121220120122122121010412121111041200122100002122"
+            "210001112000120202102012201211422002120012011121041211120122112202010212"
+            "11202102024000022121101102202211212012200022122202220010"),
+}
+
+
+def test_sat_answers_on_random_query_sets_are_pinned():
+    # Decisions, models, model sorts, pure_nodes and bounded stay as
+    # pinned; a query's rounds may only fall, where a check rules out more.
+    for name, runs in random_query_sets().items():
+        h, rounds = hashlib.sha256(), []
+        for spec, d, depth in runs:
+            F.reset_names()
+            try:
+                result = sat(d, spec, Budget(max_depth=depth))
+            except F.SortError as error:
+                line, n = ("SortError", str(error)), 0
+            else:
+                model, stats = result.model, result.stats
+                line = (result.decision, model and F.print_heap(model.heap),
+                        model and sorted(model.sorts.items()), stats.pure_nodes, stats.bounded)
+                n = stats.rounds
+            h.update(f"{line!r}\n".encode())
+            rounds.append(n)
+        count, digest, pinned = PINNED_SAT[name]
+        assert (len(runs), h.hexdigest()[:16]) == (count, digest), name
+        assert [i for i, (n, m) in enumerate(zip(rounds, pinned)) if n > int(m)] == [], name
 
 
 def test_binder_that_shadows_a_parameter_is_checked_from_scratch(monkeypatch):

@@ -303,9 +303,9 @@ def _shape_signature(objects, root):
 # ----------------------------------------------------- random baseline
 
 
-def test_random_baseline_deterministic():
-    one = T.random_baseline(ENTRY, 5, seed=3)
-    two = T.random_baseline(ENTRY, 5, seed=3)
+def test_random_baseline_deterministic(random_baseline):
+    one = random_baseline(ENTRY, 5, seed=3)
+    two = random_baseline(ENTRY, 5, seed=3)
     assert [t.bindings for t in one] == [t.bindings for t in two]
     assert all(t.bindings["this_root"] is None for t in one)
     assert all(-64 <= t.bindings["x"] <= 63 for t in one)

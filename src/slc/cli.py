@@ -384,8 +384,10 @@ def run_pipeline(spec_path: Path, program_path: Path, entry: str, *,
 
 
 def _parse_domain(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition(":")
-    low, high = int(lo), int(hi)
+    try:
+        low, high = map(int, text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"integer domain {text!r}: expected LO:HI") from None
     if low > high:
         raise argparse.ArgumentTypeError(f"empty integer domain {text!r}")
     if low < F.INT32_MIN or high > F.INT32_MAX:

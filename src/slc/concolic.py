@@ -14,26 +14,26 @@ allocation names the new value with a fresh symbol and maps the variable to
 it; every later expression reads variables through that map, and a
 variable outside it still holds its entry value, under its own name.
 
-Path conditions keep field reads (``v.f``) and field assignments
-(``v.f := e``) in their raw form; field elimination removes them before
-solving by mapping points-to slots to their symbolic names, discarding
-branches whose base pointer is entailed null, and unfolding an inductive
-predicate when the pointer is only constrained by one, going on depth-first
-in each result from the read that needed it. ``field_free_heaps`` yields
-the resulting heaps on demand, one per pull; ``preprocess`` is the same
-heaps as a list. The output heaps under-approximate the input condition,
-so any model of one drives execution down the intended path.
+Each path atom is converted to the assertion language once, when its node
+is made (``PCAtom``): a field read ``v.f`` (or the target of a field write
+``v.f := e``) stays in it as the placeholder variable ``v.f``. Field
+elimination removes these before solving: it maps each read to a points-to
+slot and substitutes the slot's term for its placeholder, discards a branch
+whose base pointer is entailed null, and unfolds an inductive predicate
+when the pointer is only constrained by one, going on depth-first in each
+result from the read that needed it. ``field_free_heaps`` yields the
+resulting heaps on demand, one per pull; ``preprocess`` is the same heaps
+as a list. The output heaps under-approximate the input condition, so any
+model of one drives execution down the intended path.
 
 Each heap state of field elimination (``_Elimination``) costs only its own
-reads. The path condition is compiled once per ``field_free_heaps`` call
-(``_Path``): an atom without a field access gets its conjunct and its alias
-equality there, shared by every state. A read finds its base's alias root
-once and scans only its field's slot heads, kept in slot order, then the
-predicate instances' arguments. An unfolded child is built from its
-parent's state and resumes at the read that needed the unfold. It starts
-over from the first atom when its body repeats a slot or could change an
-earlier read; only a read whose alias class grew since the parent's check
-is checked again.
+reads. The alias equalities of the read-free atoms join the heap's when a
+state starts. A read finds its base's alias root once and scans only its
+field's slot heads, kept in slot order, then the predicate instances'
+arguments. An unfolded child is built from its parent's state and resumes
+at the read that needed the unfold. It starts over from the first atom when
+its body repeats a slot or could change an earlier read; only a read whose
+alias class grew since the parent's check is checked again.
 
 ``explore`` repeatedly picks the shallowest unexplored node and pulls its
 heaps one at a time: it solves each, builds a new input from the model
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence
 
 from . import formulas as F
 from . import ir
@@ -127,15 +127,15 @@ class ExecError(Exception):
 # =====================================================================
 
 
-class PCExpr(Value):
-    __slots__ = ("expr",)
+class PCAtom(Value):
+    """A path atom in the assertion language. ``pure`` is its conjunct, or
+    for a field write the written term, with each field read ``v.f`` as the
+    variable ``v.f`` (no other name has a ``.``); it is the
+    ``ConversionError`` message when the atom leaves the solvable fragment.
+    ``reads`` are the ``(symbol, field)`` reads left to right, and ``store``
+    the written ``(symbol, field)`` or None."""
 
-
-class PCAssign(Value):
-    __slots__ = ("var", "fieldname", "expr")
-
-
-PCAtom = Union[PCExpr, PCAssign]
+    __slots__ = ("pure", "reads", "store")
 
 
 class PathCondition(Value):
@@ -164,13 +164,13 @@ class PathCondition(Value):
         return new, {**self.current, var: new}
 
     def conjoin(self, expr: Expr) -> "PathCondition":
-        return PathCondition(self.heaps, self.atoms + (PCExpr(self._read(expr)),),
+        return PathCondition(self.heaps, self.atoms + (path_atom(self._read(expr)),),
                              self.current)
 
     def assign(self, var: str, expr: Expr) -> "PathCondition":
         """Assignment rule: conjoin ``new = expr`` for a fresh symbol."""
         new, current = self._bind(var)
-        atom = PCExpr(EBin("=", EVar(new), self._read(expr)))
+        atom = path_atom(EBin("=", EVar(new), self._read(expr)))
         return PathCondition(self.heaps, self.atoms + (atom,), current)
 
     def allocate(self, var: str, type_name: str, args: Sequence[str]) -> "PathCondition":
@@ -183,7 +183,7 @@ class PathCondition(Value):
         return PathCondition(heaps, self.atoms, current)
 
     def store(self, var: str, fieldname: str, expr: Expr) -> "PathCondition":
-        atom = PCAssign(self._now(var), fieldname, self._read(expr))
+        atom = path_atom(self._read(expr), (self._now(var), fieldname))
         return PathCondition(self.heaps, self.atoms + (atom,), self.current)
 
 
@@ -201,6 +201,25 @@ class ConversionError(Exception):
     """The expression leaves the solvable fragment (e.g. nonlinear)."""
 
 
+def path_atom(e: Expr, store: tuple[str, str] | None = None) -> PCAtom:
+    """The atom of the condition ``e``, or of writing ``e`` to the slot
+    ``store``."""
+    try:
+        pure = _expr_to_term(e) if store else expr_to_pure(e)
+    except ConversionError as err:
+        pure = str(err)
+    return PCAtom(pure, tuple(_reads(e)), store)
+
+
+def _reads(e: Expr) -> list[tuple[str, str]]:
+    """The field reads of ``e``, left to right."""
+    if isinstance(e, EField):
+        return [(e.var, e.fieldname)]
+    if isinstance(e, EBin):
+        return _reads(e.left) + _reads(e.right)
+    return _reads(e.operand) if isinstance(e, EUn) else []
+
+
 def _expr_to_term(e: Expr) -> ArithTerm:
     if isinstance(e, EConst):
         if isinstance(e.value, bool):
@@ -210,6 +229,8 @@ def _expr_to_term(e: Expr) -> ArithTerm:
         return Null()
     if isinstance(e, EVar):
         return Var(e.name)
+    if isinstance(e, EField):  # the read's placeholder
+        return Var(f"{e.var}.{e.fieldname}")
     if isinstance(e, EUn) and e.op == "-":
         return Neg(_expr_to_term(e.operand))
     if isinstance(e, EBin) and e.op == "+":
@@ -223,8 +244,6 @@ def _expr_to_term(e: Expr) -> ArithTerm:
         if isinstance(right, EConst) and isinstance(right.value, int):
             return Scale(right.value, _expr_to_term(left))
         raise ConversionError(f"nonlinear product: {ir.print_expr(e)}")
-    if isinstance(e, EField):
-        raise ConversionError(f"unresolved field access: {ir.print_expr(e)}")
     raise ConversionError(f"not an arithmetic term: {ir.print_expr(e)}")
 
 
@@ -250,8 +269,8 @@ def expr_to_pure(e: Expr) -> PureFormula:
         if e.value is False:
             return Not(F.TRUE)
         raise ConversionError(f"integer in boolean position: {e.value}")
-    if isinstance(e, EVar):
-        return Atom("=", Var(e.name), Const(1))  # boolean variable as 0/1
+    if isinstance(e, (EVar, EField)):
+        return Atom("=", _expr_to_term(e), Const(1))  # boolean variable as 0/1
     if isinstance(e, EUn) and e.op == "!":
         return Not(expr_to_pure(e.operand))
     if isinstance(e, EBin):
@@ -275,20 +294,6 @@ def expr_to_pure(e: Expr) -> PureFormula:
                 eq = Atom("=", _expr_to_term(e.left), _expr_to_term(e.right))
             return eq if e.op == "=" else Not(eq)
     raise ConversionError(f"not a boolean expression: {ir.print_expr(e)}")
-
-
-def _term_to_expr(t: ArithTerm) -> Expr:
-    if isinstance(t, Var):
-        return EVar(t.name)
-    if isinstance(t, Const):
-        return EConst(t.value)
-    if isinstance(t, Null):
-        return ENull()
-    if isinstance(t, Neg):
-        return EUn("-", _term_to_expr(t.term))
-    if isinstance(t, Scale):
-        return EBin("*", EConst(t.coeff), _term_to_expr(t.term))
-    return EBin("+", _term_to_expr(t.left), _term_to_expr(t.right))
 
 
 # =====================================================================
@@ -317,71 +322,31 @@ def _slots(atoms: Sequence, defs: SpecFile) -> list[tuple[tuple[str, str], Arith
             for (fname, _), arg in zip(defs.datas[p.type_name].fields, p.args)]
 
 
-def _has_field(e: Expr) -> bool:
-    if isinstance(e, EField):
-        return True
-    if isinstance(e, EBin):
-        return _has_field(e.left) or _has_field(e.right)
-    return isinstance(e, EUn) and _has_field(e.operand)
-
-
-def _alias_pair(e: Expr) -> tuple[ArithTerm, ArithTerm] | None:
-    """The sides of ``e`` when it equates two variables or null."""
-    if isinstance(e, EBin) and e.op == "=" and isinstance(e.left, (EVar, ENull)) \
-            and isinstance(e.right, (EVar, ENull)):
-        return _expr_to_term(e.left), _expr_to_term(e.right)
-    return None
-
-
-class _Path:
-    """A path condition's atoms, compiled once for every heap state: each
-    atom without a field access has its conjunct (or, outside the solvable
-    fragment, the ``ConversionError`` message) in ``conjuncts``, where an
-    atom with one has None; ``equalities`` are the alias equalities among
-    the field-free atoms."""
-
-    def __init__(self, atoms: Sequence[PCAtom]):
-        self.atoms = atoms
-        self.conjuncts: list[PureFormula | str | None] = []
-        self.equalities: list[tuple[ArithTerm, ArithTerm]] = []
-        for atom in atoms:
-            if isinstance(atom, PCAssign) or _has_field(atom.expr):
-                self.conjuncts.append(None)
-                continue
-            try:
-                self.conjuncts.append(expr_to_pure(atom.expr))
-            except ConversionError as err:
-                self.conjuncts.append(str(err))
-            pair = _alias_pair(atom.expr)
-            if pair:
-                self.equalities.append(pair)
-
-
 class _Elimination:
-    """Field elimination over the heap ``d`` after its first ``done`` atoms
-    of ``path``, whose field-free atoms every state shares compiled. The
-    state holds the heads of each field's points-to slots in slot order
-    (``heads``), each slot's current value (``slots``; a field write
-    overrides it), the alias classes, the conjuncts those atoms resolved
-    to, and each field read among them as ``(base var, field, slot
+    """Field elimination over the heap ``d`` after the first ``done`` of the
+    path's ``atoms``. The state holds the heads of each field's points-to
+    slots in slot order (``heads``), each slot's current value (``slots``; a
+    field write overrides it), the alias classes, the conjuncts those atoms
+    resolved to, and each field read among them as ``(base var, field, slot
     chosen)``. ``grown`` names the classes merged since the reads were last
     checked: by an equality absorbed from a resolved read here, or by the
     unfolded body's equalities in ``resumed``."""
 
-    def __init__(self, d: SymbolicHeap, path: _Path, heads: dict[str, tuple[str, ...]],
-                 slots: dict[tuple[str, str], ArithTerm], uf: F.UnionFind,
-                 pure: list[PureFormula], reads: list[tuple[str, str, tuple[str, str]]],
-                 done: int):
-        self.d, self.path, self.heads, self.slots, self.uf = d, path, heads, slots, uf
+    def __init__(self, d: SymbolicHeap, atoms: Sequence[PCAtom],
+                 heads: dict[str, tuple[str, ...]], slots: dict[tuple[str, str], ArithTerm],
+                 uf: F.UnionFind, pure: list[PureFormula],
+                 reads: list[tuple[str, str, tuple[str, str]]], done: int):
+        self.d, self.atoms, self.heads, self.slots, self.uf = d, atoms, heads, slots, uf
         self.pure, self.reads, self.done = pure, reads, done
         self.grown: list[str] = []
 
     @classmethod
-    def start(cls, d: SymbolicHeap, path: _Path, defs: SpecFile) -> "_Elimination":
-        """The state before the first atom: the alias classes of ``d``'s
-        equalities and of the path's field-free ones."""
-        uf = S.alias_classes(S.pure_equalities(d.pure) + path.equalities)
-        state = cls(d, path, {}, {}, uf, [], [], 0)
+    def start(cls, d: SymbolicHeap, atoms: Sequence[PCAtom], defs: SpecFile) -> "_Elimination":
+        """The state before the first atom: the alias classes of the
+        equalities of ``d`` and of the read-free atoms."""
+        uf = S.alias_classes(S.pure_equalities(d.pure + tuple(a.pure for a in atoms
+                                                              if not a.reads)))
+        state = cls(d, atoms, {}, {}, uf, [], [], 0)
         state._add_slots(_slots(d.atoms, defs))
         return state
 
@@ -400,7 +365,7 @@ class _Elimination:
         body = _slots(child.atoms[len(self.d.atoms) - 1:], defs)
         if any(key in self.slots for key, _ in body):
             return None
-        new = _Elimination(child, self.path, dict(self.heads), dict(self.slots),
+        new = _Elimination(child, self.atoms, dict(self.heads), dict(self.slots),
                            self.uf.copy(), list(self.pure), list(self.reads), self.done)
         grown = list(self.grown)
         for left, right in S.pure_equalities(child.pure[len(self.d.pure):]):
@@ -422,10 +387,9 @@ class _Elimination:
                 return head, fieldname
         return None
 
-    def _slot(self, var: str, fieldname: str, reads: list) -> tuple[str, str]:
-        """The points-to slot that ``var.fieldname`` denotes, recorded in
-        ``reads``; raise when there is none (null base, unfolding needed,
-        or no information)."""
+    def _slot(self, var: str, fieldname: str) -> tuple[str, str]:
+        """The points-to slot that ``var.fieldname`` denotes; raise when
+        there is none (null base, unfolding needed, or no information)."""
         find = self.uf.find
         root = find(var)
         if root == S.NULL_KEY:  # null is added first, so it is its class's root
@@ -438,60 +402,48 @@ class _Elimination:
                         if isinstance(arg, Var) and find(arg.name) == root:
                             raise _NeedUnfold(idx)
             raise _Discard()
-        reads.append((var, fieldname, key))
         return key
 
-    def _resolved(self, e: Expr, reads: list) -> Expr:
-        """``e`` with every field access rewritten via the slot values."""
-        if isinstance(e, EField):
-            return _term_to_expr(self.slots[self._slot(e.var, e.fieldname, reads)])
-        if isinstance(e, EBin):
-            return EBin(e.op, self._resolved(e.left, reads), self._resolved(e.right, reads))
-        if isinstance(e, EUn):
-            return EUn(e.op, self._resolved(e.operand, reads))
-        return e
-
     def resolve(self, atom: PCAtom) -> None:
-        """Resolve the next atom into a conjunct; a field-free one takes
-        its compiled conjunct. The state is left as it was when a read
-        raises."""
-        conjunct = self.path.conjuncts[self.done]
-        if isinstance(conjunct, str):
-            raise ConversionError(conjunct)
-        if conjunct is None:
-            reads: list = []
-            resolved = self._resolved(atom.expr, reads)
-            if isinstance(atom, PCAssign):
-                key = self._slot(atom.var, atom.fieldname, reads)
-                fresh = F.fresh_var(atom.fieldname)
-                self.slots[key] = Var(fresh)  # overrides the original slot value
-                conjunct = Atom("=", Var(fresh), _expr_to_term(resolved))
-                resolved = EBin("=", EVar(fresh), resolved)
+        """Resolve the next atom into a conjunct: look up its reads, then
+        its written slot, and put each read's slot value in for its
+        placeholder. The state is left as it was when a read raises."""
+        wanted = atom.reads + (atom.store,) if atom.store else atom.reads
+        reads = [(var, fieldname, self._slot(var, fieldname)) for var, fieldname in wanted]
+        fresh = atom.store and F.fresh_var(atom.store[1])
+        pure = atom.pure
+        if isinstance(pure, str):
+            raise ConversionError(pure)
+        if reads:
+            binding = {f"{var}.{fieldname}": self.slots[key] for var, fieldname, key in reads}
+            if fresh:
+                self.slots[reads[-1][2]] = Var(fresh)  # overrides the original slot value
+                pure = Atom("=", Var(fresh), F.subst_term(pure, binding))
             else:
-                conjunct = expr_to_pure(resolved)
-            # A read rewritten to its slot value can equate two variables.
-            pair = _alias_pair(resolved)
-            if pair and (root := S.merge_alias(self.uf, *pair)):
-                self.grown.append(root)
+                pure = F.subst_pure(pure, binding)
+            # A read put in as its slot value can equate two variables.
+            for left, right in S.pure_equalities((pure,)):
+                if root := S.merge_alias(self.uf, left, right):
+                    self.grown.append(root)
             self.reads += reads
-        self.pure.append(conjunct)
+        self.pure.append(pure)
         self.done += 1
 
 
-def _preprocess_heap(d: SymbolicHeap, path: _Path, defs: SpecFile,
+def _preprocess_heap(d: SymbolicHeap, atoms: Sequence[PCAtom], defs: SpecFile,
                      budget: int, drops: list[str],
                      state: _Elimination | None = None) -> Iterator[SymbolicHeap]:
-    """The field-free heaps of ``d`` under ``path``, depth-first, from
-    ``state`` (which has resolved a prefix of the atoms over ``d``) or else
-    from the first atom. When a read in atom i needs an unfold, each child
-    of ``unfold_at`` resumes at atom i from a state built from this one;
-    when the child's body repeats a slot or could change a read of atoms
-    before i (``resumed``), the child starts over from the first atom
+    """The field-free heaps of ``d`` under the path's ``atoms``, depth-first,
+    from ``state`` (which has resolved a prefix of the atoms over ``d``) or
+    else from the first atom. When a read in atom i needs an unfold, each
+    child of ``unfold_at`` resumes at atom i from a state built from this
+    one; when the child's body repeats a slot or could change a read of
+    atoms before i (``resumed``), the child starts over from the first atom
     instead. Both yield the same heaps, up to the names of fresh slot
     variables."""
-    state = state or _Elimination.start(d, path, defs)
+    state = state or _Elimination.start(d, atoms, defs)
     try:
-        for atom in path.atoms[state.done:]:
+        for atom in atoms[state.done:]:
             state.resolve(atom)
     except _Discard:
         return
@@ -507,7 +459,7 @@ def _preprocess_heap(d: SymbolicHeap, path: _Path, defs: SpecFile,
         drops.append("unfolding budget exhausted in preprocess")
         return
     for unfolded in unfold_at(d, index, defs):
-        yield from _preprocess_heap(unfolded, path, defs, budget - 1, drops,
+        yield from _preprocess_heap(unfolded, atoms, defs, budget - 1, drops,
                                     state.resumed(unfolded, defs))
 
 
@@ -520,11 +472,9 @@ def field_free_heaps(delta: PathCondition, defs: SpecFile, unfold_budget: int,
     described by nothing in the heap is discarded without a trace. A heap
     unfolded for a field read resumes at the atom of that read; it starts
     over from the first atom only when the unfolding could change an
-    earlier read (see ``_preprocess_heap``). The path's atoms are compiled
-    once, for all of its heaps."""
-    path = _Path(delta.atoms)
+    earlier read (see ``_preprocess_heap``)."""
     for d in delta.heaps:
-        yield from _preprocess_heap(d, path, defs, unfold_budget, drops)
+        yield from _preprocess_heap(d, delta.atoms, defs, unfold_budget, drops)
 
 
 def preprocess(delta: PathCondition, defs: SpecFile,
@@ -546,6 +496,19 @@ def preprocess(delta: PathCondition, defs: SpecFile,
 Stack = dict  # variable name -> value, plus (Addr, field) -> value
 
 
+def _deref(s: Stack, var: str, fieldname: str) -> tuple[Addr, str]:
+    """The stack key of the field ``var.fieldname``; raise when ``var`` is
+    unset, null or not an object with that field."""
+    if var not in s:
+        raise ExecError("dangling")
+    base = s[var]
+    if base is None:
+        raise ExecError("null-deref")
+    if not isinstance(base, Addr) or (base, fieldname) not in s:
+        raise ExecError("dangling")
+    return base, fieldname
+
+
 def eval_expr(s: Stack, e: Expr):
     if isinstance(e, EConst):
         return e.value
@@ -556,12 +519,7 @@ def eval_expr(s: Stack, e: Expr):
             raise ExecError("dangling")
         return s[e.name]
     if isinstance(e, EField):
-        base = eval_expr(s, EVar(e.var))
-        if base is None:
-            raise ExecError("null-deref")
-        if not isinstance(base, Addr) or (base, e.fieldname) not in s:
-            raise ExecError("dangling")
-        return s[(base, e.fieldname)]
+        return s[_deref(s, e.var, e.fieldname)]
     if isinstance(e, EUn):
         value = eval_expr(s, e.operand)
         if e.op == "!":
@@ -745,18 +703,12 @@ def run_test(test: TestInput, tree: ConstraintTree,
                     s[(addr, fname)] = value
                 s[st.var] = addr
             elif isinstance(st, SStore):
-                base = s.get(st.var)
-                if st.var not in s:
-                    raise ExecError("dangling")
-                if base is None:
-                    raise ExecError("null-deref")
-                if not isinstance(base, Addr) or (base, st.fieldname) not in s:
-                    raise ExecError("dangling")
+                key = _deref(s, st.var, st.fieldname)  # before the value
                 value = eval_expr(s, st.expr)
                 node = tree.child(node, "store", program.next(pc),
                                   lambda: node.delta.store(st.var, st.fieldname,
                                                            st.expr))
-                s[(base, st.fieldname)] = value
+                s[key] = value
             elif isinstance(st, SFree):
                 base = s.get(st.var)
                 if st.var not in s:

@@ -619,10 +619,10 @@ class _Body:
     the disjunct's atoms and conjuncts. The check compiles it with the null
     and constant arguments put in, unless it is general (a general child's
     cubes are checked from scratch): over the disjunct's own names, the
-    joined sort of each variable it sorts (None when the arguments make a
-    sort clash), the pairs its equalities merge, the parameters whose
-    classes those touch, and its DNF cubes of ``_Literal``s. An instance
-    renames the names to variables."""
+    joined sort of each binder and unsorted parameter it sorts (None when
+    the arguments make a sort clash), the pairs its equalities merge, the
+    unsorted parameters whose classes those touch, and its DNF cubes of
+    ``_Literal``s. An instance renames the names to variables."""
 
     def __init__(self, pred: F.PredDef, disjunct: SymbolicHeap, shape: tuple, defs: SpecFile):
         self.params, self.exists = pred.params, disjunct.exists
@@ -639,11 +639,16 @@ class _Body:
         try:
             uses, self.merges = F.sort_facts(F.subst_spatial(disjunct.atoms, bound), pure, defs,
                                              defs.param_sorts)
-            self.uses = list(F.SortTable().extended(uses)[0].classes.items())
+            sorts = F.SortTable().extended(uses)[0].classes
         except F.SortError:
             return
+        # A sorted parameter's argument already has a class of that sort,
+        # which joins the body's uses of it; only the rest can change.
+        changing = set(disjunct.exists).union(
+            p for i, p in self.vars if defs.param_sorts[pred.name][i] is None)
+        self.uses = [(v, sort) for v, sort in sorts.items() if v in changing]
         touched = {v for pair in self.merges for v in pair} | {v for v, _ in self.uses}
-        self.touched = [p for _, p in self.vars if p in touched]
+        self.touched = [p for _, p in self.vars if p in touched and p in changing]
 
     def names(self, args: tuple[ArithTerm, ...], fresh: Sequence[str]) -> dict[str, str]:
         """The renaming of an instance with arguments ``args`` whose binders

@@ -102,6 +102,14 @@ def test_int_domain_outside_int32_is_usage_error(domain, tmp_path, capsys):
     assert "exceeds 32 bits" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("domain", ["5", "a:b"])
+def test_int_domain_not_lo_hi_is_usage_error(domain, capsys):
+    code = main(["--spec", "guard.sl", "--program", "guard.ir", "--entry", "f",
+                 f"--int-domain={domain}"])
+    assert code == 1
+    assert f"integer domain '{domain}': expected LO:HI" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("option", ["--unfold-depth", "--solver-depth", "--max-nodes",
                                     "--timeout"])
 def test_negative_budget_is_usage_error(option, tmp_path, capsys):

@@ -88,7 +88,7 @@ def test_assign_extends_path_condition():
     child = tree.nodes[tree.root.children["assign"]]
     (new,) = child.delta.current.values()
     assert new != "v" and child.delta.current == {"v": new}
-    assert child.delta.atoms == (C.PCExpr(EBin("=", EVar(new), EConst(1))),)
+    assert child.delta.atoms == (C.PCAtom(F.Atom("=", F.Var(new), F.Const(1)), (), None),)
     assert child.flag
 
 
@@ -100,9 +100,9 @@ def test_reassignment_versions_old_value():
     first, second = leaf.delta.atoms
     # Each value has its own symbol; the second equation reads the first's
     # symbol, and the earlier atom is the parent's, unchanged.
-    old, new = first.expr.left.name, second.expr.left.name
+    old, new = first.pure.left.name, second.pure.left.name
     assert len({old, new, "v"}) == 3
-    assert second.expr.right == EBin("+", EVar(old), EConst(1))
+    assert second.pure.right == F.Add(F.Var(old), F.Const(1))
     assert first_node.delta.atoms == (first,) and first_node.delta.current == {"v": old}
     assert leaf.delta.current == {"v": new}
 
@@ -116,8 +116,9 @@ def test_conditional_creates_both_children():
     then_child = tree.nodes[root.children["then"]]
     else_child = tree.nodes[root.children["else"]]
     assert then_child.flag and not else_child.flag
-    assert then_child.delta.atoms[-1] == C.PCExpr(EVar("c"))
-    assert else_child.delta.atoms[-1] == C.PCExpr(EUn("!", EVar("c")))
+    c = F.Atom("=", F.Var("c"), F.Const(1))  # a boolean variable as 0/1
+    assert then_child.delta.atoms[-1] == C.PCAtom(c, (), None)
+    assert else_child.delta.atoms[-1] == C.PCAtom(F.Not(c), (), None)
     assert else_child.branch == ("f", 0, "else")
 
 
@@ -193,19 +194,22 @@ def test_allocation_adds_points_to():
         (pt,) = heap.points_tos()
         p = new_node.delta.current["p"]
         assert p != "p" and pt == F.PointsTo(p, "C", tuple(F.Var(a) for a in bindings))
-        # the later read goes through the new symbol
+        # the later read goes through the new symbol, as its placeholder
         (read,) = tree.nodes[-1].delta.atoms
-        assert read.expr.right == EField(p, "v")
+        assert read.pure.right == F.Var(f"{p}.v") and read.reads == ((p, "v"),)
 
 
 # -------------------------------------------------------------- preprocess
 
 
+APP3 = [EBin("=", EVar("t"), EVar("this_root")), EUn("!", EBin("=", EVar("t"), ENull())),
+        EBin("<", EVar("x"), EField("t", "element"))]
+
+
 def app3_path_condition(bst_pre):
     pc = C.initial_path_condition(bst_pre)
-    pc = pc.conjoin(EBin("=", EVar("t"), EVar("this_root")))
-    pc = pc.conjoin(EUn("!", EBin("=", EVar("t"), ENull())))
-    pc = pc.conjoin(EBin("<", EVar("x"), EField("t", "element")))
+    for cond in APP3:
+        pc = pc.conjoin(cond)
     return pc
 
 
@@ -278,8 +282,21 @@ def test_preprocess_models_satisfy_original_condition(bst_spec, bst_pre):
     for addr, obj in store.items():
         for fname, value in obj.fields.items():
             stack[(addr, fname)] = value
-    for atom in pc.atoms:
-        assert eval_expr(stack, atom.expr) is True
+    for cond in APP3:  # no variable is assigned, so each atom reads these names
+        assert eval_expr(stack, cond) is True
+
+
+def test_constant_boolean_slot_read_in_a_guard_is_decided(tmp_path):
+    # p.b reads the slot constant 1, so the then-condition is 1 = 1 and the
+    # else-branch is infeasible: pruned, not left unresolved.
+    spec = tmp_path / "c.sl"
+    spec.write_text("data C { bool b; C next; }\n"
+                    "pre f == exists x . p -> C(1, x) * q(x) ;\n"
+                    "pred q(x) == (emp & x = null) ;\n")
+    prog = tmp_path / "c.ir"
+    prog.write_text("proc f(p: C) { 0: if p.b then goto 1 else goto 1 }")
+    report = run_pipeline(spec, prog, "f").report
+    assert (report.unresolved_nodes, report.pruned_nodes) == (0, 1)
 
 
 # ------------------------------------------------------------ exploration
@@ -529,24 +546,15 @@ def test_unresolvable_surfaces_exactly_when_no_heap_was_yielded(bst_spec, bst_pr
     assert drops and drops[0].startswith("nonlinear product")
 
 
-def expr_names(e):
-    """The variables an IR expression reads, field bases included."""
-    if isinstance(e, EVar):
-        return {e.name}
-    if isinstance(e, EField):
-        return {e.var}
-    if isinstance(e, EBin):
-        return expr_names(e.left) | expr_names(e.right)
-    if isinstance(e, EUn):
-        return expr_names(e.operand)
-    return set()
-
-
 def delta_names(delta):
-    """Every symbol a path condition mentions: free in a heap or in an atom."""
+    """Every symbol a path condition mentions: free in a heap or in an atom,
+    where a read's placeholder ``v.f`` mentions ``v``."""
     names = set().union(*(F.free_vars(d) for d in delta.heaps))
     for atom in delta.atoms:
-        names |= expr_names(atom.expr) | ({atom.var} if isinstance(atom, C.PCAssign) else set())
+        if not isinstance(atom.pure, str):
+            found = F.term_vars(atom.pure) if atom.store else F.pure_vars(atom.pure)
+            names |= {name.split(".")[0] for name in found}
+        names |= {var for var, _ in atom.reads + ((atom.store,) if atom.store else ())}
     return names
 
 
@@ -749,6 +757,22 @@ def test_field_free_atom_outside_the_fragment_drops_where_it_is_reached(heap, dr
     got = heaps_and_drops(pc, spec, 6)
     force_restart(monkeypatch)
     assert got == heaps_and_drops(pc, spec, 6)
+
+
+@pytest.mark.parametrize("name", list(BENCHMARKS))
+def test_field_elimination_converts_no_expression(name, monkeypatch, tmp_path):
+    # Each atom is converted when its node is made; field elimination only
+    # substitutes slot terms into it.
+    spec, bench, result = gated_run(name, tmp_path)
+    deltas = [n.delta for n in result.tree.nodes]
+    before = [heaps_and_drops(delta, spec, bench.solver_depth) for delta in deltas]
+
+    def refuse(e):
+        raise AssertionError("field elimination converted an expression")
+
+    monkeypatch.setattr(C, "expr_to_pure", refuse)
+    monkeypatch.setattr(C, "_expr_to_term", refuse)
+    assert before == [heaps_and_drops(delta, spec, bench.solver_depth) for delta in deltas]
 
 
 # Field-elimination states (``_preprocess_heap`` calls) of each gated run,

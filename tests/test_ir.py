@@ -141,7 +141,7 @@ def test_callee_locals_do_not_clobber_caller():
     outcome, tree = run(text, {"x": 3})
     assert outcome.kind == "ok"
     nodes = [n for n in tree.nodes if n.edge == "assign"]
-    assigned = [n.delta.atoms[-1].expr.left.name for n in nodes]
+    assigned = [n.delta.atoms[-1].pure.left.name for n in nodes]
     # parameter copy, callee body, result copy: each value its own symbol,
     # and each program variable's symbol found through ``current``
     variables = ["b", "ret", "b@1", "b@1", "ret@1", "y"]

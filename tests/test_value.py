@@ -61,9 +61,8 @@ SAMPLES = {
     S._Lin: ((("x", 1),), -2, "le"),
     T.Addr: (1, "N"),
     C.RunOutcome: ("error", "null-deref", (("f", 2),)),
-    C.PCExpr: (E,),
-    C.PCAssign: ("x", "v", E),
-    C.PathCondition: ((HEAP,), (C.PCExpr(E),), {"x": "x1"}),
+    C.PCAtom: (ATOM, (("x", "v"),), ("y", "v")),
+    C.PathCondition: ((HEAP,), (C.PCAtom(ATOM, (), None),), {"x": "x1"}),
     cli.Benchmark: ("b", "b.sl", "b.ir", "f", 2, 3, 4),
 }
 

@@ -80,9 +80,20 @@ def test_every_value_class_has_a_sample():
     assert set(all_value_classes()) == set(SAMPLES)
 
 
-@pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: f"{c.__module__}.{c.__name__}")
-def test_value_semantics(cls):
-    fields = SAMPLES[cls]
+# Both kinds of path atom, each under the id its own class once had: a
+# conjunct whose field read is a placeholder, and a field write of a term.
+PATH_ATOMS = {
+    "slc.concolic.PCExpr": (F.Not(F.Atom("=", F.Var("x.v"), TWO)), (("x", "v"),), None),
+    "slc.concolic.PCAssign": (F.Add(X, TWO), (), ("y", "v")),
+}
+
+CASES = [pytest.param(cls, fields, id=f"{cls.__module__}.{cls.__name__}")
+         for cls, fields in SAMPLES.items()]
+CASES += [pytest.param(C.PCAtom, fields, id=name) for name, fields in PATH_ATOMS.items()]
+
+
+@pytest.mark.parametrize("cls, fields", CASES)
+def test_value_semantics(cls, fields):
     a, b = cls(*fields), cls(*copy.deepcopy(fields))
     assert tuple(getattr(a, name) for name in cls.__slots__) == fields
     assert a == b and not a != b

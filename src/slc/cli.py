@@ -41,6 +41,7 @@ from . import formulas as F
 from . import ir
 from . import solver as S
 from . import testgen as T
+from .lexer import ParseError
 from .value import Value
 
 # =====================================================================
@@ -440,7 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="wall-clock limit for exploration")
     parser.add_argument("--solver-depth", type=_at_least_zero(int), default=6,
                         metavar="N",
-                        help="solver unfolding depth limit (default 6)")
+                        help="unfolding rounds of each solver query (default 6); "
+                             "exploration's field elimination first unfolds up to "
+                             "N instances on each branch")
     parser.add_argument("--int-domain", type=_parse_domain, default=(-64, 63),
                         metavar="LO:HI", help="integer witness domain (default -64:63)")
     parser.add_argument("--max-nodes", type=_at_least_zero(int), default=10_000,
@@ -473,12 +476,9 @@ def main(argv=None) -> int:
     except (F.SpecError, F.SortError, ir.ProgramError, OSError) as err:
         print(f"slc: error: {err}", file=sys.stderr)
         return 1
-    except Exception as err:  # lexer ParseError carries position info
-        from .lexer import ParseError
-        if isinstance(err, ParseError):
-            print(f"slc: parse error: {err}", file=sys.stderr)
-            return 1
-        raise
+    except ParseError as err:  # carries position info
+        print(f"slc: parse error: {err}", file=sys.stderr)
+        return 1
     report = result.report
     if args.report == "json":
         payload = coverage_json_payload(report)

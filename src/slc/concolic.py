@@ -18,10 +18,11 @@ Each path atom is converted to the assertion language once, when its node
 is made (``PCAtom``): a field read ``v.f`` (or the target of a field write
 ``v.f := e``) stays in it as the placeholder variable ``v.f``. Field
 elimination removes these before solving: it maps each read to a points-to
-slot and substitutes the slot's term for its placeholder, discards a branch
-whose base pointer is entailed null, and unfolds an inductive predicate
-when the pointer is only constrained by one, going on depth-first in each
-result from the read that needed it. ``field_free_heaps`` yields the
+slot and substitutes the slot's term for its placeholder (an atom that
+left the fragment with placeholders is converted with the slot terms in
+place instead), discards a branch whose base pointer is entailed null,
+and unfolds an inductive predicate when the pointer is only constrained
+by one, going on depth-first in each result from the read that needed it. ``field_free_heaps`` yields the
 resulting heaps on demand, one per pull; ``preprocess`` is the same heaps
 as a list. The output heaps under-approximate the input condition, so any
 model of one drives execution down the intended path.
@@ -130,10 +131,12 @@ class ExecError(Exception):
 class PCAtom(Value):
     """A path atom in the assertion language. ``pure`` is its conjunct, or
     for a field write the written term, with each field read ``v.f`` as the
-    variable ``v.f`` (no other name has a ``.``); it is the
-    ``ConversionError`` message when the atom leaves the solvable fragment.
-    ``reads`` are the ``(symbol, field)`` reads left to right, and ``store``
-    the written ``(symbol, field)`` or None."""
+    variable ``v.f`` (no other name has a ``.``). When the atom leaves the
+    solvable fragment, it is the ``ConversionError`` message, or with reads
+    the expression, which field elimination converts with the slot terms in
+    place (a constant slot makes a product linear). ``reads`` are the
+    ``(symbol, field)`` reads left to right, and ``store`` the written
+    ``(symbol, field)`` or None."""
 
     __slots__ = ("pure", "reads", "store")
 
@@ -204,11 +207,12 @@ class ConversionError(Exception):
 def path_atom(e: Expr, store: tuple[str, str] | None = None) -> PCAtom:
     """The atom of the condition ``e``, or of writing ``e`` to the slot
     ``store``."""
+    reads = tuple(_reads(e))
     try:
         pure = _expr_to_term(e) if store else expr_to_pure(e)
     except ConversionError as err:
-        pure = str(err)
-    return PCAtom(pure, tuple(_reads(e)), store)
+        pure = e if reads else str(err)
+    return PCAtom(pure, reads, store)
 
 
 def _reads(e: Expr) -> list[tuple[str, str]]:
@@ -220,7 +224,8 @@ def _reads(e: Expr) -> list[tuple[str, str]]:
     return _reads(e.operand) if isinstance(e, EUn) else []
 
 
-def _expr_to_term(e: Expr) -> ArithTerm:
+def _expr_to_term(e: Expr, slots: dict[str, ArithTerm] | None = None) -> ArithTerm:
+    """``e`` as a term; a field read ``v.f`` is its placeholder, or ``slots[v.f]``."""
     if isinstance(e, EConst):
         if isinstance(e.value, bool):
             return Const(int(e.value))
@@ -229,20 +234,19 @@ def _expr_to_term(e: Expr) -> ArithTerm:
         return Null()
     if isinstance(e, EVar):
         return Var(e.name)
-    if isinstance(e, EField):  # the read's placeholder
-        return Var(f"{e.var}.{e.fieldname}")
+    if isinstance(e, EField):
+        name = f"{e.var}.{e.fieldname}"
+        return slots[name] if slots else Var(name)
     if isinstance(e, EUn) and e.op == "-":
-        return Neg(_expr_to_term(e.operand))
-    if isinstance(e, EBin) and e.op == "+":
-        return Add(_expr_to_term(e.left), _expr_to_term(e.right))
-    if isinstance(e, EBin) and e.op == "-":
-        return Add(_expr_to_term(e.left), Neg(_expr_to_term(e.right)))
-    if isinstance(e, EBin) and e.op == "*":
-        left, right = e.left, e.right
-        if isinstance(left, EConst) and isinstance(left.value, int):
-            return Scale(left.value, _expr_to_term(right))
-        if isinstance(right, EConst) and isinstance(right.value, int):
-            return Scale(right.value, _expr_to_term(left))
+        return Neg(_expr_to_term(e.operand, slots))
+    if isinstance(e, EBin) and e.op in ("+", "-", "*"):
+        left, right = _expr_to_term(e.left, slots), _expr_to_term(e.right, slots)
+        if e.op != "*":
+            return Add(left, right if e.op == "+" else Neg(right))
+        if isinstance(left, Const):
+            return Scale(left.value, right)
+        if isinstance(right, Const):
+            return Scale(right.value, left)
         raise ConversionError(f"nonlinear product: {ir.print_expr(e)}")
     raise ConversionError(f"not an arithmetic term: {ir.print_expr(e)}")
 
@@ -261,8 +265,8 @@ def _iff(p: PureFormula, q: PureFormula) -> PureFormula:
     return F.And(Not(F.And(p, Not(q))), Not(F.And(q, Not(p))))
 
 
-def expr_to_pure(e: Expr) -> PureFormula:
-    """Boolean-context conversion to the assertion-language fragment."""
+def expr_to_pure(e: Expr, slots: dict[str, ArithTerm] | None = None) -> PureFormula:
+    """Boolean-context conversion to the fragment; ``slots`` as in ``_expr_to_term``."""
     if isinstance(e, EConst):
         if e.value is True:
             return F.TRUE
@@ -270,16 +274,16 @@ def expr_to_pure(e: Expr) -> PureFormula:
             return Not(F.TRUE)
         raise ConversionError(f"integer in boolean position: {e.value}")
     if isinstance(e, (EVar, EField)):
-        return Atom("=", _expr_to_term(e), Const(1))  # boolean variable as 0/1
+        return Atom("=", _expr_to_term(e, slots), Const(1))  # boolean variable as 0/1
     if isinstance(e, EUn) and e.op == "!":
-        return Not(expr_to_pure(e.operand))
+        return Not(expr_to_pure(e.operand, slots))
     if isinstance(e, EBin):
         if e.op == "&":
-            return F.And(expr_to_pure(e.left), expr_to_pure(e.right))
+            return F.And(expr_to_pure(e.left, slots), expr_to_pure(e.right, slots))
         if e.op == "|":
-            return Not(F.And(Not(expr_to_pure(e.left)), Not(expr_to_pure(e.right))))
+            return Not(F.And(Not(expr_to_pure(e.left, slots)), Not(expr_to_pure(e.right, slots))))
         if e.op in ("<", "<=", ">", ">="):
-            left, right = _expr_to_term(e.left), _expr_to_term(e.right)
+            left, right = _expr_to_term(e.left, slots), _expr_to_term(e.right, slots)
             if e.op == "<":
                 return Not(Atom("<=", right, left))
             if e.op == "<=":
@@ -289,9 +293,9 @@ def expr_to_pure(e: Expr) -> PureFormula:
             return Atom("<=", right, left)
         if e.op in ("=", "!="):
             if _boolish(e.left) or _boolish(e.right):
-                eq: PureFormula = _iff(expr_to_pure(e.left), expr_to_pure(e.right))
+                eq: PureFormula = _iff(expr_to_pure(e.left, slots), expr_to_pure(e.right, slots))
             else:
-                eq = Atom("=", _expr_to_term(e.left), _expr_to_term(e.right))
+                eq = Atom("=", _expr_to_term(e.left, slots), _expr_to_term(e.right, slots))
             return eq if e.op == "=" else Not(eq)
     raise ConversionError(f"not a boolean expression: {ir.print_expr(e)}")
 
@@ -407,7 +411,8 @@ class _Elimination:
     def resolve(self, atom: PCAtom) -> None:
         """Resolve the next atom into a conjunct: look up its reads, then
         its written slot, and put each read's slot value in for its
-        placeholder. The state is left as it was when a read raises."""
+        placeholder (or convert the atom's kept expression with them). The
+        state is left as it was when a read raises."""
         wanted = atom.reads + (atom.store,) if atom.store else atom.reads
         reads = [(var, fieldname, self._slot(var, fieldname)) for var, fieldname in wanted]
         fresh = atom.store and F.fresh_var(atom.store[1])
@@ -416,11 +421,13 @@ class _Elimination:
             raise ConversionError(pure)
         if reads:
             binding = {f"{var}.{fieldname}": self.slots[key] for var, fieldname, key in reads}
+            if isinstance(pure, ir.Expr):  # outside the fragment with placeholders
+                pure = (_expr_to_term if fresh else expr_to_pure)(pure, binding)
+            else:
+                pure = (F.subst_term if fresh else F.subst_pure)(pure, binding)
             if fresh:
                 self.slots[reads[-1][2]] = Var(fresh)  # overrides the original slot value
-                pure = Atom("=", Var(fresh), F.subst_term(pure, binding))
-            else:
-                pure = F.subst_pure(pure, binding)
+                pure = Atom("=", Var(fresh), pure)
             # A read put in as its slot value can equate two variables.
             for left, right in S.pure_equalities((pure,)):
                 if root := S.merge_alias(self.uf, left, right):

@@ -10,17 +10,19 @@ share a class, or a disequality joins a class to itself, has no model.
 Each head's class gets its own abstract address, and every other class
 is null unless a disequality with a null class forbids it. Integer
 variables are solved by interval propagation followed by backtracking
-search over a finite domain. The frontier check of ``sat`` is the same
-per-cube check without the integer search, and a base heap is solved
-from its own check.
+search over a finite domain, in which propagation alone decides the
+literals and the search only picks values. The frontier check of ``sat``
+is the same per-cube check without the integer search, and a base heap
+is solved from its own check.
 
 One query checks each heap once, by extending its parent's check state,
 and a child's check costs its body, not its heap. Each predicate disjunct
 is compiled once per spec and argument shape (``_bodies``, kept on the
 ``SpecFile``, made at first use): its sort uses and equalities over its
-own names, and its DNF cubes, each literal with its variables, the shape
-of its sides and its linear form; null and constant arguments are put in
-first. A heap's state is its ``F.SortTable``, the sort table
+own names, and its DNF cubes of ``Lit``s, each with its variables and
+the shape of its sides, and its linear form made the first time the
+check files it as an integer literal; null and constant arguments are
+put in first. A heap's state is its ``F.SortTable``, the sort table
 ``F.heap_sorts`` and ``F.infer_sorts`` also build, and per cube each
 variable's kind (``F.is_location``), the alias classes, the
 disequalities, the linear forms and, if propagation reached its fixpoint,
@@ -109,7 +111,7 @@ from .formulas import (
     Var,
     is_location,
 )
-from .value import Value, setfield
+from .value import Value
 
 class Budget:
     def __init__(self, max_depth: int = 6, time_limit: float = 10.0,
@@ -155,13 +157,19 @@ class SatResult:
 # =====================================================================
 
 
-class Lit(Value):
-    __slots__ = ("op", "left", "right")  # op: 'eq' | 'le' | 'ne'
+class Lit:
+    """A DNF literal ``left op right`` (op: 'eq' | 'le' | 'ne') as ``_split``
+    reads it: its variables in order, its sides' shapes (``_side``) and,
+    from the first time ``_split`` files it as an integer literal, its
+    linear form (``lin``, else None). A location literal is never
+    linearised, and a compiled body's literal at most once."""
+
+    __slots__ = ("op", "left", "right", "vars", "sides", "lin")
 
     def __init__(self, op: str, left: ArithTerm, right: ArithTerm):
-        setfield(self, "op", op)
-        setfield(self, "left", left)
-        setfield(self, "right", right)
+        self.op, self.left, self.right, self.lin = op, left, right, None
+        self.vars = F.term_vars(left) + F.term_vars(right)
+        self.sides = (_side(left), _side(right))
 
 
 def _nnf_cubes(pure: PureFormula | F.Conjunction, positive: bool = True) -> list[list[Lit]]:
@@ -365,23 +373,6 @@ def _propagate(lins: list[_Lin], uses: dict[str, tuple[int, ...]], bounds: dict[
     return None if todo else True
 
 
-def _lin_value(lin: _Lin, assign: dict[str, int]) -> int | None:
-    total = lin.const
-    for v, k in lin.coeffs:
-        if v not in assign:
-            return None
-        total += k * assign[v]
-    return total
-
-
-def _lit_holds(lin: _Lin, value: int) -> bool:
-    if lin.rel == "le":
-        return value <= 0
-    if lin.rel == "eq":
-        return value == 0
-    return value != 0
-
-
 def _value_order(lo: int, hi: int) -> Iterable[int]:
     """The values of ``[lo, hi]`` smallest first, negative before positive
     (0, -1, 1, -2, 2, ...), made one at a time, so a wide domain costs
@@ -402,12 +393,14 @@ def _search_ints(lins: list[_Lin], uses: dict, order: list[str], sorts: dict[str
     Timeout once ``time.monotonic()`` passes ``deadline``.
 
     Depth-first over ``order``, each variable's values smallest first. A
-    loop over a stack of frames, one per assigned variable, replaces the
+    loop over a stack of frames, one per pinned variable, replaces the
     recursion, and one ``bounds`` map with a trail of changes, undone on
     backtracking, replaces a copy per frame; so a long variable list costs
-    neither call depth nor quadratic memory. Propagation runs once over
-    every literal after the domain clamp, and after each assignment only
-    from the literals of the variable it pinned."""
+    neither call depth nor quadratic memory. The search only picks values:
+    propagation, once over every form after the domain clamp and after each
+    pin from the pinned variable's forms (its first round runs them all),
+    decides the literals, since a form over pinned variables narrows to an
+    empty interval or is refuted (``!=``) exactly when it fails."""
     for v in order:
         lo, hi = bounds[v]
         dlo, dhi = (0, 1) if sorts.get(v) == "bool" else (budget.int_min, budget.int_max)
@@ -417,14 +410,6 @@ def _search_ints(lins: list[_Lin], uses: dict, order: list[str], sorts: dict[str
         return {}
     if _propagate(lins, uses, bounds) is False:
         return None
-    # Each literal is checked once, when the last of its variables in
-    # ``order`` is assigned; literals without variables at the first.
-    position = {v: i for i, v in enumerate(order)}
-    checks: list[list[_Lin]] = [[] for _ in order]
-    for lin in lins:
-        if all(v in position for v, _ in lin.coeffs):
-            checks[max((position[v] for v, _ in lin.coeffs), default=0)].append(lin)
-    assign: dict[str, int] = {}
     trail: list[tuple[str, int, int]] = []
     # A frame: the values its variable has left to try, and the trail
     # length that restores the bounds the frame started from.
@@ -440,11 +425,6 @@ def _search_ints(lins: list[_Lin], uses: dict, order: list[str], sorts: dict[str
         value = next(values, None)
         if value is None:
             frames.pop()
-            assign.pop(v, None)
-            continue
-        assign[v] = value
-        if any(not _lit_holds(lin, _lin_value(lin, assign))
-               for lin in checks[len(frames) - 1]):
             continue
         trail.append((v, *bounds[v]))
         bounds[v] = (value, value)
@@ -452,7 +432,7 @@ def _search_ints(lins: list[_Lin], uses: dict, order: list[str], sorts: dict[str
             continue
         stats.pure_nodes += 1
         if len(frames) == len(order):
-            return dict(assign)
+            return {w: bounds[w][0] for w in order}
         frames.append((iter(_value_order(*bounds[order[len(frames)]])), len(trail)))
     return None
 
@@ -489,12 +469,12 @@ class _Prepared(NamedTuple):
     lins: list[_Lin]
 
 
-def _split(literals: Sequence[_Literal], names: dict[str, str] | None, sorts) -> _Prepared:
+def _split(literals: Sequence[Lit], names: dict[str, str] | None, sorts) -> _Prepared:
     """``literals`` with their variables renamed by ``names`` (None: kept
     as they are), split under ``sorts`` and linearised; raises SortError."""
     order, eqs, pairs, lins = [], [], [], []
     for t in literals:
-        sides, lin = t.sides, t.lin
+        sides = t.sides
         if names is None:
             order += t.vars
         else:
@@ -503,9 +483,9 @@ def _split(literals: Sequence[_Literal], names: dict[str, str] | None, sorts) ->
                            else tuple([names[v] for v in side]) for side in sides])
         if _is_loc(t.op, sides, sorts):
             (eqs if t.op == "eq" else pairs).append(sides)
-        elif lin is None:
-            raise F.SortError("null inside an arithmetic constraint")
-        elif names is None:
+            continue
+        lin = t.lin = t.lin or _lin_of(t)  # made once; raises on null in arithmetic
+        if names is None:
             lins.append(lin)
         else:
             coeffs: dict[str, int] = {}
@@ -514,11 +494,6 @@ def _split(literals: Sequence[_Literal], names: dict[str, str] | None, sorts) ->
             lins.append(_Lin(tuple(sorted((v, k) for v, k in coeffs.items() if k)),
                              lin.const, lin.rel))
     return _Prepared(order, eqs, pairs, lins)
-
-
-def _prepared(lits: list[Lit], sorts) -> _Prepared:
-    """``lits`` split under ``sorts`` and linearised; raises SortError."""
-    return _split([_Literal(lit) for lit in lits], None, sorts)
 
 
 _NO_LITERALS = _Prepared([], [], [], [])
@@ -533,7 +508,7 @@ def _checked(lits: list[Lit] | _Prepared, sorts, heads: Sequence[str],
     None when the cube has no model: a sort or location clash, or an empty
     interval. See ``_extended``."""
     try:
-        return _extended(lits if isinstance(lits, _Prepared) else _prepared(lits, sorts),
+        return _extended(lits if isinstance(lits, _Prepared) else _split(lits, None, sorts),
                          sorts, (), heads, parent)
     except F.SortError:
         return None
@@ -596,22 +571,6 @@ def _extended(lits: _Prepared, sorts, universe: Sequence[str], heads: Sequence[s
 # =====================================================================
 
 
-class _Literal:
-    """A literal as ``_split`` reads it: its relation, its variables in
-    order, its sides' shapes (``_side``) and its linear form (None when it
-    has none)."""
-
-    __slots__ = ("op", "vars", "sides", "lin")
-
-    def __init__(self, lit: Lit):
-        self.op, self.vars = lit.op, F.term_vars(lit.left) + F.term_vars(lit.right)
-        self.sides = (_side(lit.left), _side(lit.right))
-        try:
-            self.lin = _lin_of(lit)
-        except F.SortError:
-            self.lin = None
-
-
 class _Body:
     """One predicate disjunct, compiled once per spec and argument shape: a
     shape binds each parameter to a variable, to null or a constant, or to
@@ -622,7 +581,7 @@ class _Body:
     joined sort of each binder and unsorted parameter it sorts (None when
     the arguments make a sort clash), the pairs its equalities merge, the
     unsorted parameters whose classes those touch, and its DNF cubes of
-    ``_Literal``s. An instance renames the names to variables."""
+    ``Lit``s. An instance renames the names to variables."""
 
     def __init__(self, pred: F.PredDef, disjunct: SymbolicHeap, shape: tuple, defs: SpecFile):
         self.params, self.exists = pred.params, disjunct.exists
@@ -635,7 +594,7 @@ class _Body:
             return
         bound = {p: a for p, a in zip(pred.params, shape) if a is not None}
         pure = F.subst_pure(disjunct.pure, bound)
-        self.cubes = [[_Literal(lit) for lit in cube] for cube in _nnf_cubes(pure)]
+        self.cubes = _nnf_cubes(pure)
         try:
             uses, self.merges = F.sort_facts(F.subst_spatial(disjunct.atoms, bound), pure, defs,
                                              defs.param_sorts)

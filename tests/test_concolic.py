@@ -759,6 +759,27 @@ def test_field_free_atom_outside_the_fragment_drops_where_it_is_reached(heap, dr
     assert got == heaps_and_drops(pc, spec, 6)
 
 
+def test_product_of_two_reads_is_linear_when_a_slot_is_constant():
+    # a.val reads the constant 3, so the guard a.val * b.val = 6 and the
+    # write b.val := b.val * a.val convert once their reads have slots; the
+    # product of two variable slots still drops as nonlinear.
+    spec = F.parse_spec(RESTART_SPEC)
+    pc = PathCondition((F.parse_heap("a -> N(3, null) * b -> N(w, null)"),), ())
+    product = EBin("*", EField("a", "val"), EField("b", "val"))
+    pc = pc.conjoin(EBin("=", product, EConst(6)))
+    pc = pc.store("b", "val", EBin("*", EField("b", "val"), EField("a", "val")))
+    reasons = []
+    [out] = C.field_free_heaps(pc, spec, 6, reasons)
+    guard, write = out.pure[-2:]
+    assert reasons == [] and guard == F.Atom("=", F.Scale(3, F.Var("w")), F.Const(6))
+    assert write.right == F.Scale(3, F.Var("w"))
+    result = S.sat(out, spec)
+    assert result.is_sat and F.Atom("=", F.Var("w"), F.Const(2)) in result.model.heap.pure
+    pc = pc.conjoin(EBin("=", EBin("*", EField("b", "val"), EField("b", "val")), EConst(4)))
+    assert list(C.field_free_heaps(pc, spec, 6, reasons)) == []
+    assert reasons == ["nonlinear product: b.val * b.val"]
+
+
 @pytest.mark.parametrize("name", list(BENCHMARKS))
 def test_field_elimination_converts_no_expression(name, monkeypatch, tmp_path):
     # Each atom is converted when its node is made; field elimination only

@@ -614,7 +614,7 @@ def scratch_try_base(d, defs, path, universe, budget, stats, deadline, pairwise=
     bounded = False
     for lits in S._nnf_cubes(pure):
         try:
-            checked = S._extended(S._prepared(lits, sorts), sorts, order, heads)
+            checked = S._extended(S._split(lits, None, sorts), sorts, order, heads)
         except F.SortError:
             continue
         if checked is None:
@@ -1145,6 +1145,37 @@ def test_integer_search_propagates_once_before_its_first_assignment():
     assert (result.decision, result.stats.pure_nodes, result.stats.bounded) == ("unsat", 1, True)
 
 
+def test_integer_search_is_brute_force_in_value_order():
+    # Seeded cubes of linear forms over up to four variables, some bool,
+    # with <=, = and != forms, forms outside difference logic (2 * x + y <=
+    # 3) and forms without variables. Over the domain -3:3, the search's
+    # model is the first in _value_order's order, earlier variables varying
+    # slowest, and it is None exactly when no model exists: propagation
+    # alone decides each literal.
+    rng, budget, outcomes = random.Random(28), Budget(int_min=-3, int_max=3), set()
+    holds = {"le": lambda n: n <= 0, "eq": lambda n: n == 0, "ne": lambda n: n != 0}
+    for _ in range(500):
+        names = ["a", "b", "c", "d"][:rng.randint(1, 4)]
+        sorts = {v: "bool" for v in names if rng.random() < 0.3}
+        lins, uses = [], {}
+        for i in range(rng.randint(1, 5)):
+            coeffs = tuple(sorted((v, rng.choice([-2, -1, 1, 1, 2, 3]))
+                                  for v in rng.sample(names, rng.randint(0, min(3, len(names))))))
+            lins.append(S._Lin(coeffs, rng.randint(-4, 4), rng.choice(list(holds))))
+            for v, _ in coeffs:
+                uses[v] = uses.get(v, ()) + (i,)
+        got = S._search_ints(lins, uses, names, sorts, dict.fromkeys(names, S._TOP), budget,
+                             S.SolverStats())
+        domains = [S._value_order(*((0, 1) if v in sorts else (-3, 3))) for v in names]
+        want = next((dict(zip(names, values)) for values in itertools.product(*domains)
+                     if all(holds[lin.rel](lin.const + sum(k * values[names.index(v)]
+                                                          for v, k in lin.coeffs))
+                            for lin in lins)), None)
+        assert got == want, lins
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
 class Visits(list):
     """Linear forms that count how often _propagate reads one to run it."""
 
@@ -1201,12 +1232,24 @@ def test_child_cube_merges_and_propagates_only_its_body(monkeypatch, tmp_path):
 def test_child_check_costs_its_body(name, monkeypatch, tmp_path):
     # Per check of a child whose parent has a state: the sort steps (class
     # joins and sort reads) stay within a bound set by its body, and no
-    # cube is derived from a formula. Each predicate disjunct's cubes and
-    # linear forms are derived once per argument shape, when the spec is
-    # compiled.
-    counts, rows, compiled = {}, [], []
-    for function in ("_nnf_cubes", "_lin_of"):
-        monkeypatch.setattr(S, function, counted(getattr(S, function), function, counts))
+    # cube is derived from a formula. Each predicate disjunct's cubes are
+    # derived once per argument shape, when the spec is compiled. Over the
+    # run, each literal is linearised at most once, and only right after
+    # _split files it as an integer literal.
+    counts, rows, compiled, filed = {}, [], [], []
+    monkeypatch.setattr(S, "_nnf_cubes", counted(S._nnf_cubes, "_nnf_cubes", counts))
+    is_loc, lin_of = S._is_loc, S._lin_of
+
+    def filing(*args):
+        filed.append(is_loc(*args))
+        return filed[-1]
+
+    def linearising(lit):
+        filed.append(lit)
+        return lin_of(lit)
+
+    monkeypatch.setattr(S, "_is_loc", filing)
+    monkeypatch.setattr(S, "_lin_of", linearising)
     monkeypatch.setattr(F, "join_sorts", counted(F.join_sorts, "join_sorts", counts))
     monkeypatch.setattr(F.SortTable, "get", counted(F.SortTable.get, "get", counts))
     check, body = S._state, S._Body.__init__
@@ -1234,10 +1277,14 @@ def test_child_check_costs_its_body(name, monkeypatch, tmp_path):
         run_benchmark(name, tmp_path, unfold_depth=4, max_nodes=1500)
     assert len(rows) > 500 and max(heap for heap, _, _ in rows) > 15
     for heap, size, work in rows:
-        assert work.get("_nnf_cubes", 0) == work.get("_lin_of", 0) == 0
+        assert work.get("_nnf_cubes", 0) == 0
         assert work.get("join_sorts", 0) <= size and work.get("get", 0) <= 2 * size
     assert compiled and all(compiled)
     assert len(compiled) <= 8  # two disjuncts, at most two shapes each
+    linearised = [i for i, event in enumerate(filed) if event.__class__ is S.Lit]
+    assert all(filed[i - 1] is False for i in linearised)
+    assert bool(linearised) == (name == "bst")  # tll's literals are all locations
+    assert len({id(filed[i]) for i in linearised}) == len(linearised)
 
 
 def counted(function, key, counts):

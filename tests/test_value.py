@@ -57,7 +57,6 @@ SAMPLES = {
     ir.SCall: (None, "f", (E,)),
     ir.Procedure: ("f", (("x", "int"),), (ir.SFree("x"),)),
     lexer.Token: ("ident", "x", 1, 2),
-    S.Lit: ("le", X, TWO),
     S._Lin: ((("x", 1),), -2, "le"),
     T.Addr: (1, "N"),
     C.RunOutcome: ("error", "null-deref", (("f", 2),)),

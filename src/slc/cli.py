@@ -21,7 +21,9 @@ across reruns of the same inputs:
 
 A file ``<program>.annotations.json`` next to the program, when present,
 marks branches known infeasible (maintained by hand per benchmark); the
-report excludes them from the feasible-coverage percentage. Wall-clock
+report excludes them from the feasible-coverage percentage. It is checked
+before generation: each entry is ``[proc, pc, "then"|"else"]`` and names a
+conditional that the entry procedure reaches. Wall-clock
 times are printed to stdout only, never into artifacts.
 """
 
@@ -158,12 +160,26 @@ def measure_coverage(tree: C.ConstraintTree, log, *,
 
 
 def load_annotations(program_path: Path, entry: str) -> set[tuple[str, int, str]]:
+    """The branches that ``<program>.annotations.json`` marks infeasible
+    for ``entry``, each ``[proc, pc, "then"|"else"]``. Raises ProgramError
+    when the file is malformed."""
     ann_path = program_path.with_suffix(".annotations.json")
     if not ann_path.exists():
         return set()
-    data = json.loads(ann_path.read_text())
-    section = data.get(entry, {})
-    return {(p, int(i), side) for p, i, side in section.get("infeasible", [])}
+    try:
+        data = json.loads(ann_path.read_text())
+    except ValueError as err:
+        raise ir.ProgramError(f"{ann_path.name}: {err}") from None
+    section = data.get(entry, {}) if isinstance(data, dict) else None
+    marks = section.get("infeasible", []) if isinstance(section, dict) else None
+    if not isinstance(marks, list):
+        raise ir.ProgramError(f"{ann_path.name}: {entry!r} needs a list \"infeasible\"")
+    for mark in marks:
+        if not (isinstance(mark, list) and len(mark) == 3 and isinstance(mark[0], str)
+                and type(mark[1]) is int and mark[2] in ("then", "else")):
+            raise ir.ProgramError(f"{ann_path.name}: entry {json.dumps(mark)} is not "
+                                  f"[proc, pc, \"then\"|\"else\"]")
+    return {tuple(mark) for mark in marks}
 
 
 def render_coverage_text(report: CoverageReport) -> str:
@@ -332,6 +348,12 @@ def run_pipeline(spec_path: Path, program_path: Path, entry: str, *,
     if entry not in spec.preconditions:
         raise ir.ProgramError(f"no precondition for entry {entry!r} in spec")
     elab = ir.elaborate(program, entry)
+    annotations = load_annotations(program_path, entry)
+    conditionals = set(ir.source_conditionals(program, elab.procs))
+    for proc, pc, side in sorted(annotations):
+        if (proc, pc) not in conditionals:
+            raise ir.ProgramError(f"annotation {json.dumps([proc, pc, side])} names no "
+                                  f"conditional that {entry} reaches")
     pre = spec.preconditions[entry]
     wall["parse"] = time.monotonic() - t0
 
@@ -357,7 +379,6 @@ def run_pipeline(spec_path: Path, program_path: Path, entry: str, *,
 
     tests = seeds + result.tests
     valid = sum(1 for t in tests if T.input_satisfies(t, pre, spec))
-    annotations = load_annotations(program_path, entry)
     report = measure_coverage(
         result.tree, result.log, annotations=annotations,
         valid_tests=valid, total_tests=len(tests),

@@ -22,19 +22,20 @@ slot and substitutes the slot's term for its placeholder (an atom that
 left the fragment with placeholders is converted with the slot terms in
 place instead), discards a branch whose base pointer is entailed null,
 and unfolds an inductive predicate when the pointer is only constrained
-by one, going on depth-first in each result from the read that needed it. ``field_free_heaps`` yields the
-resulting heaps on demand, one per pull; ``preprocess`` is the same heaps
-as a list. The output heaps under-approximate the input condition, so any
-model of one drives execution down the intended path.
+by one, going on depth-first in each result from the read that needed it.
+``field_free_heaps`` yields the resulting heaps on demand, one per pull;
+``preprocess`` is the same heaps as a list. The output heaps
+under-approximate the input condition, so any model of one drives
+execution down the intended path.
 
 Each heap state of field elimination (``_Elimination``) costs only its own
 reads. The alias equalities of the read-free atoms join the heap's when a
 state starts. A read finds its base's alias root once and scans only its
 field's slot heads, kept in slot order, then the predicate instances'
-arguments. An unfolded child is built from its parent's state and resumes
-at the read that needed the unfold. It starts over from the first atom when
-its body repeats a slot or could change an earlier read; only a read whose
-alias class grew since the parent's check is checked again.
+arguments. An unfolded child carries its parent's state and resumes at the
+read that needed the unfold, unless separation rules it out: two points-to
+heads, or a head and null, in one alias class leave no model, and the
+child is dropped. No other merge can move a resolved read off its slot.
 
 ``explore`` repeatedly picks the shallowest unexplored node and pulls its
 heaps one at a time: it solves each, builds a new input from the model
@@ -129,13 +130,13 @@ class ExecError(Exception):
 
 
 class PCAtom(Value):
-    """A path atom in the assertion language. ``pure`` is its conjunct, or
-    for a field write the written term, with each field read ``v.f`` as the
-    variable ``v.f`` (no other name has a ``.``). When the atom leaves the
-    solvable fragment, it is the ``ConversionError`` message, or with reads
-    the expression, which field elimination converts with the slot terms in
-    place (a constant slot makes a product linear). ``reads`` are the
-    ``(symbol, field)`` reads left to right, and ``store`` the written
+    """A path atom in the assertion language. ``pure`` is its conjunct,
+    with each field read ``v.f`` as the variable ``v.f`` (no other name has
+    a ``.``) and a field write's new value as ``:=``. When the atom leaves
+    the solvable fragment, it is the ``ConversionError`` message, or with
+    reads the expression, which field elimination converts with the slot
+    terms in place (a constant slot makes a product linear). ``reads`` are
+    the ``(symbol, field)`` reads left to right, and ``store`` the written
     ``(symbol, field)`` or None."""
 
     __slots__ = ("pure", "reads", "store")
@@ -204,12 +205,18 @@ class ConversionError(Exception):
     """The expression leaves the solvable fragment (e.g. nonlinear)."""
 
 
+_WRITTEN = ":="  # the placeholder of a field write's new value; no variable's name
+
+
 def path_atom(e: Expr, store: tuple[str, str] | None = None) -> PCAtom:
     """The atom of the condition ``e``, or of writing ``e`` to the slot
-    ``store``."""
+    ``store``: the condition that the new value equals ``e``, as in an
+    assignment."""
     reads = tuple(_reads(e))
+    if store:
+        e = EBin("=", EVar(_WRITTEN), e)
     try:
-        pure = _expr_to_term(e) if store else expr_to_pure(e)
+        pure = expr_to_pure(e)
     except ConversionError as err:
         pure = e if reads else str(err)
     return PCAtom(pure, reads, store)
@@ -283,14 +290,7 @@ def expr_to_pure(e: Expr, slots: dict[str, ArithTerm] | None = None) -> PureForm
         if e.op == "|":
             return Not(F.And(Not(expr_to_pure(e.left, slots)), Not(expr_to_pure(e.right, slots))))
         if e.op in ("<", "<=", ">", ">="):
-            left, right = _expr_to_term(e.left, slots), _expr_to_term(e.right, slots)
-            if e.op == "<":
-                return Not(Atom("<=", right, left))
-            if e.op == "<=":
-                return Atom("<=", left, right)
-            if e.op == ">":
-                return Not(Atom("<=", left, right))
-            return Atom("<=", right, left)
+            return F.desugar_cmp(e.op, _expr_to_term(e.left, slots), _expr_to_term(e.right, slots))
         if e.op in ("=", "!="):
             if _boolish(e.left) or _boolish(e.right):
                 eq: PureFormula = _iff(expr_to_pure(e.left, slots), expr_to_pure(e.right, slots))
@@ -330,27 +330,22 @@ class _Elimination:
     """Field elimination over the heap ``d`` after the first ``done`` of the
     path's ``atoms``. The state holds the heads of each field's points-to
     slots in slot order (``heads``), each slot's current value (``slots``; a
-    field write overrides it), the alias classes, the conjuncts those atoms
-    resolved to, and each field read among them as ``(base var, field, slot
-    chosen)``. ``grown`` names the classes merged since the reads were last
-    checked: by an equality absorbed from a resolved read here, or by the
-    unfolded body's equalities in ``resumed``."""
+    field write overrides it), the alias classes, and the conjuncts those
+    atoms resolved to."""
 
     def __init__(self, d: SymbolicHeap, atoms: Sequence[PCAtom],
                  heads: dict[str, tuple[str, ...]], slots: dict[tuple[str, str], ArithTerm],
-                 uf: F.UnionFind, pure: list[PureFormula],
-                 reads: list[tuple[str, str, tuple[str, str]]], done: int):
+                 uf: F.UnionFind, pure: list[PureFormula], done: int):
         self.d, self.atoms, self.heads, self.slots, self.uf = d, atoms, heads, slots, uf
-        self.pure, self.reads, self.done = pure, reads, done
-        self.grown: list[str] = []
+        self.pure, self.done = pure, done
 
     @classmethod
     def start(cls, d: SymbolicHeap, atoms: Sequence[PCAtom], defs: SpecFile) -> "_Elimination":
         """The state before the first atom: the alias classes of the
-        equalities of ``d`` and of the read-free atoms."""
-        uf = S.alias_classes(S.pure_equalities(d.pure + tuple(a.pure for a in atoms
-                                                              if not a.reads)))
-        state = cls(d, atoms, {}, {}, uf, [], [], 0)
+        equalities of ``d`` and of the atoms without reads or writes."""
+        uf = S.alias_classes(S.pure_equalities(d.pure + tuple(
+            a.pure for a in atoms if not (a.reads or a.store))))
+        state = cls(d, atoms, {}, {}, uf, [], 0)
         state._add_slots(_slots(d.atoms, defs))
         return state
 
@@ -361,35 +356,19 @@ class _Elimination:
 
     def resumed(self, child: SymbolicHeap, defs: SpecFile) -> "_Elimination | None":
         """This state carried into ``child``, which ``unfold_at`` made from
-        ``d``: the body's points-to slots go after the context's and its
-        pure equalities join the alias classes. None when the body has a
-        slot that is already there, or could change a resolved read: its
-        base now entailed null or first aliased to another slot. Only a read
-        whose class grew since this state's reads were checked can change."""
-        body = _slots(child.atoms[len(self.d.atoms) - 1:], defs)
-        if any(key in self.slots for key, _ in body):
+        ``d``: the body's pure equalities join the alias classes and its
+        points-to slots go after the context's. None when separation rules
+        the child out: two of its points-to heads, or a head and null, in
+        one alias class. Otherwise every resolved read keeps its slot, as no
+        other head joined its base's class."""
+        uf = self.uf.copy()
+        S.merge_aliases(uf, S.pure_equalities(child.pure[len(self.d.pure):]))
+        if S.marks(uf, [p.var for p in child.points_tos()]) is None:
             return None
-        new = _Elimination(child, self.atoms, dict(self.heads), dict(self.slots),
-                           self.uf.copy(), list(self.pure), list(self.reads), self.done)
-        grown = list(self.grown)
-        for left, right in S.pure_equalities(child.pure[len(self.d.pure):]):
-            if root := S.merge_alias(new.uf, left, right):
-                grown.append(root)
-        find = new.uf.find
-        dirty = {find(name) for name in grown}
-        for var, fieldname, key in self.reads:
-            root = find(var)
-            if root in dirty and (root == S.NULL_KEY or new._first_slot(root, fieldname) != key):
-                return None
-        new._add_slots(body)
+        new = _Elimination(child, self.atoms, dict(self.heads), dict(self.slots), uf,
+                           list(self.pure), self.done)
+        new._add_slots(_slots(child.atoms[len(self.d.atoms) - 1:], defs))
         return new
-
-    def _first_slot(self, root: str, fieldname: str) -> tuple[str, str] | None:
-        find = self.uf.find
-        for head in self.heads.get(fieldname, ()):
-            if find(head) == root:
-                return head, fieldname
-        return None
 
     def _slot(self, var: str, fieldname: str) -> tuple[str, str]:
         """The points-to slot that ``var.fieldname`` denotes; raise when
@@ -398,15 +377,15 @@ class _Elimination:
         root = find(var)
         if root == S.NULL_KEY:  # null is added first, so it is its class's root
             raise _Discard()
-        key = self._first_slot(root, fieldname)
-        if key is None:
-            for idx, atom in enumerate(self.d.atoms):
-                if isinstance(atom, PredInst):
-                    for arg in atom.args:
-                        if isinstance(arg, Var) and find(arg.name) == root:
-                            raise _NeedUnfold(idx)
-            raise _Discard()
-        return key
+        for head in self.heads.get(fieldname, ()):
+            if find(head) == root:
+                return head, fieldname
+        for idx, atom in enumerate(self.d.atoms):
+            if isinstance(atom, PredInst):
+                for arg in atom.args:
+                    if isinstance(arg, Var) and find(arg.name) == root:
+                        raise _NeedUnfold(idx)
+        raise _Discard()
 
     def resolve(self, atom: PCAtom) -> None:
         """Resolve the next atom into a conjunct: look up its reads, then
@@ -414,25 +393,20 @@ class _Elimination:
         placeholder (or convert the atom's kept expression with them). The
         state is left as it was when a read raises."""
         wanted = atom.reads + (atom.store,) if atom.store else atom.reads
-        reads = [(var, fieldname, self._slot(var, fieldname)) for var, fieldname in wanted]
+        keys = [self._slot(var, fieldname) for var, fieldname in wanted]
         fresh = atom.store and F.fresh_var(atom.store[1])
         pure = atom.pure
         if isinstance(pure, str):
             raise ConversionError(pure)
-        if reads:
-            binding = {f"{var}.{fieldname}": self.slots[key] for var, fieldname, key in reads}
-            if isinstance(pure, ir.Expr):  # outside the fragment with placeholders
-                pure = (_expr_to_term if fresh else expr_to_pure)(pure, binding)
-            else:
-                pure = (F.subst_term if fresh else F.subst_pure)(pure, binding)
+        if keys:
+            binding = {f"{var}.{f}": self.slots[key] for (var, f), key in zip(wanted, keys)}
             if fresh:
-                self.slots[reads[-1][2]] = Var(fresh)  # overrides the original slot value
-                pure = Atom("=", Var(fresh), pure)
+                binding[_WRITTEN] = self.slots[keys[-1]] = Var(fresh)  # overrides the slot
+            if isinstance(pure, ir.Expr):  # outside the fragment with placeholders
+                pure = expr_to_pure(pure, binding)
+            pure = F.subst_pure(pure, binding)
             # A read put in as its slot value can equate two variables.
-            for left, right in S.pure_equalities((pure,)):
-                if root := S.merge_alias(self.uf, left, right):
-                    self.grown.append(root)
-            self.reads += reads
+            S.merge_aliases(self.uf, S.pure_equalities((pure,)))
         self.pure.append(pure)
         self.done += 1
 
@@ -443,11 +417,9 @@ def _preprocess_heap(d: SymbolicHeap, atoms: Sequence[PCAtom], defs: SpecFile,
     """The field-free heaps of ``d`` under the path's ``atoms``, depth-first,
     from ``state`` (which has resolved a prefix of the atoms over ``d``) or
     else from the first atom. When a read in atom i needs an unfold, each
-    child of ``unfold_at`` resumes at atom i from a state built from this
-    one; when the child's body repeats a slot or could change a read of
-    atoms before i (``resumed``), the child starts over from the first atom
-    instead. Both yield the same heaps, up to the names of fresh slot
-    variables."""
+    child of ``unfold_at`` resumes at atom i, carrying this state
+    (``resumed``), unless separation rules the child out: then it is
+    dropped, as it has no model."""
     state = state or _Elimination.start(d, atoms, defs)
     try:
         for atom in atoms[state.done:]:
@@ -466,8 +438,8 @@ def _preprocess_heap(d: SymbolicHeap, atoms: Sequence[PCAtom], defs: SpecFile,
         drops.append("unfolding budget exhausted in preprocess")
         return
     for unfolded in unfold_at(d, index, defs):
-        yield from _preprocess_heap(unfolded, atoms, defs, budget - 1, drops,
-                                    state.resumed(unfolded, defs))
+        if child := state.resumed(unfolded, defs):
+            yield from _preprocess_heap(unfolded, atoms, defs, budget - 1, drops, child)
 
 
 def field_free_heaps(delta: PathCondition, defs: SpecFile, unfold_budget: int,
@@ -476,10 +448,9 @@ def field_free_heaps(delta: PathCondition, defs: SpecFile, unfold_budget: int,
     each built only when it is pulled. A branch that runs out of unfolding
     budget or leaves the solvable fragment is dropped, and its reason
     appended to ``drops``. A branch whose field base is entailed null or
-    described by nothing in the heap is discarded without a trace. A heap
-    unfolded for a field read resumes at the atom of that read; it starts
-    over from the first atom only when the unfolding could change an
-    earlier read (see ``_preprocess_heap``)."""
+    described by nothing in the heap is discarded without a trace, and so
+    is a heap unfolded for a field read that separation rules out; any
+    other resumes at the atom of that read (see ``_preprocess_heap``)."""
     for d in delta.heaps:
         yield from _preprocess_heap(d, delta.atoms, defs, unfold_budget, drops)
 
@@ -669,6 +640,7 @@ def run_test(test: TestInput, tree: ConstraintTree,
     program = tree.program
     s = _init_stack(test)
     addr_counter = itertools.count(10_000)
+    live = set(test.objects)  # allocated and not yet freed
     node = tree.root
     node.flag = True
     steps = 0
@@ -709,6 +681,7 @@ def run_test(test: TestInput, tree: ConstraintTree,
                 for (fname, _), value in zip(data.fields, values):
                     s[(addr, fname)] = value
                 s[st.var] = addr
+                live.add(addr)
             elif isinstance(st, SStore):
                 key = _deref(s, st.var, st.fieldname)  # before the value
                 value = eval_expr(s, st.expr)
@@ -717,18 +690,16 @@ def run_test(test: TestInput, tree: ConstraintTree,
                                                            st.expr))
                 s[key] = value
             elif isinstance(st, SFree):
-                base = s.get(st.var)
                 if st.var not in s:
                     raise ExecError("dangling")
+                base = s[st.var]
                 if base is None:
                     raise ExecError("free-of-null")
-                if not isinstance(base, Addr):
-                    raise ExecError("dangling")
-                data = program.source.datas[base.type_name]
-                if data.fields and (base, data.fields[0][0]) not in s:
+                if base not in live:
                     raise ExecError("dangling")
                 node = tree.child(node, "free", program.next(pc), lambda: node.delta)
-                for fname, _ in data.fields:
+                live.remove(base)
+                for fname, _ in program.source.datas[base.type_name].fields:
                     s.pop((base, fname), None)
             elif isinstance(st, SAssert):
                 value = eval_expr(s, st.expr)

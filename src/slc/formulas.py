@@ -611,7 +611,8 @@ def _parse_term_primary(ts: TokenStream) -> ArithTerm:
 _CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
 
-def _desugar_cmp(op: str, a: ArithTerm, b: ArithTerm) -> PureFormula:
+def desugar_cmp(op: str, a: ArithTerm, b: ArithTerm) -> PureFormula:
+    """``a op b`` for a comparison ``op`` of ``_CMP_OPS``, with ``=`` and ``<=`` only."""
     if op == "=":
         return Atom("=", a, b)
     if op == "!=":
@@ -635,7 +636,7 @@ def _parse_pure_atom(ts: TokenStream) -> PureFormula:
         raise ts.error(f"expected comparison operator, found {tok.text!r}")
     ts.next()
     right = _parse_term(ts)
-    return _desugar_cmp(tok.text, left, right)
+    return desugar_cmp(tok.text, left, right)
 
 
 def _parse_pure_primary(ts: TokenStream) -> PureFormula:

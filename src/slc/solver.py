@@ -236,23 +236,31 @@ def _is_loc(op: str, sides: tuple, sorts) -> bool:
 NULL_KEY = "\x00null"
 
 
-def merge_alias(uf: F.UnionFind, left: ArithTerm, right: ArithTerm) -> str | None:
-    """Merge the classes of an equality between variables or null; an
-    equality with any other term says nothing about aliasing. The merged
-    class's representative, or None when no two classes became one."""
-    if isinstance(left, (Var, Null)) and isinstance(right, (Var, Null)):
-        return uf.union(_side(left), _side(right))
-    return None
+def merge_aliases(uf: F.UnionFind, eqs: Iterable[tuple[ArithTerm, ArithTerm]]) -> None:
+    """Merge the alias classes of each equality of ``eqs`` between variables
+    or null; an equality with any other term says nothing about aliasing."""
+    for left, right in eqs:
+        if isinstance(left, (Var, Null)) and isinstance(right, (Var, Null)):
+            uf.union(_side(left), _side(right))
 
 
 def alias_classes(eqs: Iterable[tuple[ArithTerm, ArithTerm]]) -> F.UnionFind:
-    """Alias classes of the equalities ``eqs`` (pairs of terms). Null is
-    added first, so it represents its class."""
+    """Alias classes of the equalities ``eqs``, as ``merge_aliases`` merges
+    them. Null is added first, so it represents its class."""
     uf = F.UnionFind()
     uf.find(NULL_KEY)
-    for left, right in eqs:
-        merge_alias(uf, left, right)
+    merge_aliases(uf, eqs)
     return uf
+
+
+def marks(uf: F.UnionFind, heads: Sequence[str],
+          marked: set[str] | None = None) -> set[str] | None:
+    """The alias classes of null and the points-to ``heads``, or None when two
+    share one, which separation rules out. Given ``marked``, the classes of
+    null and a prefix of ``heads`` under ``uf``, only the rest are looked up."""
+    new = heads[len(marked) - 1:] if marked else (NULL_KEY, *heads)
+    marked = (marked or set()) | {uf.find(name) for name in new}
+    return marked if len(marked) > len(heads) else None
 
 
 def pure_equalities(pure: F.Conjunction) -> list[tuple[ArithTerm, ArithTerm]]:
@@ -537,12 +545,10 @@ def _extended(lits: _Prepared, sorts, universe: Sequence[str], heads: Sequence[s
             uf.find(name)
         for a, b in lits.eqs:
             uf.union(a, b)
-    if parent is None or lits.eqs:
-        marked, check = {uf.find(name) for name in (NULL_KEY, *heads)}, diseqs + pairs
-    else:  # the parent's classes, marks and disequalities stand
-        marked, check = marked | {uf.find(h) for h in heads[len(marked) - 1:]}, pairs
-    if len(marked) <= len(heads):
+    # Unless lits merge classes, the parent's marks and disequalities stand.
+    if (marked := marks(uf, heads, None if lits.eqs else marked)) is None:
         return None
+    check = diseqs + pairs if lits.eqs else pairs
     diseqs = diseqs + pairs if pairs else diseqs
     if any(uf.find(a) == uf.find(b) for a, b in check):
         return None

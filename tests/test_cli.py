@@ -210,6 +210,32 @@ def test_annotations_loaded_per_entry():
     assert load_annotations(corpus_path("sll.ir"), "contains") == set()
 
 
+@pytest.mark.parametrize("text", [
+    "{bad",
+    '{"contains": {"infeasible": [["contains", "x", "then"]]}}',
+    '{"contains": {"infeasible": [["contains", 1]]}}',
+    '{"contains": {"infeasible": [["contains", 1, "maybe"]]}}',
+    '{"contains": {"infeasible": [["contains", 0, "then"]]}}',  # pc 0 is no conditional
+    '{"contains": {"infeasible": [["other", 1, "then"]]}}',
+    '{"contains": []}',
+])
+def test_malformed_annotations_are_an_error_before_generation(text, tmp_path, capsys,
+                                                               monkeypatch):
+    for name in ("sll.sl", "sll.ir"):
+        (tmp_path / name).write_text(corpus_path(name).read_text())
+    (tmp_path / "sll.annotations.json").write_text(text)
+    monkeypatch.setattr(T, "gen_from_spec", None)  # the check comes first
+    code = main(["--spec", str(tmp_path / "sll.sl"), "--program", str(tmp_path / "sll.ir"),
+                 "--entry", "contains"])
+    assert code == 1 and capsys.readouterr().err.startswith("slc: error: ")
+
+
+@pytest.mark.parametrize("name", list(BENCHMARKS))
+def test_corpus_annotations_name_reached_conditionals(name, tmp_path):
+    assert run_bench(name, tmp_path, spec_only=True).report.infeasible == \
+        load_annotations(corpus_path(BENCHMARKS[name].program), BENCHMARKS[name].entry)
+
+
 # --------------------------------------------------------- measure_coverage
 
 

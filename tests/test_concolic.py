@@ -154,11 +154,26 @@ def test_free_then_use_is_dangling():
     assert outcome.kind == "error" and outcome.error == "dangling"
 
 
+def test_second_free_of_a_record_without_fields_is_dangling():
+    elab = trivial_program("data E { }\nproc f(a: int) { 0: p := new E()  1: free p  2: free p }")
+    tree = ConstraintTree(elab, TRUE_PRE)
+    outcome = run_test(T.TestInput({}, {"a": 0}, "t"), tree)
+    assert outcome.kind == "error" and outcome.error == "dangling" and outcome.pc == (("f", 2),)
+
+
 def test_free_of_null():
     elab = trivial_program("data C { int v; }\nproc f(p: C) { 0: free p }")
     tree = ConstraintTree(elab, TRUE_PRE)
     outcome = run_test(T.TestInput({}, {"p": None}, "t"), tree)
     assert outcome.kind == "error" and outcome.error == "free-of-null"
+
+
+def test_free_of_an_address_never_allocated_is_dangling():
+    # The solver gives a pointer that no points-to describes such an address.
+    elab = trivial_program("data C { int v; }\nproc f(p: C) { 0: free p }")
+    tree = ConstraintTree(elab, TRUE_PRE)
+    outcome = run_test(T.TestInput({}, {"p": Addr(1, "C")}, "t"), tree)
+    assert outcome.kind == "error" and outcome.error == "dangling"
 
 
 def test_computed_goto_out_of_range():
@@ -297,6 +312,22 @@ def test_constant_boolean_slot_read_in_a_guard_is_decided(tmp_path):
     prog.write_text("proc f(p: C) { 0: if p.b then goto 1 else goto 1 }")
     report = run_pipeline(spec, prog, "f").report
     assert (report.unresolved_nodes, report.pruned_nodes) == (0, 1)
+
+
+@pytest.mark.parametrize("write", ["0: p.b := a < 3", "0: v := a < 3  1: p.b := !v"])
+def test_boolean_value_written_to_a_field_is_explored(write, tmp_path):
+    # The write converts like an assignment, fresh slot symbol = 1 iff the
+    # value, so the guard on the slot reaches the solver on both sides.
+    spec = tmp_path / "c.sl"
+    spec.write_text("data C { bool b; C next; }\n"
+                    "pre f == exists x . p -> C(false, x) * q(x) ;\n"
+                    "pred q(y) == emp & y = null ;\n")
+    n = write.count(":=")
+    prog = tmp_path / "c.ir"
+    prog.write_text(f"proc f(p: C, a: int) {{ {write}  {n}: if p.b then goto {n + 1} "
+                    f"else goto {n + 2}  {n + 1}: r := 1  {n + 2}: r := 2 }}")
+    report = run_pipeline(spec, prog, "f").report
+    assert report.feasible_covered == 2 and report.unresolved_nodes == 0
 
 
 # ------------------------------------------------------------ exploration
@@ -552,8 +583,7 @@ def delta_names(delta):
     names = set().union(*(F.free_vars(d) for d in delta.heaps))
     for atom in delta.atoms:
         if not isinstance(atom.pure, str):
-            found = F.term_vars(atom.pure) if atom.store else F.pure_vars(atom.pure)
-            names |= {name.split(".")[0] for name in found}
+            names |= {name.split(".")[0] for name in F.pure_vars(atom.pure)}
         names |= {var for var, _ in atom.reads + ((atom.store,) if atom.store else ())}
     return names
 
@@ -625,9 +655,12 @@ def test_explore_solves_eager_heaps_in_order(name, monkeypatch, tmp_path):
 
 
 def force_restart(monkeypatch):
-    """Make every unfolded child of field elimination start over from the
-    first atom: the from-scratch reference that resuming must match."""
-    monkeypatch.setattr(C._Elimination, "resumed", lambda self, child, defs: None)
+    """Make every unfolded child of field elimination that separation keeps
+    start over from the first atom (``_Elimination.start``): the
+    from-scratch reference that carrying the parent's state must match."""
+    resumed = C._Elimination.resumed
+    monkeypatch.setattr(C._Elimination, "resumed", lambda self, child, defs: (
+        resumed(self, child, defs) and C._Elimination.start(child, self.atoms, defs)))
 
 
 def heaps_and_drops(delta, spec, unfold_budget):
@@ -674,17 +707,29 @@ def test_resuming_cuts_atom_resolutions_on_tll(monkeypatch, tmp_path):
 
 
 def record_carried(monkeypatch):
-    """Whether each unfolded child of field elimination resumed (True) or
-    started over (False), in order."""
-    carried, resumed = [], C._Elimination.resumed
+    """Each unfolded child of field elimination in order, with whether it
+    was carried (True) or dropped by separation (False)."""
+    children, resumed = [], C._Elimination.resumed
 
     def recorded(self, child, defs):
         state = resumed(self, child, defs)
-        carried.append(state is not None)
+        children.append((child, state is not None))
         return state
 
     monkeypatch.setattr(C._Elimination, "resumed", recorded)
-    return carried
+    return children
+
+
+def scratch_heaps_of_dropped(children, pc, spec):
+    """The heaps that field elimination from the first atom yields for the
+    dropped children; each must have no model, and not only within the
+    finite integer domain."""
+    dropped = [child for child, carried in children if not carried]
+    heaps = [h for child in dropped for h in C._preprocess_heap(child, pc.atoms, spec, 6, [])]
+    for heap in heaps:
+        result = S.sat(heap, spec)
+        assert result.decision == "unsat" and not result.stats.bounded
+    return heaps
 
 
 RESTART_SPEC = """
@@ -694,46 +739,53 @@ pred joins(c, b, a) == (exists w . c -> N(w, null) & b = a) \\/ (exists w . c ->
 """
 
 
-@pytest.mark.parametrize("heap, first_read, expected", [
+@pytest.mark.parametrize("heap, first_read, scratch", [
     # Unfolding nulls(y, x) makes x, the base of the resolved read, null.
     ("x -> N(1, null) * nulls(y, x)", EField("x", "val"), 1),
     # Unfolding joins(c, b, a) aliases b to a, whose slot comes first.
     ("a -> N(1, null) * b -> N(2, null) * joins(c, b, a)", EField("b", "val"), 2),
 ])
-def test_unfold_that_changes_a_resolved_read_restarts(heap, first_read, expected,
+def test_unfold_that_changes_a_resolved_read_restarts(heap, first_read, scratch,
                                                         monkeypatch):
+    # Such an unfold puts a points-to head in null's or another head's
+    # class, so separation drops the child; from scratch it yields only
+    # heaps without a model (``scratch`` counts all children's heaps).
     spec = F.parse_spec(RESTART_SPEC)
     base = first_read.var
     pc = PathCondition((F.parse_heap(heap),), ())
     pc = pc.conjoin(EBin("=", first_read, EConst(2)))
     pc = pc.conjoin(EBin("=", EField("y" if base == "x" else "c", "val"), EConst(3)))
-    carried = record_carried(monkeypatch)
+    children = record_carried(monkeypatch)
     got = heaps_and_drops(pc, spec, 6)
-    # The first child starts over, the second resumes.
-    assert carried == [False, True]
-    assert len(got[0]) == expected
+    # The first child is dropped, the second resumes.
+    assert [carried for _, carried in children] == [False, True]
+    assert len(got[0]) == 1 and got[1] == []
+    assert len(got[0]) + len(scratch_heaps_of_dropped(children, pc, spec)) == scratch
     force_restart(monkeypatch)
     assert got == heaps_and_drops(pc, spec, 6)
 
 
 @pytest.mark.parametrize("heap, carried_expected", [
     # p's slot comes before h's: once a.next = h resolves to p = h, the
-    # read h.val would choose p's slot, so both children start over.
+    # read h.val would choose p's slot.
     ("p -> N(1, null) * h -> N(2, null) * a -> N(3, p) * nulls(y, x)", [False, False]),
-    # p's slot comes after h's: the class of h grew, yet h.val keeps its slot.
-    ("h -> N(2, null) * p -> N(1, null) * a -> N(3, p) * nulls(y, x)", [True, True]),
+    # p's slot comes after h's: h.val would keep its slot.
+    ("h -> N(2, null) * p -> N(1, null) * a -> N(3, p) * nulls(y, x)", [False, False]),
 ])
 def test_read_whose_class_grew_by_an_absorbed_equality_is_rechecked(heap, carried_expected,
                                                                    monkeypatch):
+    # Either way p = h puts two points-to heads in one class, so separation
+    # drops both children of nulls(y, x); from scratch each yields one heap
+    # without a model.
     spec = F.parse_spec(RESTART_SPEC)
     pc = PathCondition((F.parse_heap(heap),), ())
     pc = pc.conjoin(EBin("=", EField("h", "val"), EConst(2)))
     pc = pc.conjoin(EBin("=", EField("a", "next"), EVar("h")))  # resolves to p = h
     pc = pc.conjoin(EBin("=", EField("y", "val"), EConst(3)))  # needs nulls(y, x) unfolded
-    carried = record_carried(monkeypatch)
+    children = record_carried(monkeypatch)
     got = heaps_and_drops(pc, spec, 6)
-    assert carried == carried_expected
-    assert len(got[0]) == 2 and got[1] == []
+    assert [carried for _, carried in children] == carried_expected
+    assert got == ([], []) and len(scratch_heaps_of_dropped(children, pc, spec)) == 2
     force_restart(monkeypatch)
     assert got == heaps_and_drops(pc, spec, 6)
 
@@ -778,6 +830,17 @@ def test_product_of_two_reads_is_linear_when_a_slot_is_constant():
     pc = pc.conjoin(EBin("=", EBin("*", EField("b", "val"), EField("b", "val")), EConst(4)))
     assert list(C.field_free_heaps(pc, spec, 6, reasons)) == []
     assert reasons == ["nonlinear product: b.val * b.val"]
+
+
+def test_written_values_do_not_join_alias_classes():
+    # Each write equates its own fresh slot symbol with its value; the two
+    # writes' values a and b must stay apart, so b.val reads b's slot.
+    spec = F.parse_spec(RESTART_SPEC)
+    pc = PathCondition((F.parse_heap("a -> N(1, null) * b -> N(2, null)"),), ())
+    pc = pc.store("a", "next", EVar("b")).store("b", "next", EVar("a"))
+    pc = pc.conjoin(EBin("=", EField("b", "val"), EConst(2)))
+    [out] = C.field_free_heaps(pc, spec, 6, [])
+    assert out.pure[-1] == F.Atom("=", F.Const(2), F.Const(2))
 
 
 @pytest.mark.parametrize("name", list(BENCHMARKS))

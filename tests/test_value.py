@@ -80,10 +80,11 @@ def test_every_value_class_has_a_sample():
 
 
 # Both kinds of path atom, each under the id its own class once had: a
-# conjunct whose field read is a placeholder, and a field write of a term.
+# conjunct whose field read is a placeholder, and a field write: the new
+# value, placeholder ``:=``, equals the written term.
 PATH_ATOMS = {
     "slc.concolic.PCExpr": (F.Not(F.Atom("=", F.Var("x.v"), TWO)), (("x", "v"),), None),
-    "slc.concolic.PCAssign": (F.Add(X, TWO), (), ("y", "v")),
+    "slc.concolic.PCAssign": (F.Atom("=", F.Var(":="), F.Add(X, TWO)), (), ("y", "v")),
 }
 
 CASES = [pytest.param(cls, fields, id=f"{cls.__module__}.{cls.__name__}")

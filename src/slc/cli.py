@@ -37,6 +37,7 @@ import sys
 import time
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Collection
 
 from . import concolic as C
 from . import formulas as F
@@ -62,7 +63,7 @@ class Benchmark(Value):
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
-# The gated corpus; stretch subjects would go here with gated=False.
+# The gated corpus, each subject at its gated settings.
 BENCHMARKS = {
     "sll": Benchmark("sll", "sll.sl", "sll.ir", "contains", 2),
     "dll": Benchmark("dll", "dll.sl", "dll.ir", "removeFirst", 2),
@@ -159,10 +160,12 @@ def measure_coverage(tree: C.ConstraintTree, log, *,
     )
 
 
-def load_annotations(program_path: Path, entry: str) -> set[tuple[str, int, str]]:
+def load_annotations(program_path: Path, entry: str,
+                     procs: Collection[str]) -> set[tuple[str, int, str]]:
     """The branches that ``<program>.annotations.json`` marks infeasible
     for ``entry``, each ``[proc, pc, "then"|"else"]``. Raises ProgramError
-    when the file is malformed."""
+    when the file is malformed or a top-level key is not one of ``procs``,
+    the program's procedures."""
     ann_path = program_path.with_suffix(".annotations.json")
     if not ann_path.exists():
         return set()
@@ -174,6 +177,9 @@ def load_annotations(program_path: Path, entry: str) -> set[tuple[str, int, str]
     marks = section.get("infeasible", []) if isinstance(section, dict) else None
     if not isinstance(marks, list):
         raise ir.ProgramError(f"{ann_path.name}: {entry!r} needs a list \"infeasible\"")
+    for key in data:
+        if key not in procs:
+            raise ir.ProgramError(f"{ann_path.name}: {key!r} names no procedure of the program")
     for mark in marks:
         if not (isinstance(mark, list) and len(mark) == 3 and isinstance(mark[0], str)
                 and type(mark[1]) is int and mark[2] in ("then", "else")):
@@ -348,7 +354,7 @@ def run_pipeline(spec_path: Path, program_path: Path, entry: str, *,
     if entry not in spec.preconditions:
         raise ir.ProgramError(f"no precondition for entry {entry!r} in spec")
     elab = ir.elaborate(program, entry)
-    annotations = load_annotations(program_path, entry)
+    annotations = load_annotations(program_path, entry, program.procs)
     conditionals = set(ir.source_conditionals(program, elab.procs))
     for proc, pc, side in sorted(annotations):
         if (proc, pc) not in conditionals:

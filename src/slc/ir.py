@@ -16,9 +16,9 @@ distinguished variable ``ret``. A program counter names the active call
 sites; goto targets are local to their procedure, so a computed goto may
 sit in a procedure that calls.
 
-Programs need not be in single-assignment form: the executor's
-substitution rule for assignment handles reassignment soundly, within a
-frame and across calls alike.
+Programs need not be in single-assignment form: path conditions are in
+SSA style (see ``concolic``), so an assignment names a fresh symbol and
+reassignment is sound, within a frame and across calls alike.
 """
 
 from __future__ import annotations
@@ -513,124 +513,99 @@ def _expr_type(e: Expr, env: dict[str, str | None], program: Program,
             return data.field_type(e.fieldname)
         except KeyError:
             raise ProgramError(f"{where}: unknown field {base}.{e.fieldname}") from None
-    if isinstance(e, EUn):
-        inner = _expr_type(e.operand, env, program, where)
-        want = "bool" if e.op == "!" else "int"
-        if inner is not None and inner != want:
-            raise ProgramError(f"{where}: operator {e.op} needs {want}, got {inner}")
-        return want
-    left = _expr_type(e.left, env, program, where)
-    right = _expr_type(e.right, env, program, where)
-    if e.op in _ARITH or e.op in ("<", "<=", ">", ">="):
-        for t in (left, right):
-            if t is not None and t != "int":
-                raise ProgramError(f"{where}: operator {e.op} needs int, got {t}")
-        return "int" if e.op in _ARITH else "bool"
-    if e.op in ("&", "|"):
-        for t in (left, right):
-            if t is not None and t != "bool":
-                raise ProgramError(f"{where}: operator {e.op} needs bool, got {t}")
+    operands = (e.operand,) if isinstance(e, EUn) else (e.left, e.right)
+    types = [_expr_type(o, env, program, where) for o in operands]
+    if e.op in ("=", "!="):  # operands of one type (references compare with null)
+        _join(*types, where)
         return "bool"
-    # = and != : operands of one type (references compare with null)
-    _join(left, right, where)
-    return "bool"
-
-
-def _check_const_target(e: Expr, end: int, where: str) -> None:
-    if isinstance(e, EConst):
-        if not isinstance(e.value, int) or isinstance(e.value, bool) \
-                or not (0 <= e.value <= end):
-            raise ProgramError(f"{where}: goto target {e.value} outside [0, {end}]")
+    want = "bool" if e.op in ("!",) + _LOGIC else "int"
+    for t in types:
+        if t is not None and t != want:
+            raise ProgramError(f"{where}: operator {e.op} needs {want}, got {t}")
+    return "int" if e.op in _ARITH else "bool"
 
 
 def validate_program(program: Program) -> None:
+    """Type every procedure; raise ProgramError at the first fault.
+
+    A local's type is the join of what it is assigned, and a call's result
+    takes the callee's ``ret``. Each pass over the procedures types each
+    one from its parameters, reading a callee's ``ret`` from the callee's
+    last environment, then checks its statements. Types only refine (None,
+    then ``nullref``, then a record; or None, then a scalar), so some pass
+    changes no ``ret``; as only ``ret`` is read across procedures, the
+    passes stop there. An environment keys each variable a statement
+    assigns, None while untyped: a callee whose environment lacks ``ret``
+    returns no value."""
     for data in program.datas.values():
         for fname, ftype in data.fields:
             if ftype not in ("int", "bool") and ftype not in program.datas:
                 raise ProgramError(f"data {data.name}: unknown field type {ftype!r}")
-    assigns_ret = {
-        proc.name for proc in program.procs.values()
-        if any((isinstance(st, (SAssign, SNew)) and st.var == "ret")
-               or (isinstance(st, SCall) and st.result == "ret")
-               for st in proc.stmts)
-    }
-    ret_types: dict[str, str | None] = {name: None for name in program.procs}
-    for _ in range(len(program.procs) + 2):
+    envs: dict[str, dict[str, str | None]] = {name: {} for name in program.procs}
+    changed = True
+    while changed:
         changed = False
         for proc in program.procs.values():
-            env = _type_proc(proc, program, ret_types, assigns_ret)
-            new_ret = env.get("ret")
-            if new_ret is not None and ret_types[proc.name] != new_ret:
-                ret_types[proc.name] = _join(ret_types[proc.name], new_ret,
-                                             f"proc {proc.name} result")
-                changed = True
-        if not changed:
-            break
-    # Final strict pass: unresolved expression types are rejected.
+            env: dict[str, str | None] = {}
+            for pname, ptype in proc.params:
+                if ptype not in ("int", "bool") and ptype not in program.datas:
+                    raise ProgramError(f"proc {proc.name}: unknown parameter type {ptype!r}")
+                env[pname] = ptype
+            grew = True
+            while grew:
+                grew = False
+                for i, st in enumerate(proc.stmts):
+                    for var, t, where in _assigned(st, env, envs, program,
+                                                   f"proc {proc.name}:{i}"):
+                        joined = _join(env.get(var), t, where)
+                        if var not in env or env[var] != joined:
+                            env[var] = joined
+                            grew = True
+            _check_statements(proc, env, program)
+            changed |= env.get("ret") != envs[proc.name].get("ret")
+            envs[proc.name] = env
     for proc in program.procs.values():
-        _type_proc(proc, program, ret_types, assigns_ret, strict=True)
-
-
-def _type_proc(proc: Procedure, program: Program,
-               ret_types: dict[str, str | None],
-               assigns_ret: set[str] | None = None,
-               strict: bool = False) -> dict[str, str | None]:
-    env: dict[str, str | None] = {}
-    for pname, ptype in proc.params:
-        if ptype not in ("int", "bool") and ptype not in program.datas:
-            raise ProgramError(f"proc {proc.name}: unknown parameter type {ptype!r}")
-        env[pname] = ptype
-    end = len(proc.stmts)
-    for _ in range(len(proc.stmts) + 2):
-        changed = False
         for i, st in enumerate(proc.stmts):
-            where = f"proc {proc.name}:{i}"
-            if isinstance(st, SAssign):
-                t = _expr_type(st.expr, env, program, where)
-                joined = _join(env.get(st.var), t, where)
-                if joined != env.get(st.var):
-                    env[st.var] = joined
-                    changed = True
-            elif isinstance(st, SNew):
-                data = program.datas.get(st.type_name)
-                if data is None:
-                    raise ProgramError(f"{where}: unknown record type {st.type_name!r}")
-                if len(st.args) != len(data.fields):
-                    raise ProgramError(f"{where}: new {st.type_name} expects "
-                                       f"{len(data.fields)} arguments, got {len(st.args)}")
-                for arg, (fname, ftype) in zip(st.args, data.fields):
-                    joined = _join(env.get(arg), ftype, f"{where} ({fname})")
-                    if joined != env.get(arg):
-                        env[arg] = joined
-                        changed = True
-                if env.get(st.var) != st.type_name:
-                    env[st.var] = _join(env.get(st.var), st.type_name, where)
-                    changed = True
-            elif isinstance(st, SCall):
-                callee = program.procs.get(st.proc)
-                if callee is None:
-                    raise ProgramError(f"{where}: unknown procedure {st.proc!r}")
-                if len(st.args) != len(callee.params):
-                    raise ProgramError(f"{where}: {st.proc} expects "
-                                       f"{len(callee.params)} arguments, got {len(st.args)}")
-                for arg, (_, ptype) in zip(st.args, callee.params):
-                    t = _expr_type(arg, env, program, where)
-                    _join(t, ptype, where)
-                if st.result is not None:
-                    rt = ret_types.get(st.proc)
-                    if rt is None and strict and st.proc not in (assigns_ret or ()):
-                        raise ProgramError(f"{where}: {st.proc} returns no value "
-                                           f"(never assigns ret)")
-                    if rt is not None:
-                        joined = _join(env.get(st.result), rt, where)
-                        if joined != env.get(st.result):
-                            env[st.result] = joined
-                            changed = True
-        if not changed:
-            break
+            if isinstance(st, SCall) and st.result is not None and "ret" not in envs[st.proc]:
+                raise ProgramError(f"proc {proc.name}:{i}: {st.proc} returns no value "
+                                   f"(never assigns ret)")
+
+
+def _assigned(st: Statement, env: dict[str, str | None],
+              envs: dict[str, dict[str, str | None]], program: Program,
+              where: str) -> Iterator[tuple[str, str | None, str]]:
+    """The (variable, type, position) pairs ``st`` assigns; checks a call's arguments."""
+    if isinstance(st, SAssign):
+        yield st.var, _expr_type(st.expr, env, program, where), where
+    elif isinstance(st, SNew):
+        data = program.datas.get(st.type_name)
+        if data is None:
+            raise ProgramError(f"{where}: unknown record type {st.type_name!r}")
+        if len(st.args) != len(data.fields):
+            raise ProgramError(f"{where}: new {st.type_name} expects "
+                               f"{len(data.fields)} arguments, got {len(st.args)}")
+        for arg, (fname, ftype) in zip(st.args, data.fields):
+            yield arg, ftype, f"{where} ({fname})"
+        yield st.var, st.type_name, where
+    elif isinstance(st, SCall):
+        callee = program.procs.get(st.proc)
+        if callee is None:
+            raise ProgramError(f"{where}: unknown procedure {st.proc!r}")
+        if len(st.args) != len(callee.params):
+            raise ProgramError(f"{where}: {st.proc} expects "
+                               f"{len(callee.params)} arguments, got {len(st.args)}")
+        for arg, (_, ptype) in zip(st.args, callee.params):
+            _join(_expr_type(arg, env, program, where), ptype, where)
+        if st.result is not None:
+            yield st.result, envs[st.proc].get("ret"), where
+
+
+def _check_statements(proc: Procedure, env: dict[str, str | None], program: Program) -> None:
+    """Check each statement of ``proc`` against its typing ``env``."""
+    end = len(proc.stmts)
     for i, st in enumerate(proc.stmts):
         where = f"proc {proc.name}:{i}"
-        if isinstance(st, (SAssign,)):
+        if isinstance(st, SAssign):
             _expr_type(st.expr, env, program, where)
         elif isinstance(st, SStore):
             base = env.get(st.var)
@@ -645,28 +620,27 @@ def _type_proc(proc: Procedure, program: Program,
                 raise ProgramError(f"{where}: unknown field {base}.{st.fieldname}") from None
             _join(_expr_type(st.expr, env, program, where), ftype, where)
         elif isinstance(st, SFree):
-            base = env.get(st.var)
-            if base in ("int", "bool"):
+            if env.get(st.var) in ("int", "bool"):
                 raise ProgramError(f"{where}: free of scalar {st.var}")
-        elif isinstance(st, SGoto):
-            t = _expr_type(st.target, env, program, where)
-            if t not in (None, "int"):
-                raise ProgramError(f"{where}: goto target must be int, got {t}")
-            _check_const_target(st.target, end, where)
         elif isinstance(st, SAssert):
             t = _expr_type(st.expr, env, program, where)
             if t not in (None, "bool"):
                 raise ProgramError(f"{where}: assert needs bool, got {t}")
-        elif isinstance(st, SCond):
-            t = _expr_type(st.cond, env, program, where)
-            if t not in (None, "bool"):
-                raise ProgramError(f"{where}: condition must be bool, got {t}")
-            for target in (st.then_target, st.else_target):
-                tt = _expr_type(target, env, program, where)
-                if tt not in (None, "int"):
-                    raise ProgramError(f"{where}: goto target must be int, got {tt}")
-                _check_const_target(target, end, where)
-    return env
+        elif isinstance(st, (SGoto, SCond)):
+            if isinstance(st, SCond):
+                t = _expr_type(st.cond, env, program, where)
+                if t not in (None, "bool"):
+                    raise ProgramError(f"{where}: condition must be bool, got {t}")
+                targets = (st.then_target, st.else_target)
+            else:
+                targets = (st.target,)
+            for target in targets:
+                t = _expr_type(target, env, program, where)
+                if t not in (None, "int"):
+                    raise ProgramError(f"{where}: goto target must be int, got {t}")
+                if isinstance(target, EConst) and not 0 <= target.value <= end:
+                    raise ProgramError(f"{where}: goto target {target.value} "
+                                       f"outside [0, {end}]")
 
 
 # =====================================================================

@@ -205,9 +205,9 @@ def test_seed_defaults_provides_fallback_seed(tmp_path):
 
 
 def test_annotations_loaded_per_entry():
-    marks = load_annotations(corpus_path("bst.ir"), "remove")
+    marks = load_annotations(corpus_path("bst.ir"), "remove", {"remove", "findMin"})
     assert marks == {("findMin", 0, "then")}
-    assert load_annotations(corpus_path("sll.ir"), "contains") == set()
+    assert load_annotations(corpus_path("sll.ir"), "contains", {"contains"}) == set()
 
 
 @pytest.mark.parametrize("text", [
@@ -218,6 +218,7 @@ def test_annotations_loaded_per_entry():
     '{"contains": {"infeasible": [["contains", 0, "then"]]}}',  # pc 0 is no conditional
     '{"contains": {"infeasible": [["other", 1, "then"]]}}',
     '{"contains": []}',
+    '{"contians": {"infeasible": []}}',  # a misspelled procedure
 ])
 def test_malformed_annotations_are_an_error_before_generation(text, tmp_path, capsys,
                                                                monkeypatch):
@@ -232,8 +233,9 @@ def test_malformed_annotations_are_an_error_before_generation(text, tmp_path, ca
 
 @pytest.mark.parametrize("name", list(BENCHMARKS))
 def test_corpus_annotations_name_reached_conditionals(name, tmp_path):
-    assert run_bench(name, tmp_path, spec_only=True).report.infeasible == \
-        load_annotations(corpus_path(BENCHMARKS[name].program), BENCHMARKS[name].entry)
+    bench, run = BENCHMARKS[name], run_bench(name, tmp_path, spec_only=True)
+    assert run.report.infeasible == load_annotations(
+        corpus_path(bench.program), bench.entry, run.tree.program.source.procs)
 
 
 # --------------------------------------------------------- measure_coverage

@@ -1,5 +1,8 @@
 """Intermediate language: parsing, validation, call frames."""
 
+import hashlib
+import re
+
 import pytest
 
 from slc import concolic as C
@@ -109,6 +112,34 @@ def test_result_from_procedure_without_ret_rejected():
     """
     with pytest.raises(ProgramError, match="returns no value"):
         parse_program(text)
+
+
+# The outcome of each of the first 2,000 random programs (conftest's
+# generator, seed 0): "ok" or the first error, pinned as (programs,
+# accepted, digest of the outcomes).
+PINNED_PROGRAMS = (2000, 866, "328dd4b3e84c878a")
+
+# One pattern per kind of error that typing reports.
+PROGRAM_ERRORS = [
+    "unknown field type", "type mismatch", "has non-record type", r"unknown field \w+\.",
+    r"operator \S+ needs", r"goto target -?\d+ outside", "unknown parameter type",
+    "unknown record type", r"new \w+ expects", r": \w+ expects", "unknown procedure",
+    "returns no value", "store into non-record", "free of scalar",
+    "goto target must be int", "assert needs bool", "condition must be bool",
+]
+
+
+def test_random_program_outcomes_are_pinned(random_programs, corpus_datas):
+    outcomes = []
+    for text in random_programs(2000, seed=0):
+        try:
+            parse_program(text, corpus_datas)
+            outcomes.append("ok")
+        except (ProgramError, ParseError) as error:
+            outcomes.append(str(error))
+    digest = hashlib.sha256("".join(f"{o!r}\n" for o in outcomes).encode()).hexdigest()
+    assert (len(outcomes), outcomes.count("ok"), digest[:16]) == PINNED_PROGRAMS
+    assert [k for k in PROGRAM_ERRORS if not any(re.search(k, o) for o in outcomes)] == []
 
 
 def test_program_print_parse_round_trip():
